@@ -5,7 +5,7 @@ Convenience wrapper over the library runner: builds the fixed-gain and
 scheduled controllers at the nominal trim, executes the configured
 experiment, and writes report.json / W.csv / snapshot CSVs. The checked-in
 configs under scripts/configs/ reproduce the three study families at desk
-scale (200 samples); ic_paper.json is the full 2000-sample run.
+scale (200 samples); ic_full.json is the full 2000-sample run.
 
     python scripts/run_scenario.py scripts/configs/ic_desk.json
     python scripts/run_scenario.py scripts/configs/param_desk.json --out /tmp/param

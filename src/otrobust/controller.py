@@ -4,8 +4,9 @@ Linearization is central finite differences on the nonlinear plant. The
 continuous algebraic Riccati equation is solved from the stable invariant
 subspace of the ordered real Schur form of the Hamiltonian, polished with
 one Newton-Kleinman (Lyapunov) step. The scheduled controller keeps one
-gain and trim pair per node of a (V, alpha) lattice and interpolates both
-bilinearly in the scheduling states, clamped to the lattice hull.
+gain per node of a (V, alpha) lattice, interpolates the gains bilinearly
+in the scheduling states (clamped to the lattice hull) and regulates
+deviations from one fixed reference trim; node trims are not interpolated.
 """
 
 from __future__ import annotations
@@ -362,10 +363,10 @@ def build_schedule(trims: list[TrimPoint], weights: LqrWeights | None = None,
 
 def _cell_weights(nodes: np.ndarray, v):
     """Lower index and fractional position of v in nodes, clamped to hull."""
-    v = np.clip(v, nodes[0], nodes[-1])
+    v = np.minimum(np.maximum(v, nodes[0]), nodes[-1])
     if nodes.size == 1:
         return np.zeros(np.shape(v), dtype=int), np.zeros(np.shape(v))
-    i = np.clip(np.searchsorted(nodes, v, side="right") - 1, 0, nodes.size - 2)
+    i = np.minimum(np.maximum(np.searchsorted(nodes, v, side="right") - 1, 0), nodes.size - 2)
     w = (v - nodes[i]) / (nodes[i + 1] - nodes[i])
     return i, w
 

@@ -172,6 +172,9 @@ class AeroTables:
         for name in ("CX", "CZ", "Cm", "CXq", "CZq", "Cmq"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} contains non-finite entries")
+        # derived lookup grids: (na, nd, 3) for CX/CZ/Cm, (na, 3) for CXq/CZq/Cmq
+        object.__setattr__(self, "_static", np.stack([self.CX, self.CZ, self.Cm], axis=-1))
+        object.__setattr__(self, "_damping", np.stack([self.CXq, self.CZq, self.Cmq], axis=-1))
 
     @classmethod
     def from_json(cls, path) -> "AeroTables":
@@ -188,29 +191,33 @@ class AeroTables:
             return cls.from_json(path)
 
 
-def _interp1(bp: np.ndarray, vals: np.ndarray, x):
-    """Piecewise-linear interpolation of vals over bp, clamped at the ends."""
-    x = np.clip(x, bp[0], bp[-1])
-    i = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, bp.size - 2)
-    w = (x - bp[i]) / (bp[i + 1] - bp[i])
-    return vals[i] * (1.0 - w) + vals[i + 1] * w
+def _cell(bp: np.ndarray, x):
+    """Lower breakpoint index and fractional position of x, clamped to bp."""
+    x = np.minimum(np.maximum(x, bp[0]), bp[-1])
+    i = np.minimum(np.maximum(np.searchsorted(bp, x, side="right") - 1, 0), bp.size - 2)
+    return i, np.asarray((x - bp[i]) / (bp[i + 1] - bp[i]))[..., None]
 
 
-def _interp2(bpa: np.ndarray, bpd: np.ndarray, grid: np.ndarray, a, d):
-    """Clamped bilinear interpolation; a degenerate single-column grid means
-    the coefficient depends on alpha only."""
-    if bpd.size == 1:
-        return _interp1(bpa, grid[:, 0], a)
-    a = np.clip(a, bpa[0], bpa[-1])
-    d = np.clip(d, bpd[0], bpd[-1])
-    i = np.clip(np.searchsorted(bpa, a, side="right") - 1, 0, bpa.size - 2)
-    j = np.clip(np.searchsorted(bpd, d, side="right") - 1, 0, bpd.size - 2)
-    wa = (a - bpa[i]) / (bpa[i + 1] - bpa[i])
-    wd = (d - bpd[j]) / (bpd[j + 1] - bpd[j])
-    return ((1 - wa) * (1 - wd) * grid[i, j]
-            + wa * (1 - wd) * grid[i + 1, j]
-            + (1 - wa) * wd * grid[i, j + 1]
-            + wa * wd * grid[i + 1, j + 1])
+def _aero(tables: AeroTables, alpha, delta_e):
+    """Clamped table lookup of (CX, CZ, Cm) and (CXq, CZq, Cmq), each stacked
+    on a trailing axis of 3. One alpha cell serves all six coefficients; a
+    degenerate single-column delta_e grid makes CX, CZ, Cm alpha-only."""
+    i, wa = _cell(tables.alpha_breakpoints_deg, np.asarray(alpha) / DEG)
+    ua = 1 - wa
+    gq = tables._damping
+    damping = gq.take(i, axis=0) * ua + gq.take(i + 1, axis=0) * wa
+    nd = tables.deltae_breakpoints_deg.size
+    g = tables._static.reshape(-1, 3)  # row i * nd + j holds cell (i, j)
+    if nd == 1:
+        return g.take(i, axis=0) * ua + g.take(i + 1, axis=0) * wa, damping
+    j, wd = _cell(tables.deltae_breakpoints_deg, np.asarray(delta_e) / DEG)
+    ud = 1 - wd
+    k = i * nd + j
+    static = (ua * ud * g.take(k, axis=0)
+              + wa * ud * g.take(k + nd, axis=0)
+              + ua * wd * g.take(k + 1, axis=0)
+              + wa * wd * g.take(k + nd + 1, axis=0))
+    return static, damping
 
 
 def lookup_coefficient(tables: AeroTables, which: str, alpha, delta_e=0.0):
@@ -220,16 +227,10 @@ def lookup_coefficient(tables: AeroTables, which: str, alpha, delta_e=0.0):
     linearly over alpha. Queries outside the breakpoint range clamp to the
     nearest edge.
     """
-    a_deg = np.asarray(alpha) / DEG
-    d_deg = np.asarray(delta_e) / DEG
-    if which in ("CX", "CZ", "Cm"):
-        return _interp2(tables.alpha_breakpoints_deg,
-                        tables.deltae_breakpoints_deg,
-                        getattr(tables, which), a_deg, d_deg)
-    if which in ("CXq", "CZq", "Cmq"):
-        return _interp1(tables.alpha_breakpoints_deg,
-                        getattr(tables, which), a_deg)
-    raise KeyError(f"unknown coefficient id {which!r}; expected one of {COEFFICIENT_IDS}")
+    if which not in COEFFICIENT_IDS:
+        raise KeyError(f"unknown coefficient id {which!r}; expected one of {COEFFICIENT_IDS}")
+    k = COEFFICIENT_IDS.index(which)
+    return np.take(_aero(tables, alpha, delta_e)[k // 3], k % 3, axis=-1)
 
 
 def dynamic_pressure(V, params: AircraftParams):
@@ -244,8 +245,8 @@ def saturate_array(u: np.ndarray) -> np.ndarray:
     """Clamp (..., 2) control arrays to the actuator box."""
     u = np.asarray(u, dtype=float)
     out = np.empty_like(u)
-    out[..., 0] = np.clip(u[..., 0], THRUST_MIN, THRUST_MAX)
-    out[..., 1] = np.clip(u[..., 1], -ELEVATOR_LIMIT, ELEVATOR_LIMIT)
+    out[..., 0] = np.minimum(np.maximum(u[..., 0], THRUST_MIN), THRUST_MAX)
+    out[..., 1] = np.minimum(np.maximum(u[..., 1], -ELEVATOR_LIMIT), ELEVATOR_LIMIT)
     return out
 
 
@@ -274,9 +275,9 @@ def _rhs(x: np.ndarray, u: np.ndarray, m, xcg, Jyy, params: AircraftParams,
         qS = qbar * params.S
         chord_rate = params.cbar * q / (2.0 * V_safe)
 
-        cx = lookup_coefficient(tables, "CX", alpha, de) + chord_rate * lookup_coefficient(tables, "CXq", alpha)
-        cz = lookup_coefficient(tables, "CZ", alpha, de) + chord_rate * lookup_coefficient(tables, "CZq", alpha)
-        cm = lookup_coefficient(tables, "Cm", alpha, de) + chord_rate * lookup_coefficient(tables, "Cmq", alpha)
+        static, damping = _aero(tables, alpha, de)
+        coef = static + np.asarray(chord_rate)[..., None] * damping
+        cx, cz, cm = coef[..., 0], coef[..., 1], coef[..., 2]
 
         sa, ca = np.sin(alpha), np.cos(alpha)
         st, ct = np.sin(theta), np.cos(theta)

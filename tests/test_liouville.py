@@ -248,3 +248,34 @@ def test_weighted_sample_view():
 def test_snapshot_mass_validation():
     with pytest.raises(ValueError):
         EnsembleSnapshot.from_cloud(np.zeros((2, 2)), [1.0, 1.0], [0.3, 0.3])
+
+
+def test_worker_pool_keeps_preflagged_samples_frozen(stable_M, rng, monkeypatch):
+    monkeypatch.delenv("OTROBUST_WORKERS", raising=False)
+    rhs = linear_rhs(stable_M)
+    X0 = rng.standard_normal((6, 4))
+    flags = np.zeros(6, dtype=bool)
+    flags[[1, 4]] = True
+    cloud = EnsembleSnapshot(t=0.0, states=X0, params=None, phi=np.full(6, 2.0),
+                             gamma=np.full(6, 1 / 6), diverged=flags)
+    ref = propagate(cloud, rhs, 0.05, 0.01, workers=1)
+    par = propagate(cloud, rhs, 0.05, 0.01, workers=2)
+    for sa, sb in zip(ref, par):
+        assert np.array_equal(sa.states, sb.states)
+        assert np.array_equal(sa.phi, sb.phi)
+        assert np.array_equal(sa.diverged, sb.diverged)
+    assert np.array_equal(par[-1].states[flags], X0[flags])
+    assert np.all(par[-1].diverged[flags])
+
+
+def test_query_density_below_half_step(stable_M):
+    box = BoxDomain(-2 * np.ones(4), 2 * np.ones(4))
+    pdf = InitialPdf.uniform_box(box)
+    rhs = linear_rhs(stable_M)
+    x = np.array([0.1, -0.2, 0.3, 0.05])
+    # t < dt/2 rounds to zero steps; one step of length t is taken instead
+    phi = query_density(x, 0.004, rhs, pdf, 0.01)
+    assert phi == query_density(x, 0.004, rhs, pdf, 0.004)
+    # the one-step density factor is the degree-4 Taylor factor of exp(-div t)
+    assert phi == pytest.approx(float(pdf(x)) * math.exp(-np.trace(stable_M) * 0.004),
+                                rel=1e-6)
