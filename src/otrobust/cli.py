@@ -146,10 +146,7 @@ def _dist_from_snapshot(snap, weights: str) -> DiscreteDistribution:
         pts = np.concatenate([deg_states, snap.params], axis=1)
     else:
         pts = deg_states
-    if weights == "density":
-        w = snap.phi / snap.phi.sum()
-    else:
-        w = snap.gamma
+    w = harness.probability_weights(snap) if weights == "density" else snap.gamma
     return DiscreteDistribution(pts, w)
 
 
@@ -160,11 +157,8 @@ def _cmd_wasserstein(args) -> int:
     if args.dirac_at:
         with open(args.dirac_at) as f:
             tp = trim.TrimPoint.from_dict(json.load(f))
-        x_ref = tp.x_trim.as_array()
-        for s in snaps_a:
-            w = (s.phi / s.phi.sum()) if args.weights == "density" else s.gamma
-            d2 = np.sum(((s.states - x_ref) * harness.PAPER_STATE_SCALE) ** 2, axis=1)
-            rows.append((s.t, float(np.sqrt(np.dot(w, d2)))))
+        W = harness._W_dirac_series(snaps_a, tp.x_trim.as_array(), args.weights)
+        rows = [(s.t, w) for s, w in zip(snaps_a, W)]
     else:
         snaps_b = harness.read_snapshot_csv(args.b)
         if len(snaps_a) != len(snaps_b):

@@ -31,7 +31,7 @@ class SynthesisError(RuntimeError):
     """Riccati solve failed or the closed loop is not Hurwitz."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearModel:
     """Linearization x_dot ~ A (x - x0) + B (u - u0) about (x0, u0).
 
@@ -49,7 +49,7 @@ class LinearModel:
         return self.B[:, 1:2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LqrWeights:
     """Quadratic cost weights; defaults are the regulation weights used for
     both the fixed and the scheduled controller."""
@@ -182,7 +182,7 @@ def lqr_control(x, K: np.ndarray, trim: TrimPoint) -> np.ndarray:
     return trim.u_trim.as_array() - dx @ np.asarray(K).T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LqrLaw:
     """Callable (and picklable) form of lqr_control for the closed loop."""
 
@@ -193,7 +193,7 @@ class LqrLaw:
         return lqr_control(x, self.K, self.trim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GainSchedule:
     """Per-node gains on a rectangular (V, alpha) lattice, regulating to a
     fixed reference trim.
@@ -406,7 +406,7 @@ def gs_control(x, schedule: GainSchedule) -> np.ndarray:
     return schedule.u_ref - np.einsum("...ij,...j->...i", Kt, dx)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScheduledLaw:
     """Callable (and picklable) form of gs_control for the closed loop."""
 

@@ -58,11 +58,6 @@ class LongitudinalState:
     def as_array(self) -> np.ndarray:
         return np.array([self.theta, self.V, self.alpha, self.q])
 
-    @classmethod
-    def from_array(cls, x) -> "LongitudinalState":
-        theta, V, alpha, q = np.asarray(x, dtype=float).reshape(4)
-        return cls(theta, V, alpha, q)
-
 
 @dataclass(frozen=True)
 class ControlInput:
@@ -77,11 +72,6 @@ class ControlInput:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.T, self.delta_e])
-
-    @classmethod
-    def from_array(cls, u) -> "ControlInput":
-        T, de = np.asarray(u, dtype=float).reshape(2)
-        return cls(T, de)
 
 
 @dataclass(frozen=True)
@@ -135,7 +125,7 @@ class AircraftParams:
         return replace(self, **kw)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AeroTables:
     """Breakpoint grids for CX, CZ, Cm (alpha x delta_e) and the pitch-rate
     derivatives CXq, CZq, Cmq (alpha only). Breakpoints are stored in degrees
@@ -323,7 +313,7 @@ def _split_params(p, params: AircraftParams):
     return p[..., 0], p[..., 1], p[..., 2], 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosedLoop:
     """Closed-loop extended vector field.
 
@@ -382,7 +372,7 @@ def closed_loop_rhs(x, p, t, law, w, params: AircraftParams,
     return loop.extended_rhs(t, np.concatenate([x, p_arr], axis=-1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstantLaw:
     """Control law that ignores the state (open-loop hold)."""
 

@@ -7,14 +7,17 @@ every emitted time.
 
   ic          uniform initial-condition box around trim, no disturbance
   param       deterministic initial state, uniform (m, xcg, Jyy) boxes
-              swept over +/- delta percent, distance on the extended space
+              over +/- delta percent, one stacked ensemble per controller
   disturbance initial-condition box plus a sinusoidal elevator disturbance
               swept over forcing frequencies
 
-Wasserstein values are reported in the degree-based unit convention
-(deg, ft/s, deg, deg/s) used by all file outputs. Reports are plain dicts
-rendered to report.json / W.csv / snapshot CSVs, stamped with a content
-hash so identical configurations are bit-reproducible.
+Every curve is a closed-form Dirac distance to trim, the param one on the
+extended space (see run_param_scenario); the transportation LP is kept
+for general CLI inputs and as the oracle of that score. Wasserstein
+values are reported in the degree-based unit convention (deg, ft/s, deg,
+deg/s) used by all file outputs. Reports are plain dicts rendered to
+report.json / W.csv / snapshot CSVs, stamped with a content hash so
+identical configurations are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .controller import (
 from .f16 import DEG, AeroTables, AircraftParams, ClosedLoop, SineDisturbance
 from .liouville import EnsembleSnapshot, likelihood_extremes, propagate
 from .sampling import BoxDomain, InitialPdf, halton, mcmc_sample, weighted_cloud
-from .transport import extended_wasserstein, wasserstein_dirac
+from .transport import wasserstein_dirac
 from .trim import TrimPoint, find_trim, trim_grid
 
 # Nominal flight condition for the regulation study.
@@ -148,7 +151,7 @@ class ScenarioConfig:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControllerSetup:
     """Everything scenario runs need: nominal trim, fixed gain, schedule."""
 
@@ -361,12 +364,16 @@ class RunReport:
         raise KeyError(f"no curve for {controller!r} / {variant!r}")
 
 
+def _snapshot_columns(has_params: bool) -> list[str]:
+    return (SNAPSHOT_BASE_COLUMNS + (SNAPSHOT_PARAM_COLUMNS if has_params else [])
+            + ["phi", "gamma", "diverged"])
+
+
 def write_snapshot_csv(snapshots, path, controller: str = "") -> None:
     """Long-format snapshot CSV (all emitted times in one file)."""
     snapshots = snapshots if isinstance(snapshots, (list, tuple)) else [snapshots]
     has_params = snapshots[0].params.shape[1] == 3
-    cols = SNAPSHOT_BASE_COLUMNS + (SNAPSHOT_PARAM_COLUMNS if has_params else []) \
-        + ["phi", "gamma", "diverged"]
+    cols = _snapshot_columns(has_params)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:
@@ -384,13 +391,17 @@ def write_snapshot_csv(snapshots, path, controller: str = "") -> None:
 
 
 def read_snapshot_csv(path) -> list[EnsembleSnapshot]:
-    """Inverse of write_snapshot_csv; one snapshot per distinct time."""
+    """Inverse of write_snapshot_csv; ValueError on a malformed file."""
     with open(path) as f:
-        reader = csv.DictReader(f)
+        reader = csv.DictReader(f, restval="")
         rows = list(reader)
+    header = reader.fieldnames or []
+    has_params = "m" in header
+    missing = [c for c in _snapshot_columns(has_params) if c not in header]
+    if missing:
+        raise ValueError(f"snapshot file {path} lacks columns {', '.join(missing)}")
     if not rows:
         raise ValueError(f"empty snapshot file {path}")
-    has_params = "m" in rows[0]
     by_t: dict[float, list] = {}
     for r in rows:
         by_t.setdefault(float(r["t"]), []).append(r)
@@ -501,9 +512,14 @@ def run_param_scenario(cfg: ScenarioConfig,
                        keep_snapshots: bool = False) -> RunReport:
     """Parametric uncertainty study: +/- delta % boxes on (m, xcg, Jyy).
 
-    The Wasserstein series solves the transportation LP on the extended
-    state space against the trim-pinned reference cloud; the deterministic
-    (nominal-parameter) distance-to-trim curve is reported alongside.
+    Per controller, the deterministic (nominal-parameter) trajectory and
+    all delta clouds propagate as one stacked ensemble [x0 | cloud_1 | ...]
+    sliced back per variant (samples are independent). The extended-space
+    W against the trim-pinned reference sharing the parameter samples, with
+    transport masses on both marginals, is the mass-weighted Dirac distance
+    to trim: every coupling pays sum_i gamma_i ||x_i - x_trim||^2 and the
+    identity pays no parameter displacement (extended_wasserstein's LP is
+    the oracle). The deterministic distance-to-trim curve rides alongside.
     """
     if cfg.kind != "param":
         raise ConfigError(f"run_param_scenario got kind {cfg.kind!r}")
@@ -513,6 +529,13 @@ def run_param_scenario(cfg: ScenarioConfig,
                                        need_schedule="gslqr" in cfg.controllers)
     x_trim = setup.trim.x_trim.as_array()
     x0 = x_trim + _x_pert_internal(cfg)
+    clouds = [_param_cloud(cfg, float(d), x0, params) for d in cfg.param_delta_percent]
+    rows = 1 + cfg.samples * len(clouds)
+    stacked = EnsembleSnapshot.from_cloud(
+        np.vstack([x0] + [c.states for c in clouds]),
+        np.concatenate([[1.0]] + [c.phi for c in clouds]),
+        np.full(rows, 1.0 / rows),
+        params=np.vstack([[params.m, params.xcg, params.Jyy]] + [c.params for c in clouds]))
 
     report = RunReport(scenario="param", config=cfg.to_dict(),
                        nominal_trim=setup.trim.to_dict(), curves=[],
@@ -520,30 +543,23 @@ def run_param_scenario(cfg: ScenarioConfig,
     snapshots_by_key = {}
     for name in cfg.controllers:
         loop = ClosedLoop(law=setup.law(name), params=params, tables=tables)
-        # single nominal trajectory: the no-uncertainty reference curve
-        ref_cloud = EnsembleSnapshot.from_cloud(x0[None, :], np.ones(1), np.ones(1))
-        ref_snaps = propagate(ref_cloud, loop.state_rhs, cfg.t_f, cfg.dt,
-                              cfg.emit_every, cfg.strict_rk4, workers=1)
-        ref_curve = [float(np.linalg.norm((s.states[0] - x_trim) * PAPER_STATE_SCALE))
-                     for s in ref_snaps]
-        report.curves.append({"controller": name, "variant": "deterministic",
-                              "t": [s.t for s in ref_snaps], "W": ref_curve})
-
-        for delta in cfg.param_delta_percent:
-            cloud = _param_cloud(cfg, float(delta), x0, params)
-            snaps = propagate(cloud, loop.state_rhs, cfg.t_f, cfg.dt,
+        all_snaps = propagate(stacked, loop.state_rhs, cfg.t_f, cfg.dt,
                               cfg.emit_every, cfg.strict_rk4, cfg.workers)
-            # Transport masses on both marginals: the moving cloud and the
-            # trim-pinned reference share the parameter samples, so the
-            # optimal plan never pays parameter displacement and W reduces
-            # to the mass-weighted state dispersion about trim. (Density-
-            # derived marginals would force parameter transport whose cost,
-            # in raw inertia units, dwarfs the state term.)
-            W = [extended_wasserstein(s, x_trim, scale=PAPER_STATE_SCALE).W
-                 for s in snaps]
+        ref_curve = [float(np.linalg.norm((s.states[0] - x_trim) * PAPER_STATE_SCALE))
+                     for s in all_snaps]
+        report.curves.append({"controller": name, "variant": "deterministic",
+                              "t": [s.t for s in all_snaps], "W": ref_curve})
+        for k, (delta, cloud) in enumerate(zip(cfg.param_delta_percent, clouds)):
+            sel = slice(1 + k * cfg.samples, 1 + (k + 1) * cfg.samples)
+            snaps = [EnsembleSnapshot(t=s.t, states=s.states[sel], params=cloud.params,
+                                      phi=s.phi[sel], gamma=cloud.gamma,
+                                      diverged=s.diverged[sel],
+                                      metadata={**cloud.metadata, **s.metadata})
+                     for s in all_snaps]
             variant = f"delta={delta:g}"
             report.curves.append({"controller": name, "variant": variant,
-                                  "t": [s.t for s in snaps], "W": W})
+                                  "t": [s.t for s in snaps],
+                                  "W": _W_dirac_series(snaps, x_trim, "mass")})
             key = _key(name, variant)
             report.histograms[key] = _histograms(snaps)
             report.extremes[key] = _extremes_records(snaps)

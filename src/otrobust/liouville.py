@@ -50,7 +50,7 @@ class UnresolvableQueryError(RuntimeError):
     """Backward integration of a density query blew up."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedSample:
     """One characteristic: extended state, tracked density, transport mass."""
 
@@ -71,7 +71,7 @@ class WeightedSample:
             raise ValueError("non-finite sample not flagged as diverged")
 
 
-@dataclass
+@dataclass(eq=False)
 class EnsembleSnapshot:
     """Time-stamped ensemble: states (n, dx), params (n, dp), densities,
     masses, diverged flags, plus run metadata."""
@@ -111,10 +111,6 @@ class EnsembleSnapshot:
         return WeightedSample(x=self.states[i], p=self.params[i],
                               phi=float(self.phi[i]), gamma=float(self.gamma[i]),
                               diverged=bool(self.diverged[i]))
-
-    @property
-    def samples(self) -> list[WeightedSample]:
-        return [self.sample(i) for i in range(self.n)]
 
     @classmethod
     def from_cloud(cls, states, phi, gamma, params=None, t: float = 0.0,

@@ -24,7 +24,7 @@ class DegenerateProposalError(RuntimeError):
     """Metropolis chain acceptance collapsed below 1% after adaptation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxDomain:
     """Axis-aligned box with per-dimension bounds (inclusive)."""
 
@@ -59,7 +59,7 @@ class BoxDomain:
         return np.all((x >= self.lower) & (x <= self.upper), axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InitialPdf:
     """Initial joint density over the (extended) state space.
 

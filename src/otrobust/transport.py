@@ -7,7 +7,9 @@ Vogel-approximation start, tree-structured duals, Dantzig entering rule
 with a switch to Bland's rule under degenerate stalling. Special cases are
 computed in closed form: a Dirac reference target reduces to a mass-
 weighted root-mean-square distance, and 1-D problems to the exact quantile
-coupling (which doubles as an independent oracle for the LP).
+coupling (which doubles as an independent oracle for the LP). Scenario
+scores use only the Dirac form; the LP serves general CLI inputs and, via
+extended_wasserstein, as the oracle of the extended-space param score.
 
 Costs are squared Euclidean with optional per-dimension scale weights
 (the state mixes angles and velocities; the CLI boundary uses degrees).
@@ -38,7 +40,7 @@ class BudgetExceededError(ValueError):
     """Coupling size m*n exceeds the configured memory budget."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
     """Weighted point cloud: points (n, d), nonnegative masses summing to 1."""
 
@@ -74,7 +76,7 @@ class DiscreteDistribution:
         return DiscreteDistribution(self.points[:, axis:axis + 1], self.masses)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportPlan:
     """Sparse optimal coupling with its squared cost and W = sqrt(cost)."""
 

@@ -144,3 +144,40 @@ def test_numerical_failure_exits_3(capsys, monkeypatch, tmp_path):
                            "--out", str(tmp_path / "o"))
     assert code == EXIT_NUMERICAL
     assert "numerical failure" in err
+
+
+def test_snapshot_csv_missing_columns_exits_2(capsys, tmp_path):
+    f = tmp_path / "f.csv"
+    f.write_text("t,id,theta_deg\n0,0,1.0\n")
+    code, _, err = run_cli(capsys, "wasserstein", "--a", str(f), "--b", str(f))
+    assert code == EXIT_CONFIG
+    assert "lacks columns V, alpha_deg, q_dps, phi, gamma, diverged" in err
+    short = tmp_path / "short.csv"
+    short.write_text("t,id,theta_deg,V,alpha_deg,q_dps,phi,gamma,diverged\n0,0,1.0,400.0\n")
+    code, _, _ = run_cli(capsys, "wasserstein", "--a", str(short), "--b", str(short))
+    assert code == EXIT_CONFIG
+
+
+def test_dirac_at_zero_density_exits_3(capsys, tmp_path):
+    f = tmp_path / "zero.csv"
+    f.write_text("t,id,theta_deg,V,alpha_deg,q_dps,phi,gamma,diverged\n"
+                 "0,0,1.0,400.0,5.0,0.0,0.0,0.5,0\n"
+                 "0,1,3.0,410.0,7.0,1.0,0.0,0.5,0\n")
+    code, out, _ = run_cli(capsys, "trim", "--V", "407.8942", "--alpha-deg", "6.1650")
+    trim_json = tmp_path / "trim.json"
+    trim_json.write_text(out)
+    x = json.loads(out)
+    code, _, err = run_cli(capsys, "wasserstein", "--a", str(f),
+                             "--dirac-at", str(trim_json))
+    assert code == EXIT_NUMERICAL
+    assert "density values cannot be normalized" in err
+    code, _, _ = run_cli(capsys, "wasserstein", "--a", str(f), "--b", str(f))
+    assert code == EXIT_NUMERICAL
+    code, out, _ = run_cli(capsys, "wasserstein", "--a", str(f),
+                           "--dirac-at", str(trim_json), "--weights", "mass")
+    assert code == EXIT_OK
+    d2 = [(th - x["theta_deg"]) ** 2 + (V - x["V"]) ** 2 + (a - x["alpha_deg"]) ** 2
+          + (q - x["q_dps"]) ** 2
+          for th, V, a, q in ((1.0, 400.0, 5.0, 0.0), (3.0, 410.0, 7.0, 1.0))]
+    assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(
+        np.sqrt(0.5 * sum(d2)), rel=1e-12)

@@ -1,15 +1,19 @@
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
 
-from otrobust.controller import LinearModel
-from otrobust.f16 import DEG
+from otrobust.controller import LinearModel, LqrWeights
+from otrobust.f16 import DEG, ClosedLoop
 from otrobust.harness import (
+    PAPER_STATE_SCALE,
     ConfigError,
     NumericalFailure,
     ScenarioConfig,
+    _param_cloud,
+    _x_pert_internal,
     default_omega_grid,
     dominant_frequency,
     freq_response,
@@ -23,8 +27,14 @@ from otrobust.harness import (
     weighted_mean,
     write_snapshot_csv,
 )
-from otrobust.liouville import EnsembleSnapshot
-from otrobust.transport import wasserstein_dirac
+from otrobust.liouville import EnsembleSnapshot, propagate
+from otrobust.sampling import BoxDomain, InitialPdf
+from otrobust.transport import (
+    DiscreteDistribution,
+    extended_wasserstein,
+    wasserstein_dirac,
+    wasserstein_lp,
+)
 
 
 def mini_cfg(**kw):
@@ -217,6 +227,67 @@ def test_param_scenario_carries_parameters(params, tables, setup):
     assert snaps[0].params.shape == (8, 3)
     # frozen parameters: identical in every snapshot
     assert np.array_equal(snaps[0].params, snaps[-1].params)
+
+
+PARAM_SMALL = dict(kind="param", samples=20, t_f=0.5, dt=0.01, emit_every=10,
+                   seed=0, param_delta_percent=[0.0, 2.5, 15.0])
+
+
+@pytest.fixture(scope="module")
+def param_small(params, tables, setup):
+    cfg = ScenarioConfig(**PARAM_SMALL)
+    return cfg, run_param_scenario(cfg, params, tables, setup=setup, keep_snapshots=True)
+
+
+def test_param_closed_form_equals_extended_lp(param_small, setup):
+    cfg, rep = param_small
+    x_trim = setup.trim.x_trim.as_array()
+    for name in ("lqr", "gslqr"):
+        for delta in cfg.param_delta_percent:
+            _, W = rep.curve(name, f"delta={delta:g}")
+            lp = [extended_wasserstein(s, x_trim, scale=PAPER_STATE_SCALE).W
+                  for s in rep.extras["snapshots"][f"{name}|delta={delta:g}"]]
+            assert np.allclose(W, lp, rtol=1e-12, atol=0.0), (name, delta)
+
+
+def test_param_stacked_slices_equal_own_propagation(param_small, params, tables, setup):
+    cfg, rep = param_small
+    x0 = setup.trim.x_trim.as_array() + _x_pert_internal(cfg)
+    for name in ("lqr", "gslqr"):
+        loop = ClosedLoop(law=setup.law(name), params=params, tables=tables)
+        for delta in cfg.param_delta_percent:
+            cloud = _param_cloud(cfg, float(delta), x0, params)
+            own = propagate(cloud, loop.state_rhs, cfg.t_f, cfg.dt, cfg.emit_every)
+            sliced = rep.extras["snapshots"][f"{name}|delta={delta:g}"]
+            assert len(sliced) == len(own)
+            for a, b in zip(sliced, own):
+                assert a.t == b.t and a.metadata == b.metadata
+                for f in ("states", "params", "phi", "gamma", "diverged"):
+                    assert np.array_equal(getattr(a, f), getattr(b, f)), (name, delta, f)
+
+
+def test_param_report_hash_independent_of_workers(param_small, params, tables, setup):
+    cfg, rep = param_small
+    rep2 = run_param_scenario(ScenarioConfig(**PARAM_SMALL, workers=2), params, tables,
+                              setup=setup)
+    rep2.config["workers"] = cfg.workers  # the config echo is part of the hash
+    assert rep2.finalize().content_hash == rep.content_hash
+
+
+def test_array_holding_dataclasses_compare_by_identity(tables, setup, params):
+    box = BoxDomain([0.0, 0.0], [1.0, 2.0])
+    dist = DiscreteDistribution([[0.0], [1.0]], [0.5, 0.5])
+    snap = EnsembleSnapshot.from_cloud(np.zeros((2, 4)), np.ones(2), np.full(2, 0.5))
+    objs = [tables, setup, setup.model, setup.schedule, LqrWeights(),
+            setup.law("lqr"), setup.law("gslqr"),
+            ClosedLoop(law=setup.law("lqr"), params=params, tables=tables),
+            box, InitialPdf.uniform_box(box), dist, wasserstein_lp(dist, dist),
+            snap, snap.sample(0)]
+    for obj in objs:
+        twin = copy.deepcopy(obj)
+        assert (obj == twin) is False, type(obj).__name__
+        assert obj == obj
+        assert len({obj, twin}) == 2
 
 
 def test_disturbance_zero_amplitude_matches_ic(params, tables, setup):
