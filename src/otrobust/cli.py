@@ -75,9 +75,7 @@ def _cmd_gains(args) -> int:
 
 def _cmd_schedule(args) -> int:
     params, tables = _load_params_tables(args)
-    with open(args.trims) as f:
-        doc = json.load(f)
-    points = [trim.TrimPoint.from_dict(d) for d in doc]
+    points = trim.read_trims(args.trims)
     reference = trim.find_trim(harness.NOMINAL_V, harness.NOMINAL_ALPHA_DEG * DEG,
                                params, tables)
     sched = controller.build_schedule(points, controller.LqrWeights(),
@@ -155,8 +153,7 @@ def _cmd_wasserstein(args) -> int:
     rows = []
     plan_export = None
     if args.dirac_at:
-        with open(args.dirac_at) as f:
-            tp = trim.TrimPoint.from_dict(json.load(f))
+        tp = trim.TrimPoint.from_json(args.dirac_at)
         W = harness._W_dirac_series(snaps_a, tp.x_trim.as_array(), args.weights)
         rows = [(s.t, w) for s, w in zip(snaps_a, W)]
     else:

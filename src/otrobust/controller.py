@@ -1,6 +1,9 @@
 """LQR synthesis and gain scheduling.
 
-Linearization is central finite differences on the nonlinear plant. The
+Linearization is central finite differences on the nonlinear plant, with
+all 2 (n + m) perturbed (x, u) pairs in one call of a right-hand side that
+broadcasts over leading axes (as f16.dynamics does). A and B come back in
+C order, so the LAPACK calls of the Riccati solve take a fixed path. The
 continuous algebraic Riccati equation is solved from the stable invariant
 subspace of the ordered real Schur form of the Hamiltonian, polished with
 one Newton-Kleinman (Lyapunov) step. The scheduled controller keeps one
@@ -17,7 +20,8 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .f16 import AeroTables, AircraftParams, ControlInput, LongitudinalState, dynamics
+from .f16 import (AeroTables, AircraftParams, ControlInput, LongitudinalState, dynamics,
+                  numeric_arrays)
 from .trim import TrimPoint
 
 CARE_RESIDUAL_RTOL = 1e-8
@@ -80,7 +84,8 @@ def linearize(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
     """Central-difference linearization of rhs(x, u) about (x0, u0).
 
     Steps are 1e-6 * max(1, |component|) per direction; exact for linear
-    maps up to roundoff.
+    maps up to roundoff. All 2 (n + m) perturbed (x, u) pairs go through
+    one rhs call, so rhs must broadcast over leading axes.
     """
     if isinstance(x0, LongitudinalState):
         x0 = x0.as_array()
@@ -90,20 +95,13 @@ def linearize(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
     u0 = np.asarray(u0, dtype=float)
     n, m = x0.size, u0.size
 
-    A = np.empty((n, n))
-    for j in range(n):
-        h = 1e-6 * max(1.0, abs(x0[j]))
-        xp, xm = x0.copy(), x0.copy()
-        xp[j] += h
-        xm[j] -= h
-        A[:, j] = (np.asarray(rhs(xp, u0)) - np.asarray(rhs(xm, u0))) / (2 * h)
-    B = np.empty((n, m))
-    for j in range(m):
-        h = 1e-6 * max(1.0, abs(u0[j]))
-        up, um = u0.copy(), u0.copy()
-        up[j] += h
-        um[j] -= h
-        B[:, j] = (np.asarray(rhs(x0, up)) - np.asarray(rhs(x0, um))) / (2 * h)
+    xu0 = np.concatenate([x0, u0])
+    h = 1e-6 * np.maximum(1.0, np.abs(xu0))
+    xu = np.tile(xu0, (2 * (n + m), 1))  # rows xu0 + h_j e_j, then xu0 - h_j e_j
+    xu[np.arange(2 * (n + m)), np.arange(2 * (n + m)) % (n + m)] += np.concatenate([h, -h])
+    f = np.asarray(rhs(xu[:, :n], xu[:, n:]))
+    D = (f[:n + m] - f[n + m:]) / (2 * h)[:, None]
+    A, B = np.ascontiguousarray(D[:n].T), np.ascontiguousarray(D[n:].T)
 
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise LinearizationError("non-finite entries in finite-difference Jacobian")
@@ -179,6 +177,12 @@ def lqr_control(x, K: np.ndarray, trim: TrimPoint) -> np.ndarray:
         x = x.as_array()
     x = np.asarray(x, dtype=float)
     dx = x - trim.x_trim.as_array()
+    if dx.size == dx.shape[-1]:
+        # BLAS takes gemv for one row and gemm for more, which round
+        # differently in the last bit; a two-row block keeps a lone sample
+        # bitwise equal to the same state inside an ensemble.
+        Kdx = (np.tile(dx.reshape(1, -1), (2, 1)) @ np.asarray(K).T)[0]
+        return trim.u_trim.as_array() - Kdx.reshape(dx.shape[:-1] + Kdx.shape)
     return trim.u_trim.as_array() - dx @ np.asarray(K).T
 
 
@@ -256,17 +260,24 @@ class GainSchedule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GainSchedule":
-        deg = np.pi / 180.0
+        """Inverse of to_dict; ValueError naming a missing or malformed field."""
+        a = numeric_arrays(d, ("V_nodes", "alpha_nodes_deg", "x_trims_deg", "u_trims_deg",
+                               "K", "abscissa_open", "abscissa_closed", "x_ref_deg",
+                               "u_ref_deg"), "gain schedule")
+        for key, width in (("x_trims_deg", 4), ("u_trims_deg", 2), ("x_ref_deg", 4),
+                           ("u_ref_deg", 2)):
+            if a[key].shape[-1:] != (width,):
+                raise ValueError(f"gain schedule field {key!r} must end in an axis of {width}")
         return cls(
-            V_nodes=np.asarray(d["V_nodes"], dtype=float),
-            alpha_nodes=np.asarray(d["alpha_nodes_deg"], dtype=float) * deg,
-            x_trims=_states_from_deg(np.asarray(d["x_trims_deg"], dtype=float)),
-            u_trims=_controls_from_deg(np.asarray(d["u_trims_deg"], dtype=float)),
-            K=np.asarray(d["K"], dtype=float),
-            abscissa_open=np.asarray(d["abscissa_open"], dtype=float),
-            abscissa_closed=np.asarray(d["abscissa_closed"], dtype=float),
-            x_ref=_states_from_deg(np.asarray(d["x_ref_deg"], dtype=float)),
-            u_ref=_controls_from_deg(np.asarray(d["u_ref_deg"], dtype=float)),
+            V_nodes=a["V_nodes"],
+            alpha_nodes=a["alpha_nodes_deg"] * (np.pi / 180.0),
+            x_trims=_states_from_deg(a["x_trims_deg"]),
+            u_trims=_controls_from_deg(a["u_trims_deg"]),
+            K=a["K"],
+            abscissa_open=a["abscissa_open"],
+            abscissa_closed=a["abscissa_closed"],
+            x_ref=_states_from_deg(a["x_ref_deg"]),
+            u_ref=_controls_from_deg(a["u_ref_deg"]),
         )
 
 

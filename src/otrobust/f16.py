@@ -17,9 +17,10 @@ parameter overrides (mass, c.g. position, pitch inertia) may be arrays.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from typing import Callable
 
@@ -97,6 +98,8 @@ class AircraftParams:
         for name in ("m", "g", "S", "cbar", "Jyy", "rho0"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
+        if not 1.0 - 0.703e-5 * self.h > 0.0:
+            raise ValueError(f"h must be below {1 / 0.703e-5:.0f} ft, where density reaches 0")
 
     def density(self) -> float:
         """Atmospheric density rho(h) = rho0 (1 - 0.703e-5 h)^4.14, slug/ft^3."""
@@ -104,8 +107,18 @@ class AircraftParams:
 
     @classmethod
     def from_json(cls, path) -> "AircraftParams":
-        with open(path) as f:
-            return cls(**json.load(f))
+        return read_json(path, cls.from_dict)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "AircraftParams":
+        """Inverse of to_dict; ValueError naming an unknown or non-numeric field."""
+        if not isinstance(d, dict):
+            raise ValueError(f"aircraft parameters must be a JSON object, got {type(d).__name__}")
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown aircraft parameter {sorted(unknown)[0]!r}")
+        return cls(**{key: as_number(v, f"aircraft parameter {key!r}")
+                      for key, v in d.items()})
 
     def to_dict(self) -> dict:
         return {
@@ -168,11 +181,9 @@ class AeroTables:
 
     @classmethod
     def from_json(cls, path) -> "AeroTables":
-        with open(path) as f:
-            doc = json.load(f)
-        return cls(**{k: doc[k] for k in (
+        return read_json(path, lambda d: cls(**numeric_arrays(d, (
             "alpha_breakpoints_deg", "deltae_breakpoints_deg",
-            "CX", "CZ", "Cm", "CXq", "CZq", "Cmq")})
+            "CX", "CZ", "Cm", "CXq", "CZq", "Cmq"), "aero tables")))
 
     @classmethod
     def default(cls) -> "AeroTables":
@@ -181,10 +192,45 @@ class AeroTables:
             return cls.from_json(path)
 
 
+def read_json(path, parse: Callable):
+    """parse(document) of the JSON file at path. A ValueError from parse, such
+    as a missing or mistyped field, is re-raised with the file name."""
+    with open(path) as f:
+        doc = json.load(f)
+    try:
+        return parse(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def as_number(v, what: str) -> float:
+    """v as a float; ValueError naming `what` unless v is a JSON number."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        with contextlib.suppress(OverflowError):
+            return float(v)
+    raise ValueError(f"{what} must be a number, got {v!r}")
+
+
+def numeric_arrays(d: dict, keys, what: str) -> dict[str, np.ndarray]:
+    """Float arrays of the named fields of d; ValueError naming `what` and
+    the field if d is not a JSON object or a field is missing or non-numeric."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(d).__name__}")
+    out = {}
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"{what}: missing field {key!r}")
+        try:
+            out[key] = np.asarray(d[key], dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{what} field {key!r} is not a numeric array") from None
+    return out
+
+
 def _cell(bp: np.ndarray, x):
     """Lower breakpoint index and fractional position of x, clamped to bp."""
     x = np.minimum(np.maximum(x, bp[0]), bp[-1])
-    i = np.minimum(np.maximum(np.searchsorted(bp, x, side="right") - 1, 0), bp.size - 2)
+    i = np.minimum(np.maximum(bp.searchsorted(x, side="right") - 1, 0), bp.size - 2)
     return i, np.asarray((x - bp[i]) / (bp[i + 1] - bp[i]))[..., None]
 
 
@@ -274,13 +320,14 @@ def _rhs(x: np.ndarray, u: np.ndarray, m, xcg, Jyy, params: AircraftParams,
         f_axial = T - m * params.g * st + qS * cx      # along body x
         f_normal = m * params.g * ct + qS * cz         # along body z
 
-        theta_dot = q
         V_dot = (ca * f_axial + sa * f_normal) / m
         alpha_dot = q + (-sa * f_axial + ca * f_normal) / (m * V_safe)
         q_dot = (qS * params.cbar / Jyy) * (
             cm + ((params.xcg_ref - xcg) / params.cbar) * cz)
 
-    return np.stack(np.broadcast_arrays(theta_dot, V_dot, alpha_dot, q_dot), axis=-1)
+    out = np.empty(np.broadcast(q, V_dot, alpha_dot, q_dot).shape + (4,))
+    out[..., 0], out[..., 1], out[..., 2], out[..., 3] = q, V_dot, alpha_dot, q_dot
+    return out
 
 
 def dynamics(x, u, params: AircraftParams, tables: AeroTables) -> np.ndarray:

@@ -95,7 +95,11 @@ class EnsembleSnapshot:
                          else np.asarray(self.diverged, dtype=bool).reshape(n))
         if self.params.shape[0] != n:
             raise ValueError("params row count differs from states")
-        if abs(math.fsum(self.gamma.tolist()) - 1.0) > 1e-12:
+        try:
+            total = math.fsum(self.gamma.tolist())
+        except (OverflowError, ValueError):  # the sum overflows, or holds inf - inf
+            total = math.nan
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError("transport masses must sum to one")
 
     @property

@@ -7,6 +7,12 @@ Gauss-Newton iteration on the scaled residual (V_dot / 100, alpha_dot,
 q_dot) constrained to the actuator box (scipy's trust-region-reflective
 least squares, central-difference Jacobian).
 
+The residual broadcasts over leading axes of z, so the Jacobian evaluates
+its six +/- points as one stacked plant call, bitwise equal to six single
+calls. It is handed to scipy in C order: an F-ordered copy holds the same
+numbers but sends the TRF step down another LAPACK/BLAS path, which moves
+most lattice trims (thrust by up to 1e-3 lb).
+
 Thrust frequently rides its 1000 lb floor at low-drag conditions, and parts
 of the scheduling envelope admit no exact equilibrium at all (e.g. high V
 with the lift coefficient pinned far from weight balance). In both cases
@@ -33,6 +39,8 @@ from .f16 import (
     ControlInput,
     LongitudinalState,
     _rhs,
+    as_number,
+    read_json,
 )
 
 # Residual scaling: V_dot in ft/s^2 is divided by 100 so the mixed-unit norm
@@ -57,6 +65,11 @@ _UPPER = np.array([_THETA_LIMIT, THRUST_MAX, ELEVATOR_LIMIT])
 # (theta rad, T lb, delta_e rad); without it the thrust axis swallows
 # the trust radius and the solve stalls far from stationarity.
 _X_SCALE = np.array([0.5, 5000.0, 0.2])
+
+
+# TrimPoint.to_dict fields; all but the last are numbers.
+_FIELDS = ("theta_deg", "V", "alpha_deg", "q_dps", "T", "delta_e_deg",
+           "residual", "optimality", "iterations", "converged")
 
 
 @dataclass(frozen=True)
@@ -98,37 +111,60 @@ class TrimPoint:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrimPoint":
+        """Inverse of to_dict; ValueError naming a missing or mistyped field."""
+        if not isinstance(d, dict):
+            raise ValueError(f"trim point must be a JSON object, got {type(d).__name__}")
+        d = {"optimality": float("nan"), "iterations": 0, **d}
+        missing = [k for k in _FIELDS if k not in d]
+        if missing:
+            raise ValueError(f"trim point lacks field {missing[0]!r}")
+        v = {k: as_number(d[k], f"trim point field {k!r}") for k in _FIELDS[:-1]}
+        if not isinstance(d["converged"], bool):
+            raise ValueError(f"trim point field 'converged' must be true or false, "
+                             f"got {d['converged']!r}")
+        if not v["iterations"].is_integer():
+            raise ValueError(f"trim point field 'iterations' must be an integer, "
+                             f"got {d['iterations']!r}")
         return cls(
-            x_trim=LongitudinalState(d["theta_deg"] * DEG, d["V"],
-                                     d["alpha_deg"] * DEG, d["q_dps"] * DEG),
-            u_trim=ControlInput(d["T"], d["delta_e_deg"] * DEG),
-            residual=d["residual"],
+            x_trim=LongitudinalState(v["theta_deg"] * DEG, v["V"],
+                                     v["alpha_deg"] * DEG, v["q_dps"] * DEG),
+            u_trim=ControlInput(v["T"], v["delta_e_deg"] * DEG),
+            residual=v["residual"],
             converged=d["converged"],
-            optimality=d.get("optimality", float("nan")),
-            iterations=d.get("iterations", 0),
+            optimality=v["optimality"],
+            iterations=int(v["iterations"]),
         )
+
+    @classmethod
+    def from_json(cls, path) -> "TrimPoint":
+        return read_json(path, cls.from_dict)
+
+
+def read_trims(path) -> list[TrimPoint]:
+    """Trim points of a JSON list as `otrobust trim-grid` writes it;
+    ValueError naming the file and the field if an entry is malformed."""
+    def parse(doc):
+        if not isinstance(doc, list):
+            raise ValueError(f"expected a JSON list of trim points, got {type(doc).__name__}")
+        return [TrimPoint.from_dict(d) for d in doc]
+    return read_json(path, parse)
 
 
 def _residual(z: np.ndarray, V: float, alpha: float, params: AircraftParams,
               tables: AeroTables) -> np.ndarray:
-    theta, T, de = z
-    x = np.array([theta, V, alpha, 0.0])
-    u = np.array([T, de])
-    xdot = _rhs(x, u, params.m, params.xcg, params.Jyy, params, tables)
-    return np.array([xdot[1] / V_DOT_SCALE, xdot[2], xdot[3]])
+    x = np.zeros(z.shape[:-1] + (4,))
+    x[..., 0], x[..., 1], x[..., 2] = z[..., 0], V, alpha
+    xdot = _rhs(x, z[..., 1:], params.m, params.xcg, params.Jyy, params, tables)
+    return xdot[..., 1:] / np.array([V_DOT_SCALE, 1.0, 1.0])
 
 
 def _jacobian(z: np.ndarray, V: float, alpha: float, params: AircraftParams,
               tables: AeroTables) -> np.ndarray:
-    J = np.empty((3, 3))
-    for k in range(3):
-        h = 1e-6 * max(1.0, abs(z[k]))
-        zp, zm = z.copy(), z.copy()
-        zp[k] += h
-        zm[k] -= h
-        J[:, k] = (_residual(zp, V, alpha, params, tables)
-                   - _residual(zm, V, alpha, params, tables)) / (2.0 * h)
-    return J
+    h = 1e-6 * np.maximum(1.0, np.abs(z))
+    zs = np.tile(z, (6, 1))  # rows z + h_k e_k, then z - h_k e_k
+    zs[np.arange(6), np.arange(6) % 3] += np.concatenate([h, -h])
+    r = _residual(zs, V, alpha, params, tables)
+    return np.ascontiguousarray(((r[:3] - r[3:]) / (2.0 * h)[:, None]).T)
 
 
 def _projected_gradient(z: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from otrobust.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
@@ -181,3 +186,103 @@ def test_dirac_at_zero_density_exits_3(capsys, tmp_path):
           for th, V, a, q in ((1.0, 400.0, 5.0, 0.0), (3.0, 410.0, 7.0, 1.0))]
     assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(
         np.sqrt(0.5 * sum(d2)), rel=1e-12)
+
+
+SNAPSHOT_HEADER = "t,id,theta_deg,V,alpha_deg,q_dps,phi,gamma,diverged"
+GOOD_TRIM = {"theta_deg": 2.8, "V": 407.9, "alpha_deg": 6.2, "q_dps": 0.0, "T": 1000.0,
+             "delta_e_deg": -3.0, "residual": 0.0, "optimality": 0.0, "converged": True,
+             "iterations": 10}
+
+
+def _good_snapshot(tmp_path):
+    f = tmp_path / "ok.csv"
+    f.write_text(SNAPSHOT_HEADER + "\n0,0,1.0,400.0,5.0,0.0,1.0,0.5,0\n"
+                 "0,1,3.0,410.0,7.0,1.0,1.0,0.5,0\n")
+    return f
+
+
+@pytest.mark.parametrize("doc, field", [({"V": 500}, "theta_deg"), ([1, 2], "JSON object"),
+                                        ({**GOOD_TRIM, "T": "heavy"}, "T")])
+def test_dirac_at_malformed_trim_exits_2(capsys, tmp_path, doc, field):
+    trim_json = tmp_path / "t.json"
+    trim_json.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "wasserstein", "--a", str(_good_snapshot(tmp_path)),
+                           "--dirac-at", str(trim_json))
+    assert code == EXIT_CONFIG
+    assert str(trim_json) in err and field in err
+
+
+def test_trim_unknown_parameter_exits_2(capsys, tmp_path):
+    p = tmp_path / "p.json"
+    p.write_text('{"mass": 3}')
+    code, _, err = run_cli(capsys, "trim", "--V", "500", "--alpha-deg", "2", "--params", str(p))
+    assert code == EXIT_CONFIG
+    assert str(p) in err and "'mass'" in err
+
+
+def test_trim_altitude_past_density_model_exits_2(capsys, tmp_path):
+    p = tmp_path / "p.json"
+    p.write_text('{"h": 200000}')
+    code, _, err = run_cli(capsys, "trim", "--V", "500", "--alpha-deg", "2", "--params", str(p))
+    assert code == EXIT_CONFIG
+    assert str(p) in err and "h must be below" in err
+
+
+def test_trim_malformed_tables_exit_2(capsys, tmp_path):
+    t = tmp_path / "tables.json"
+    t.write_text('{"CX": [[1]]}')
+    code, _, err = run_cli(capsys, "trim", "--V", "500", "--alpha-deg", "2", "--tables", str(t))
+    assert code == EXIT_CONFIG
+    assert str(t) in err and "'alpha_breakpoints_deg'" in err
+
+
+def test_schedule_trim_missing_field_exits_2(capsys, tmp_path):
+    trims = tmp_path / "s.json"
+    trims.write_text('[{"theta_deg": 1}]')
+    code, _, err = run_cli(capsys, "schedule", "--trims", str(trims),
+                           "--out", str(tmp_path / "o.json"))
+    assert code == EXIT_CONFIG
+    assert str(trims) in err and "'V'" in err
+
+
+_json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-10**30, 10**30),
+                          st.floats(), st.text(max_size=4))
+_cells = st.one_of(st.sampled_from(["0", "1", "-1", "0.5", "", "nan", "inf", "-inf",
+                                    "1e308", "True", "x"]),
+                   st.floats().map(repr), st.integers(-3, 3).map(str))
+
+
+@st.composite
+def _trim_docs(draw):
+    if draw(st.booleans()):
+        return draw(st.one_of(_json_scalars, st.lists(_json_scalars, max_size=3)))
+    doc = {k: v for k, v in GOOD_TRIM.items() if draw(st.booleans()) or k == "V"}
+    doc.update(draw(st.dictionaries(st.sampled_from(sorted(GOOD_TRIM) + ["extra"]),
+                                    _json_scalars, max_size=3)))
+    return doc
+
+
+@st.composite
+def _snapshot_bodies(draw):
+    columns = SNAPSHOT_HEADER.split(",")
+    header = draw(st.one_of(st.just(columns), st.lists(st.sampled_from(columns + ["m"]),
+                                                        max_size=10)))
+    rows = draw(st.lists(st.lists(_cells, min_size=max(len(header) - 1, 0),
+                                  max_size=len(header) + 1), max_size=4))
+    return "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@example(trim_doc=GOOD_TRIM, weights="mass",
+         body=SNAPSHOT_HEADER + "\n0,0,1,400,5,0,1,1e308,0\n0,1,3,410,7,1,1,1e308,0\n")
+@given(trim_doc=_trim_docs(), body=_snapshot_bodies(),
+       weights=st.sampled_from(["density", "mass"]))
+def test_dirac_at_exit_codes_on_malformed_inputs(trim_doc, body, weights):
+    with tempfile.TemporaryDirectory() as d:
+        snap, trim_json = Path(d) / "a.csv", Path(d) / "t.json"
+        snap.write_text(body)
+        trim_json.write_text(json.dumps(trim_doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["wasserstein", "--a", str(snap), "--dirac-at", str(trim_json),
+                         "--weights", weights])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)

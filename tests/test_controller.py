@@ -7,6 +7,7 @@ import scipy.linalg
 from otrobust.controller import (
     GainSchedule,
     LinearModel,
+    LqrLaw,
     LqrWeights,
     SynthesisError,
     build_schedule,
@@ -20,7 +21,7 @@ from otrobust.controller import (
     solve_care,
     spectral_abscissa,
 )
-from otrobust.f16 import DEG
+from otrobust.f16 import DEG, dynamics
 
 # Published gain for this plant and weights, printed there for the opposite
 # feedback-sign convention (u = u_trim + K dx); ours is u = u_trim - K dx,
@@ -32,16 +33,42 @@ K_PUBLISHED = np.array([[7144.9, -400.58, -1355.8, 2002.8],
 def test_linearize_exact_on_linear_map(rng):
     M = rng.standard_normal((4, 4))
     B = rng.standard_normal((4, 2))
-    model = linearize(lambda x, u: M @ x + B @ u, np.zeros(4), np.zeros(2))
+    model = linearize(lambda x, u: x @ M.T + u @ B.T, np.zeros(4), np.zeros(2))
     assert np.max(np.abs(model.A - M)) <= 1e-8 * max(1.0, np.max(np.abs(M)))
     assert np.max(np.abs(model.B - B)) <= 1e-8 * max(1.0, np.max(np.abs(B)))
 
 
 def test_linearize_constant_rhs_is_zero():
-    model = linearize(lambda x, u: np.array([1.0, -2.0, 3.0, 0.5]),
+    model = linearize(lambda x, u: np.broadcast_to([1.0, -2.0, 3.0, 0.5], x.shape),
                       np.zeros(4), np.zeros(2))
     assert np.allclose(model.A, 0.0, atol=1e-9)
     assert np.allclose(model.B, 0.0, atol=1e-9)
+
+
+def _loop_linearize(x0, u0, params, tables):
+    """One plant call per +/- direction: the reference the stacked call meets."""
+    def column(z0, j, f):
+        h = 1e-6 * max(1.0, abs(z0[j]))
+        zp, zm = z0.copy(), z0.copy()
+        zp[j] += h
+        zm[j] -= h
+        return (f(zp) - f(zm)) / (2 * h)
+    A = np.stack([column(x0, j, lambda x: dynamics(x, u0, params, tables))
+                  for j in range(4)], axis=1)
+    B = np.stack([column(u0, j, lambda u: dynamics(x0, u, params, tables))
+                  for j in range(2)], axis=1)
+    return A, B
+
+
+@pytest.mark.parametrize("node", [0, 37, 99])
+def test_linearize_plant_matches_per_direction_loop(params, tables, nominal_trim,
+                                                    grid_trims, node):
+    for tp in (nominal_trim, grid_trims[node]):
+        x0, u0 = tp.x_trim.as_array(), tp.u_trim.as_array()
+        model = linearize_plant(x0, u0, params, tables)
+        A, B = _loop_linearize(x0, u0, params, tables)
+        assert np.array_equal(model.A, A) and np.array_equal(model.B, B)
+        assert model.A.flags.c_contiguous and model.B.flags.c_contiguous
 
 
 def test_open_loop_eigenvalues_stable_at_trim(params, tables, nominal_trim):
@@ -198,6 +225,17 @@ def test_schedule_serialization_roundtrip(schedule):
     assert np.allclose(gs_control(x, again), gs_control(x, schedule), atol=1e-9)
 
 
+@pytest.mark.parametrize("edit, field", [(lambda d: d.pop("K"), "'K'"),
+                                         (lambda d: d.update(x_ref_deg="level"), "'x_ref_deg'"),
+                                         (lambda d: d.update(u_trims_deg=3.0), "'u_trims_deg'")],
+                         ids=["missing", "text", "scalar"])
+def test_schedule_from_malformed_dict_names_the_field(schedule, edit, field):
+    d = schedule.to_dict()
+    edit(d)
+    with pytest.raises(ValueError, match=field):
+        GainSchedule.from_dict(d)
+
+
 def test_care_residual_invariant_on_f16_nodes(schedule, params, tables,
                                               grid_trims):
     # spot-check a few synthesized nodes against the Riccati residual bound
@@ -207,3 +245,16 @@ def test_care_residual_invariant_on_f16_nodes(schedule, params, tables,
         P = solve_care(model.A, model.B, weights.Q, weights.R)
         assert care_residual(model.A, model.B, weights.Q, weights.R, P) \
             < 1e-8 * np.linalg.norm(weights.Q, "fro")
+
+
+def test_lone_sample_gets_the_ensemble_gain_product(nominal_trim, nominal_gain, rng):
+    # A one-row dx @ K.T would go through gemv and round differently from
+    # the gemm that serves the same row inside an ensemble.
+    law = LqrLaw(K=nominal_gain, trim=nominal_trim)
+    spread = np.array([0.05, 40.0, 0.08, 0.2])
+    for _ in range(50):
+        x, y = nominal_trim.x_trim.as_array() + spread * rng.uniform(-1.0, 1.0, (2, 4))
+        in_ensemble = law(np.vstack([x, y]))[0]
+        assert np.array_equal(law(x[None])[0], in_ensemble)
+        assert np.array_equal(law(x), in_ensemble)
+    assert law(x).shape == (2,) and law(x[None]).shape == (1, 2)

@@ -31,6 +31,13 @@ def test_density_at_altitude(params):
     assert params.density() == pytest.approx(1.8e-3, abs=5e-5)
 
 
+def test_altitude_past_density_zero_rejected():
+    # (1 - 0.703e-5 h)^4.14 turns complex past 142248 ft.
+    with pytest.raises(ValueError, match="h must be below 142248 ft"):
+        AircraftParams(h=150000.0)
+    assert AircraftParams(h=142000.0).density() > 0.0
+
+
 def test_dynamic_pressure_zero_limit(params):
     assert dynamic_pressure(1e-12, params) == pytest.approx(0.0, abs=1e-20)
 

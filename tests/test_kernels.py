@@ -1,12 +1,13 @@
-"""Bit-identity of the fused aero lookup and the stacked divergence against
-straightforward per-coefficient / per-direction reference formulas."""
+"""Bit-identity of the fused aero lookup, the plant output and the stacked
+divergence against straightforward per-coefficient / per-direction
+reference formulas."""
 
 import numpy as np
 import pytest
 
 from otrobust import liouville
 from otrobust.controller import LqrLaw, ScheduledLaw
-from otrobust.f16 import DEG, AeroTables, ClosedLoop, lookup_coefficient
+from otrobust.f16 import DEG, AeroTables, ClosedLoop, _aero, _rhs, lookup_coefficient
 from otrobust.liouville import DIVERGENCE_ROW_BUDGET, divergence
 
 
@@ -102,14 +103,42 @@ def test_stacked_divergence_matches_per_direction(params, tables, nominal_trim,
         P = np.array([params.m, params.xcg, params.Jyy]) * rng.uniform(0.9, 1.1, (n, 3))
     got = divergence(loop.state_rhs, X, P, 0.3)
     ref = _ref_divergence(loop.state_rhs, X, P, 0.3)
-    if n == 1 and law_kind == "lqr":
-        # OpenBLAS evaluates a one-row dx @ K.T with gemv and a multi-row one
-        # with gemm, which round differently in the last bit. The stacked
-        # call is multi-row, so the bitwise reference is the loop over a
-        # two-row copy of the sample.
-        assert got == pytest.approx(ref, rel=1e-12)
-        ref = _ref_divergence(loop.state_rhs, np.repeat(X, 2, axis=0),
-                              None if P is None else np.repeat(P, 2, axis=0), 0.3)[:1]
+    assert np.array_equal(got, ref)
+
+
+def _ref_rhs(x, u, m, xcg, Jyy, params, tables):
+    """The plant as one np.stack of the four broadcast derivative columns."""
+    theta, V, alpha, q = (x[..., k] for k in range(4))
+    static, damping = _aero(tables, alpha, u[..., 1])
+    qS = 0.5 * params.density() * V * V * params.S
+    coef = static + np.asarray(params.cbar * q / (2.0 * V))[..., None] * damping
+    cx, cz, cm = coef[..., 0], coef[..., 1], coef[..., 2]
+    sa, ca, st, ct = np.sin(alpha), np.cos(alpha), np.sin(theta), np.cos(theta)
+    f_axial = u[..., 0] - m * params.g * st + qS * cx
+    f_normal = m * params.g * ct + qS * cz
+    V_dot = (ca * f_axial + sa * f_normal) / m
+    alpha_dot = q + (-sa * f_axial + ca * f_normal) / (m * V)
+    q_dot = (qS * params.cbar / Jyy) * (cm + ((params.xcg_ref - xcg) / params.cbar) * cz)
+    return np.stack(np.broadcast_arrays(q, V_dot, alpha_dot, q_dot), axis=-1)
+
+
+@pytest.mark.parametrize("case", ["0-d", "rows", "parameter block",
+                                  "one state, many parameters"])
+def test_rhs_output_matches_stacked_columns(params, tables, nominal_trim, rng, case):
+    n = 7
+    x = _states(nominal_trim, n, rng)
+    u = nominal_trim.u_trim.as_array() + np.array([500.0, 0.05]) * rng.uniform(-1, 1, (n, 2))
+    p = np.array([params.m, params.xcg, params.Jyy]) * rng.uniform(0.9, 1.1, (n, 3))
+    m, xcg, Jyy = params.m, params.xcg, params.Jyy
+    if case == "0-d":
+        x, u = x[0], u[0]
+    if case in ("parameter block", "one state, many parameters"):
+        m, xcg, Jyy = p[:, 0], p[:, 1], p[:, 2]
+    if case == "one state, many parameters":
+        x, u = x[0], u[0]
+    got = _rhs(x, u, m, xcg, Jyy, params, tables)
+    ref = _ref_rhs(x, u, m, xcg, Jyy, params, tables)
+    assert got.shape == ref.shape == ((4,) if case == "0-d" else (n, 4))
     assert np.array_equal(got, ref)
 
 

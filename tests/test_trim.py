@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from otrobust.f16 import DEG, saturate, ControlInput
-from otrobust.trim import TrimPoint, default_grid, find_trim, trim_grid, _residual
+from otrobust import trim as trim_module
+from otrobust.trim import TrimPoint, default_grid, find_trim, trim_grid, _jacobian, _residual
 
 
 def test_nominal_trim_matches_reference(nominal_trim):
@@ -103,3 +104,49 @@ def test_trim_point_json_roundtrip(nominal_trim):
     assert again.x_trim.theta == pytest.approx(nominal_trim.x_trim.theta, rel=1e-15)
     assert again.u_trim.T == nominal_trim.u_trim.T
     assert again.converged == nominal_trim.converged
+
+
+def _loop_jacobian(z, V, alpha, params, tables):
+    """Central differences one column and one residual call at a time."""
+    J = np.empty((3, 3))
+    for k in range(3):
+        h = 1e-6 * max(1.0, abs(z[k]))
+        zp, zm = z.copy(), z.copy()
+        zp[k] += h
+        zm[k] -= h
+        J[:, k] = (_residual(zp, V, alpha, params, tables)
+                   - _residual(zm, V, alpha, params, tables)) / (2.0 * h)
+    return J
+
+
+def test_residual_broadcasts_over_leading_axes(params, tables, rng):
+    V, alpha = 500.0, 4.0 * DEG
+    Z = np.array([0.1, 3000.0, -0.05]) + rng.uniform(-0.05, 0.05, (2, 3, 3))
+    R = _residual(Z, V, alpha, params, tables)
+    assert R.shape == (2, 3, 3)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(R[idx], _residual(Z[idx], V, alpha, params, tables))
+
+
+@pytest.mark.parametrize("node", ["nominal", 0, 99])
+def test_stacked_jacobian_matches_column_loop(params, tables, nominal_trim,
+                                              grid_trims, node):
+    # Nodes 0 and 99 are the lattice corners (100 ft/s, -10 deg) and
+    # (1000 ft/s, 45 deg).
+    tp = nominal_trim if node == "nominal" else grid_trims[node]
+    V, alpha = tp.x_trim.V, tp.x_trim.alpha
+    z0 = np.array([tp.x_trim.theta, tp.u_trim.T, tp.u_trim.delta_e])
+    for z in (z0, np.clip(np.array([alpha, 5000.0, 0.0]), trim_module._LOWER,
+                          trim_module._UPPER)):
+        J = _jacobian(z, V, alpha, params, tables)
+        assert np.array_equal(J, _loop_jacobian(z, V, alpha, params, tables))
+        assert J.flags.c_contiguous
+
+
+def test_find_trim_independent_of_jacobian_evaluation(params, tables, monkeypatch):
+    # The stacked and the looped Jacobian hold the same numbers; the solve
+    # must not see a difference in their memory layout either.
+    V, alpha = 100.0, -10.0 * DEG
+    stacked = find_trim(V, alpha, params, tables)
+    monkeypatch.setattr(trim_module, "_jacobian", _loop_jacobian)
+    assert find_trim(V, alpha, params, tables) == stacked
