@@ -76,6 +76,10 @@ PAPER_STATE_SCALE = np.array([1.0 / DEG, 1.0, 1.0 / DEG, 1.0 / DEG])
 SNAPSHOT_BASE_COLUMNS = ["t", "id", "theta_deg", "V", "alpha_deg", "q_dps"]
 SNAPSHOT_PARAM_COLUMNS = ["m", "xcg", "Jyy"]
 
+# Config fields that say where and how a run executes, not what it computes;
+# report.json echoes them, the content hash leaves them out.
+RUN_ENVIRONMENT_FIELDS = ("workers", "output_dir")
+
 
 class ConfigError(ValueError):
     """Scenario configuration is malformed or inconsistent."""
@@ -338,6 +342,8 @@ class RunReport:
     def finalize(self) -> "RunReport":
         body = self.to_dict()
         body.pop("content_hash", None)
+        body["config"] = {k: v for k, v in self.config.items()
+                          if k not in RUN_ENVIRONMENT_FIELDS}
         blob = json.dumps(body, sort_keys=True).encode()
         self.content_hash = hashlib.sha256(blob).hexdigest()
         return self

@@ -167,7 +167,7 @@ class TestMiniScenarios:
         assert len(rep.extremes["lqr"]) == len(rep.curve("lqr")[0])
 
     def test_report_persistence(self, ic_report, params, tables, setup, tmp_path):
-        cfg, _ = ic_report
+        cfg, base = ic_report
         out = tmp_path / "run"
         cfg2 = ScenarioConfig(**{**cfg.to_dict(), "output_dir": str(out)})
         rep = run_ic_scenario(cfg2, params, tables, setup=setup, keep_snapshots=True)
@@ -176,6 +176,9 @@ class TestMiniScenarios:
         assert (out / "snapshots" / "lqr.csv").exists()
         doc = json.loads((out / "report.json").read_text())
         assert doc["content_hash"] == rep.content_hash
+        # the output directory is echoed but not hashed
+        assert doc["config"]["output_dir"] == str(out)
+        assert rep.content_hash == base.content_hash
         lines = (out / "W.csv").read_text().splitlines()
         assert lines[0] == "t,variant,controller,W"
 
@@ -270,8 +273,8 @@ def test_param_report_hash_independent_of_workers(param_small, params, tables, s
     cfg, rep = param_small
     rep2 = run_param_scenario(ScenarioConfig(**PARAM_SMALL, workers=2), params, tables,
                               setup=setup)
-    rep2.config["workers"] = cfg.workers  # the config echo is part of the hash
-    assert rep2.finalize().content_hash == rep.content_hash
+    assert rep2.config["workers"] == 2 and rep.config["workers"] is None
+    assert rep2.content_hash == rep.content_hash
 
 
 def test_array_holding_dataclasses_compare_by_identity(tables, setup, params):
