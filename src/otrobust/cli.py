@@ -126,7 +126,7 @@ def _cmd_propagate(args) -> int:
             disturbance = SineDisturbance(cfg.disturbance_amp_deg * DEG, float(omega))
         loop = ClosedLoop(law=setup.law(name), params=params, tables=tables,
                           disturbance=disturbance)
-        snaps = harness.propagate(cloud, loop.state_rhs, cfg.t_f, cfg.dt,
+        snaps = harness.propagate(cloud, loop, cfg.t_f, cfg.dt,
                                   cfg.emit_every, cfg.strict_rk4, cfg.workers)
         if args.per_time:
             for s in snaps:

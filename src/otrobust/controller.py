@@ -10,6 +10,8 @@ one Newton-Kleinman (Lyapunov) step. The scheduled controller keeps one
 gain per node of a (V, alpha) lattice, interpolates the gains bilinearly
 in the scheduling states (clamped to the lattice hull) and regulates
 deviations from one fixed reference trim; node trims are not interpolated.
+Both laws also give the Jacobian of their command, which the closed-form
+Liouville divergence uses (f16.ClosedLoop.state_rhs_div).
 """
 
 from __future__ import annotations
@@ -196,6 +198,11 @@ class LqrLaw:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return lqr_control(x, self.K, self.trim)
 
+    def jacobian(self, x: np.ndarray, h: np.ndarray):
+        """The command (as __call__), its Jacobian -K, zero curvature and no
+        cell edges, in the form f16.ClosedLoop.state_rhs_div takes."""
+        return self(x), -np.asarray(self.K), np.zeros((2, 4)), False
+
 
 @dataclass(frozen=True, eq=False)
 class GainSchedule:
@@ -322,6 +329,8 @@ def build_schedule(trims: list[TrimPoint], weights: LqrWeights | None = None,
     when omitted it defaults to the node trim with the smallest residual
     (an exact equilibrium).
     """
+    if not trims:
+        raise ValueError("a gain schedule needs at least one trim point")
     weights = weights or LqrWeights()
     params = params or AircraftParams()
     tables = tables or AeroTables.default()
@@ -382,23 +391,45 @@ def _cell_weights(nodes: np.ndarray, v):
     return i, w
 
 
-def interpolate_gain(x, schedule: GainSchedule) -> np.ndarray:
-    """Elementwise-bilinear gain at the scheduling pair (V, alpha) of x,
-    clamped to the lattice hull; batched over leading axes of x."""
+def _gain_cell(x, schedule: GainSchedule):
+    """Lattice cell of the scheduling pair (V, alpha) of x: its lower node
+    indices (i, j), its four corner gains K[i, j], K[i+1, j], K[i, j+1],
+    K[i+1, j+1] and the clamped weights (wv, wa), shaped to broadcast
+    against the corners."""
     x = np.asarray(x, dtype=float)
-    V, alpha = x[..., 1], x[..., 2]
-    i, wv = _cell_weights(schedule.V_nodes, V)
-    j, wa = _cell_weights(schedule.alpha_nodes, alpha)
+    i, wv = _cell_weights(schedule.V_nodes, x[..., 1])
+    j, wa = _cell_weights(schedule.alpha_nodes, x[..., 2])
     i1 = np.minimum(i + 1, schedule.V_nodes.size - 1)
     j1 = np.minimum(j + 1, schedule.alpha_nodes.size - 1)
     grid = schedule.K
-    extra = grid.ndim - 2  # trailing value axes beyond the lattice
-    w00 = ((1 - wv) * (1 - wa)).reshape(np.shape(wv) + (1,) * extra)
-    w10 = (wv * (1 - wa)).reshape(np.shape(wv) + (1,) * extra)
-    w01 = ((1 - wv) * wa).reshape(np.shape(wv) + (1,) * extra)
-    w11 = (wv * wa).reshape(np.shape(wv) + (1,) * extra)
-    return (w00 * grid[i, j] + w10 * grid[i1, j]
-            + w01 * grid[i, j1] + w11 * grid[i1, j1])
+    na = schedule.alpha_nodes.size
+    flat = grid.reshape((-1,) + grid.shape[2:])  # row i * na + j holds node (i, j)
+    corners = tuple(flat.take(a * na + b, axis=0) for a, b in ((i, j), (i1, j), (i, j1), (i1, j1)))
+    shape = np.shape(wv) + (1,) * (grid.ndim - 2)  # trailing value axes
+    return (i, j), corners, wv.reshape(shape), wa.reshape(shape)
+
+
+def _blend(corners, wv, wa):
+    g00, g10, g01, g11 = corners
+    return ((1 - wv) * (1 - wa) * g00 + wv * (1 - wa) * g10
+            + (1 - wv) * wa * g01 + wv * wa * g11)
+
+
+def interpolate_gain(x, schedule: GainSchedule) -> np.ndarray:
+    """Elementwise-bilinear gain at the scheduling pair (V, alpha) of x,
+    clamped to the lattice hull; batched over leading axes of x."""
+    _, corners, wv, wa = _gain_cell(x, schedule)
+    return _blend(corners, wv, wa)
+
+
+def _node_slope(nodes: np.ndarray, i, v, h):
+    """1 / width of the lattice cell i holding v (0 where v clamps to the
+    hull or the axis has one node), and whether v +/- h lie in different
+    cells."""
+    kink = nodes.searchsorted(v + h, side="right") != nodes.searchsorted(v - h, side="right")
+    if nodes.size == 1:
+        return np.zeros(np.shape(v)), kink
+    return ((v > nodes[0]) & (v < nodes[-1])) / (nodes[i + 1] - nodes[i]), kink
 
 
 def gs_control(x, schedule: GainSchedule) -> np.ndarray:
@@ -425,3 +456,27 @@ class ScheduledLaw:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return gs_control(x, self.schedule)
+
+    def jacobian(self, x: np.ndarray, h: np.ndarray):
+        """The command u = u_ref - K~(V, alpha) dx (bitwise as __call__);
+        its Jacobian inside the gain cell, -K~ - (dK~/dV dx) e_V' -
+        (dK~/dalpha dx) e_alpha'; the curvature -dK~/dV e_V and
+        -dK~/dalpha e_alpha in the V and alpha columns; and the rows whose V
+        or alpha stencil (steps h) crosses a node line or the lattice hull
+        (see f16.ClosedLoop)."""
+        s = self.schedule
+        x = np.asarray(x, dtype=float)
+        (i, j), (g00, g10, g01, g11), wv, wa = _gain_cell(x, s)
+        Kt = _blend((g00, g10, g01, g11), wv, wa)
+        dx = x - s.x_ref
+        u = s.u_ref - np.einsum("...ij,...j->...i", Kt, dx)
+        sv, kink_v = _node_slope(s.V_nodes, i, x[..., 1], h[..., 1])
+        sa, kink_a = _node_slope(s.alpha_nodes, j, x[..., 2], h[..., 2])
+        dK_dV = ((1 - wa) * (g10 - g00) + wa * (g11 - g01)) * sv[..., None, None]
+        dK_da = ((1 - wv) * (g01 - g00) + wv * (g11 - g10)) * sa[..., None, None]
+        J = -Kt
+        J[..., 1] -= np.einsum("...ij,...j->...i", dK_dV, dx)
+        J[..., 2] -= np.einsum("...ij,...j->...i", dK_da, dx)
+        C = np.zeros_like(J)
+        C[..., 1], C[..., 2] = -dK_dV[..., 1], -dK_da[..., 2]
+        return u, J, C, kink_v | kink_a

@@ -13,6 +13,20 @@ conversion at the boundary.
 All evaluation routines are pure and broadcast over leading sample axes:
 states have a trailing axis of length 4, controls of length 2. Per-sample
 parameter overrides (mass, c.g. position, pitch inertia) may be arrays.
+
+The Liouville density needs the divergence of the closed loop, the trace
+dV_dot/dV + dalpha_dot/dalpha + dq_dot/dq (theta_dot = q adds 0). Where the
+loop is piecewise smooth its value is a convention: the central-difference
+secant with steps h = H_REL max(1, |x|). ClosedLoop.state_rhs_div
+computes it in the same pass as the state derivative:
+  * closed form: the plant partials from the table cells the lookup already
+    found, plus the elevator channel times the law's Jacobian;
+  * thrust enters linearly, so its saturation kink is the secant itself,
+    (sat(u_T + h_k J_k + h_k^2 C_k) - sat(u_T - h_k J_k + h_k^2 C_k)) / 2 h_k
+    in V and alpha, evaluated in closed form on every row;
+  * every other kink the stencil crosses (elevator saturation, an alpha or
+    delta_e breakpoint or table edge, a cell edge of the law, V = 0) flags
+    the row, and the caller takes finite differences there.
 """
 
 from __future__ import annotations
@@ -34,6 +48,11 @@ THRUST_MAX = 28000.0
 ELEVATOR_LIMIT = 25.0 * DEG
 
 COEFFICIENT_IDS = ("CX", "CZ", "Cm", "CXq", "CZq", "Cmq")
+
+# Relative step of the divergence stencil, h_k = H_REL max(1, |x_k|): the
+# central-difference step of liouville.divergence, and so the width of the
+# secants the closed-form divergence reproduces (see the module docstring).
+H_REL = 3e-5
 
 
 class SingularStateError(ValueError):
@@ -234,26 +253,51 @@ def _cell(bp: np.ndarray, x):
     return i, np.asarray((x - bp[i]) / (bp[i + 1] - bp[i]))[..., None]
 
 
-def _aero(tables: AeroTables, alpha, delta_e):
+def _slope(bp: np.ndarray, i, x):
+    """Per-radian slope factor of the cell i of bp at x (degrees): 1 / cell
+    width inside the table, 0 where the lookup clamps."""
+    inside = (x > bp[0]) & (x < bp[-1])
+    return np.asarray(inside / ((bp[i + 1] - bp[i]) * DEG))[..., None]
+
+
+def _aero(tables: AeroTables, alpha, delta_e, slopes: bool = False):
     """Clamped table lookup of (CX, CZ, Cm) and (CXq, CZq, Cmq), each stacked
     on a trailing axis of 3. One alpha cell serves all six coefficients; a
-    degenerate single-column delta_e grid makes CX, CZ, Cm alpha-only."""
-    i, wa = _cell(tables.alpha_breakpoints_deg, np.asarray(alpha) / DEG)
+    degenerate single-column delta_e grid makes CX, CZ, Cm alpha-only.
+
+    slopes=True also returns the in-cell per-radian partials
+    d(static)/d alpha, d(damping)/d alpha and d(static)/d delta_e (zero where
+    the lookup clamps), from the same cells and gathers."""
+    a = np.asarray(alpha) / DEG
+    bpa = tables.alpha_breakpoints_deg
+    i, wa = _cell(bpa, a)
     ua = 1 - wa
     gq = tables._damping
-    damping = gq.take(i, axis=0) * ua + gq.take(i + 1, axis=0) * wa
+    q0, q1 = gq.take(i, axis=0), gq.take(i + 1, axis=0)
+    damping = q0 * ua + q1 * wa
     nd = tables.deltae_breakpoints_deg.size
     g = tables._static.reshape(-1, 3)  # row i * nd + j holds cell (i, j)
     if nd == 1:
-        return g.take(i, axis=0) * ua + g.take(i + 1, axis=0) * wa, damping
-    j, wd = _cell(tables.deltae_breakpoints_deg, np.asarray(delta_e) / DEG)
+        g0, g1 = g.take(i, axis=0), g.take(i + 1, axis=0)
+        static = g0 * ua + g1 * wa
+        if not slopes:
+            return static, damping
+        sa = _slope(bpa, i, a)
+        return static, damping, ((g1 - g0) * sa, (q1 - q0) * sa, np.zeros_like(static))
+    d = np.asarray(delta_e) / DEG
+    bpd = tables.deltae_breakpoints_deg
+    j, wd = _cell(bpd, d)
     ud = 1 - wd
     k = i * nd + j
-    static = (ua * ud * g.take(k, axis=0)
-              + wa * ud * g.take(k + nd, axis=0)
-              + ua * wd * g.take(k + 1, axis=0)
-              + wa * wd * g.take(k + nd + 1, axis=0))
-    return static, damping
+    g00, g10 = g.take(k, axis=0), g.take(k + nd, axis=0)
+    g01, g11 = g.take(k + 1, axis=0), g.take(k + nd + 1, axis=0)
+    static = ua * ud * g00 + wa * ud * g10 + ua * wd * g01 + wa * wd * g11
+    if not slopes:
+        return static, damping
+    sa, sd = _slope(bpa, i, a), _slope(bpd, j, d)
+    return static, damping, ((ud * (g10 - g00) + wd * (g11 - g01)) * sa,
+                             (q1 - q0) * sa,
+                             (ua * (g01 - g00) + wa * (g11 - g10)) * sd)
 
 
 def lookup_coefficient(tables: AeroTables, which: str, alpha, delta_e=0.0):
@@ -295,9 +339,16 @@ def saturate(u: ControlInput) -> ControlInput:
 
 
 def _rhs(x: np.ndarray, u: np.ndarray, m, xcg, Jyy, params: AircraftParams,
-         tables: AeroTables) -> np.ndarray:
+         tables: AeroTables, partials: bool = False):
     """State derivative, broadcast over leading axes; V <= 0 yields NaN rows
-    rather than raising so that ensemble integration can flag divergences."""
+    rather than raising so that ensemble integration can flag divergences.
+
+    partials=True returns (xdot, trace, dfde) from the same arithmetic:
+    trace = dV_dot/dV + dalpha_dot/dalpha + dq_dot/dq at fixed u, without the
+    -sin(alpha) T / (m V) term of alpha_dot (a caller whose thrust depends on
+    alpha takes that term's secant itself), and dfde = the three partials
+    d(V_dot, alpha_dot, q_dot)/d delta_e.
+    """
     theta = x[..., 0]
     V = x[..., 1]
     alpha = x[..., 2]
@@ -311,7 +362,8 @@ def _rhs(x: np.ndarray, u: np.ndarray, m, xcg, Jyy, params: AircraftParams,
         qS = qbar * params.S
         chord_rate = params.cbar * q / (2.0 * V_safe)
 
-        static, damping = _aero(tables, alpha, de)
+        lookup = _aero(tables, alpha, de, partials)
+        static, damping = lookup[:2]
         coef = static + np.asarray(chord_rate)[..., None] * damping
         cx, cz, cm = coef[..., 0], coef[..., 1], coef[..., 2]
 
@@ -327,7 +379,26 @@ def _rhs(x: np.ndarray, u: np.ndarray, m, xcg, Jyy, params: AircraftParams,
 
     out = np.empty(np.broadcast(q, V_dot, alpha_dot, q_dot).shape + (4,))
     out[..., 0], out[..., 1], out[..., 2], out[..., 3] = q, V_dot, alpha_dot, q_dot
-    return out
+    if not partials:
+        return out
+    with np.errstate(all="ignore"):
+        static_a, damping_a, static_e = lookup[2]
+        mV = m * V_safe
+        pitch = qS * params.cbar / Jyy
+        arm = (params.xcg_ref - xcg) / params.cbar
+        qx, qz, qm = damping[..., 0], damping[..., 1], damping[..., 2]
+        # coefficient partials: chord_rate = cbar q / (2 V) scales damping
+        trace = ((2.0 * qS / V_safe * (ca * cx + sa * cz)
+                  - qS * chord_rate / V_safe * (ca * qx + sa * qz)) / m
+                 + (-ca * (qS * cx - m * params.g * st) - sa * f_normal
+                    + qS * (-sa * static_a[..., 0] + ca * static_a[..., 1]
+                            + chord_rate * (-sa * damping_a[..., 0] + ca * damping_a[..., 1])))
+                 / mV
+                 + pitch * params.cbar / (2.0 * V_safe) * (qm + arm * qz))
+        ex, ez, em = static_e[..., 0], static_e[..., 1], static_e[..., 2]
+        dfde = (qS * (ca * ex + sa * ez) / m, qS * (-sa * ex + ca * ez) / mV,
+                pitch * (em + arm * ez))
+    return out, trace, dfde
 
 
 def dynamics(x, u, params: AircraftParams, tables: AeroTables) -> np.ndarray:
@@ -368,6 +439,13 @@ class ClosedLoop:
     adds to the elevator command, and the sum is saturated before entering
     the plant. Uncertain parameters (m, xcg, Jyy) ride along as frozen
     extended states with zero derivative.
+
+    state_rhs_div also needs law.jacobian(x, h) -> (u, J, C, kink): the
+    command u (bitwise law(x)), its Jacobian J and in-cell curvature C per
+    direction, so that the command at x +/- h_k e_k is u +/- h_k J_k +
+    h_k^2 C_k (both broadcasting to (..., 2, 4)), and the rows whose
+    stencil leaves the law's own cell (as LqrLaw and ScheduledLaw have).
+    Any other law gets finite differences on every row.
     """
 
     law: Callable[[np.ndarray], np.ndarray]
@@ -375,12 +453,16 @@ class ClosedLoop:
     tables: AeroTables
     disturbance: Callable[[float], float] | None = None
 
-    def control(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Saturated control applied at state x, time t."""
-        u = np.array(self.law(x), dtype=float, copy=True)
+    def _command(self, u: np.ndarray, t: float) -> np.ndarray:
+        """The law's output u plus the elevator disturbance w(t), unsaturated."""
+        u = np.array(u, dtype=float, copy=True)
         if self.disturbance is not None:
             u[..., 1] = u[..., 1] + self.disturbance(t)
-        return saturate_array(u)
+        return u
+
+    def control(self, x: np.ndarray, t: float) -> np.ndarray:
+        """Saturated control applied at state x, time t."""
+        return saturate_array(self._command(self.law(x), t))
 
     def state_rhs(self, t: float, x: np.ndarray, p=None) -> np.ndarray:
         """Derivative of the state block; p overrides (m, xcg, Jyy)."""
@@ -388,35 +470,62 @@ class ClosedLoop:
         return _rhs(np.asarray(x, dtype=float), self.control(x, t),
                     m, xcg, Jyy, self.params, self.tables)
 
-    def extended_rhs(self, t: float, xt: np.ndarray) -> np.ndarray:
-        """Derivative of [x, p]: the parameter block is identically zero."""
-        xt = np.asarray(xt, dtype=float)
-        x, p = xt[..., :4], xt[..., 4:]
-        xdot = self.state_rhs(t, x, p if p.shape[-1] else None)
-        return np.concatenate([xdot, np.zeros_like(p)], axis=-1)
+    def state_rhs_div(self, t: float, x: np.ndarray, p=None):
+        """(state_rhs(t, x, p), divergence, kink) for (n, 4) states x.
 
+        The divergence is the closed-form trace of the closed-loop Jacobian
+        under the kink convention of the module docstring; kink flags the
+        rows it does not cover, whose +/- h stencil (h = H_REL max(1, |x|))
+        in V, alpha or q crosses elevator saturation, an alpha or delta_e
+        table breakpoint (or table edge), a cell edge of the law, or V = 0.
+        A law without a jacobian method leaves every row flagged.
+        """
+        x = np.asarray(x, dtype=float)
+        if not hasattr(self.law, "jacobian"):
+            xdot = self.state_rhs(t, x, p)
+            return xdot, np.full(xdot.shape[:-1], np.nan), np.ones(xdot.shape[:-1], dtype=bool)
+        m, xcg, Jyy, _ = _split_params(p, self.params)
+        h = H_REL * np.maximum(1.0, np.abs(x))
+        u_law, J, C, kink = self.law.jacobian(x, h)
+        u_cmd = self._command(u_law, t)
+        xdot, div, dfde = _rhs(x, saturate_array(u_cmd), m, xcg, Jyy,
+                               self.params, self.tables, partials=True)
+        # directions V, alpha, q (theta_dot = q contributes 0); the command
+        # at x +/- h_k e_k is u +/- h_k J_k + h_k^2 C_k inside the law's cell
+        h, J, C = h[..., 1:], J[..., 1:], C[..., 1:]
+        dT, dE = h * J[..., 0, :], h * J[..., 1, :]
+        cT, cE = h * h * C[..., 0, :], h * h * C[..., 1, :]
+        V, alpha = x[..., 1], x[..., 2]
+        hV, ha = h[..., 0], h[..., 1]
+        with np.errstate(all="ignore"):
+            # thrust enters linearly: the secant of its saturation in V, alpha
+            T_hi = np.minimum(np.maximum(u_cmd[..., :1] + dT + cT, THRUST_MIN), THRUST_MAX)
+            T_lo = np.minimum(np.maximum(u_cmd[..., :1] - dT + cT, THRUST_MIN), THRUST_MAX)
+            div = (div + np.cos(alpha) * (T_hi[..., 0] - T_lo[..., 0]) / (2.0 * hV * m)
+                   + (np.sin(alpha - ha) * T_lo[..., 1] - np.sin(alpha + ha) * T_hi[..., 1])
+                   / (2.0 * ha * m * V))
+            free = np.abs(u_cmd[..., 1]) < ELEVATOR_LIMIT
+            JE = J[..., 1, :]
+            div = div + free * (dfde[0] * JE[..., 0] + dfde[1] * JE[..., 1]
+                                + dfde[2] * JE[..., 2])
+            # the elevator command over all three stencils, against its kinks
+            lo, hi = cE - np.abs(dE), cE + np.abs(dE)
+            e_lo = u_cmd[..., 1] + np.minimum(np.minimum(lo[..., 0], lo[..., 1]), lo[..., 2])
+            e_hi = u_cmd[..., 1] + np.maximum(np.maximum(hi[..., 0], hi[..., 1]), hi[..., 2])
+        kinks = self._deltae_kinks()
+        bpa = self.tables.alpha_breakpoints_deg
+        kink = (kink | (kinks.searchsorted(e_lo) != kinks.searchsorted(e_hi))
+                | (bpa.searchsorted((alpha + ha) / DEG, side="right")
+                   != bpa.searchsorted((alpha - ha) / DEG, side="right"))
+                | (V - hV <= 0.0))
+        return xdot, div, kink
 
-def closed_loop_rhs(x, p, t, law, w, params: AircraftParams,
-                    tables: AeroTables) -> np.ndarray:
-    """Extended-state derivative of the closed loop at (x, p, t).
-
-    law maps states to pre-saturation controls; w(t) is the elevator
-    disturbance in radians (None for no disturbance). Returns the
-    concatenated (state, parameter) derivative with a zero parameter block.
-    """
-    if isinstance(x, LongitudinalState):
-        x = x.as_array()
-    x = np.asarray(x, dtype=float)
-    if np.any(x[..., 1] <= 0.0) or not np.all(np.isfinite(x)):
-        raise SingularStateError("closed loop evaluated at V <= 0 or non-finite state")
-    loop = ClosedLoop(law=law, params=params, tables=tables, disturbance=w)
-    p_arr = None if p is None else np.asarray(p, dtype=float)
-    if p_arr is None or p_arr.shape[-1] == 0:
-        xt = x if p_arr is None else np.concatenate([x, p_arr], axis=-1)
-        xdot = loop.state_rhs(t, x, None)
-        zeros = np.zeros(x.shape[:-1] + (0,)) if p_arr is not None else None
-        return xdot if zeros is None else np.concatenate([xdot, zeros], axis=-1)
-    return loop.extended_rhs(t, np.concatenate([x, p_arr], axis=-1))
+    def _deltae_kinks(self) -> np.ndarray:
+        """Elevator commands (rad) where the applied delta_e is not smooth:
+        the saturation limits and the delta_e breakpoints between them."""
+        bp = self.tables.deltae_breakpoints_deg * DEG
+        bp = bp[np.abs(bp) < ELEVATOR_LIMIT] if bp.size > 1 else bp[:0]
+        return np.concatenate([[-ELEVATOR_LIMIT], bp, [ELEVATOR_LIMIT]])
 
 
 @dataclass(frozen=True, eq=False)

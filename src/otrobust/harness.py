@@ -386,14 +386,14 @@ def write_snapshot_csv(snapshots, path, controller: str = "") -> None:
         w = csv.writer(f)
         w.writerow(cols)
         for snap in snapshots:
-            for i in range(snap.n):
-                row = [snap.t, i,
-                       snap.states[i, 0] / DEG, snap.states[i, 1],
-                       snap.states[i, 2] / DEG, snap.states[i, 3] / DEG]
-                if has_params:
-                    row += snap.params[i].tolist()
-                row += [snap.phi[i], snap.gamma[i], int(snap.diverged[i])]
-                w.writerow(row)
+            x = snap.states
+            columns = [[snap.t] * snap.n, range(snap.n), (x[:, 0] / DEG).tolist(),
+                       x[:, 1].tolist(), (x[:, 2] / DEG).tolist(), (x[:, 3] / DEG).tolist()]
+            if has_params:
+                columns += snap.params.T.tolist()
+            columns += [snap.phi.tolist(), snap.gamma.tolist(),
+                        snap.diverged.astype(int).tolist()]
+            w.writerows(zip(*columns))
 
 
 def read_snapshot_csv(path) -> list[EnsembleSnapshot]:
@@ -471,7 +471,7 @@ def run_ic_scenario(cfg: ScenarioConfig,
     snapshots_by_key = {}
     for name in cfg.controllers:
         loop = ClosedLoop(law=setup.law(name), params=params, tables=tables)
-        snaps = propagate(cloud, loop.state_rhs, cfg.t_f, cfg.dt,
+        snaps = propagate(cloud, loop, cfg.t_f, cfg.dt,
                           cfg.emit_every, cfg.strict_rk4, cfg.workers)
         W = _W_dirac_series(snaps, x_trim)
         report.curves.append({"controller": name, "variant": "",
@@ -549,7 +549,7 @@ def run_param_scenario(cfg: ScenarioConfig,
     snapshots_by_key = {}
     for name in cfg.controllers:
         loop = ClosedLoop(law=setup.law(name), params=params, tables=tables)
-        all_snaps = propagate(stacked, loop.state_rhs, cfg.t_f, cfg.dt,
+        all_snaps = propagate(stacked, loop, cfg.t_f, cfg.dt,
                               cfg.emit_every, cfg.strict_rk4, cfg.workers)
         ref_curve = [float(np.linalg.norm((s.states[0] - x_trim) * PAPER_STATE_SCALE))
                      for s in all_snaps]
@@ -608,7 +608,7 @@ def run_disturbance_scenario(cfg: ScenarioConfig,
         for name in cfg.controllers:
             loop = ClosedLoop(law=setup.law(name), params=params, tables=tables,
                               disturbance=SineDisturbance(amp, float(omega)))
-            snaps = propagate(cloud, loop.state_rhs, cfg.t_f, cfg.dt,
+            snaps = propagate(cloud, loop, cfg.t_f, cfg.dt,
                               cfg.emit_every, cfg.strict_rk4, cfg.workers)
             W = _W_dirac_series(snaps, x_trim)
             variant = f"omega={omega:g}"
@@ -677,7 +677,7 @@ def mc_compare(cfg: ScenarioConfig,
             disturbance = SineDisturbance(cfg.disturbance_amp_deg * DEG, float(omega))
         loop = ClosedLoop(law=setup.law(name), params=params, tables=tables,
                           disturbance=disturbance)
-        snaps = propagate(cloud, loop.state_rhs, cfg.t_f, cfg.dt,
+        snaps = propagate(cloud, loop, cfg.t_f, cfg.dt,
                           cfg.emit_every, cfg.strict_rk4, cfg.workers,
                           track_density=False)
         t = np.array([s.t for s in snaps])

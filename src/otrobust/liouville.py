@@ -5,23 +5,35 @@ RK4 characteristic: the state follows the closed-loop field, constant
 uncertain parameters ride along with zero derivative, and the tracked
 density value obeys d(phi)/dt = -div(f) phi along the trajectory.
 
-The divergence is the trace of a central finite-difference Jacobian of the
-state block (the parameter block contributes nothing), with all +/-
-perturbed copies stacked into as few field calls as DIVERGENCE_ROW_BUDGET
-allows (a 200-sample step makes 5 field calls, 4 of them RK4 stages). By
-default it is evaluated once per step at the Euler midpoint state and the
-density is advanced by the degree-4 Taylor factor of exp(-div dt):
-exact-order RK4 when the divergence is constant along the trajectory,
-second-order for a time-varying divergence, and one Jacobian per step
-instead of four. strict_rk4 switches to per-stage divergence evaluations
-co-integrated through the full RK4 tableau.
+The divergence is the trace of the Jacobian of the state block (the
+parameter block contributes nothing). By default it is evaluated once per
+step at the Euler midpoint state X2 and the density is advanced by the
+degree-4 Taylor factor of exp(-div dt): exact-order RK4 when the divergence
+is constant along the trajectory, second-order for a time-varying
+divergence, and one Jacobian per step instead of four. strict_rk4 switches
+to per-stage divergence evaluations co-integrated through the full RK4
+tableau.
+
+Kink convention. The closed loop is only piecewise smooth (saturation,
+table breakpoints, schedule cells), and the divergence is defined as the
+central-difference secant with steps h = H_REL max(1, |x|) per direction.
+A ClosedLoop gives it in closed form: its state_rhs_div is the k2 stage
+(which runs at X2) and returns the analytic trace, with the thrust
+saturation taken as that same secant, plus the rows whose stencil crosses
+any other kink. Only those rows get finite differences, their +/- rows
+riding along in the k3 call (same t). Any other rhs, a plain callable
+rhs(t, x, p), gets finite differences on every row: all +/- perturbed
+copies stacked into as few field calls as DIVERGENCE_ROW_BUDGET allows (a
+200-sample step makes 5 field calls, 4 of them RK4 stages). divergence()
+is that path, the fallback at kinks and the closed form's test oracle.
 
 Samples whose state or density goes non-finite are frozen at their last
 finite values and flagged diverged; they stay in every later snapshot so
 transport masses remain accounted for.
 
 Vector fields are callables rhs(t, x, p) -> dx/dt, vectorized over leading
-sample axes; p may be None. Per-sample propagation is independent, so the
+sample axes (p may be None), or objects with such a state_rhs method and a
+state_rhs_div (a ClosedLoop). Per-sample propagation is independent, so the
 ensemble can be split across a process pool (chunked by sample index, with
 results reassembled in index order; the arithmetic per sample is identical
 regardless of the split).
@@ -36,6 +48,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .f16 import H_REL
 
 WORKERS_ENV = "OTROBUST_WORKERS"
 # Largest stacked batch of perturbed states per rhs call in divergence().
@@ -123,22 +137,44 @@ class EnsembleSnapshot:
                    diverged=None, metadata=metadata or {})
 
 
+def _stencil(X: np.ndarray, P: np.ndarray | None, h: np.ndarray, ks):
+    """The +/- h_k perturbed copies of X for the directions ks, rows ordered
+    (direction, sign, sample), and P tiled to match."""
+    n, dx = X.shape
+    S = np.broadcast_to(X, (len(ks), 2, n, dx)).copy()
+    for i, k in enumerate(ks):
+        S[i, 0, :, k] += h[:, k]
+        S[i, 1, :, k] -= h[:, k]
+    return S.reshape(-1, dx), None if P is None else np.tile(P, (2 * len(ks), 1))
+
+
+def _add_secants(div: np.ndarray, F: np.ndarray, h: np.ndarray, ks) -> None:
+    """Add the central differences of the rhs rows F of _stencil(.., ks) to
+    div, one direction at a time in order."""
+    F = F.reshape(len(ks), 2, h.shape[0], F.shape[-1])
+    for i, k in enumerate(ks):
+        div += (F[i, 0, :, k] - F[i, 1, :, k]) / (2.0 * h[:, k])
+
+
 def divergence(rhs: Callable, x: np.ndarray, p: np.ndarray | None, t: float,
-               h_rel: float = 3e-5, nan_ok: bool = False) -> np.ndarray:
+               h_rel: float = H_REL, nan_ok: bool = False) -> np.ndarray:
     """Divergence of the state block of rhs at (x, p, t), batched.
 
-    Central differences per state direction; the frozen parameter block
-    contributes zero. The +/- perturbed copies of the block go through rhs
-    stacked (p tiled to match): as many whole +/- pairs per call as fit in
-    DIVERGENCE_ROW_BUDGET rows, and at least one. The terms are summed in
-    direction order either way. The default step is larger than the one
-    used for control-synthesis Jacobians: the trace feeds only the density
-    ODE and a larger step keeps subtractive-cancellation noise below the
-    integrator's truncation error. Raises PropagationError (naming the
-    first offending sample) when entries come out non-finite for states
-    that are finite; nan_ok=True instead leaves NaN in place so ensemble
-    integration can flag the sample (a state mid-blow-up can be finite
-    while its neighbourhood is not).
+    Central differences per state direction with steps h_rel max(1, |x|);
+    the frozen parameter block contributes zero. The +/- perturbed copies of
+    the block go through rhs stacked (p tiled to match): as many whole +/-
+    pairs per call as fit in DIVERGENCE_ROW_BUDGET rows, and at least one.
+    The terms are summed in direction order either way. The default step is
+    larger than the one used for control-synthesis Jacobians: the trace
+    feeds only the density ODE and a larger step keeps subtractive-
+    cancellation noise below the integrator's truncation error. Raises
+    PropagationError (naming the first offending sample) when entries come
+    out non-finite for states that are finite; nan_ok=True instead leaves
+    NaN in place so ensemble integration can flag the sample (a state
+    mid-blow-up can be finite while its neighbourhood is not).
+
+    This is the generic path of propagate, the fallback of the closed-form
+    divergence at kinks, and its test oracle.
     """
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
@@ -150,15 +186,7 @@ def divergence(rhs: Callable, x: np.ndarray, p: np.ndarray | None, t: float,
     per_call = max(1, DIVERGENCE_ROW_BUDGET // (2 * n))
     for k0 in range(0, dx, per_call):
         ks = range(k0, min(dx, k0 + per_call))
-        # rows ordered (direction, sign, sample)
-        S = np.broadcast_to(X, (len(ks), 2, n, dx)).copy()
-        for i, k in enumerate(ks):
-            S[i, 0, :, k] += h[:, k]
-            S[i, 1, :, k] -= h[:, k]
-        Pk = None if P is None else np.tile(P, (2 * len(ks), 1))
-        F = np.atleast_2d(rhs(t, S.reshape(-1, dx), Pk)).reshape(len(ks), 2, n, -1)
-        for i, k in enumerate(ks):
-            div += (F[i, 0, :, k] - F[i, 1, :, k]) / (2.0 * h[:, k])
+        _add_secants(div, np.atleast_2d(rhs(t, *_stencil(X, P, h, ks))), h, ks)
     if not nan_ok:
         finite_state = np.all(np.isfinite(X), axis=-1)
         bad = finite_state & ~np.isfinite(div)
@@ -173,40 +201,78 @@ def _density_multiplier(z: np.ndarray) -> np.ndarray:
     return 1.0 - z + z * z / 2.0 - z ** 3 / 6.0 + z ** 4 / 24.0
 
 
-def _step(rhs, t, X, P, phi, dt, strict_rk4: bool, track_density: bool):
+def _fields(rhs):
+    """(field, fused) of a propagate rhs: the vector field f(t, x, p), and
+    state_rhs_div of an rhs that has one (a ClosedLoop), else None."""
+    return getattr(rhs, "state_rhs", rhs), getattr(rhs, "state_rhs_div", None)
+
+
+def _rows(P, sel):
+    return None if P is None else P[sel]
+
+
+def _rhs_div(f, fused, t, X, P):
+    """(f(t, X, P), divergence): the closed form, with the finite-difference
+    divergence on the rows it flags, or finite differences throughout when
+    there is no closed form."""
+    if fused is None:
+        return f(t, X, P), divergence(f, X, P, t, nan_ok=True)
+    k, div, kink = fused(t, X, P)
+    if np.any(kink):
+        div[kink] = divergence(f, X[kink], _rows(P, kink), t, nan_ok=True)
+    return k, div
+
+
+def _step(f, fused, t, X, P, phi, dt, strict_rk4: bool, track_density: bool):
     """One RK4 step of states plus the density factor for the step.
 
     The state arithmetic is identical whether or not the density rides
-    along, so a plain trajectory ensemble (track_density=False) reproduces
-    the density-tracking run bit for bit.
+    along, and whether the divergence comes in closed form (fused into a
+    stage) or by finite differences, so a plain trajectory ensemble
+    (track_density=False) reproduces the density-tracking run bit for bit.
     """
-    k1 = rhs(t, X, P)
-    X2 = X + 0.5 * dt * k1
-    k2 = rhs(t + 0.5 * dt, X2, P)
-    X3 = X + 0.5 * dt * k2
-    k3 = rhs(t + 0.5 * dt, X3, P)
-    X4 = X + dt * k3
-    k4 = rhs(t + dt, X4, P)
-    X_new = X + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-
+    tm = t + 0.5 * dt
     if not track_density:
-        return X_new, phi
+        k1 = f(t, X, P)
+        k2 = f(tm, X + 0.5 * dt * k1, P)
+        k3 = f(tm, X + 0.5 * dt * k2, P)
+        k4 = f(t + dt, X + dt * k3, P)
+        return X + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), phi
     if strict_rk4:
-        d1 = divergence(rhs, X, P, t, nan_ok=True)
-        d2 = divergence(rhs, X2, P, t + 0.5 * dt, nan_ok=True)
-        d3 = divergence(rhs, X3, P, t + 0.5 * dt, nan_ok=True)
-        d4 = divergence(rhs, X4, P, t + dt, nan_ok=True)
+        k1, d1 = _rhs_div(f, fused, t, X, P)
+        k2, d2 = _rhs_div(f, fused, tm, X + 0.5 * dt * k1, P)
+        k3, d3 = _rhs_div(f, fused, tm, X + 0.5 * dt * k2, P)
+        k4, d4 = _rhs_div(f, fused, t + dt, X + dt * k3, P)
         kp1 = -d1 * phi
         kp2 = -d2 * (phi + 0.5 * dt * kp1)
         kp3 = -d3 * (phi + 0.5 * dt * kp2)
         kp4 = -d4 * (phi + dt * kp3)
-        phi_new = phi + dt / 6.0 * (kp1 + 2 * kp2 + 2 * kp3 + kp4)
+        return (X + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4),
+                phi + dt / 6.0 * (kp1 + 2 * kp2 + 2 * kp3 + kp4))
+    # One divergence per step, at the Euler midpoint state X2 of the k2
+    # stage: the density factor is the RK4 one-step map of phi' = -div phi
+    # with frozen div.
+    k1 = f(t, X, P)
+    X2 = X + 0.5 * dt * k1
+    if fused is None:
+        k2 = f(tm, X2, P)
+        k3 = f(tm, X + 0.5 * dt * k2, P)
+        div = divergence(f, X2, P, tm, nan_ok=True)
     else:
-        # One divergence per step, at the Euler midpoint state: the density
-        # factor is the RK4 one-step map of phi' = -div phi with frozen div.
-        div = divergence(rhs, X2, P, t + 0.5 * dt, nan_ok=True)
-        phi_new = phi * _density_multiplier(dt * div)
-    return X_new, phi_new
+        # the flagged rows' finite-difference stencil rides along in the k3
+        # call, which runs at the same t; rows do not interact, so k3 and
+        # the stencil rows come out as they would from calls of their own
+        k2, div, kink = fused(tm, X2, P)
+        Xk = X2[kink]
+        h = H_REL * np.maximum(1.0, np.abs(Xk))
+        S, PS = _stencil(Xk, _rows(P, kink), h, range(X.shape[1]))
+        F = f(tm, np.concatenate([X + 0.5 * dt * k2, S]),
+              None if P is None else np.concatenate([P, PS]))
+        k3, fd = F[:len(X)], np.zeros(len(Xk))
+        _add_secants(fd, F[len(X):], h, range(X.shape[1]))
+        div[kink] = fd
+    k4 = f(t + dt, X + dt * k3, P)
+    return X + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), phi * _density_multiplier(dt * div)
 
 
 def _propagate_arrays(rhs, X0, P0, phi0, t0, n_steps, dt, emit_steps,
@@ -218,6 +284,7 @@ def _propagate_arrays(rhs, X0, P0, phi0, t0, n_steps, dt, emit_steps,
     later snapshot. A density value that degenerates on its own freezes
     only the density, never the state.
     """
+    f, fused = _fields(rhs)
     X = np.array(X0, dtype=float)
     phi = np.array(phi0, dtype=float)
     dead = (np.zeros(X.shape[0], dtype=bool) if diverged0 is None
@@ -228,7 +295,7 @@ def _propagate_arrays(rhs, X0, P0, phi0, t0, n_steps, dt, emit_steps,
     with np.errstate(all="ignore"):
         for s in range(1, n_steps + 1):
             t = t0 + (s - 1) * dt
-            X_new, phi_new = _step(rhs, t, X, P0, phi, dt, strict_rk4, track_density)
+            X_new, phi_new = _step(f, fused, t, X, P0, phi, dt, strict_rk4, track_density)
             ok = np.all(np.isfinite(X_new), axis=-1)
             upd = ok & ~dead
             X[upd] = X_new[upd]
@@ -265,9 +332,11 @@ def propagate(cloud: EnsembleSnapshot, rhs: Callable, t_f: float, dt: float,
     Snapshots are produced at the initial time, every emit_every steps, and
     at t_f. Transport masses are carried through unchanged; densities evolve
     per the characteristic ODE (track_density=False runs the same state
-    integration as a plain Monte Carlo ensemble). With workers > 1 the
-    ensemble is chunked by sample index across a process pool (rhs must
-    then be picklable); the result is identical to the single-process run.
+    integration as a plain Monte Carlo ensemble). rhs is a vector field
+    rhs(t, x, p) or a ClosedLoop, whose closed-form divergence the density
+    then uses (see the module docstring). With workers > 1 the ensemble is
+    chunked by sample index across a process pool (rhs must then be
+    picklable); the result is identical to the single-process run.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -338,13 +407,14 @@ def query_density(x_star: np.ndarray, t: float, rhs: Callable, phi0,
 
     n_steps = max(1, int(round(t / dt)))
     dt_eff = t / n_steps
+    f, _ = _fields(rhs)
     with np.errstate(all="ignore"):
         for s in range(n_steps):
             tau = t - s * dt_eff
-            k1 = rhs(tau, x, p)
-            k2 = rhs(tau - 0.5 * dt_eff, x - 0.5 * dt_eff * k1, p)
-            k3 = rhs(tau - 0.5 * dt_eff, x - 0.5 * dt_eff * k2, p)
-            k4 = rhs(tau - dt_eff, x - dt_eff * k3, p)
+            k1 = f(tau, x, p)
+            k2 = f(tau - 0.5 * dt_eff, x - 0.5 * dt_eff * k1, p)
+            k3 = f(tau - 0.5 * dt_eff, x - 0.5 * dt_eff * k2, p)
+            k4 = f(tau - dt_eff, x - dt_eff * k3, p)
             x = x - dt_eff / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
             if not np.all(np.isfinite(x)):
                 raise UnresolvableQueryError(

@@ -245,6 +245,15 @@ def test_schedule_trim_missing_field_exits_2(capsys, tmp_path):
     assert str(trims) in err and "'V'" in err
 
 
+def test_schedule_empty_trim_list_exits_2(capsys, tmp_path):
+    trims = tmp_path / "s.json"
+    trims.write_text("[]")
+    out = tmp_path / "o.json"
+    code, _, err = run_cli(capsys, "schedule", "--trims", str(trims), "--out", str(out))
+    assert code == EXIT_CONFIG
+    assert "at least one trim point" in err and not out.exists()
+
+
 _json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-10**30, 10**30),
                           st.floats(), st.text(max_size=4))
 _cells = st.one_of(st.sampled_from(["0", "1", "-1", "0.5", "", "nan", "inf", "-inf",

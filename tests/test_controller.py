@@ -163,6 +163,11 @@ def test_schedule_rejects_partial_grid(grid_trims, params, tables):
         build_schedule(grid_trims[:37], params=params, tables=tables)
 
 
+def test_schedule_rejects_empty_trim_list(params, tables, nominal_trim):
+    with pytest.raises(ValueError, match="at least one trim point"):
+        build_schedule([], params=params, tables=tables, reference=nominal_trim)
+
+
 def test_gs_control_at_reference(schedule, nominal_trim):
     u = gs_control(nominal_trim.x_trim, schedule)
     assert np.allclose(u, nominal_trim.u_trim.as_array(), rtol=0, atol=1e-9)

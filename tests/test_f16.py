@@ -18,7 +18,6 @@ from otrobust.f16 import (
     LongitudinalState,
     SineDisturbance,
     SingularStateError,
-    closed_loop_rhs,
     dynamic_pressure,
     dynamics,
     lookup_coefficient,
@@ -202,19 +201,22 @@ def test_dynamics_batched_matches_scalar(params, tables, rng):
 
 
 def test_closed_loop_trim_fixed_point(params, tables, nominal_trim):
-    law = ConstantLaw(nominal_trim.u_trim)
-    xdot = closed_loop_rhs(nominal_trim.x_trim, None, 0.0, law, None, params, tables)
+    loop = ClosedLoop(law=ConstantLaw(nominal_trim.u_trim), params=params, tables=tables)
+    xdot = loop.state_rhs(0.0, nominal_trim.x_trim.as_array())
     scaled = np.array([xdot[1] / 100.0, xdot[2], xdot[3]])
     assert np.linalg.norm(scaled) <= nominal_trim.residual * (1 + 1e-9)
 
 
-def test_closed_loop_parameter_block_zero(params, tables, nominal_trim, rng):
-    law = ConstantLaw(nominal_trim.u_trim)
+def test_closed_loop_parameter_block_zero(params, tables, nominal_trim):
+    loop = ClosedLoop(law=ConstantLaw(nominal_trim.u_trim), params=params, tables=tables)
     p = np.array([[640.0, 3.4, 56000.0], [600.0, 3.5, 55000.0]])
     x = np.tile(nominal_trim.x_trim.as_array(), (2, 1))
-    out = closed_loop_rhs(x, p, 0.3, law, None, params, tables)
-    assert out.shape == (2, 7)
-    assert np.all(out[:, 4:] == 0.0)
+    out = loop.state_rhs(0.3, x, p)
+    # the state block only: the frozen parameters have no derivative to return
+    assert out.shape == (2, 4)
+    for i in range(2):
+        assert np.array_equal(out[i], loop.state_rhs(0.3, x[i], p[i]))
+    assert not np.array_equal(out[0], out[1])
 
 
 def test_disturbance_enters_elevator_before_saturation(params, tables, nominal_trim):

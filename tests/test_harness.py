@@ -213,6 +213,63 @@ def test_snapshot_csv_roundtrip(tmp_path, rng):
         assert np.array_equal(a.diverged, b.diverged)
 
 
+def _per_row_snapshot_csv(snapshots, path):
+    """The snapshot writer as it was, one numpy-indexed row at a time."""
+    import csv
+    from otrobust.harness import _snapshot_columns
+    has_params = snapshots[0].params.shape[1] == 3
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(_snapshot_columns(has_params))
+        for snap in snapshots:
+            for i in range(snap.n):
+                row = [snap.t, i, snap.states[i, 0] / DEG, snap.states[i, 1],
+                       snap.states[i, 2] / DEG, snap.states[i, 3] / DEG]
+                if has_params:
+                    row += snap.params[i].tolist()
+                row += [snap.phi[i], snap.gamma[i], int(snap.diverged[i])]
+                w.writerow(row)
+
+
+@pytest.mark.parametrize("with_params", [False, True])
+def test_snapshot_csv_bytes_match_per_row_writer(tmp_path, rng, with_params):
+    n = 7
+    states = rng.normal(size=(n, 4)) * [0.1, 100, 0.1, 0.1] + [0, 400, 0.1, 0]
+    states[2] = [1e-17, 1e16, -0.0, 123456.789]
+    phi = np.concatenate([rng.uniform(1, 2, n - 3), [4.8e28, 1e-300, 0.0]])
+    snaps = [EnsembleSnapshot(t=0.1 * k, states=states * (1 + k), phi=phi * (k + 1),
+                              params=(rng.normal(size=(n, 3)) + [600, 3.4, 55000]
+                                      if with_params else None),
+                              gamma=np.full(n, 1 / n),
+                              diverged=np.arange(n) % 3 == k)
+             for k in range(3)]
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    write_snapshot_csv(snaps, new)
+    _per_row_snapshot_csv(snaps, old)
+    assert new.read_bytes() == old.read_bytes()
+    assert b"1e+16" in new.read_bytes() and b",1\r\n" in new.read_bytes()
+
+
+def test_ic_report_hash_independent_of_workers_with_kink_rows(params, tables, setup,
+                                                              monkeypatch):
+    monkeypatch.delenv("OTROBUST_WORKERS", raising=False)
+    flagged = []
+    fused = ClosedLoop.state_rhs_div
+
+    def counting(self, t, x, p=None):
+        out = fused(self, t, x, p)
+        flagged.append(int(np.count_nonzero(out[2])))
+        return out
+
+    monkeypatch.setattr(ClosedLoop, "state_rhs_div", counting)
+    cfg = mini_cfg(samples=40, t_f=1.0)
+    rep = run_ic_scenario(cfg, params, tables, setup=setup)
+    assert sum(flagged) > 0  # some steps take the finite-difference fallback
+    rep2 = run_ic_scenario(ScenarioConfig(**{**cfg.to_dict(), "workers": 2}), params, tables,
+                           setup=setup)
+    assert rep2.content_hash == rep.content_hash
+
+
 def test_param_scenario_delta_zero_is_deterministic(params, tables, setup):
     cfg = ScenarioConfig(kind="param", controller="lqr", samples=8, t_f=1.5,
                          dt=0.01, emit_every=50, param_delta_percent=[0.0])
@@ -260,7 +317,7 @@ def test_param_stacked_slices_equal_own_propagation(param_small, params, tables,
         loop = ClosedLoop(law=setup.law(name), params=params, tables=tables)
         for delta in cfg.param_delta_percent:
             cloud = _param_cloud(cfg, float(delta), x0, params)
-            own = propagate(cloud, loop.state_rhs, cfg.t_f, cfg.dt, cfg.emit_every)
+            own = propagate(cloud, loop, cfg.t_f, cfg.dt, cfg.emit_every)
             sliced = rep.extras["snapshots"][f"{name}|delta={delta:g}"]
             assert len(sliced) == len(own)
             for a, b in zip(sliced, own):

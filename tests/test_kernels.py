@@ -1,14 +1,27 @@
 """Bit-identity of the fused aero lookup, the plant output and the stacked
 divergence against straightforward per-coefficient / per-direction
-reference formulas."""
+reference formulas, and the closed-form divergence against the finite-
+difference one on states packed around every kink of the closed loop."""
 
 import numpy as np
 import pytest
 
 from otrobust import liouville
 from otrobust.controller import LqrLaw, ScheduledLaw
-from otrobust.f16 import DEG, AeroTables, ClosedLoop, _aero, _rhs, lookup_coefficient
-from otrobust.liouville import DIVERGENCE_ROW_BUDGET, divergence
+from otrobust.f16 import (
+    DEG,
+    ELEVATOR_LIMIT,
+    H_REL,
+    THRUST_MAX,
+    THRUST_MIN,
+    AeroTables,
+    ClosedLoop,
+    SineDisturbance,
+    _aero,
+    _rhs,
+    lookup_coefficient,
+)
+from otrobust.liouville import DIVERGENCE_ROW_BUDGET, EnsembleSnapshot, divergence, propagate
 
 
 def _ref_interp1(bp, vals, x):
@@ -171,3 +184,120 @@ def test_propagation_step_makes_five_calls_at_desk_scale(rng):
         rng.standard_normal((200, 4)), np.ones(200), np.full(200, 1 / 200))
     liouville.propagate(cloud, rhs, 0.03, 0.01)
     assert len(rhs.rows) == 3 * 5
+
+
+def _kink_loop(law_kind, disturbed, params, tables, nominal_trim, nominal_gain, schedule):
+    law = (LqrLaw(K=nominal_gain, trim=nominal_trim) if law_kind == "lqr"
+           else ScheduledLaw(schedule))
+    return ClosedLoop(law=law, params=params, tables=tables,
+                      disturbance=SineDisturbance(6.5 * DEG, 2.0) if disturbed else None)
+
+
+def _kink_dense_states(loop, schedule, x_trim, t, rng, per_kink=4):
+    """States whose +/- h stencil in V, alpha or q lies 0-3 h from a kink:
+    thrust and elevator limits, delta_e breakpoints (commands), alpha
+    breakpoints and table edges, schedule node lines and the hull."""
+    spread = np.array([0.05, 30.0, 0.05, 0.2])
+    w = 0.0 if loop.disturbance is None else loop.disturbance(t)
+    rows = []
+
+    def command_at(c, value):
+        # theta moves either law's command linearly: put the command (plus
+        # w on the elevator) s h_k J_k away from the kink, direction k random
+        x = x_trim + spread * rng.uniform(-1.0, 1.0, 4)
+        h = H_REL * np.maximum(1.0, np.abs(x))
+        u, J, _, _ = loop.law.jacobian(x[None], h[None])
+        u, J = u[0], np.broadcast_to(J, (1, 2, 4))[0]
+        k = rng.integers(1, 4)
+        target = value + rng.uniform(-3.0, 3.0) * h[k] * J[c, k]
+        x[0] += (target - u[c] - (w if c == 1 else 0.0)) / J[c, 0]
+        return x
+
+    def state_at(k, value):
+        x = x_trim + spread * rng.uniform(-1.0, 1.0, 4)
+        x[k] = value + rng.uniform(-3.0, 3.0) * H_REL * max(1.0, abs(value))
+        return x
+
+    tab = loop.tables
+    for _ in range(per_kink):
+        rows += [command_at(0, THRUST_MIN), command_at(0, THRUST_MAX)]
+        rows += [command_at(1, v) for v in (-ELEVATOR_LIMIT, ELEVATOR_LIMIT)]
+        rows += [command_at(1, b * DEG) for b in tab.deltae_breakpoints_deg]
+        rows += [state_at(2, b * DEG) for b in tab.alpha_breakpoints_deg]
+        rows += [state_at(2, a) for a in schedule.alpha_nodes]
+        rows += [state_at(1, v) for v in schedule.V_nodes]
+    return np.array(rows)
+
+
+def _kink_case(law_kind, with_params, disturbed, params, tables, nominal_trim, nominal_gain,
+               schedule, rng, t):
+    loop = _kink_loop(law_kind, disturbed, params, tables, nominal_trim, nominal_gain, schedule)
+    X = _kink_dense_states(loop, schedule, nominal_trim.x_trim.as_array(), t, rng)
+    P = None
+    if with_params:
+        P = np.array([params.m, params.xcg, params.Jyy]) * rng.uniform(0.9, 1.1, (len(X), 3))
+    return loop, X, P
+
+
+KINK_CASES = [(law, p, d) for law in ("lqr", "scheduled") for p in (False, True)
+              for d in (False, True)]
+
+
+@pytest.mark.parametrize("law_kind, with_params, disturbed", KINK_CASES)
+def test_kink_dense_step_divergence_matches_finite_differences(
+        params, tables, nominal_trim, nominal_gain, schedule, rng, monkeypatch,
+        law_kind, with_params, disturbed):
+    t, dt = 0.4, 1e-9  # a tiny step keeps the midpoint X2 on the placed kinks
+    loop, X, P = _kink_case(law_kind, with_params, disturbed, params, tables, nominal_trim,
+                            nominal_gain, schedule, rng, t + 0.5 * dt)
+    seen = []
+    real = liouville._density_multiplier
+    monkeypatch.setattr(liouville, "_density_multiplier", lambda z: seen.append(z) or real(z))
+    liouville._step(loop.state_rhs, loop.state_rhs_div, t, X, P, np.ones(len(X)), dt,
+                    False, True)
+    X2 = X + 0.5 * dt * loop.state_rhs(t, X, P)
+    ref = divergence(loop.state_rhs, X2, P, t + 0.5 * dt)
+    xdot, _, kink = loop.state_rhs_div(t + 0.5 * dt, X2, P)
+    assert np.array_equal(xdot, loop.state_rhs(t + 0.5 * dt, X2, P))
+    assert 0 < np.count_nonzero(kink) < len(X)
+    got = seen[0] / dt
+    # Unflagged rows differ by the finite differences' own O(h^2) truncation:
+    # up to 1.2e-9 here (alpha near 39 deg, scheduled law), where the (h, h/2)
+    # Richardson extrapolation agrees with the closed form to 1e-11.
+    assert np.all(np.abs(got - ref) <= 2e-9 * np.maximum(1.0, np.abs(ref)))
+    # flagged rows carry the finite-difference value itself
+    assert np.array_equal(seen[0][kink], dt * ref[kink])
+
+
+@pytest.mark.parametrize("law_kind, with_params, disturbed", KINK_CASES)
+@pytest.mark.parametrize("strict_rk4", [False, True])
+def test_kink_dense_propagation_matches_finite_difference_path(
+        params, tables, nominal_trim, nominal_gain, schedule, rng,
+        law_kind, with_params, disturbed, strict_rk4):
+    loop, X, P = _kink_case(law_kind, with_params, disturbed, params, tables, nominal_trim,
+                            nominal_gain, schedule, rng, 0.0)
+    # the first step's midpoint already has rows for the k3-stacked fallback
+    X2 = X + 0.005 * loop.state_rhs(0.0, X, P)
+    assert np.any(loop.state_rhs_div(0.005, X2, P)[2])
+    cloud = EnsembleSnapshot.from_cloud(X, np.ones(len(X)), np.full(len(X), 1 / len(X)),
+                                        params=P)
+    fused = propagate(cloud, loop, 0.05, 0.01, strict_rk4=strict_rk4)
+    fd = propagate(cloud, loop.state_rhs, 0.05, 0.01, strict_rk4=strict_rk4)
+    for a, b in zip(fused, fd):
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.diverged, b.diverged)
+        assert a.phi == pytest.approx(b.phi, rel=1e-9)
+
+
+def test_law_without_jacobian_takes_finite_differences(params, tables, nominal_trim, rng):
+    K = np.array([[-500.0, 20.0, 300.0, 50.0], [0.1, 0.001, 0.5, 0.2]])
+    u0 = nominal_trim.u_trim.as_array()
+    loop = ClosedLoop(law=lambda x: u0 - (x - nominal_trim.x_trim.as_array()) @ K.T,
+                      params=params, tables=tables)
+    X = _states(nominal_trim, 30, rng)
+    cloud = EnsembleSnapshot.from_cloud(X, np.ones(30), np.full(30, 1 / 30))
+    fused = propagate(cloud, loop, 0.03, 0.01)
+    fd = propagate(cloud, loop.state_rhs, 0.03, 0.01)
+    for a, b in zip(fused, fd):
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.phi, b.phi)
