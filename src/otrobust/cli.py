@@ -104,6 +104,16 @@ def _scenario_config_from_args(args) -> ScenarioConfig:
     return ScenarioConfig(**doc)
 
 
+def _time_stamps(times) -> list[str]:
+    """Zero-padded fixed-point times, two decimals or as many more as it
+    takes to tell every time apart (file names of propagate --per-time)."""
+    for places in range(2, 18):
+        stamps = [f"{t:0{places + 5}.{places}f}" for t in times]
+        if len(set(stamps)) == len(stamps):
+            return stamps
+    raise ValueError("snapshot times repeat")
+
+
 def _cmd_propagate(args) -> int:
     cfg = _scenario_config_from_args(args)
     params, tables = _load_params_tables(args)
@@ -129,8 +139,8 @@ def _cmd_propagate(args) -> int:
         snaps = harness.propagate(cloud, loop, cfg.t_f, cfg.dt,
                                   cfg.emit_every, cfg.strict_rk4, cfg.workers)
         if args.per_time:
-            for s in snaps:
-                harness.write_snapshot_csv([s], out_dir / f"{name}_t{s.t:07.2f}.csv")
+            for s, stamp in zip(snaps, _time_stamps([s.t for s in snaps])):
+                harness.write_snapshot_csv([s], out_dir / f"{name}_t{stamp}.csv")
         else:
             harness.write_snapshot_csv(snaps, out_dir / f"{name}.csv")
         print(f"{name}: {len(snaps)} snapshots, "

@@ -399,12 +399,14 @@ def _gain_cell(x, schedule: GainSchedule):
     x = np.asarray(x, dtype=float)
     i, wv = _cell_weights(schedule.V_nodes, x[..., 1])
     j, wa = _cell_weights(schedule.alpha_nodes, x[..., 2])
-    i1 = np.minimum(i + 1, schedule.V_nodes.size - 1)
-    j1 = np.minimum(j + 1, schedule.alpha_nodes.size - 1)
     grid = schedule.K
     na = schedule.alpha_nodes.size
     flat = grid.reshape((-1,) + grid.shape[2:])  # row i * na + j holds node (i, j)
-    corners = tuple(flat.take(a * na + b, axis=0) for a, b in ((i, j), (i1, j), (i, j1), (i1, j1)))
+    # _cell_weights keeps i + 1 (j + 1) on the lattice unless the axis has
+    # one node, where the neighbour is the node itself: offset 0.
+    dv = na if schedule.V_nodes.size > 1 else 0
+    da = 1 if na > 1 else 0
+    corners = tuple(flat.take(np.add.outer((0, dv, da, dv + da), i * na + j), axis=0))
     shape = np.shape(wv) + (1,) * (grid.ndim - 2)  # trailing value axes
     return (i, j), corners, wv.reshape(shape), wa.reshape(shape)
 

@@ -27,6 +27,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -375,25 +376,39 @@ def _snapshot_columns(has_params: bool) -> list[str]:
             + ["phi", "gamma", "diverged"])
 
 
-def write_snapshot_csv(snapshots, path, controller: str = "") -> None:
-    """Long-format snapshot CSV (all emitted times in one file)."""
+def _float_column(values: np.ndarray):
+    """The repr of each value. A column whose values are bit-identical (the
+    int64 view, so 0.0 and -0.0 stay apart) is formatted once and repeated."""
+    bits = values.view(np.int64)
+    if (bits == bits[0]).all():
+        return repeat(repr(float(values[0])), values.size)
+    return map(repr, values.tolist())
+
+
+def write_snapshot_csv(snapshots, path) -> None:
+    """Long-format snapshot CSV (all emitted times in one file).
+
+    The bytes are those csv.writer writes for the same rows: repr floats,
+    str(t), CRLF line ends, and no quoting, which no field needs since none
+    can hold a delimiter, a quote or a newline. Each snapshot is one write;
+    its line ends ride on the last (diverged) column.
+    """
     snapshots = snapshots if isinstance(snapshots, (list, tuple)) else [snapshots]
     has_params = snapshots[0].params.shape[1] == 3
-    cols = _snapshot_columns(has_params)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(cols)
+        f.write(",".join(_snapshot_columns(has_params)) + "\r\n")
         for snap in snapshots:
             x = snap.states
-            columns = [[snap.t] * snap.n, range(snap.n), (x[:, 0] / DEG).tolist(),
-                       x[:, 1].tolist(), (x[:, 2] / DEG).tolist(), (x[:, 3] / DEG).tolist()]
+            floats = [x[:, 0] / DEG, x[:, 1], x[:, 2] / DEG, x[:, 3] / DEG]
             if has_params:
-                columns += snap.params.T.tolist()
-            columns += [snap.phi.tolist(), snap.gamma.tolist(),
-                        snap.diverged.astype(int).tolist()]
-            w.writerows(zip(*columns))
+                floats += list(snap.params.T)
+            floats += [snap.phi, snap.gamma]
+            columns = [repeat(str(snap.t), snap.n), map(str, range(snap.n)),
+                       *map(_float_column, floats),
+                       [("0\r\n", "1\r\n")[d] for d in snap.diverged.tolist()]]
+            f.write("".join(map(",".join, zip(*columns))))
 
 
 def read_snapshot_csv(path) -> list[EnsembleSnapshot]:

@@ -209,9 +209,8 @@ def find_trim(V: float, alpha: float, params: AircraftParams | None = None,
         )
         nfev += int(sol.nfev)
         z = sol.x
-        r = _residual(z, V, alpha, params, tables)
-        rnorm = float(np.linalg.norm(r))
-        g = _jacobian(z, V, alpha, params, tables).T @ r
+        rnorm = float(np.linalg.norm(sol.fun))
+        g = sol.jac.T @ sol.fun  # both evaluated at sol.x
         optimality = float(np.max(np.abs(_projected_gradient(z, g))))
         if rnorm < _RTOL or optimality < _GTOL:
             break

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from otrobust.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from otrobust.harness import read_snapshot_csv
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +96,25 @@ def test_propagate_per_time_files(capsys, tmp_path):
                          "--out", str(out_dir), "--per-time")
     assert code == EXIT_OK
     assert len(list(out_dir.glob("lqr_t*.csv"))) == 3
+    assert (out_dir / "lqr_t0000.10.csv").exists()  # the two-decimal names stay
+
+
+def test_propagate_per_time_files_at_a_fine_cadence(capsys, tmp_path):
+    # Emitted every 1 ms: two decimals would give 7 snapshots only 2 names.
+    cfg = {"kind": "ic", "controller": "lqr", "samples": 4, "t_f": 0.006,
+           "dt": 0.001, "emit_every": 1, "seed": 1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "pertime"
+    code, out, _ = run_cli(capsys, "propagate", "--scenario", str(cfg_path),
+                           "--out", str(out_dir), "--per-time")
+    assert code == EXIT_OK and "7 snapshots" in out
+    files = sorted(out_dir.glob("lqr_t*.csv"))
+    assert len(files) == 7
+    for k, path in enumerate(files):
+        (snap,) = read_snapshot_csv(path)
+        assert snap.t == pytest.approx(0.001 * k, abs=1e-12)
+        assert path.name == f"lqr_t{snap.t:08.3f}.csv"
 
 
 def test_freq_subcommand(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from otrobust.controller import (
     LqrLaw,
     LqrWeights,
     SynthesisError,
+    _cell_weights,
     build_schedule,
     care_residual,
     gs_control,
@@ -192,6 +194,26 @@ def test_gain_interpolation_clamps_to_hull(schedule):
     x_hi_edge = np.array([0.0, 400.0, 45.0 * DEG, 0.0])
     assert np.array_equal(interpolate_gain(x_hi, schedule),
                           interpolate_gain(x_hi_edge, schedule))
+
+
+@pytest.mark.parametrize("nv, na", [(10, 10), (1, 10), (10, 1), (1, 1)])
+def test_gain_gather_matches_corner_indexing(schedule, rng, nv, na):
+    # The one-take corner gather against K[i, j] ... K[i+1, j+1] indexed one
+    # corner at a time, on sub-lattices with a one-node axis too.
+    sub = dataclasses.replace(
+        schedule, V_nodes=schedule.V_nodes[:nv], alpha_nodes=schedule.alpha_nodes[:na],
+        x_trims=schedule.x_trims[:nv, :na], u_trims=schedule.u_trims[:nv, :na],
+        K=schedule.K[:nv, :na], abscissa_open=schedule.abscissa_open[:nv, :na],
+        abscissa_closed=schedule.abscissa_closed[:nv, :na])
+    x = rng.uniform([-0.5, 50.0, -20 * DEG, -1.0], [0.5, 1100.0, 60 * DEG, 1.0], (300, 4))
+    i, wv = _cell_weights(sub.V_nodes, x[:, 1])
+    j, wa = _cell_weights(sub.alpha_nodes, x[:, 2])
+    i1, j1 = np.minimum(i + 1, nv - 1), np.minimum(j + 1, na - 1)
+    wv, wa = wv[:, None, None], wa[:, None, None]
+    expect = ((1 - wv) * (1 - wa) * sub.K[i, j] + wv * (1 - wa) * sub.K[i1, j]
+              + (1 - wv) * wa * sub.K[i, j1] + wv * wa * sub.K[i1, j1])
+    assert np.array_equal(interpolate_gain(x, sub), expect)
+    assert np.array_equal(interpolate_gain(x[7], sub), expect[7])
 
 
 def test_single_node_schedule_degenerates_to_lqr(params, tables, nominal_trim,

@@ -231,23 +231,64 @@ def _per_row_snapshot_csv(snapshots, path):
                 w.writerow(row)
 
 
-@pytest.mark.parametrize("with_params", [False, True])
-def test_snapshot_csv_bytes_match_per_row_writer(tmp_path, rng, with_params):
+def _mixed_snapshots(rng, with_params):
     n = 7
     states = rng.normal(size=(n, 4)) * [0.1, 100, 0.1, 0.1] + [0, 400, 0.1, 0]
     states[2] = [1e-17, 1e16, -0.0, 123456.789]
     phi = np.concatenate([rng.uniform(1, 2, n - 3), [4.8e28, 1e-300, 0.0]])
-    snaps = [EnsembleSnapshot(t=0.1 * k, states=states * (1 + k), phi=phi * (k + 1),
-                              params=(rng.normal(size=(n, 3)) + [600, 3.4, 55000]
-                                      if with_params else None),
-                              gamma=np.full(n, 1 / n),
-                              diverged=np.arange(n) % 3 == k)
-             for k in range(3)]
+    return [EnsembleSnapshot(t=0.1 * k, states=states * (1 + k), phi=phi * (k + 1),
+                             params=(rng.normal(size=(n, 3)) + [600, 3.4, 55000]
+                                     if with_params else None),
+                             gamma=np.full(n, 1 / n),
+                             diverged=np.arange(n) % 3 == k)
+            for k in range(3)]
+
+
+def _constant_column_snapshots(rng):
+    # q holds 0.0 and -0.0, equal under == but not in bits; phi is a constant
+    # NaN; the t = 0 snapshot is the param shape, every state row the same.
+    n = 5
+    x0 = np.array([0.05, 410.0, 0.1, 0.02])
+    q = np.array([0.0, 0.0, -0.0, 0.0, 0.0])
+    states = np.column_stack([rng.normal(size=(n, 3)) + x0[:3], q])
+    params_block = rng.normal(size=(n, 3)) + [600, 3.4, 55000]
+    return [EnsembleSnapshot(t=0.0, states=np.tile(x0, (n, 1)), params=params_block,
+                             phi=np.ones(n), gamma=np.full(n, 0.2), diverged=None),
+            EnsembleSnapshot(t=np.float64(0.1) * 3, states=states, params=params_block,
+                             phi=np.full(n, np.nan), gamma=np.full(n, 0.2),
+                             diverged=q == 0)]
+
+
+@pytest.mark.parametrize("case", [False, True, "constant_columns", "one_row"])
+def test_snapshot_csv_bytes_match_per_row_writer(tmp_path, rng, case):
+    # False / True: mixed values without / with a parameter block.
+    if case == "constant_columns":
+        snaps = _constant_column_snapshots(rng)
+    elif case == "one_row":
+        snaps = [EnsembleSnapshot(t=np.float64(2.5), states=[[-0.0, 400.0, 0.1, 1e-5]],
+                                  params=None, phi=[3.0], gamma=[1.0], diverged=[True])]
+    else:
+        snaps = _mixed_snapshots(rng, with_params=case)
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     write_snapshot_csv(snaps, new)
     _per_row_snapshot_csv(snaps, old)
-    assert new.read_bytes() == old.read_bytes()
-    assert b"1e+16" in new.read_bytes() and b",1\r\n" in new.read_bytes()
+    body = new.read_bytes()
+    assert body == old.read_bytes()
+    if isinstance(case, bool):
+        assert b"1e+16" in body and b",1\r\n" in body
+    if case == "constant_columns":
+        assert b",-0.0," in body and b",nan," in body and b"\r\n0.30000000000000004,0," in body
+
+
+def test_scenario_snapshot_csvs_match_per_row_writer(tmp_path, params, tables, setup):
+    cfg = ScenarioConfig(kind="param", controller="lqr", samples=6, t_f=0.1, dt=0.01,
+                         emit_every=5, seed=3, param_delta_percent=[2.5],
+                         output_dir=str(tmp_path / "run"))
+    rep = run_param_scenario(cfg, params, tables, setup=setup, keep_snapshots=True)
+    for key, snaps in rep.extras["snapshots"].items():
+        _per_row_snapshot_csv(snaps, tmp_path / "oracle.csv")
+        written = (tmp_path / "run" / "snapshots" / f"{key}.csv").read_bytes()
+        assert written == (tmp_path / "oracle.csv").read_bytes()
 
 
 def test_ic_report_hash_independent_of_workers_with_kink_rows(params, tables, setup,

@@ -150,3 +150,17 @@ def test_find_trim_independent_of_jacobian_evaluation(params, tables, monkeypatc
     stacked = find_trim(V, alpha, params, tables)
     monkeypatch.setattr(trim_module, "_jacobian", _loop_jacobian)
     assert find_trim(V, alpha, params, tables) == stacked
+
+
+@pytest.mark.parametrize("node", ["nominal", 0, 37, 99])
+def test_reported_residual_and_optimality_are_those_at_the_trim(params, tables, nominal_trim,
+                                                                 grid_trims, node):
+    # find_trim reads them from the solver's last evaluations; they must be
+    # bitwise what a fresh residual and Jacobian at the returned point give.
+    tp = nominal_trim if node == "nominal" else grid_trims[node]
+    V, alpha = tp.x_trim.V, tp.x_trim.alpha
+    z = np.array([tp.x_trim.theta, tp.u_trim.T, tp.u_trim.delta_e])
+    r = _residual(z, V, alpha, params, tables)
+    g = _jacobian(z, V, alpha, params, tables).T @ r
+    assert tp.residual == float(np.linalg.norm(r))
+    assert tp.optimality == float(np.max(np.abs(trim_module._projected_gradient(z, g))))
