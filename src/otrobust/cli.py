@@ -119,23 +119,8 @@ def _cmd_propagate(args) -> int:
     params, tables = _load_params_tables(args)
     setup = harness.build_controllers(params, tables,
                                       need_schedule="gslqr" in cfg.controllers)
-    x_trim = setup.trim.x_trim.as_array()
-    if cfg.kind == "param":
-        delta = cfg.param_delta_percent[0] if cfg.param_delta_percent else 0.0
-        cloud = harness._param_cloud(cfg, float(delta),
-                                     x_trim + harness._x_pert_internal(cfg), params)
-    else:
-        cloud = harness.initial_cloud(cfg, x_trim)
-
-    from .f16 import ClosedLoop, SineDisturbance
     out_dir = Path(args.out)
-    for name in cfg.controllers:
-        disturbance = None
-        if cfg.kind == "disturbance":
-            omega = cfg.omega_rad_s[0] if cfg.omega_rad_s else 0.0
-            disturbance = SineDisturbance(cfg.disturbance_amp_deg * DEG, float(omega))
-        loop = ClosedLoop(law=setup.law(name), params=params, tables=tables,
-                          disturbance=disturbance)
+    for name, loop, cloud in harness._first_cases(cfg, setup, params, tables):
         snaps = harness.propagate(cloud, loop, cfg.t_f, cfg.dt,
                                   cfg.emit_every, cfg.strict_rk4, cfg.workers)
         if args.per_time:

@@ -313,14 +313,6 @@ def lookup_coefficient(tables: AeroTables, which: str, alpha, delta_e=0.0):
     return np.take(_aero(tables, alpha, delta_e)[k // 3], k % 3, axis=-1)
 
 
-def dynamic_pressure(V, params: AircraftParams):
-    """Dynamic pressure 0.5 rho(h) V^2 in lb/ft^2 at the configured altitude."""
-    V = np.asarray(V, dtype=float)
-    if not np.all(np.isfinite(V)):
-        raise ValueError("non-finite velocity")
-    return 0.5 * params.density() * V * V
-
-
 def saturate_array(u: np.ndarray) -> np.ndarray:
     """Clamp (..., 2) control arrays to the actuator box."""
     u = np.asarray(u, dtype=float)
@@ -328,14 +320,6 @@ def saturate_array(u: np.ndarray) -> np.ndarray:
     out[..., 0] = np.minimum(np.maximum(u[..., 0], THRUST_MIN), THRUST_MAX)
     out[..., 1] = np.minimum(np.maximum(u[..., 1], -ELEVATOR_LIMIT), ELEVATOR_LIMIT)
     return out
-
-
-def saturate(u: ControlInput) -> ControlInput:
-    """Clamp thrust to [1000, 28000] lb and elevator to +/-25 deg."""
-    return ControlInput(
-        float(np.clip(u.T, THRUST_MIN, THRUST_MAX)),
-        float(np.clip(u.delta_e, -ELEVATOR_LIMIT, ELEVATOR_LIMIT)),
-    )
 
 
 def _rhs(x: np.ndarray, u: np.ndarray, m, xcg, Jyy, params: AircraftParams,
@@ -526,21 +510,6 @@ class ClosedLoop:
         bp = self.tables.deltae_breakpoints_deg * DEG
         bp = bp[np.abs(bp) < ELEVATOR_LIMIT] if bp.size > 1 else bp[:0]
         return np.concatenate([[-ELEVATOR_LIMIT], bp, [ELEVATOR_LIMIT]])
-
-
-@dataclass(frozen=True, eq=False)
-class ConstantLaw:
-    """Control law that ignores the state (open-loop hold)."""
-
-    u: np.ndarray
-
-    def __post_init__(self):
-        u = self.u.as_array() if isinstance(self.u, ControlInput) else np.asarray(self.u, dtype=float)
-        u.setflags(write=False)
-        object.__setattr__(self, "u", u)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.u, np.shape(x)[:-1] + (2,)).copy()
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,16 @@ every emitted time.
   disturbance initial-condition box plus a sinusoidal elevator disturbance
               swept over forcing frequencies
 
-Every curve is a closed-form Dirac distance to trim, the param one on the
-extended space (see run_param_scenario); the transportation LP is kept
-for general CLI inputs and as the oracle of that score. Wasserstein
+One case generator (_cases) turns a config into propagations and the
+variants each carries, and one runner (run_scenario) scores every variant;
+mc_compare and the CLI's propagate take their clouds and loops from the
+same generator. Every curve is a closed-form Dirac distance to trim, the
+param one on the extended space (see _cases); the transportation LP is
+kept for general CLI inputs and as the oracle of that score. Wasserstein
 values are reported in the degree-based unit convention (deg, ft/s, deg,
-deg/s) used by all file outputs. Reports are plain dicts rendered to
-report.json / W.csv / snapshot CSVs, stamped with a content hash so
-identical configurations are bit-reproducible.
+deg/s) of STATE_UNITS, used by all file outputs. Reports are plain dicts
+rendered to report.json / W.csv / snapshot CSVs, stamped with a content
+hash so identical configurations are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +46,7 @@ from .controller import (
     lqr_gain,
     spectral_abscissa,
 )
-from .f16 import DEG, AeroTables, AircraftParams, ClosedLoop, SineDisturbance
+from .f16 import DEG, AeroTables, AircraftParams, ClosedLoop, SineDisturbance, as_number
 from .liouville import EnsembleSnapshot, likelihood_extremes, propagate
 from .sampling import BoxDomain, InitialPdf, halton, mcmc_sample, weighted_cloud
 from .transport import wasserstein_dirac
@@ -71,8 +74,12 @@ DEFAULT_DELTAS = [0.5, 2.5, 5.0, 7.5, 15.0]
 DEFAULT_OMEGAS = [0.0, 2.0, 100.0]
 DEFAULT_DISTURBANCE_AMP_DEG = 6.5
 
+STATE_KEYS = ("theta", "V", "alpha", "q")
+# Internal value of one reporting unit per state (deg, ft/s, deg, deg/s): the
+# one place configs, snapshot files and scores convert units.
+STATE_UNITS = np.array([DEG, 1.0, DEG, DEG])
 # Cost weights expressing states in the reporting units (angles in deg).
-PAPER_STATE_SCALE = np.array([1.0 / DEG, 1.0, 1.0 / DEG, 1.0 / DEG])
+PAPER_STATE_SCALE = 1.0 / STATE_UNITS
 
 SNAPSHOT_BASE_COLUMNS = ["t", "id", "theta_deg", "V", "alpha_deg", "q_dps"]
 SNAPSHOT_PARAM_COLUMNS = ["m", "xcg", "Jyy"]
@@ -88,6 +95,20 @@ class ConfigError(ValueError):
 
 class NumericalFailure(RuntimeError):
     """A scenario aborted on a numerical error."""
+
+
+def _check_int(v, what: str) -> None:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ConfigError(f"{what} must be an integer, got {v!r}")
+
+
+def _check_number(v, what: str) -> None:
+    try:
+        if math.isfinite(as_number(v, what)):
+            return
+    except ValueError:
+        pass
+    raise ConfigError(f"{what} must be a finite number, got {v!r}")
 
 
 @dataclass
@@ -117,6 +138,18 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
         if self.controller not in ("lqr", "gslqr", "both"):
             raise ConfigError(f"unknown controller {self.controller!r}")
+        for name in ("samples", "emit_every", "seed"):
+            _check_int(getattr(self, name), name)
+        if self.workers is not None:
+            _check_int(self.workers, "workers")
+            if self.workers < 1:
+                raise ConfigError("workers must be at least 1")
+        for name in ("t_f", "dt", "disturbance_amp_deg"):
+            _check_number(getattr(self, name), name)
+        if not isinstance(self.strict_rk4, bool):
+            raise ConfigError(f"strict_rk4 must be true or false, got {self.strict_rk4!r}")
+        if not (self.output_dir is None or isinstance(self.output_dir, str)):
+            raise ConfigError(f"output_dir must be a path string, got {self.output_dir!r}")
         if not (self.t_f > 0 and self.dt > 0 and self.samples > 0):
             raise ConfigError("t_f, dt and samples must be positive")
         if self.emit_every < 1:
@@ -129,12 +162,29 @@ class ScenarioConfig:
             self.param_delta_percent = [float(self.param_delta_percent)]
         if isinstance(self.omega_rad_s, (int, float)):
             self.omega_rad_s = [float(self.omega_rad_s)]
-        for key in ("theta", "V", "alpha", "q"):
+        sweep = {"param": "param_delta_percent", "disturbance": "omega_rad_s"}.get(self.kind)
+        if sweep:
+            values = getattr(self, sweep)
+            if not (isinstance(values, (list, tuple)) and values):
+                raise ConfigError(f"a {self.kind} scenario needs a non-empty list {sweep}")
+            for v in values:
+                _check_number(v, f"{sweep} entry")
+        for what in ("ic_box_deg", "x_pert"):
+            if not isinstance(getattr(self, what), dict):
+                raise ConfigError(f"{what} must be a JSON object")
+        for key in STATE_KEYS:
             if key not in self.ic_box_deg:
                 raise ConfigError(f"ic_box_deg missing {key!r}")
-            lo, hi = self.ic_box_deg[key]
-            if not lo < hi:
+            bounds = self.ic_box_deg[key]
+            if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
+                raise ConfigError(f"ic_box_deg[{key!r}] must be a [lo, hi] pair")
+            for v in bounds:
+                _check_number(v, f"ic_box_deg[{key!r}] bound")
+            if not bounds[0] < bounds[1]:
                 raise ConfigError(f"ic_box_deg[{key!r}] is not a proper interval")
+            if key not in self.x_pert:
+                raise ConfigError(f"x_pert missing {key!r}")
+            _check_number(self.x_pert[key], f"x_pert[{key!r}]")
 
     @property
     def controllers(self) -> list[str]:
@@ -207,20 +257,13 @@ def build_controllers(params: AircraftParams | None = None,
 
 
 def _ic_box_internal(cfg: ScenarioConfig, x_trim: np.ndarray) -> BoxDomain:
-    b = cfg.ic_box_deg
-    lower = x_trim + np.array([b["theta"][0] * DEG, b["V"][0],
-                               b["alpha"][0] * DEG, b["q"][0] * DEG])
-    upper = x_trim + np.array([b["theta"][1] * DEG, b["V"][1],
-                               b["alpha"][1] * DEG, b["q"][1] * DEG])
-    return BoxDomain(lower, upper)
+    lower, upper = np.array([cfg.ic_box_deg[k] for k in STATE_KEYS], dtype=float).T
+    return BoxDomain(x_trim + lower * STATE_UNITS, x_trim + upper * STATE_UNITS)
 
 
 def _x_pert_internal(cfg: ScenarioConfig) -> np.ndarray:
-    p = cfg.x_pert
-    vec = np.array([p["theta"], p["V"], p["alpha"], p["q"]], dtype=float)
-    if cfg.x_pert_units == "deg":
-        vec = vec * np.array([DEG, 1.0, DEG, DEG])
-    return vec
+    vec = np.array([cfg.x_pert[k] for k in STATE_KEYS], dtype=float)
+    return vec * STATE_UNITS if cfg.x_pert_units == "deg" else vec
 
 
 def initial_cloud(cfg: ScenarioConfig, x_trim: np.ndarray) -> EnsembleSnapshot:
@@ -306,7 +349,7 @@ def _histograms(snapshots, bins: int = 40) -> list[dict]:
     out = []
     for snap in snapshots:
         axes = {}
-        for k, name in enumerate(("theta", "V", "alpha", "q")):
+        for k, name in enumerate(STATE_KEYS):
             masses, edges = marginal_histogram(snap, k, bins)
             axes[name] = {"edges": edges.tolist(), "mass": masses.tolist()}
         out.append({"t": snap.t, "axes": axes})
@@ -400,8 +443,7 @@ def write_snapshot_csv(snapshots, path) -> None:
     with open(path, "w", newline="") as f:
         f.write(",".join(_snapshot_columns(has_params)) + "\r\n")
         for snap in snapshots:
-            x = snap.states
-            floats = [x[:, 0] / DEG, x[:, 1], x[:, 2] / DEG, x[:, 3] / DEG]
+            floats = list((snap.states / STATE_UNITS).T)
             if has_params:
                 floats += list(snap.params.T)
             floats += [snap.phi, snap.gamma]
@@ -429,9 +471,8 @@ def read_snapshot_csv(path) -> list[EnsembleSnapshot]:
     snaps = []
     for t in sorted(by_t):
         chunk = sorted(by_t[t], key=lambda r: int(r["id"]))
-        states = np.array([[float(r["theta_deg"]) * DEG, float(r["V"]),
-                            float(r["alpha_deg"]) * DEG, float(r["q_dps"]) * DEG]
-                           for r in chunk])
+        states = np.array([[float(r[c]) for c in SNAPSHOT_BASE_COLUMNS[2:]]
+                           for r in chunk]) * STATE_UNITS
         params = (np.array([[float(r["m"]), float(r["xcg"]), float(r["Jyy"])]
                             for r in chunk]) if has_params else None)
         phi = np.array([float(r["phi"]) for r in chunk])
@@ -465,47 +506,6 @@ def _key(controller: str, variant: str) -> str:
     return f"{controller}|{variant}" if variant else controller
 
 
-def run_ic_scenario(cfg: ScenarioConfig,
-                    params: AircraftParams | None = None,
-                    tables: AeroTables | None = None,
-                    setup: ControllerSetup | None = None,
-                    keep_snapshots: bool = False) -> RunReport:
-    """Initial-condition uncertainty study: uniform box around trim."""
-    if cfg.kind != "ic":
-        raise ConfigError(f"run_ic_scenario got kind {cfg.kind!r}")
-    params = params or AircraftParams()
-    tables = tables or AeroTables.default()
-    setup = setup or build_controllers(params, tables,
-                                       need_schedule="gslqr" in cfg.controllers)
-    x_trim = setup.trim.x_trim.as_array()
-    cloud = initial_cloud(cfg, x_trim)
-
-    report = RunReport(scenario="ic", config=cfg.to_dict(),
-                       nominal_trim=setup.trim.to_dict(), curves=[],
-                       histograms={}, extremes={}, diverged={}, nonconverged={})
-    snapshots_by_key = {}
-    for name in cfg.controllers:
-        loop = ClosedLoop(law=setup.law(name), params=params, tables=tables)
-        snaps = propagate(cloud, loop, cfg.t_f, cfg.dt,
-                          cfg.emit_every, cfg.strict_rk4, cfg.workers)
-        W = _W_dirac_series(snaps, x_trim)
-        report.curves.append({"controller": name, "variant": "",
-                              "t": [s.t for s in snaps], "W": W,
-                              "W_mass": _W_dirac_series(snaps, x_trim, "mass")})
-        report.histograms[name] = _histograms(snaps)
-        report.extremes[name] = _extremes_records(snaps)
-        report.diverged[name] = int(np.count_nonzero(snaps[-1].diverged))
-        report.nonconverged[name] = _nonconverged_count(snaps[-1], x_trim)
-        if keep_snapshots:
-            snapshots_by_key[_key(name, "")] = snaps
-    report.finalize()
-    if cfg.output_dir:
-        save_report(report, cfg.output_dir, snapshots_by_key or None)
-    if keep_snapshots:
-        report.extras["snapshots"] = snapshots_by_key
-    return report
-
-
 def _param_cloud(cfg: ScenarioConfig, delta: float, x0: np.ndarray,
                  params: AircraftParams) -> EnsembleSnapshot:
     nominal = np.array([params.m, params.xcg, params.Jyy])
@@ -526,61 +526,108 @@ def _param_cloud(cfg: ScenarioConfig, delta: float, x0: np.ndarray,
                             metadata={"scenario": "param", "delta": delta})
 
 
-def run_param_scenario(cfg: ScenarioConfig,
-                       params: AircraftParams | None = None,
-                       tables: AeroTables | None = None,
-                       setup: ControllerSetup | None = None,
-                       keep_snapshots: bool = False) -> RunReport:
-    """Parametric uncertainty study: +/- delta % boxes on (m, xcg, Jyy).
+def _cases(cfg: ScenarioConfig, x_trim: np.ndarray, setup: ControllerSetup,
+           params: AircraftParams, tables: AeroTables):
+    """The propagations of a scenario, in report order.
 
-    Per controller, the deterministic (nominal-parameter) trajectory and
-    all delta clouds propagate as one stacked ensemble [x0 | cloud_1 | ...]
-    sliced back per variant (samples are independent). The extended-space
-    W against the trim-pinned reference sharing the parameter samples, with
-    transport masses on both marginals, is the mass-weighted Dirac distance
-    to trim: every coupling pays sum_i gamma_i ||x_i - x_trim||^2 and the
-    identity pays no parameter displacement (extended_wasserstein's LP is
-    the oracle). The deterministic distance-to-trim curve rides alongside.
+    Yields (controller, ClosedLoop, initial ensemble, variants); a variant
+    is (name, the ensemble rows it owns, the cloud whose params, masses and
+    metadata its snapshots carry).
+      ic          per controller: the box cloud, variant ""
+      disturbance per omega, then per controller: the box cloud under
+                  w(t) = A sin(omega t), variant "omega=.."
+      param       per controller: the deterministic trajectory (row 0) and
+                  every delta cloud stacked [x0 | cloud_1 | ...], variant
+                  "delta=.." per cloud; rows are independent, so a slice
+                  equals its cloud's own propagation bit for bit.
+    The param W against the trim-pinned reference sharing the parameter
+    samples, with transport masses on both marginals, is the mass-weighted
+    Dirac distance to trim: every coupling pays sum_i gamma_i ||x_i -
+    x_trim||^2 and the identity pays no parameter displacement
+    (extended_wasserstein's LP is the oracle).
     """
-    if cfg.kind != "param":
-        raise ConfigError(f"run_param_scenario got kind {cfg.kind!r}")
+    def loop(name, disturbance=None):
+        return ClosedLoop(law=setup.law(name), params=params, tables=tables,
+                          disturbance=disturbance)
+
+    if cfg.kind == "param":
+        x0 = x_trim + _x_pert_internal(cfg)
+        clouds = [_param_cloud(cfg, float(d), x0, params) for d in cfg.param_delta_percent]
+        rows = 1 + cfg.samples * len(clouds)
+        stacked = EnsembleSnapshot.from_cloud(
+            np.vstack([x0] + [c.states for c in clouds]),
+            np.concatenate([[1.0]] + [c.phi for c in clouds]),
+            np.full(rows, 1.0 / rows),
+            params=np.vstack([[params.m, params.xcg, params.Jyy]] + [c.params for c in clouds]))
+        variants = [(f"delta={d:g}", slice(1 + k * cfg.samples, 1 + (k + 1) * cfg.samples), c)
+                    for k, (d, c) in enumerate(zip(cfg.param_delta_percent, clouds))]
+        for name in cfg.controllers:
+            yield name, loop(name), stacked, variants
+        return
+    cloud = initial_cloud(cfg, x_trim)
+    if cfg.kind == "ic":
+        for name in cfg.controllers:
+            yield name, loop(name), cloud, [("", slice(None), cloud)]
+        return
+    for omega in cfg.omega_rad_s:
+        disturbance = SineDisturbance(cfg.disturbance_amp_deg * DEG, float(omega))
+        for name in cfg.controllers:
+            yield name, loop(name, disturbance), cloud, [(f"omega={omega:g}", slice(None), cloud)]
+
+
+def _first_cases(cfg: ScenarioConfig, setup: ControllerSetup,
+                 params: AircraftParams, tables: AeroTables):
+    """(controller, ClosedLoop, cloud) of each controller's first case: the
+    first omega, or the first delta cloud on its own."""
+    cases = _cases(cfg, setup.trim.x_trim.as_array(), setup, params, tables)
+    return [(name, loop, variants[0][2])
+            for name, loop, _, variants in islice(cases, len(cfg.controllers))]
+
+
+def run_scenario(cfg: ScenarioConfig,
+                 params: AircraftParams | None = None,
+                 tables: AeroTables | None = None,
+                 setup: ControllerSetup | None = None,
+                 keep_snapshots: bool = False) -> RunReport:
+    """Run the experiment cfg describes and assemble its report.
+
+    Each case of _cases propagates once and each variant is scored on its
+    slice: ic and disturbance curves by density weights (W) and transport
+    masses (W_mass), param curves by masses, next to the deterministic
+    distance-to-trim curve. A disturbance run of both controllers also
+    reports the W_lqr - W_gslqr series per frequency.
+    """
     params = params or AircraftParams()
     tables = tables or AeroTables.default()
     setup = setup or build_controllers(params, tables,
                                        need_schedule="gslqr" in cfg.controllers)
     x_trim = setup.trim.x_trim.as_array()
-    x0 = x_trim + _x_pert_internal(cfg)
-    clouds = [_param_cloud(cfg, float(d), x0, params) for d in cfg.param_delta_percent]
-    rows = 1 + cfg.samples * len(clouds)
-    stacked = EnsembleSnapshot.from_cloud(
-        np.vstack([x0] + [c.states for c in clouds]),
-        np.concatenate([[1.0]] + [c.phi for c in clouds]),
-        np.full(rows, 1.0 / rows),
-        params=np.vstack([[params.m, params.xcg, params.Jyy]] + [c.params for c in clouds]))
-
-    report = RunReport(scenario="param", config=cfg.to_dict(),
+    report = RunReport(scenario=cfg.kind, config=cfg.to_dict(),
                        nominal_trim=setup.trim.to_dict(), curves=[],
                        histograms={}, extremes={}, diverged={}, nonconverged={})
     snapshots_by_key = {}
-    for name in cfg.controllers:
-        loop = ClosedLoop(law=setup.law(name), params=params, tables=tables)
-        all_snaps = propagate(stacked, loop, cfg.t_f, cfg.dt,
+    for name, loop, ensemble, variants in _cases(cfg, x_trim, setup, params, tables):
+        all_snaps = propagate(ensemble, loop, cfg.t_f, cfg.dt,
                               cfg.emit_every, cfg.strict_rk4, cfg.workers)
-        ref_curve = [float(np.linalg.norm((s.states[0] - x_trim) * PAPER_STATE_SCALE))
-                     for s in all_snaps]
-        report.curves.append({"controller": name, "variant": "deterministic",
-                              "t": [s.t for s in all_snaps], "W": ref_curve})
-        for k, (delta, cloud) in enumerate(zip(cfg.param_delta_percent, clouds)):
-            sel = slice(1 + k * cfg.samples, 1 + (k + 1) * cfg.samples)
-            snaps = [EnsembleSnapshot(t=s.t, states=s.states[sel], params=cloud.params,
-                                      phi=s.phi[sel], gamma=cloud.gamma,
-                                      diverged=s.diverged[sel],
+        if cfg.kind == "param":
+            report.curves.append({"controller": name, "variant": "deterministic",
+                                  "t": [s.t for s in all_snaps],
+                                  "W": [float(np.linalg.norm((s.states[0] - x_trim)
+                                                             * PAPER_STATE_SCALE))
+                                        for s in all_snaps]})
+        for variant, rows, cloud in variants:
+            snaps = [EnsembleSnapshot(t=s.t, states=s.states[rows], params=cloud.params,
+                                      phi=s.phi[rows], gamma=cloud.gamma,
+                                      diverged=s.diverged[rows],
                                       metadata={**cloud.metadata, **s.metadata})
                      for s in all_snaps]
-            variant = f"delta={delta:g}"
-            report.curves.append({"controller": name, "variant": variant,
-                                  "t": [s.t for s in snaps],
-                                  "W": _W_dirac_series(snaps, x_trim, "mass")})
+            curve = {"controller": name, "variant": variant, "t": [s.t for s in snaps]}
+            W_mass = _W_dirac_series(snaps, x_trim, "mass")
+            if cfg.kind == "param":
+                curve["W"] = W_mass
+            else:
+                curve.update(W=_W_dirac_series(snaps, x_trim), W_mass=W_mass)
+            report.curves.append(curve)
             key = _key(name, variant)
             report.histograms[key] = _histograms(snaps)
             report.extremes[key] = _extremes_records(snaps)
@@ -588,76 +635,19 @@ def run_param_scenario(cfg: ScenarioConfig,
             report.nonconverged[key] = _nonconverged_count(snaps[-1], x_trim)
             if keep_snapshots:
                 snapshots_by_key[key] = snaps
+    if cfg.kind == "disturbance" and cfg.controller == "both":
+        lqr, gslqr = ([c for c in report.curves if c["controller"] == name]
+                      for name in ("lqr", "gslqr"))
+        report.extras["W_lqr_minus_gslqr"] = [
+            {"variant": a["variant"], "t": a["t"],
+             "W_diff": (np.asarray(a["W"]) - np.asarray(b["W"])).tolist()}
+            for a, b in zip(lqr, gslqr)]
     report.finalize()
     if cfg.output_dir:
         save_report(report, cfg.output_dir, snapshots_by_key or None)
     if keep_snapshots:
         report.extras["snapshots"] = snapshots_by_key
     return report
-
-
-def run_disturbance_scenario(cfg: ScenarioConfig,
-                             params: AircraftParams | None = None,
-                             tables: AeroTables | None = None,
-                             setup: ControllerSetup | None = None,
-                             keep_snapshots: bool = False) -> RunReport:
-    """Actuator disturbance study: IC box plus w(t) = A sin(omega t) on the
-    elevator, swept over forcing frequencies; also reports the
-    W_lqr - W_gslqr series per frequency when both controllers run."""
-    if cfg.kind != "disturbance":
-        raise ConfigError(f"run_disturbance_scenario got kind {cfg.kind!r}")
-    params = params or AircraftParams()
-    tables = tables or AeroTables.default()
-    setup = setup or build_controllers(params, tables,
-                                       need_schedule="gslqr" in cfg.controllers)
-    x_trim = setup.trim.x_trim.as_array()
-    cloud = initial_cloud(cfg, x_trim)
-    amp = cfg.disturbance_amp_deg * DEG
-
-    report = RunReport(scenario="disturbance", config=cfg.to_dict(),
-                       nominal_trim=setup.trim.to_dict(), curves=[],
-                       histograms={}, extremes={}, diverged={}, nonconverged={})
-    snapshots_by_key = {}
-    W_by = {}
-    for omega in cfg.omega_rad_s:
-        for name in cfg.controllers:
-            loop = ClosedLoop(law=setup.law(name), params=params, tables=tables,
-                              disturbance=SineDisturbance(amp, float(omega)))
-            snaps = propagate(cloud, loop, cfg.t_f, cfg.dt,
-                              cfg.emit_every, cfg.strict_rk4, cfg.workers)
-            W = _W_dirac_series(snaps, x_trim)
-            variant = f"omega={omega:g}"
-            report.curves.append({"controller": name, "variant": variant,
-                                  "t": [s.t for s in snaps], "W": W,
-                                  "W_mass": _W_dirac_series(snaps, x_trim, "mass")})
-            key = _key(name, variant)
-            W_by[(name, float(omega))] = ([s.t for s in snaps], W)
-            report.histograms[key] = _histograms(snaps)
-            report.extremes[key] = _extremes_records(snaps)
-            report.diverged[key] = int(np.count_nonzero(snaps[-1].diverged))
-            report.nonconverged[key] = _nonconverged_count(snaps[-1], x_trim)
-            if keep_snapshots:
-                snapshots_by_key[key] = snaps
-    if set(cfg.controllers) == {"lqr", "gslqr"}:
-        diffs = []
-        for omega in cfg.omega_rad_s:
-            t, W_l = W_by[("lqr", float(omega))]
-            _, W_g = W_by[("gslqr", float(omega))]
-            diffs.append({"variant": f"omega={omega:g}", "t": t,
-                          "W_diff": (np.asarray(W_l) - np.asarray(W_g)).tolist()})
-        report.extras["W_lqr_minus_gslqr"] = diffs
-    report.finalize()
-    if cfg.output_dir:
-        save_report(report, cfg.output_dir, snapshots_by_key or None)
-    if keep_snapshots:
-        report.extras["snapshots"] = snapshots_by_key
-    return report
-
-
-def run_scenario(cfg: ScenarioConfig, **kw) -> RunReport:
-    runner = {"ic": run_ic_scenario, "param": run_param_scenario,
-              "disturbance": run_disturbance_scenario}[cfg.kind]
-    return runner(cfg, **kw)
 
 
 def mc_compare(cfg: ScenarioConfig,
@@ -666,32 +656,20 @@ def mc_compare(cfg: ScenarioConfig,
                setup: ControllerSetup | None = None) -> dict:
     """Plain trajectory ensembles (no density ODE) for cross-validation.
 
-    Uses the same sampling and the same integrator kernel as the density
-    propagation, so state trajectories agree bit for bit with the
-    characteristics under identical seeds. Returns per-controller error
-    trajectories, mass-weighted means (computed by the same routine the
-    density side uses), quantile envelopes, and final-time statistics.
+    Uses each controller's first case of the scenario and the same
+    integrator kernel as the density propagation, so state trajectories
+    agree bit for bit with the characteristics under identical seeds.
+    Returns per-controller error trajectories, mass-weighted means (computed
+    by the same routine the density side uses), quantile envelopes, and
+    final-time statistics.
     """
     params = params or AircraftParams()
     tables = tables or AeroTables.default()
     setup = setup or build_controllers(params, tables,
                                        need_schedule="gslqr" in cfg.controllers)
     x_trim = setup.trim.x_trim.as_array()
-    if cfg.kind == "param":
-        x0 = x_trim + _x_pert_internal(cfg)
-        delta = cfg.param_delta_percent[0] if cfg.param_delta_percent else 0.0
-        cloud = _param_cloud(cfg, float(delta), x0, params)
-    else:
-        cloud = initial_cloud(cfg, x_trim)
-
     out = {"t": None, "controllers": {}}
-    for name in cfg.controllers:
-        disturbance = None
-        if cfg.kind == "disturbance":
-            omega = cfg.omega_rad_s[0] if cfg.omega_rad_s else 0.0
-            disturbance = SineDisturbance(cfg.disturbance_amp_deg * DEG, float(omega))
-        loop = ClosedLoop(law=setup.law(name), params=params, tables=tables,
-                          disturbance=disturbance)
+    for name, loop, cloud in _first_cases(cfg, setup, params, tables):
         snaps = propagate(cloud, loop, cfg.t_f, cfg.dt,
                           cfg.emit_every, cfg.strict_rk4, cfg.workers,
                           track_density=False)

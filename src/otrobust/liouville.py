@@ -64,27 +64,6 @@ class UnresolvableQueryError(RuntimeError):
     """Backward integration of a density query blew up."""
 
 
-@dataclass(frozen=True, eq=False)
-class WeightedSample:
-    """One characteristic: extended state, tracked density, transport mass."""
-
-    x: np.ndarray
-    p: np.ndarray
-    phi: float
-    gamma: float
-    diverged: bool = False
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        p = np.asarray(self.p, dtype=float)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "p", p)
-        if self.phi < 0 or self.gamma < 0:
-            raise ValueError("phi and gamma must be nonnegative")
-        if not self.diverged and not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
-            raise ValueError("non-finite sample not flagged as diverged")
-
-
 @dataclass(eq=False)
 class EnsembleSnapshot:
     """Time-stamped ensemble: states (n, dx), params (n, dp), densities,
@@ -124,11 +103,6 @@ class EnsembleSnapshot:
     def extended(self) -> np.ndarray:
         """States and parameters concatenated, (n, dx + dp)."""
         return np.concatenate([self.states, self.params], axis=1)
-
-    def sample(self, i: int) -> WeightedSample:
-        return WeightedSample(x=self.states[i], p=self.params[i],
-                              phi=float(self.phi[i]), gamma=float(self.gamma[i]),
-                              diverged=bool(self.diverged[i]))
 
     @classmethod
     def from_cloud(cls, states, phi, gamma, params=None, t: float = 0.0,

@@ -30,9 +30,7 @@ from otrobust.harness import (
     dominant_frequency,
     freq_response,
     mc_compare,
-    run_disturbance_scenario,
-    run_ic_scenario,
-    run_param_scenario,
+    run_scenario,
     weighted_mean,
 )
 from otrobust.liouville import EnsembleSnapshot, propagate
@@ -63,7 +61,7 @@ def ic_run(params, tables, timed_setup):
     cfg = ScenarioConfig(kind="ic", samples=200, t_f=20.0, dt=0.01,
                          emit_every=100, seed=0)
     t0 = time.perf_counter()
-    rep = run_ic_scenario(cfg, params, tables, setup=setup, keep_snapshots=True)
+    rep = run_scenario(cfg, params, tables, setup=setup, keep_snapshots=True)
     return cfg, rep, time.perf_counter() - t0
 
 
@@ -74,7 +72,7 @@ def param_run(params, tables, timed_setup):
                          emit_every=100, seed=0,
                          param_delta_percent=[0.0, 0.5, 15.0])
     t0 = time.perf_counter()
-    rep = run_param_scenario(cfg, params, tables, setup=setup)
+    rep = run_scenario(cfg, params, tables, setup=setup)
     return cfg, rep, time.perf_counter() - t0
 
 
@@ -86,7 +84,7 @@ def disturbance_run(params, tables, timed_setup):
     cfg = ScenarioConfig(kind="disturbance", samples=200, t_f=20.0, dt=0.01,
                          emit_every=10, seed=0, omega_rad_s=[0.0, 2.0, 100.0])
     t0 = time.perf_counter()
-    rep = run_disturbance_scenario(cfg, params, tables, setup=setup)
+    rep = run_scenario(cfg, params, tables, setup=setup)
     return cfg, rep, time.perf_counter() - t0
 
 

@@ -149,6 +149,55 @@ def test_bad_config_exits_2(capsys, tmp_path):
     assert "error" in err
 
 
+# Malformed scenario configs exit 2 naming the field, before any output.
+SMALL_IC = {"kind": "ic", "controller": "lqr", "samples": 4, "t_f": 0.02, "dt": 0.01,
+            "emit_every": 1, "seed": 0}
+MALFORMED = {
+    "samples": {"samples": 2.5},
+    "emit_every": {"emit_every": 1.5},
+    "x_pert": {"kind": "param", "x_pert": {"theta": 1.0, "alpha": 2.8, "q": 0.0}},
+    "workers": {"workers": "two"},
+    "ic_box_deg": {"ic_box_deg": {"theta": ["a", "b"], "V": [-65, 65],
+                                  "alpha": [-20, 50], "q": [-70, 70]}},
+}
+
+
+@pytest.mark.parametrize("command,field", [("scenario", f) for f in MALFORMED]
+                         + [("propagate", f) for f in ("x_pert", "workers", "ic_box_deg")])
+def test_malformed_scenario_config_exits_2(capsys, tmp_path, command, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_IC, **MALFORMED[field]}))
+    out = tmp_path / "out"
+    flag = "--config" if command == "scenario" else "--scenario"
+    code, _, err = run_cli(capsys, command, flag, str(cfg), "--out", str(out))
+    assert code == EXIT_CONFIG
+    assert field in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,fields,first_variant", [
+    ("ic", {}, ""),
+    ("param", {"param_delta_percent": [2.5, 15.0]}, "|delta=2.5"),
+    ("disturbance", {"omega_rad_s": [2.0, 0.0]}, "|omega=2")])
+def test_propagate_writes_the_scenario_first_variant(capsys, tmp_path, monkeypatch, setup,
+                                                     kind, fields, first_variant):
+    import otrobust.cli as cli
+    monkeypatch.setattr(cli.harness, "build_controllers", lambda *a, **k: setup)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": kind, "samples": 6, "t_f": 0.2, "dt": 0.01,
+                               "emit_every": 10, "seed": 2, **fields}))
+    code, _, _ = run_cli(capsys, "scenario", "--config", str(cfg),
+                         "--out", str(tmp_path / "scenario"))
+    assert code == EXIT_OK
+    code, _, _ = run_cli(capsys, "propagate", "--scenario", str(cfg),
+                         "--out", str(tmp_path / "prop"))
+    assert code == EXIT_OK
+    for name in ("lqr", "gslqr"):
+        written = (tmp_path / "prop" / f"{name}.csv").read_bytes()
+        snapshots = tmp_path / "scenario" / "snapshots" / f"{name}{first_variant}.csv"
+        assert written == snapshots.read_bytes()
+
+
 def test_missing_file_exits_2(capsys):
     code, _, _ = run_cli(capsys, "scenario", "--config", "/nonexistent.json")
     assert code == EXIT_CONFIG

@@ -13,15 +13,12 @@ from otrobust.f16 import (
     AeroTables,
     AircraftParams,
     ClosedLoop,
-    ConstantLaw,
-    ControlInput,
     LongitudinalState,
     SineDisturbance,
     SingularStateError,
-    dynamic_pressure,
     dynamics,
     lookup_coefficient,
-    saturate,
+    saturate_array,
 )
 
 
@@ -37,18 +34,26 @@ def test_altitude_past_density_zero_rejected():
     assert AircraftParams(h=142000.0).density() > 0.0
 
 
-def test_dynamic_pressure_zero_limit(params):
-    assert dynamic_pressure(1e-12, params) == pytest.approx(0.0, abs=1e-20)
+def test_dynamic_pressure_zero_limit(params, tables):
+    # as V -> 0 the dynamic pressure, and with it every aerodynamic force,
+    # vanishes: V_dot is thrust and gravity along the velocity alone
+    theta, alpha, T = 0.1, 0.2, 5000.0
+    xdot = dynamics([theta, 1e-12, alpha, 0.0], [T, 0.0], params, tables)
+    g_axial = T - params.m * params.g * math.sin(theta)
+    g_normal = params.m * params.g * math.cos(theta)
+    expect = (math.cos(alpha) * g_axial + math.sin(alpha) * g_normal) / params.m
+    assert xdot[1] == pytest.approx(expect, rel=1e-12)
 
 
 def test_dynamic_pressure_nominal(params):
-    # frozen from direct evaluation of 0.5 rho(10000 ft) V^2
-    assert dynamic_pressure(407.8942, params) == pytest.approx(146.229019, rel=1e-8)
+    # frozen from direct evaluation of 0.5 rho(10000 ft) V^2, the dynamic
+    # pressure the plant forms from params.density()
+    assert 0.5 * params.density() * 407.8942 ** 2 == pytest.approx(146.229019, rel=1e-8)
 
 
-def test_dynamic_pressure_rejects_nonfinite(params):
-    with pytest.raises(ValueError):
-        dynamic_pressure(float("nan"), params)
+def test_dynamic_pressure_rejects_nonfinite(params, tables):
+    with pytest.raises(SingularStateError):
+        dynamics([0.0, float("nan"), 0.1, 0.0], [5000.0, 0.0], params, tables)
 
 
 def test_state_validation():
@@ -120,20 +125,20 @@ def test_tables_validation():
 
 
 def test_saturate_examples():
-    assert saturate(ControlInput(500.0, 0.0)) == ControlInput(1000.0, 0.0)
-    hi = saturate(ControlInput(28500.0, 30.0 * DEG))
-    assert hi.T == 28000.0 and hi.delta_e == pytest.approx(25.0 * DEG)
-    mid = ControlInput(5000.0, -10.0 * DEG)
-    assert saturate(mid) == mid
+    assert saturate_array([500.0, 0.0]).tolist() == [1000.0, 0.0]
+    hi = saturate_array([28500.0, 30.0 * DEG])
+    assert hi[0] == 28000.0 and hi[1] == pytest.approx(25.0 * DEG)
+    mid = np.array([5000.0, -10.0 * DEG])
+    assert np.array_equal(saturate_array(mid), mid)
 
 
 @given(T=st.floats(-1e6, 1e6, allow_nan=False),
        de=st.floats(-3.0, 3.0, allow_nan=False))
 def test_saturate_idempotent(T, de):
-    once = saturate(ControlInput(T, de))
-    assert saturate(once) == once
-    assert THRUST_MIN <= once.T <= THRUST_MAX
-    assert abs(once.delta_e) <= ELEVATOR_LIMIT
+    once = saturate_array([T, de])
+    assert np.array_equal(saturate_array(once), once)
+    assert THRUST_MIN <= once[0] <= THRUST_MAX
+    assert abs(once[1]) <= ELEVATOR_LIMIT
 
 
 def test_theta_dot_equals_q(params, tables, rng):
@@ -200,15 +205,21 @@ def test_dynamics_batched_matches_scalar(params, tables, rng):
         assert np.array_equal(batch[i], dynamics(X[i], U[i], params, tables))
 
 
+def hold(u):
+    """Open-loop law: the command u whatever the state."""
+    u = np.asarray(u, dtype=float)
+    return lambda x: np.broadcast_to(u, np.shape(x)[:-1] + (2,))
+
+
 def test_closed_loop_trim_fixed_point(params, tables, nominal_trim):
-    loop = ClosedLoop(law=ConstantLaw(nominal_trim.u_trim), params=params, tables=tables)
+    loop = ClosedLoop(law=hold(nominal_trim.u_trim.as_array()), params=params, tables=tables)
     xdot = loop.state_rhs(0.0, nominal_trim.x_trim.as_array())
     scaled = np.array([xdot[1] / 100.0, xdot[2], xdot[3]])
     assert np.linalg.norm(scaled) <= nominal_trim.residual * (1 + 1e-9)
 
 
 def test_closed_loop_parameter_block_zero(params, tables, nominal_trim):
-    loop = ClosedLoop(law=ConstantLaw(nominal_trim.u_trim), params=params, tables=tables)
+    loop = ClosedLoop(law=hold(nominal_trim.u_trim.as_array()), params=params, tables=tables)
     p = np.array([[640.0, 3.4, 56000.0], [600.0, 3.5, 55000.0]])
     x = np.tile(nominal_trim.x_trim.as_array(), (2, 1))
     out = loop.state_rhs(0.3, x, p)
@@ -222,7 +233,7 @@ def test_closed_loop_parameter_block_zero(params, tables, nominal_trim):
 def test_disturbance_enters_elevator_before_saturation(params, tables, nominal_trim):
     amp = 6.5 * DEG
     w = SineDisturbance(amp, 2.0)
-    loop = ClosedLoop(law=ConstantLaw(nominal_trim.u_trim), params=params,
+    loop = ClosedLoop(law=hold(nominal_trim.u_trim.as_array()), params=params,
                       tables=tables, disturbance=w)
     # peak of sin(2t) at t = pi/4: elevator command offset +6.5 deg
     t_peak = math.pi / 4.0
@@ -234,8 +245,7 @@ def test_disturbance_enters_elevator_before_saturation(params, tables, nominal_t
 
 
 def test_closed_loop_saturates(params, tables, nominal_trim):
-    big = ConstantLaw(np.array([50000.0, 1.0]))
-    loop = ClosedLoop(law=big, params=params, tables=tables)
+    loop = ClosedLoop(law=hold([50000.0, 1.0]), params=params, tables=tables)
     u = loop.control(nominal_trim.x_trim.as_array(), 0.0)
     assert u[0] == THRUST_MAX and u[1] == pytest.approx(ELEVATOR_LIMIT)
 

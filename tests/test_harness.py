@@ -21,9 +21,7 @@ from otrobust.harness import (
     mc_compare,
     probability_weights,
     read_snapshot_csv,
-    run_disturbance_scenario,
-    run_ic_scenario,
-    run_param_scenario,
+    run_scenario,
     weighted_mean,
     write_snapshot_csv,
 )
@@ -53,6 +51,19 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         ScenarioConfig(kind="ic", ic_box_deg={"theta": [1, -1], "V": [-1, 1],
                                               "alpha": [-1, 1], "q": [-1, 1]})
+    box = {"theta": [-1, 1], "V": [-1, 1], "alpha": [-1, 1]}
+    for fields in [{"seed": True}, {"seed": 1.0}, {"samples": "8"}, {"workers": 0},
+                   {"workers": 1.5}, {"t_f": float("inf")}, {"dt": "0.01"},
+                   {"disturbance_amp_deg": float("nan")}, {"strict_rk4": "false"},
+                   {"output_dir": 5}, {"x_pert": [1.0, 5.0, 2.8, 0.0]},
+                   {"x_pert": {"theta": 1.0, "V": "5", "alpha": 2.8, "q": 0.0}},
+                   {"ic_box_deg": {**box, "q": -70}},
+                   {"ic_box_deg": {**box, "q": [-1, True]}},
+                   {"kind": "param", "param_delta_percent": []},
+                   {"kind": "param", "param_delta_percent": ["2.5"]},
+                   {"kind": "disturbance", "omega_rad_s": []}]:
+        with pytest.raises(ConfigError):
+            ScenarioConfig(**{"kind": "ic", **fields})
 
 
 def test_config_json_roundtrip(tmp_path):
@@ -129,8 +140,7 @@ def test_probability_weights_normalization(rng):
 @pytest.fixture(scope="module")
 def ic_report(params, tables, setup):
     cfg = mini_cfg()
-    return cfg, run_ic_scenario(cfg, params, tables, setup=setup,
-                                keep_snapshots=True)
+    return cfg, run_scenario(cfg, params, tables, setup=setup, keep_snapshots=True)
 
 
 class TestMiniScenarios:
@@ -139,7 +149,7 @@ class TestMiniScenarios:
         t, W = rep.curve("lqr")
         assert t[0] == 0.0 and t[-1] == pytest.approx(2.0)
         assert np.all(W >= 0)
-        rep2 = run_ic_scenario(cfg, params, tables, setup=setup)
+        rep2 = run_scenario(cfg, params, tables, setup=setup)
         assert rep2.content_hash == rep.content_hash
 
     def test_w_matches_snapshot_recompute(self, ic_report, setup):
@@ -170,7 +180,7 @@ class TestMiniScenarios:
         cfg, base = ic_report
         out = tmp_path / "run"
         cfg2 = ScenarioConfig(**{**cfg.to_dict(), "output_dir": str(out)})
-        rep = run_ic_scenario(cfg2, params, tables, setup=setup, keep_snapshots=True)
+        rep = run_scenario(cfg2, params, tables, setup=setup, keep_snapshots=True)
         assert (out / "report.json").exists()
         assert (out / "W.csv").exists()
         assert (out / "snapshots" / "lqr.csv").exists()
@@ -183,12 +193,20 @@ class TestMiniScenarios:
         assert lines[0] == "t,variant,controller,W"
 
 
-def test_mc_matches_propagation_bitwise(params, tables, setup):
-    cfg = mini_cfg(samples=16, t_f=1.0)
-    rep = run_ic_scenario(cfg, params, tables, setup=setup, keep_snapshots=True)
+# Each kind's first variant: mc_compare and otrobust propagate run it on its own.
+FIRST_VARIANT = {"ic": ({}, ""),
+                 "param": ({"param_delta_percent": [2.5, 15.0]}, "delta=2.5"),
+                 "disturbance": ({"omega_rad_s": [2.0, 0.0]}, "omega=2")}
+
+
+@pytest.mark.parametrize("kind", ["ic", "param", "disturbance"])
+def test_mc_matches_propagation_bitwise(params, tables, setup, kind):
+    fields, variant = FIRST_VARIANT[kind]
+    cfg = mini_cfg(kind=kind, samples=16, t_f=1.0, **fields)
+    rep = run_scenario(cfg, params, tables, setup=setup, keep_snapshots=True)
     mc = mc_compare(cfg, params, tables, setup=setup)
     for name in ("lqr", "gslqr"):
-        snaps = rep.extras["snapshots"][name]
+        snaps = rep.extras["snapshots"][f"{name}|{variant}" if variant else name]
         pf_states = np.stack([s.states for s in snaps])
         assert np.array_equal(pf_states, mc["controllers"][name]["states"])
         pf_mean = weighted_mean(snaps[-1].states, snaps[-1].gamma)
@@ -284,7 +302,7 @@ def test_scenario_snapshot_csvs_match_per_row_writer(tmp_path, params, tables, s
     cfg = ScenarioConfig(kind="param", controller="lqr", samples=6, t_f=0.1, dt=0.01,
                          emit_every=5, seed=3, param_delta_percent=[2.5],
                          output_dir=str(tmp_path / "run"))
-    rep = run_param_scenario(cfg, params, tables, setup=setup, keep_snapshots=True)
+    rep = run_scenario(cfg, params, tables, setup=setup, keep_snapshots=True)
     for key, snaps in rep.extras["snapshots"].items():
         _per_row_snapshot_csv(snaps, tmp_path / "oracle.csv")
         written = (tmp_path / "run" / "snapshots" / f"{key}.csv").read_bytes()
@@ -304,17 +322,17 @@ def test_ic_report_hash_independent_of_workers_with_kink_rows(params, tables, se
 
     monkeypatch.setattr(ClosedLoop, "state_rhs_div", counting)
     cfg = mini_cfg(samples=40, t_f=1.0)
-    rep = run_ic_scenario(cfg, params, tables, setup=setup)
+    rep = run_scenario(cfg, params, tables, setup=setup)
     assert sum(flagged) > 0  # some steps take the finite-difference fallback
-    rep2 = run_ic_scenario(ScenarioConfig(**{**cfg.to_dict(), "workers": 2}), params, tables,
-                           setup=setup)
+    rep2 = run_scenario(ScenarioConfig(**{**cfg.to_dict(), "workers": 2}), params, tables,
+                        setup=setup)
     assert rep2.content_hash == rep.content_hash
 
 
 def test_param_scenario_delta_zero_is_deterministic(params, tables, setup):
     cfg = ScenarioConfig(kind="param", controller="lqr", samples=8, t_f=1.5,
                          dt=0.01, emit_every=50, param_delta_percent=[0.0])
-    rep = run_param_scenario(cfg, params, tables, setup=setup)
+    rep = run_scenario(cfg, params, tables, setup=setup)
     t, W0 = rep.curve("lqr", "delta=0")
     _, Wdet = rep.curve("lqr", "deterministic")
     assert np.max(np.abs(W0 - Wdet)) < 1e-6
@@ -323,7 +341,7 @@ def test_param_scenario_delta_zero_is_deterministic(params, tables, setup):
 def test_param_scenario_carries_parameters(params, tables, setup):
     cfg = ScenarioConfig(kind="param", controller="lqr", samples=8, t_f=0.5,
                          dt=0.01, emit_every=25, param_delta_percent=[5.0])
-    rep = run_param_scenario(cfg, params, tables, setup=setup, keep_snapshots=True)
+    rep = run_scenario(cfg, params, tables, setup=setup, keep_snapshots=True)
     snaps = rep.extras["snapshots"]["lqr|delta=5"]
     assert snaps[0].params.shape == (8, 3)
     # frozen parameters: identical in every snapshot
@@ -337,7 +355,7 @@ PARAM_SMALL = dict(kind="param", samples=20, t_f=0.5, dt=0.01, emit_every=10,
 @pytest.fixture(scope="module")
 def param_small(params, tables, setup):
     cfg = ScenarioConfig(**PARAM_SMALL)
-    return cfg, run_param_scenario(cfg, params, tables, setup=setup, keep_snapshots=True)
+    return cfg, run_scenario(cfg, params, tables, setup=setup, keep_snapshots=True)
 
 
 def test_param_closed_form_equals_extended_lp(param_small, setup):
@@ -369,8 +387,8 @@ def test_param_stacked_slices_equal_own_propagation(param_small, params, tables,
 
 def test_param_report_hash_independent_of_workers(param_small, params, tables, setup):
     cfg, rep = param_small
-    rep2 = run_param_scenario(ScenarioConfig(**PARAM_SMALL, workers=2), params, tables,
-                              setup=setup)
+    rep2 = run_scenario(ScenarioConfig(**PARAM_SMALL, workers=2), params, tables,
+                        setup=setup)
     assert rep2.config["workers"] == 2 and rep.config["workers"] is None
     assert rep2.content_hash == rep.content_hash
 
@@ -382,8 +400,7 @@ def test_array_holding_dataclasses_compare_by_identity(tables, setup, params):
     objs = [tables, setup, setup.model, setup.schedule, LqrWeights(),
             setup.law("lqr"), setup.law("gslqr"),
             ClosedLoop(law=setup.law("lqr"), params=params, tables=tables),
-            box, InitialPdf.uniform_box(box), dist, wasserstein_lp(dist, dist),
-            snap, snap.sample(0)]
+            box, InitialPdf.uniform_box(box), dist, wasserstein_lp(dist, dist), snap]
     for obj in objs:
         twin = copy.deepcopy(obj)
         assert (obj == twin) is False, type(obj).__name__
@@ -393,11 +410,11 @@ def test_array_holding_dataclasses_compare_by_identity(tables, setup, params):
 
 def test_disturbance_zero_amplitude_matches_ic(params, tables, setup):
     ic = mini_cfg(samples=12, t_f=1.0)
-    base = run_ic_scenario(ic, params, tables, setup=setup)
+    base = run_scenario(ic, params, tables, setup=setup)
     dist = ScenarioConfig(kind="disturbance", samples=12, t_f=1.0, dt=0.01,
                           emit_every=50, seed=0, omega_rad_s=[2.0],
                           disturbance_amp_deg=0.0)
-    rep = run_disturbance_scenario(dist, params, tables, setup=setup)
+    rep = run_scenario(dist, params, tables, setup=setup)
     for name in ("lqr", "gslqr"):
         _, W_ic = base.curve(name)
         _, W_d = rep.curve(name, "omega=2")
@@ -407,7 +424,7 @@ def test_disturbance_zero_amplitude_matches_ic(params, tables, setup):
 def test_disturbance_difference_series(params, tables, setup):
     cfg = ScenarioConfig(kind="disturbance", samples=10, t_f=1.0, dt=0.01,
                          emit_every=50, omega_rad_s=[0.0, 2.0])
-    rep = run_disturbance_scenario(cfg, params, tables, setup=setup)
+    rep = run_scenario(cfg, params, tables, setup=setup)
     diffs = rep.extras["W_lqr_minus_gslqr"]
     assert {d["variant"] for d in diffs} == {"omega=0", "omega=2"}
     for d in diffs:
@@ -415,7 +432,3 @@ def test_disturbance_difference_series(params, tables, setup):
         _, Wg = rep.curve("gslqr", d["variant"])
         assert np.allclose(np.asarray(d["W_diff"]), Wl - Wg, rtol=1e-12)
 
-
-def test_wrong_kind_rejected(params, tables, setup):
-    with pytest.raises(ConfigError):
-        run_ic_scenario(mini_cfg(kind="param"), params, tables, setup=setup)

@@ -6,7 +6,6 @@ import pytest
 
 from otrobust.liouville import (
     EnsembleSnapshot,
-    WeightedSample,
     divergence,
     likelihood_extremes,
     propagate,
@@ -238,11 +237,8 @@ def test_weighted_sample_view():
     snap = EnsembleSnapshot(t=1.0, states=np.array([[1.0, 2.0]]),
                             params=np.array([[9.0]]), phi=[0.5], gamma=[1.0],
                             diverged=None)
-    ws = snap.sample(0)
-    assert isinstance(ws, WeightedSample)
-    assert ws.x.tolist() == [1.0, 2.0]
-    assert ws.p.tolist() == [9.0]
-    assert snap.extended.shape == (1, 3)
+    # one sample of the snapshot is its extended row (state, then parameters)
+    assert snap.extended.tolist() == [[1.0, 2.0, 9.0]]
 
 
 def test_snapshot_mass_validation():
