@@ -351,16 +351,20 @@ def _snapshot_bodies(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@example(trim_doc=GOOD_TRIM, weights="mass",
+@example(trim_doc=GOOD_TRIM, weights="mass", route="--dirac-at",
          body=SNAPSHOT_HEADER + "\n0,0,1,400,5,0,1,1e308,0\n0,1,3,410,7,1,1,1e308,0\n")
+@example(trim_doc=GOOD_TRIM, weights="density", route="--b",
+         body=SNAPSHOT_HEADER + "\n0,0,1,400,5,0,1,0.5,0\n0,1,3,410,7,1,1,0.5,0\n")
 @given(trim_doc=_trim_docs(), body=_snapshot_bodies(),
-       weights=st.sampled_from(["density", "mass"]))
-def test_dirac_at_exit_codes_on_malformed_inputs(trim_doc, body, weights):
+       weights=st.sampled_from(["density", "mass"]), route=st.sampled_from(["--dirac-at", "--b"]))
+def test_dirac_at_exit_codes_on_malformed_inputs(trim_doc, body, weights, route):
+    # route "--b" scores the snapshot file against itself with the LP
     with tempfile.TemporaryDirectory() as d:
         snap, trim_json = Path(d) / "a.csv", Path(d) / "t.json"
         snap.write_text(body)
         trim_json.write_text(json.dumps(trim_doc))
+        other = trim_json if route == "--dirac-at" else snap
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main(["wasserstein", "--a", str(snap), "--dirac-at", str(trim_json),
+            code = main(["wasserstein", "--a", str(snap), route, str(other),
                          "--weights", weights])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)

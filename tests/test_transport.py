@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from otrobust.liouville import EnsembleSnapshot
 from otrobust.transport import (
@@ -55,12 +56,44 @@ def test_half_half_to_dirac():
     assert wasserstein_lp(a, b).W == pytest.approx(math.sqrt(0.5), rel=1e-12)
 
 
+def tied_cloud(rng, n, grid):
+    # degenerate inputs: points on a small integer grid, or a few points
+    # each repeated, with uniform or Dirichlet masses
+    if grid:
+        pts = rng.integers(-3, 4, size=(n, 1)).astype(float)
+    else:
+        base = rng.normal(size=(n // 3 + 1, 1))
+        pts = base[rng.integers(0, len(base), size=n)]
+    w = np.full(n, 1.0 / n) if rng.random() < 0.5 else rng.dirichlet(np.ones(n))
+    return DiscreteDistribution(pts, w)
+
+
 def test_lp_matches_quantile_oracle(rng):
     for _ in range(60):
         m, n = int(rng.integers(1, 30)), int(rng.integers(1, 30))
         a = random_cloud(rng, m, 1)
         b = random_cloud(rng, n, 1)
         assert abs(wasserstein_lp(a, b).W - wasserstein_1d(a, b)) < 1e-9
+    for grid in (True, False):
+        for _ in range(30):
+            m, n = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+            a = tied_cloud(rng, m, grid)
+            b = tied_cloud(rng, n, grid)
+            assert abs(wasserstein_lp(a, b).W - wasserstein_1d(a, b)) < 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_lp_relative_accuracy_at_any_cost_scale(rng, scale):
+    # an absolute stopping tolerance on reduced costs (HiGHS's default
+    # 1e-7, or even 1e-10) leaves W wrong from the 5th digit at scale 1e-3
+    for uniform in (True, False):
+        m, n = int(rng.integers(150, 200)), int(rng.integers(150, 200))
+        mk = uniform_cloud if uniform else random_cloud
+        a, b = mk(rng, m, 1), mk(rng, n, 1)
+        a = DiscreteDistribution(500.0 * scale + scale * a.points, a.masses)
+        b = DiscreteDistribution(500.0 * scale + scale * b.points, b.masses)
+        exact = wasserstein_1d(a, b)
+        assert abs(wasserstein_lp(a, b).W - exact) <= 1e-12 * exact
 
 
 def test_lp_matches_assignment_oracle(rng):
@@ -69,6 +102,19 @@ def test_lp_matches_assignment_oracle(rng):
         a = uniform_cloud(rng, n, 2)
         b = uniform_cloud(rng, n, 2)
         assert wasserstein_lp(a, b).cost == pytest.approx(brute_force_cost(a, b), abs=1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_lp_matches_linear_sum_assignment_oracle(rng, d):
+    # uniform equal-n masses: an optimal plan is a permutation
+    # (Birkhoff-von Neumann), so the assignment optimum is the LP optimum
+    for n in (20, 61, 137, 200):
+        A, B = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+        C = np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=2)
+        r, c = linear_sum_assignment(C)
+        lp = wasserstein_lp(DiscreteDistribution(A, np.full(n, 1.0 / n)),
+                            DiscreteDistribution(B, np.full(n, 1.0 / n)))
+        assert abs(lp.cost - C[r, c].sum() / n) < 1e-9
 
 
 def test_plan_feasibility(rng):
@@ -103,9 +149,10 @@ def test_scale_weights(rng):
 
 
 def test_budget_error_names_size():
-    a = DiscreteDistribution(np.zeros((5, 1)), np.full(5, 0.2))
-    with pytest.raises(BudgetExceededError, match="25"):
-        wasserstein_lp(a, a, budget=24)
+    # 5001^2 = 25,010,001 > DEFAULT_BUDGET; refused before any allocation
+    a = DiscreteDistribution(np.zeros((5001, 1)), np.full(5001, 1.0 / 5001))
+    with pytest.raises(BudgetExceededError, match="25010001"):
+        wasserstein_lp(a, a)
 
 
 def test_mass_balance_policy():
