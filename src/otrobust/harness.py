@@ -29,8 +29,8 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
-from itertools import islice, repeat
+from dataclasses import asdict, dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +73,8 @@ DEFAULT_X_PERT = {"theta": 1.1803, "V": 5.1058, "alpha": 2.8370, "q": 1e-4}
 DEFAULT_DELTAS = [0.5, 2.5, 5.0, 7.5, 15.0]
 DEFAULT_OMEGAS = [0.0, 2.0, 100.0]
 DEFAULT_DISTURBANCE_AMP_DEG = 6.5
+# The config list each scenario kind sweeps, one propagation per entry.
+_SWEEPS = {"param": "param_delta_percent", "disturbance": "omega_rad_s"}
 
 STATE_KEYS = ("theta", "V", "alpha", "q")
 # Internal value of one reporting unit per state (deg, ft/s, deg, deg/s): the
@@ -162,7 +164,7 @@ class ScenarioConfig:
             self.param_delta_percent = [float(self.param_delta_percent)]
         if isinstance(self.omega_rad_s, (int, float)):
             self.omega_rad_s = [float(self.omega_rad_s)]
-        sweep = {"param": "param_delta_percent", "disturbance": "omega_rad_s"}.get(self.kind)
+        sweep = _SWEEPS.get(self.kind)
         if sweep:
             values = getattr(self, sweep)
             if not (isinstance(values, (list, tuple)) and values):
@@ -579,9 +581,10 @@ def _first_cases(cfg: ScenarioConfig, setup: ControllerSetup,
                  params: AircraftParams, tables: AeroTables):
     """(controller, ClosedLoop, cloud) of each controller's first case: the
     first omega, or the first delta cloud on its own."""
-    cases = _cases(cfg, setup.trim.x_trim.as_array(), setup, params, tables)
-    return [(name, loop, variants[0][2])
-            for name, loop, _, variants in islice(cases, len(cfg.controllers))]
+    sweep = _SWEEPS.get(cfg.kind)
+    first = replace(cfg, **{sweep: getattr(cfg, sweep)[:1]}) if sweep else cfg
+    return [(name, loop, variants[0][2]) for name, loop, _, variants
+            in _cases(first, setup.trim.x_trim.as_array(), setup, params, tables)]
 
 
 def run_scenario(cfg: ScenarioConfig,

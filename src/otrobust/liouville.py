@@ -17,15 +17,15 @@ tableau.
 Kink convention. The closed loop is only piecewise smooth (saturation,
 table breakpoints, schedule cells), and the divergence is defined as the
 central-difference secant with steps h = H_REL max(1, |x|) per direction.
-A ClosedLoop gives it in closed form: its state_rhs_div is the k2 stage
-(which runs at X2) and returns the analytic trace, with the thrust
+A ClosedLoop gives it in closed form: its state_rhs_div runs the stage
+that needs a divergence and returns the analytic trace, with the thrust
 saturation taken as that same secant, plus the rows whose stencil crosses
-any other kink. Only those rows get finite differences, their +/- rows
-riding along in the k3 call (same t). Any other rhs, a plain callable
-rhs(t, x, p), gets finite differences on every row: all +/- perturbed
-copies stacked into as few field calls as DIVERGENCE_ROW_BUDGET allows (a
-200-sample step makes 5 field calls, 4 of them RK4 stages). divergence()
-is that path, the fallback at kinks and the closed form's test oracle.
+any other kink. Only those rows get finite differences, in one field call
+of their own. Any other rhs, a plain callable rhs(t, x, p), gets finite
+differences on every row: all +/- perturbed copies stacked into as few
+field calls as DIVERGENCE_ROW_BUDGET allows (a 200-sample step makes 5
+field calls, 4 of them RK4 stages). divergence() is that path, the
+fallback at kinks and the closed form's test oracle.
 
 Samples whose state or density goes non-finite are frozen at their last
 finite values and flagged diverged; they stay in every later snapshot so
@@ -54,6 +54,8 @@ from .f16 import H_REL
 WORKERS_ENV = "OTROBUST_WORKERS"
 # Largest stacked batch of perturbed states per rhs call in divergence().
 DIVERGENCE_ROW_BUDGET = 4096
+# RK4 stage nodes: stage i runs at t + c_i dt from y + c_i dt k_(i-1).
+_RK4_C = (0.0, 0.5, 0.5, 1.0)
 
 
 class PropagationError(RuntimeError):
@@ -111,25 +113,6 @@ class EnsembleSnapshot:
                    diverged=None, metadata=metadata or {})
 
 
-def _stencil(X: np.ndarray, P: np.ndarray | None, h: np.ndarray, ks):
-    """The +/- h_k perturbed copies of X for the directions ks, rows ordered
-    (direction, sign, sample), and P tiled to match."""
-    n, dx = X.shape
-    S = np.broadcast_to(X, (len(ks), 2, n, dx)).copy()
-    for i, k in enumerate(ks):
-        S[i, 0, :, k] += h[:, k]
-        S[i, 1, :, k] -= h[:, k]
-    return S.reshape(-1, dx), None if P is None else np.tile(P, (2 * len(ks), 1))
-
-
-def _add_secants(div: np.ndarray, F: np.ndarray, h: np.ndarray, ks) -> None:
-    """Add the central differences of the rhs rows F of _stencil(.., ks) to
-    div, one direction at a time in order."""
-    F = F.reshape(len(ks), 2, h.shape[0], F.shape[-1])
-    for i, k in enumerate(ks):
-        div += (F[i, 0, :, k] - F[i, 1, :, k]) / (2.0 * h[:, k])
-
-
 def divergence(rhs: Callable, x: np.ndarray, p: np.ndarray | None, t: float,
                h_rel: float = H_REL, nan_ok: bool = False) -> np.ndarray:
     """Divergence of the state block of rhs at (x, p, t), batched.
@@ -160,7 +143,16 @@ def divergence(rhs: Callable, x: np.ndarray, p: np.ndarray | None, t: float,
     per_call = max(1, DIVERGENCE_ROW_BUDGET // (2 * n))
     for k0 in range(0, dx, per_call):
         ks = range(k0, min(dx, k0 + per_call))
-        _add_secants(div, np.atleast_2d(rhs(t, *_stencil(X, P, h, ks))), h, ks)
+        # rows ordered (direction, sign, sample)
+        S = np.broadcast_to(X, (len(ks), 2, n, dx)).copy()
+        for i, k in enumerate(ks):
+            S[i, 0, :, k] += h[:, k]
+            S[i, 1, :, k] -= h[:, k]
+        F = np.atleast_2d(rhs(t, S.reshape(-1, dx),
+                              None if P is None else np.tile(P, (2 * len(ks), 1))))
+        F = F.reshape(len(ks), 2, n, -1)
+        for i, k in enumerate(ks):
+            div += (F[i, 0, :, k] - F[i, 1, :, k]) / (2.0 * h[:, k])
     if not nan_ok:
         finite_state = np.all(np.isfinite(X), axis=-1)
         bad = finite_state & ~np.isfinite(div)
@@ -181,10 +173,6 @@ def _fields(rhs):
     return getattr(rhs, "state_rhs", rhs), getattr(rhs, "state_rhs_div", None)
 
 
-def _rows(P, sel):
-    return None if P is None else P[sel]
-
-
 def _rhs_div(f, fused, t, X, P):
     """(f(t, X, P), divergence): the closed form, with the finite-difference
     divergence on the rows it flags, or finite differences throughout when
@@ -193,60 +181,38 @@ def _rhs_div(f, fused, t, X, P):
         return f(t, X, P), divergence(f, X, P, t, nan_ok=True)
     k, div, kink = fused(t, X, P)
     if np.any(kink):
-        div[kink] = divergence(f, X[kink], _rows(P, kink), t, nan_ok=True)
+        div[kink] = divergence(f, X[kink], None if P is None else P[kink], t, nan_ok=True)
     return k, div
 
 
 def _step(f, fused, t, X, P, phi, dt, strict_rk4: bool, track_density: bool):
     """One RK4 step of states plus the density factor for the step.
 
-    The state arithmetic is identical whether or not the density rides
-    along, and whether the divergence comes in closed form (fused into a
-    stage) or by finite differences, so a plain trajectory ensemble
-    (track_density=False) reproduces the density-tracking run bit for bit.
+    Each stage calls f, or _rhs_div where the density needs a divergence:
+    at every stage under strict_rk4, by default only at the k2 stage (the
+    Euler midpoint X2), and nowhere with track_density=False. The state
+    arithmetic is the same either way, so a plain trajectory ensemble
+    reproduces the density-tracking run bit for bit.
     """
-    tm = t + 0.5 * dt
+    k, div = [], []
+    for c in _RK4_C:
+        Xs = X + c * dt * k[-1] if k else X
+        if track_density and (strict_rk4 or len(k) == 1):
+            ki, di = _rhs_div(f, fused, t + c * dt, Xs, P)
+            div.append(di)
+        else:
+            ki = f(t + c * dt, Xs, P)
+        k.append(ki)
+    X_new = X + dt / 6.0 * (k[0] + 2 * k[1] + 2 * k[2] + k[3])
     if not track_density:
-        k1 = f(t, X, P)
-        k2 = f(tm, X + 0.5 * dt * k1, P)
-        k3 = f(tm, X + 0.5 * dt * k2, P)
-        k4 = f(t + dt, X + dt * k3, P)
-        return X + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), phi
-    if strict_rk4:
-        k1, d1 = _rhs_div(f, fused, t, X, P)
-        k2, d2 = _rhs_div(f, fused, tm, X + 0.5 * dt * k1, P)
-        k3, d3 = _rhs_div(f, fused, tm, X + 0.5 * dt * k2, P)
-        k4, d4 = _rhs_div(f, fused, t + dt, X + dt * k3, P)
-        kp1 = -d1 * phi
-        kp2 = -d2 * (phi + 0.5 * dt * kp1)
-        kp3 = -d3 * (phi + 0.5 * dt * kp2)
-        kp4 = -d4 * (phi + dt * kp3)
-        return (X + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4),
-                phi + dt / 6.0 * (kp1 + 2 * kp2 + 2 * kp3 + kp4))
-    # One divergence per step, at the Euler midpoint state X2 of the k2
-    # stage: the density factor is the RK4 one-step map of phi' = -div phi
-    # with frozen div.
-    k1 = f(t, X, P)
-    X2 = X + 0.5 * dt * k1
-    if fused is None:
-        k2 = f(tm, X2, P)
-        k3 = f(tm, X + 0.5 * dt * k2, P)
-        div = divergence(f, X2, P, tm, nan_ok=True)
-    else:
-        # the flagged rows' finite-difference stencil rides along in the k3
-        # call, which runs at the same t; rows do not interact, so k3 and
-        # the stencil rows come out as they would from calls of their own
-        k2, div, kink = fused(tm, X2, P)
-        Xk = X2[kink]
-        h = H_REL * np.maximum(1.0, np.abs(Xk))
-        S, PS = _stencil(Xk, _rows(P, kink), h, range(X.shape[1]))
-        F = f(tm, np.concatenate([X + 0.5 * dt * k2, S]),
-              None if P is None else np.concatenate([P, PS]))
-        k3, fd = F[:len(X)], np.zeros(len(Xk))
-        _add_secants(fd, F[len(X):], h, range(X.shape[1]))
-        div[kink] = fd
-    k4 = f(t + dt, X + dt * k3, P)
-    return X + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), phi * _density_multiplier(dt * div)
+        return X_new, phi
+    if not strict_rk4:
+        # the RK4 one-step map of phi' = -div phi with div frozen at X2
+        return X_new, phi * _density_multiplier(dt * div[0])
+    kp = []
+    for c, di in zip(_RK4_C, div):
+        kp.append(-di * (phi + c * dt * kp[-1] if kp else phi))
+    return X_new, phi + dt / 6.0 * (kp[0] + 2 * kp[1] + 2 * kp[2] + kp[3])
 
 
 def _propagate_arrays(rhs, X0, P0, phi0, t0, n_steps, dt, emit_steps,
@@ -385,11 +351,7 @@ def query_density(x_star: np.ndarray, t: float, rhs: Callable, phi0,
     with np.errstate(all="ignore"):
         for s in range(n_steps):
             tau = t - s * dt_eff
-            k1 = f(tau, x, p)
-            k2 = f(tau - 0.5 * dt_eff, x - 0.5 * dt_eff * k1, p)
-            k3 = f(tau - 0.5 * dt_eff, x - 0.5 * dt_eff * k2, p)
-            k4 = f(tau - dt_eff, x - dt_eff * k3, p)
-            x = x - dt_eff / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            x, _ = _step(f, None, tau, x, p, None, -dt_eff, False, False)
             if not np.all(np.isfinite(x)):
                 raise UnresolvableQueryError(
                     f"backward integration diverged at t={tau - dt_eff:.4f}")

@@ -24,9 +24,10 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_array
 
-# Refuse coupling matrices above this many entries: the LP's storage
-# grows as m*n while the Dirac short cut stays linear.
-DEFAULT_BUDGET = 25_000_000
+# Refuse coupling matrices above this many entries (500 x 500): HiGHS's
+# storage grows as m*n, about 1.2 kB per entry, while the Dirac short cut
+# stays linear.
+DEFAULT_BUDGET = 250_000
 
 _MASS_REJECT_TOL = 1e-9     # inputs farther than this from unit mass are errors
 _MASS_TOL = 1e-12           # post-normalization imbalance tolerance

@@ -196,25 +196,29 @@ def find_trim(V: float, alpha: float, params: AircraftParams | None = None,
     rnorm = optimality = float("inf")
     # A warm restart re-inflates the trust region and polishes the last
     # digits of stationarity at awkward (no-equilibrium) conditions.
-    for _ in range(3):
-        sol = least_squares(
-            _residual, z,
-            jac=lambda z, *a: _jacobian(z, *a),
-            bounds=(_LOWER, _UPPER),
-            args=(V, alpha, params, tables),
-            method="trf",
-            x_scale=_X_SCALE,
-            ftol=1e-15, xtol=1e-15, gtol=1e-14,
-            max_nfev=600,
-        )
-        nfev += int(sol.nfev)
-        z = sol.x
-        rnorm = float(np.linalg.norm(sol.fun))
-        g = sol.jac.T @ sol.fun  # both evaluated at sol.x
-        optimality = float(np.max(np.abs(_projected_gradient(z, g))))
-        if rnorm < _RTOL or optimality < _GTOL:
-            break
-    converged = rnorm < _RTOL or optimality < max(_GTOL, 1e-7 * rnorm)
+    # A residual too large to square (V near 0) overflows in the solver's
+    # cost and in the norm; it comes out inf and is never converged.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3):
+            sol = least_squares(
+                _residual, z,
+                jac=lambda z, *a: _jacobian(z, *a),
+                bounds=(_LOWER, _UPPER),
+                args=(V, alpha, params, tables),
+                method="trf",
+                x_scale=_X_SCALE,
+                ftol=1e-15, xtol=1e-15, gtol=1e-14,
+                max_nfev=600,
+            )
+            nfev += int(sol.nfev)
+            z = sol.x
+            rnorm = float(np.linalg.norm(sol.fun))
+            g = sol.jac.T @ sol.fun  # both evaluated at sol.x
+            optimality = float(np.max(np.abs(_projected_gradient(z, g))))
+            if rnorm < _RTOL or optimality < _GTOL:
+                break
+    converged = rnorm < _RTOL or (math.isfinite(rnorm)
+                                  and optimality < max(_GTOL, 1e-7 * rnorm))
 
     return TrimPoint(
         x_trim=LongitudinalState(float(z[0]), V, alpha, 0.0),

@@ -232,6 +232,16 @@ def test_snapshot_csv_missing_columns_exits_2(capsys, tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_coupling_over_budget_exits_2(capsys, tmp_path):
+    n = 501  # 501^2 coupling entries > DEFAULT_BUDGET
+    f = tmp_path / "big.csv"
+    f.write_text("t,id,theta_deg,V,alpha_deg,q_dps,phi,gamma,diverged\n" + "".join(
+        f"0,{i},1.0,{400.0 + i},5.0,0.0,1.0,{1 / n!r},0\n" for i in range(n)))
+    code, _, err = run_cli(capsys, "wasserstein", "--a", str(f), "--b", str(f))
+    assert code == EXIT_CONFIG
+    assert "coupling size m*n = 251001 exceeds budget" in err
+
+
 def test_dirac_at_zero_density_exits_3(capsys, tmp_path):
     f = tmp_path / "zero.csv"
     f.write_text("t,id,theta_deg,V,alpha_deg,q_dps,phi,gamma,diverged\n"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from otrobust import harness
 from otrobust.controller import LinearModel, LqrWeights
 from otrobust.f16 import DEG, ClosedLoop
 from otrobust.harness import (
@@ -211,6 +212,19 @@ def test_mc_matches_propagation_bitwise(params, tables, setup, kind):
         assert np.array_equal(pf_states, mc["controllers"][name]["states"])
         pf_mean = weighted_mean(snaps[-1].states, snaps[-1].gamma)
         assert np.array_equal(pf_mean, mc["controllers"][name]["mean"][-1])
+
+
+def test_mc_compare_draws_only_the_first_cloud(params, tables, setup, monkeypatch):
+    calls = []
+    real = harness.mcmc_sample
+    monkeypatch.setattr(harness, "mcmc_sample", lambda *a: calls.append(a) or real(*a))
+    cfg = mini_cfg(kind="param", samples=16, t_f=0.1, sampler="mcmc",
+                   param_delta_percent=[2.5, 5.0, 15.0])
+    mc = mc_compare(cfg, params, tables, setup=setup)
+    assert len(calls) == 1  # the first delta's cloud, shared by both controllers
+    first = _param_cloud(cfg, 2.5, np.zeros(4), params)
+    for name in ("lqr", "gslqr"):
+        assert np.array_equal(mc["controllers"][name]["snapshots"][0].params, first.params)
 
 
 def test_snapshot_csv_roundtrip(tmp_path, rng):

@@ -270,23 +270,30 @@ def test_kink_dense_step_divergence_matches_finite_differences(
 
 
 @pytest.mark.parametrize("law_kind, with_params, disturbed", KINK_CASES)
-@pytest.mark.parametrize("strict_rk4", [False, True])
+@pytest.mark.parametrize("strict_rk4, track_density", [
+    pytest.param(False, True, id="False"), pytest.param(True, True, id="True"),
+    pytest.param(False, False, id="states-only")])
 def test_kink_dense_propagation_matches_finite_difference_path(
         params, tables, nominal_trim, nominal_gain, schedule, rng,
-        law_kind, with_params, disturbed, strict_rk4):
+        law_kind, with_params, disturbed, strict_rk4, track_density):
     loop, X, P = _kink_case(law_kind, with_params, disturbed, params, tables, nominal_trim,
                             nominal_gain, schedule, rng, 0.0)
-    # the first step's midpoint already has rows for the k3-stacked fallback
+    # the first step's midpoint already has rows for the finite-difference fallback
     X2 = X + 0.005 * loop.state_rhs(0.0, X, P)
     assert np.any(loop.state_rhs_div(0.005, X2, P)[2])
     cloud = EnsembleSnapshot.from_cloud(X, np.ones(len(X)), np.full(len(X), 1 / len(X)),
                                         params=P)
-    fused = propagate(cloud, loop, 0.05, 0.01, strict_rk4=strict_rk4)
+    fused = propagate(cloud, loop, 0.05, 0.01, strict_rk4=strict_rk4,
+                      track_density=track_density)
+    # the states-only run is checked against the density run
     fd = propagate(cloud, loop.state_rhs, 0.05, 0.01, strict_rk4=strict_rk4)
     for a, b in zip(fused, fd):
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.diverged, b.diverged)
-        assert a.phi == pytest.approx(b.phi, rel=1e-9)
+        if track_density:
+            assert a.phi == pytest.approx(b.phi, rel=1e-9)
+        else:
+            assert np.array_equal(a.phi, cloud.phi)
 
 
 def test_law_without_jacobian_takes_finite_differences(params, tables, nominal_trim, rng):

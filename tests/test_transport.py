@@ -8,6 +8,7 @@ from scipy.optimize import linear_sum_assignment
 
 from otrobust.liouville import EnsembleSnapshot
 from otrobust.transport import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     DiscreteDistribution,
     MassBalanceError,
@@ -149,10 +150,25 @@ def test_scale_weights(rng):
 
 
 def test_budget_error_names_size():
-    # 5001^2 = 25,010,001 > DEFAULT_BUDGET; refused before any allocation
+    # 5001^2 = 25,010,001 > DEFAULT_BUDGET (500^2); refused before any allocation
     a = DiscreteDistribution(np.zeros((5001, 1)), np.full(5001, 1.0 / 5001))
     with pytest.raises(BudgetExceededError, match="25010001"):
         wasserstein_lp(a, a)
+
+
+def test_budget_is_inclusive():
+    # The budget counts coupling entries before zero-mass points are dropped,
+    # so b puts all its mass on one point and the LP left over is 1 x 1.
+    a = DiscreteDistribution([[0.0]], [1.0])
+
+    def spike(n):
+        masses = np.zeros(n)
+        masses[0] = 1.0
+        return DiscreteDistribution(np.full((n, 1), 2.0), masses)
+
+    assert wasserstein_lp(a, spike(DEFAULT_BUDGET)).W == 2.0
+    with pytest.raises(BudgetExceededError, match=str(DEFAULT_BUDGET + 1)):
+        wasserstein_lp(a, spike(DEFAULT_BUDGET + 1))
 
 
 def test_mass_balance_policy():

@@ -53,6 +53,14 @@ def test_invalid_condition_rejected(params, tables):
         find_trim(float("nan"), 0.0, params, tables)
 
 
+def test_overflowing_residual_is_not_converged(params, tables):
+    # at V = 1e-300 the residual's square overflows: its norm is inf, and a
+    # relative stationarity test against an infinite norm passes vacuously
+    tp = find_trim(1e-300, 0.0, params, tables)
+    assert tp.residual == float("inf")
+    assert not tp.converged
+
+
 def test_default_grid_is_100_nodes():
     grid = default_grid()
     assert len(grid) == 100
