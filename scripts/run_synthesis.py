@@ -38,7 +38,7 @@ def main() -> int:
     print(f"\nschedule: {sched.n_nodes} nodes, {n_unstable} open-loop unstable,")
     print(f"  worst closed-loop abscissa {sched.abscissa_closed.max():.4f} (all < 0)")
 
-    model = setup.closed_loop_linear_model("deg")
+    model = setup.closed_loop_linear_model()
     _, peak = freq_response(model, default_omega_grid())
     print(f"\nclosed-loop disturbance-to-state response peaks at {peak:.3f} rad/s")
 

@@ -4,7 +4,9 @@ Subcommands mirror the library pipeline: trim / trim-grid for equilibria,
 gains / schedule for controller synthesis, propagate for raw ensemble
 snapshots, wasserstein for scoring snapshot files, freq for the
 disturbance-to-state response, and scenario for the full experiment
-runner. Angle-valued inputs and outputs are degrees.
+runner. Angle-valued inputs and outputs are degrees. The JSON that trim,
+trim-grid, gains and schedule write is strict: a non-finite number in it is
+a numerical failure, and nothing is written.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -21,7 +23,6 @@ import numpy as np
 from . import controller, harness, trim
 from .f16 import DEG, AeroTables, AircraftParams
 from .harness import ConfigError, NumericalFailure, ScenarioConfig
-from .liouville import PropagationError, UnresolvableQueryError
 from .transport import (BudgetExceededError, DiscreteDistribution,
                         MassBalanceError, wasserstein_lp)
 
@@ -36,11 +37,19 @@ def _load_params_tables(args):
     return params, tables
 
 
+def _json_text(doc) -> str:
+    """doc as indented JSON text; NumericalFailure if it holds a non-finite
+    number, which JSON has no token for."""
+    try:
+        return json.dumps(doc, indent=1, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalFailure(f"non-finite value in the JSON output ({exc})") from None
+
+
 def _cmd_trim(args) -> int:
     params, tables = _load_params_tables(args)
     tp = trim.find_trim(args.V, args.alpha_deg * DEG, params, tables)
-    json.dump(tp.to_dict(), sys.stdout, indent=1)
-    print()
+    sys.stdout.write(_json_text(tp.to_dict()) + "\n")
     return EXIT_OK
 
 
@@ -48,9 +57,9 @@ def _cmd_trim_grid(args) -> int:
     params, tables = _load_params_tables(args)
     grid = trim.default_grid(args.nv, args.nalpha)
     points = trim.trim_grid(grid, params, tables)
-    doc = [tp.to_dict() for tp in points]
+    text = _json_text([tp.to_dict() for tp in points])
     with open(args.out, "w") as f:
-        json.dump(doc, f, indent=1)
+        f.write(text)
     n_conv = sum(tp.converged for tp in points)
     print(f"wrote {len(points)} trim points ({n_conv} converged) to {args.out}")
     return EXIT_OK
@@ -62,14 +71,13 @@ def _cmd_gains(args) -> int:
     model = controller.linearize_plant(tp.x_trim, tp.u_trim, params, tables)
     K = controller.lqr_gain(model, controller.LqrWeights())
     acl = controller.spectral_abscissa(model.A - model.B @ K)
-    json.dump({
+    sys.stdout.write(_json_text({
         "trim": tp.to_dict(),
         "K": K.tolist(),
-        "K_units": "thrust lb and elevator rad per (rad, ft/s, rad, rad/s) deviation",
+        "K_units": controller.K_UNITS,
         "closed_loop_abscissa": acl,
         "open_loop_abscissa": controller.spectral_abscissa(model.A),
-    }, sys.stdout, indent=1)
-    print()
+    }) + "\n")
     return EXIT_OK
 
 
@@ -80,8 +88,9 @@ def _cmd_schedule(args) -> int:
                                params, tables)
     sched = controller.build_schedule(points, controller.LqrWeights(),
                                       params, tables, reference=reference)
+    text = _json_text(sched.to_dict())
     with open(args.out, "w") as f:
-        json.dump(sched.to_dict(), f, indent=1)
+        f.write(text)
     n_unstable = int(np.count_nonzero(sched.abscissa_open > 0))
     print(f"wrote {sched.n_nodes}-node schedule to {args.out} "
           f"({n_unstable} open-loop unstable nodes, all closed loops stable)")
@@ -177,7 +186,7 @@ def _cmd_wasserstein(args) -> int:
 def _cmd_freq(args) -> int:
     params, tables = _load_params_tables(args)
     setup = harness.build_controllers(params, tables, need_schedule=False)
-    model = setup.closed_loop_linear_model("deg")
+    model = setup.closed_loop_linear_model()
     grid = harness.default_omega_grid(args.points)
     gains_db, peak = harness.freq_response(model, grid)
     out = open(args.out, "w") if args.out else sys.stdout
@@ -288,8 +297,7 @@ def main(argv=None) -> int:
             OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalFailure, PropagationError, UnresolvableQueryError,
-            controller.SynthesisError, controller.LinearizationError,
+    except (NumericalFailure, controller.SynthesisError, controller.LinearizationError,
             np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

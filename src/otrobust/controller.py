@@ -22,11 +22,13 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .f16 import (AeroTables, AircraftParams, ControlInput, LongitudinalState, dynamics,
-                  numeric_arrays)
+from .f16 import (CONTROL_UNITS, DEG, STATE_UNITS, AeroTables, AircraftParams, ControlInput,
+                  LongitudinalState, dynamics, numeric_arrays)
 from .trim import TrimPoint
 
 CARE_RESIDUAL_RTOL = 1e-8
+# The unit of every gain matrix: K acts on radian state deviations.
+K_UNITS = "thrust lb and elevator rad per (rad, ft/s, rad, rad/s) deviation"
 
 
 class LinearizationError(RuntimeError):
@@ -253,16 +255,15 @@ class GainSchedule:
     def to_dict(self) -> dict:
         return {
             "V_nodes": self.V_nodes.tolist(),
-            "alpha_nodes_deg": (self.alpha_nodes / np.pi * 180.0).tolist(),
-            "x_trims_deg": _states_to_deg(self.x_trims).tolist(),
-            "u_trims_deg": _controls_to_deg(self.u_trims).tolist(),
-            # Gains act on radian state deviations and produce (lb, rad).
+            "alpha_nodes_deg": (self.alpha_nodes * (1.0 / STATE_UNITS[2])).tolist(),
+            "x_trims_deg": (self.x_trims * (1.0 / STATE_UNITS)).tolist(),
+            "u_trims_deg": (self.u_trims * (1.0 / CONTROL_UNITS)).tolist(),
             "K": self.K.tolist(),
-            "K_units": "thrust lb and elevator rad per (rad, ft/s, rad, rad/s) deviation",
+            "K_units": K_UNITS,
             "abscissa_open": self.abscissa_open.tolist(),
             "abscissa_closed": self.abscissa_closed.tolist(),
-            "x_ref_deg": _states_to_deg(self.x_ref).tolist(),
-            "u_ref_deg": _controls_to_deg(self.u_ref).tolist(),
+            "x_ref_deg": (self.x_ref * (1.0 / STATE_UNITS)).tolist(),
+            "u_ref_deg": (self.u_ref * (1.0 / CONTROL_UNITS)).tolist(),
         }
 
     @classmethod
@@ -277,43 +278,15 @@ class GainSchedule:
                 raise ValueError(f"gain schedule field {key!r} must end in an axis of {width}")
         return cls(
             V_nodes=a["V_nodes"],
-            alpha_nodes=a["alpha_nodes_deg"] * (np.pi / 180.0),
-            x_trims=_states_from_deg(a["x_trims_deg"]),
-            u_trims=_controls_from_deg(a["u_trims_deg"]),
+            alpha_nodes=a["alpha_nodes_deg"] * STATE_UNITS[2],
+            x_trims=a["x_trims_deg"] * STATE_UNITS,
+            u_trims=a["u_trims_deg"] * CONTROL_UNITS,
             K=a["K"],
             abscissa_open=a["abscissa_open"],
             abscissa_closed=a["abscissa_closed"],
-            x_ref=_states_from_deg(a["x_ref_deg"]),
-            u_ref=_controls_from_deg(a["u_ref_deg"]),
+            x_ref=a["x_ref_deg"] * STATE_UNITS,
+            u_ref=a["u_ref_deg"] * CONTROL_UNITS,
         )
-
-
-def _states_to_deg(x: np.ndarray) -> np.ndarray:
-    out = np.array(x, dtype=float, copy=True)
-    out[..., 0] *= 180.0 / np.pi
-    out[..., 2] *= 180.0 / np.pi
-    out[..., 3] *= 180.0 / np.pi
-    return out
-
-
-def _states_from_deg(x: np.ndarray) -> np.ndarray:
-    out = np.array(x, dtype=float, copy=True)
-    out[..., 0] *= np.pi / 180.0
-    out[..., 2] *= np.pi / 180.0
-    out[..., 3] *= np.pi / 180.0
-    return out
-
-
-def _controls_to_deg(u: np.ndarray) -> np.ndarray:
-    out = np.array(u, dtype=float, copy=True)
-    out[..., 1] *= 180.0 / np.pi
-    return out
-
-
-def _controls_from_deg(u: np.ndarray) -> np.ndarray:
-    out = np.array(u, dtype=float, copy=True)
-    out[..., 1] *= np.pi / 180.0
-    return out
 
 
 def build_schedule(trims: list[TrimPoint], weights: LqrWeights | None = None,
@@ -362,11 +335,11 @@ def build_schedule(trims: list[TrimPoint], weights: LqrWeights | None = None,
             Kij = lqr_gain(model, weights)
         except SynthesisError as exc:
             raise SynthesisError(
-                f"node (V={Vs[i]:.1f}, alpha={alphas[j] / np.pi * 180:.2f} deg): {exc}") from exc
+                f"node (V={Vs[i]:.1f}, alpha={alphas[j] / DEG:.2f} deg): {exc}") from exc
         acl = spectral_abscissa(model.A - model.B @ Kij)
         if acl >= 0.0:
             raise SynthesisError(
-                f"node (V={Vs[i]:.1f}, alpha={alphas[j] / np.pi * 180:.2f} deg) "
+                f"node (V={Vs[i]:.1f}, alpha={alphas[j] / DEG:.2f} deg) "
                 f"not stabilized (abscissa {acl:.3e})")
         x_trims[i, j] = tp.x_trim.as_array()
         u_trims[i, j] = tp.u_trim.as_array()

@@ -7,8 +7,11 @@ force and moment coefficients come from clamped multilinear interpolation
 of wind-tunnel tables; the shipped data file carries the public-domain
 Stevens-Lewis longitudinal set.
 
-Angles are radians internally. Table files and the CLI speak degrees, with
-conversion at the boundary.
+Angles are radians internally. Files, the CLI and the Wasserstein scores
+speak degrees (deg, ft/s, deg, deg/s for states; lb, deg for controls), and
+STATE_UNITS and CONTROL_UNITS are the one table that converts state and
+control vectors between the two: a reporting value times its unit is the
+internal value.
 
 All evaluation routines are pure and broadcast over leading sample axes:
 states have a trailing axis of length 4, controls of length 2. Per-sample
@@ -34,7 +37,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from importlib import resources
 from typing import Callable
 
@@ -42,12 +45,15 @@ import numpy as np
 
 DEG = math.pi / 180.0
 
+# Internal value of one reporting unit per state (deg, ft/s, deg, deg/s) and
+# per control (lb, deg).
+STATE_UNITS = np.array([DEG, 1.0, DEG, DEG])
+CONTROL_UNITS = np.array([1.0, DEG])
+
 # Actuator limits: thrust (lb) and elevator (rad).
 THRUST_MIN = 1000.0
 THRUST_MAX = 28000.0
 ELEVATOR_LIMIT = 25.0 * DEG
-
-COEFFICIENT_IDS = ("CX", "CZ", "Cm", "CXq", "CZq", "Cmq")
 
 # Relative step of the divergence stencil, h_k = H_REL max(1, |x_k|): the
 # central-difference step of liouville.divergence, and so the width of the
@@ -119,6 +125,10 @@ class AircraftParams:
                 raise ValueError(f"{name} must be positive")
         if not 1.0 - 0.703e-5 * self.h > 0.0:
             raise ValueError(f"h must be below {1 / 0.703e-5:.0f} ft, where density reaches 0")
+        with contextlib.suppress(OverflowError):
+            if math.isfinite(self.density()):
+                return
+        raise ValueError(f"the density at h = {self.h} ft is not finite")
 
     def density(self) -> float:
         """Atmospheric density rho(h) = rho0 (1 - 0.703e-5 h)^4.14, slug/ft^3."""
@@ -145,16 +155,6 @@ class AircraftParams:
             "xcg_ref": self.xcg_ref, "xcg": self.xcg, "Jyy": self.Jyy,
             "rho0": self.rho0, "h": self.h,
         }
-
-    def with_overrides(self, m=None, xcg=None, Jyy=None) -> "AircraftParams":
-        kw = {}
-        if m is not None:
-            kw["m"] = m
-        if xcg is not None:
-            kw["xcg"] = xcg
-        if Jyy is not None:
-            kw["Jyy"] = Jyy
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,19 +298,6 @@ def _aero(tables: AeroTables, alpha, delta_e, slopes: bool = False):
     return static, damping, ((ud * (g10 - g00) + wd * (g11 - g01)) * sa,
                              (q1 - q0) * sa,
                              (ua * (g01 - g00) + wa * (g11 - g10)) * sd)
-
-
-def lookup_coefficient(tables: AeroTables, which: str, alpha, delta_e=0.0):
-    """Interpolated aerodynamic coefficient at alpha, delta_e (radians).
-
-    CX, CZ, Cm interpolate bilinearly over (alpha, delta_e); CXq, CZq, Cmq
-    linearly over alpha. Queries outside the breakpoint range clamp to the
-    nearest edge.
-    """
-    if which not in COEFFICIENT_IDS:
-        raise KeyError(f"unknown coefficient id {which!r}; expected one of {COEFFICIENT_IDS}")
-    k = COEFFICIENT_IDS.index(which)
-    return np.take(_aero(tables, alpha, delta_e)[k // 3], k % 3, axis=-1)
 
 
 def saturate_array(u: np.ndarray) -> np.ndarray:

@@ -17,8 +17,8 @@ mc_compare and the CLI's propagate take their clouds and loops from the
 same generator. Every curve is a closed-form Dirac distance to trim, the
 param one on the extended space (see _cases); the transportation LP is
 kept for general CLI inputs and as the oracle of that score. Wasserstein
-values are reported in the degree-based unit convention (deg, ft/s, deg,
-deg/s) of STATE_UNITS, used by all file outputs. Reports are plain dicts
+values are reported in the degree-based reporting units (deg, ft/s, deg,
+deg/s) of f16.STATE_UNITS, as are all file outputs. Reports are plain dicts
 rendered to report.json / W.csv / snapshot CSVs, stamped with a content
 hash so identical configurations are bit-reproducible.
 """
@@ -46,7 +46,8 @@ from .controller import (
     lqr_gain,
     spectral_abscissa,
 )
-from .f16 import DEG, AeroTables, AircraftParams, ClosedLoop, SineDisturbance, as_number
+from .f16 import (CONTROL_UNITS, DEG, STATE_UNITS, AeroTables, AircraftParams, ClosedLoop,
+                  SineDisturbance, as_number)
 from .liouville import EnsembleSnapshot, likelihood_extremes, propagate
 from .sampling import BoxDomain, InitialPdf, halton, mcmc_sample, weighted_cloud
 from .transport import wasserstein_dirac
@@ -77,9 +78,6 @@ DEFAULT_DISTURBANCE_AMP_DEG = 6.5
 _SWEEPS = {"param": "param_delta_percent", "disturbance": "omega_rad_s"}
 
 STATE_KEYS = ("theta", "V", "alpha", "q")
-# Internal value of one reporting unit per state (deg, ft/s, deg, deg/s): the
-# one place configs, snapshot files and scores convert units.
-STATE_UNITS = np.array([DEG, 1.0, DEG, DEG])
 # Cost weights expressing states in the reporting units (angles in deg).
 PAPER_STATE_SCALE = 1.0 / STATE_UNITS
 
@@ -226,16 +224,13 @@ class ControllerSetup:
             return ScheduledLaw(self.schedule)
         raise ConfigError(f"unknown controller {name!r}")
 
-    def closed_loop_linear_model(self, units: str = "deg") -> LinearModel:
-        """Closed-loop (A - B K, B) model in deg or internal rad units."""
+    def closed_loop_linear_model(self) -> LinearModel:
+        """Closed-loop (A - B K, B) model in the reporting units: the
+        similarity transform of the radian model by the unit table."""
         A_cl = self.model.A - self.model.B @ self.K
-        B = self.model.B
-        if units == "rad":
-            return LinearModel(A=A_cl, B=B, x0=self.model.x0, u0=self.model.u0)
-        D = np.diag(PAPER_STATE_SCALE)
-        Du = np.diag([1.0, 1.0 / DEG])
-        return LinearModel(A=D @ A_cl @ np.linalg.inv(D),
-                           B=D @ B @ np.linalg.inv(Du),
+        scale = PAPER_STATE_SCALE[:, None]
+        return LinearModel(A=scale * A_cl * STATE_UNITS,
+                           B=scale * self.model.B * CONTROL_UNITS,
                            x0=self.model.x0, u0=self.model.u0)
 
 
@@ -692,20 +687,3 @@ def mc_compare(cfg: ScenarioConfig,
             "snapshots": snaps,
         }
     return out
-
-
-def dominant_frequency(t: np.ndarray, W: np.ndarray,
-                       t_min: float, t_max: float) -> float:
-    """Dominant nonzero FFT frequency (rad/s) of W(t) on [t_min, t_max]."""
-    t = np.asarray(t, dtype=float)
-    W = np.asarray(W, dtype=float)
-    sel = (t >= t_min) & (t <= t_max)
-    if np.count_nonzero(sel) < 8:
-        raise ValueError("too few samples in the analysis window")
-    ts, Ws = t[sel], W[sel]
-    dt = float(np.mean(np.diff(ts)))
-    y = Ws - np.mean(Ws)
-    spec = np.abs(np.fft.rfft(y))
-    freqs = np.fft.rfftfreq(y.size, d=dt) * 2.0 * math.pi
-    k = int(np.argmax(spec[1:])) + 1
-    return float(freqs[k])

@@ -58,14 +58,6 @@ DIVERGENCE_ROW_BUDGET = 4096
 _RK4_C = (0.0, 0.5, 0.5, 1.0)
 
 
-class PropagationError(RuntimeError):
-    """Raised when a density/divergence evaluation cannot be completed."""
-
-
-class UnresolvableQueryError(RuntimeError):
-    """Backward integration of a density query blew up."""
-
-
 @dataclass(eq=False)
 class EnsembleSnapshot:
     """Time-stamped ensemble: states (n, dx), params (n, dp), densities,
@@ -113,22 +105,19 @@ class EnsembleSnapshot:
                    diverged=None, metadata=metadata or {})
 
 
-def divergence(rhs: Callable, x: np.ndarray, p: np.ndarray | None, t: float,
-               h_rel: float = H_REL, nan_ok: bool = False) -> np.ndarray:
+def divergence(rhs: Callable, x: np.ndarray, p: np.ndarray | None, t: float) -> np.ndarray:
     """Divergence of the state block of rhs at (x, p, t), batched.
 
-    Central differences per state direction with steps h_rel max(1, |x|);
+    Central differences per state direction with steps H_REL max(1, |x|);
     the frozen parameter block contributes zero. The +/- perturbed copies of
     the block go through rhs stacked (p tiled to match): as many whole +/-
     pairs per call as fit in DIVERGENCE_ROW_BUDGET rows, and at least one.
-    The terms are summed in direction order either way. The default step is
-    larger than the one used for control-synthesis Jacobians: the trace
-    feeds only the density ODE and a larger step keeps subtractive-
-    cancellation noise below the integrator's truncation error. Raises
-    PropagationError (naming the first offending sample) when entries come
-    out non-finite for states that are finite; nan_ok=True instead leaves
-    NaN in place so ensemble integration can flag the sample (a state
-    mid-blow-up can be finite while its neighbourhood is not).
+    The terms are summed in direction order either way. The step is larger
+    than the one used for control-synthesis Jacobians: the trace feeds only
+    the density ODE and a larger step keeps subtractive-cancellation noise
+    below the integrator's truncation error. Non-finite entries stay in
+    place, so ensemble integration can flag the sample (a state mid-blow-up
+    can be finite while its neighbourhood is not).
 
     This is the generic path of propagate, the fallback of the closed-form
     divergence at kinks, and its test oracle.
@@ -139,7 +128,7 @@ def divergence(rhs: Callable, x: np.ndarray, p: np.ndarray | None, t: float,
     P = None if p is None else np.atleast_2d(np.asarray(p, dtype=float))
     n, dx = X.shape
     div = np.zeros(n)
-    h = h_rel * np.maximum(1.0, np.abs(X))
+    h = H_REL * np.maximum(1.0, np.abs(X))
     per_call = max(1, DIVERGENCE_ROW_BUDGET // (2 * n))
     for k0 in range(0, dx, per_call):
         ks = range(k0, min(dx, k0 + per_call))
@@ -153,12 +142,6 @@ def divergence(rhs: Callable, x: np.ndarray, p: np.ndarray | None, t: float,
         F = F.reshape(len(ks), 2, n, -1)
         for i, k in enumerate(ks):
             div += (F[i, 0, :, k] - F[i, 1, :, k]) / (2.0 * h[:, k])
-    if not nan_ok:
-        finite_state = np.all(np.isfinite(X), axis=-1)
-        bad = finite_state & ~np.isfinite(div)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise PropagationError(f"non-finite divergence at sample {i}, state {X[i]}")
     return div[0] if squeeze else div
 
 
@@ -178,10 +161,10 @@ def _rhs_div(f, fused, t, X, P):
     divergence on the rows it flags, or finite differences throughout when
     there is no closed form."""
     if fused is None:
-        return f(t, X, P), divergence(f, X, P, t, nan_ok=True)
+        return f(t, X, P), divergence(f, X, P, t)
     k, div, kink = fused(t, X, P)
     if np.any(kink):
-        div[kink] = divergence(f, X[kink], None if P is None else P[kink], t, nan_ok=True)
+        div[kink] = divergence(f, X[kink], None if P is None else P[kink], t)
     return k, div
 
 
@@ -320,53 +303,6 @@ def propagate(cloud: EnsembleSnapshot, rhs: Callable, t_f: float, dt: float,
             t=t_k, states=X, params=cloud.params, phi=phi,
             gamma=cloud.gamma, diverged=dead, metadata=meta))
     return snapshots
-
-
-def query_density(x_star: np.ndarray, t: float, rhs: Callable, phi0,
-                  dt: float, strict_rk4: bool = False,
-                  n_params: int = 0) -> float:
-    """Joint density value at an arbitrary extended-state point and time.
-
-    The point is integrated backward to time zero; if it lands outside the
-    support of the initial density the answer is exactly zero, otherwise
-    the characteristic is re-integrated forward from the recovered initial
-    condition. phi0 must expose support membership through a zero density
-    value (as InitialPdf does). The trailing n_params entries of x_star are
-    the frozen parameter block.
-    """
-    if t < 0:
-        raise ValueError("query time must be nonnegative")
-    x_star = np.asarray(x_star, dtype=float).reshape(-1)
-    phi_fn = phi0 if callable(phi0) else phi0.density
-    if t == 0.0:
-        return float(np.asarray(phi_fn(x_star)))
-
-    dx = x_star.size - n_params
-    x = x_star[:dx][None, :]
-    p = x_star[dx:][None, :] if n_params else None
-
-    n_steps = max(1, int(round(t / dt)))
-    dt_eff = t / n_steps
-    f, _ = _fields(rhs)
-    with np.errstate(all="ignore"):
-        for s in range(n_steps):
-            tau = t - s * dt_eff
-            x, _ = _step(f, None, tau, x, p, None, -dt_eff, False, False)
-            if not np.all(np.isfinite(x)):
-                raise UnresolvableQueryError(
-                    f"backward integration diverged at t={tau - dt_eff:.4f}")
-
-    x0_ext = np.concatenate([x[0], p[0] if p is not None else []])
-    phi_init = float(np.asarray(phi_fn(x0_ext)))
-    if phi_init == 0.0:
-        return 0.0
-
-    out = _propagate_arrays(rhs, x, p, np.array([phi_init]), 0.0,
-                            n_steps, dt_eff, {n_steps}, strict_rk4)
-    _, _, phi, dead = out[0]
-    if dead[0]:
-        raise UnresolvableQueryError("forward re-integration diverged")
-    return float(phi[0])
 
 
 def likelihood_extremes(snapshots: Sequence[EnsembleSnapshot]) -> list[tuple[float, int, int]]:

@@ -4,12 +4,10 @@ The general case solves the transportation linear program over couplings
 mu_ij >= 0 with prescribed row/column marginals minimizing the total
 squared-distance cost. scipy's HiGHS solver (`linprog(method="highs")`)
 takes the LP with a sparse (m+n) x mn marginal matrix; its plan is checked
-against the marginals here. Special cases are computed in closed form: a
-Dirac reference target reduces to a mass-weighted root-mean-square
-distance, and 1-D problems to the exact quantile coupling (which doubles
-as an independent oracle for the LP). Scenario scores use only the Dirac
-form; the LP serves general CLI inputs and, via extended_wasserstein, as
-the oracle of the extended-space param score.
+against the marginals here. A Dirac reference target reduces to a
+mass-weighted root-mean-square distance in closed form. Scenario scores use
+only the Dirac form; the LP serves general CLI inputs and, via
+extended_wasserstein, as the oracle of the extended-space param score.
 
 Costs are squared Euclidean with optional per-dimension scale weights
 (the state mixes angles and velocities; the CLI boundary uses degrees).
@@ -25,8 +23,10 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_array
 
 # Refuse coupling matrices above this many entries (500 x 500): HiGHS's
-# storage grows as m*n, about 1.2 kB per entry, while the Dirac short cut
-# stays linear.
+# storage grows with m*n while the Dirac short cut stays linear. Its peak
+# also depends on the shape: one LP at the budget (d = 4, uniform masses)
+# peaked at 384 MB RSS as 500 x 500 and at 505 MB as 1 x 250,000, the
+# most elongated shape and the worst measured.
 DEFAULT_BUDGET = 250_000
 
 _MASS_REJECT_TOL = 1e-9     # inputs farther than this from unit mass are errors
@@ -74,9 +74,6 @@ class DiscreteDistribution:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def marginal(self, axis: int) -> "DiscreteDistribution":
-        return DiscreteDistribution(self.points[:, axis:axis + 1], self.masses)
-
 
 @dataclass(frozen=True, eq=False)
 class TransportPlan:
@@ -91,11 +88,6 @@ class TransportPlan:
     @property
     def W(self) -> float:
         return math.sqrt(max(self.cost, 0.0))
-
-    def dense(self) -> np.ndarray:
-        M = np.zeros(self.shape)
-        M[self.rows, self.cols] = self.flows
-        return M
 
 
 def _pairwise_sqdist(a: np.ndarray, b: np.ndarray, scale) -> np.ndarray:
@@ -161,35 +153,6 @@ def wasserstein_lp(a: DiscreteDistribution, b: DiscreteDistribution,
                          flows=flows, cost=cost, shape=(a.n, b.n))
 
 
-def wasserstein_1d(a: DiscreteDistribution, b: DiscreteDistribution) -> float:
-    """Exact 1-D W via the quantile coupling (merged CDF segments)."""
-    if a.dim != 1 or b.dim != 1:
-        raise ValueError("wasserstein_1d requires 1-D distributions")
-    xa = a.points[:, 0]
-    xb = b.points[:, 0]
-    oa = np.argsort(xa, kind="stable")
-    ob = np.argsort(xb, kind="stable")
-    xa, wa = xa[oa], a.masses[oa]
-    xb, wb = xb[ob], b.masses[ob]
-
-    cost = 0.0
-    i = j = 0
-    ra, rb = wa[0], wb[0]
-    while i < xa.size and j < xb.size:
-        seg = min(ra, rb)
-        diff = xa[i] - xb[j]
-        cost += seg * diff * diff
-        ra -= seg
-        rb -= seg
-        if ra <= 1e-17:
-            i += 1
-            ra = wa[i] if i < xa.size else 0.0
-        if rb <= 1e-17:
-            j += 1
-            rb = wb[j] if j < xb.size else 0.0
-    return math.sqrt(max(cost, 0.0))
-
-
 def wasserstein_dirac(snapshot, x_ref, scale=None, weights=None) -> float:
     """W between an ensemble and the Dirac distribution at x_ref.
 
@@ -232,18 +195,3 @@ def extended_wasserstein(snapshot, x_trim, scale=None, weights=None) -> Transpor
     a = DiscreteDistribution(pts_a, snapshot.gamma if weights is None else weights)
     b = DiscreteDistribution(pts_b, snapshot.gamma)
     return wasserstein_lp(a, b, scale=full_scale)
-
-
-def marginal_bound_check(a: DiscreteDistribution, b: DiscreteDistribution):
-    """Per-axis marginal distances, joint distance, and the bound flag.
-
-    Returns (W_i list, W_joint, flag) with flag true when
-    sum_i W_i^2 <= W_joint^2 + 1e-9: marginal transport can never cost
-    more than the joint plan whose marginals it projects.
-    """
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    per_axis = [wasserstein_1d(a.marginal(k), b.marginal(k)) for k in range(a.dim)]
-    joint = wasserstein_lp(a, b).W
-    flag = math.fsum(w * w for w in per_axis) <= joint * joint + 1e-9
-    return per_axis, joint, flag

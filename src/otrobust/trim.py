@@ -30,8 +30,10 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .f16 import (
+    CONTROL_UNITS,
     DEG,
     ELEVATOR_LIMIT,
+    STATE_UNITS,
     THRUST_MAX,
     THRUST_MIN,
     AeroTables,
@@ -96,13 +98,15 @@ class TrimPoint:
 
     def to_dict(self) -> dict:
         """Degree-based JSON form (file/CLI boundary)."""
+        theta, V, alpha, q = (self.x_trim.as_array() / STATE_UNITS).tolist()
+        T, delta_e = (self.u_trim.as_array() / CONTROL_UNITS).tolist()
         return {
-            "theta_deg": self.x_trim.theta / DEG,
-            "V": self.x_trim.V,
-            "alpha_deg": self.x_trim.alpha / DEG,
-            "q_dps": self.x_trim.q / DEG,
-            "T": self.u_trim.T,
-            "delta_e_deg": self.u_trim.delta_e / DEG,
+            "theta_deg": theta,
+            "V": V,
+            "alpha_deg": alpha,
+            "q_dps": q,
+            "T": T,
+            "delta_e_deg": delta_e,
             "residual": self.residual,
             "optimality": self.optimality,
             "converged": self.converged,
@@ -125,10 +129,11 @@ class TrimPoint:
         if not v["iterations"].is_integer():
             raise ValueError(f"trim point field 'iterations' must be an integer, "
                              f"got {d['iterations']!r}")
+        x = np.array([v[k] for k in _FIELDS[:4]]) * STATE_UNITS
+        u = np.array([v[k] for k in _FIELDS[4:6]]) * CONTROL_UNITS
         return cls(
-            x_trim=LongitudinalState(v["theta_deg"] * DEG, v["V"],
-                                     v["alpha_deg"] * DEG, v["q_dps"] * DEG),
-            u_trim=ControlInput(v["T"], v["delta_e_deg"] * DEG),
+            x_trim=LongitudinalState(*x.tolist()),
+            u_trim=ControlInput(*u.tolist()),
             residual=v["residual"],
             converged=d["converged"],
             optimality=v["optimality"],

@@ -21,13 +21,13 @@ import time
 import numpy as np
 import pytest
 
+from oracles import dominant_frequency, marginal_bound_check, wasserstein_1d
 from otrobust.controller import lqr_gain, linearize_plant, spectral_abscissa
 from otrobust.f16 import DEG, AircraftParams, AeroTables
 from otrobust.harness import (
     ScenarioConfig,
     build_controllers,
     default_omega_grid,
-    dominant_frequency,
     freq_response,
     mc_compare,
     run_scenario,
@@ -36,8 +36,6 @@ from otrobust.harness import (
 from otrobust.liouville import EnsembleSnapshot, propagate
 from otrobust.transport import (
     DiscreteDistribution,
-    marginal_bound_check,
-    wasserstein_1d,
     wasserstein_dirac,
     wasserstein_lp,
 )
@@ -338,7 +336,7 @@ def test_criterion_10_companion_forced_oscillation(disturbance_run):
 def test_criterion_11_frequency_response(timed_setup):
     setup, _ = timed_setup
     t0 = time.perf_counter()
-    model = setup.closed_loop_linear_model("deg")
+    model = setup.closed_loop_linear_model()
     gains_db, peak = freq_response(model, default_omega_grid())
     elapsed = time.perf_counter() - t0
     assert 1.0 <= peak <= 4.0

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from otrobust.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from otrobust.harness import read_snapshot_csv
+from otrobust.harness import DEFAULT_IC_BOX_DEG, read_snapshot_csv
 
 
 def run_cli(capsys, *argv):
@@ -25,6 +26,21 @@ def test_trim_subcommand(capsys):
     assert doc["converged"] is True
     assert doc["theta_deg"] == pytest.approx(2.8190, abs=0.3)
     assert doc["T"] == pytest.approx(1000.0, rel=0.05)
+
+
+def _strict_json(text):
+    """json.loads that refuses the NaN, Infinity and -Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_trim_with_non_finite_residual_exits_3_and_writes_nothing(capsys):
+    # At V = 1e-300 the residual overflows to inf, which JSON cannot carry.
+    code, out, err = run_cli(capsys, "trim", "--V", "1e-300", "--alpha-deg", "0")
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert "non-finite value" in err
 
 
 def test_gains_subcommand(capsys):
@@ -377,4 +393,115 @@ def test_dirac_at_exit_codes_on_malformed_inputs(trim_doc, body, weights, route)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(["wasserstein", "--a", str(snap), route, str(other),
                          "--weights", weights])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+
+
+def _quiet_main(argv):
+    """(exit code, stdout) of the CLI, its stderr discarded."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+_param_docs = st.one_of(st.none(), _json_scalars, st.dictionaries(
+    st.sampled_from(["m", "xcg", "Jyy", "h", "rho0", "mass"]), _json_scalars, max_size=2))
+
+
+@settings(max_examples=30, deadline=None)
+@example(V=407.9, alpha=6.2, params={"h": -1e308})
+@given(V=st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e308]),
+                   st.floats(50.0, 1e6)),
+       alpha=st.floats(), params=_param_docs)
+def test_trim_exit_codes(V, alpha, params):
+    # Small positive V is left to the explicit test above: a trim below
+    # about 10 ft/s can take over a second.
+    with tempfile.TemporaryDirectory() as d:
+        argv = ["trim", f"--V={V!r}", f"--alpha-deg={alpha!r}"]
+        if params is not None:
+            path = Path(d) / "params.json"
+            path.write_text(json.dumps(params))
+            argv += ["--params", str(path)]
+        code, out = _quiet_main(argv)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+    if code == EXIT_OK:
+        assert _strict_json(out)["V"] == V
+    else:
+        assert out == ""
+
+
+# Well-formed trim points on a small (V, alpha) set: full lattices, partial
+# ones and duplicated nodes.
+_lattice_trims = st.lists(st.builds(lambda V, a: {**GOOD_TRIM, "V": V, "alpha_deg": a},
+                                    st.sampled_from([300.0, 407.9, 600.0]),
+                                    st.sampled_from([2.0, 6.2, 60.0])), min_size=1, max_size=4)
+
+
+@settings(max_examples=30, deadline=None)
+@example(trims=[GOOD_TRIM])
+@given(trims=st.one_of(_trim_docs(), st.lists(_trim_docs(), max_size=4), _lattice_trims))
+def test_schedule_exit_codes(trims):
+    with tempfile.TemporaryDirectory() as d:
+        path, out = Path(d) / "trims.json", Path(d) / "schedule.json"
+        path.write_text(json.dumps(trims))
+        code, _ = _quiet_main(["schedule", "--trims", str(path), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+        if code == EXIT_OK:
+            _strict_json(out.read_text())
+        else:
+            assert not out.exists()
+
+
+_TINY_CONFIG = {"kind": "ic", "controller": "lqr", "samples": 3, "t_f": 0.03, "dt": 0.01,
+                "emit_every": 1, "seed": 0}
+_bad_numbers = st.sampled_from([0.0, -1.0, math.nan, math.inf, "1", None, True])
+# Tiny or malformed values only: no more than 4 samples, 5 steps and one worker.
+_config_fields = {
+    "kind": st.sampled_from(["ic", "param", "disturbance", "bogus", None]),
+    "controller": st.sampled_from(["lqr", "LQR", 3]),
+    "samples": st.one_of(st.integers(-1, 4), _bad_numbers, st.just(2.5)),
+    "t_f": st.one_of(st.sampled_from([0.01, 0.02, 0.05]), _bad_numbers),
+    "dt": st.one_of(st.sampled_from([0.01, 0.02, 0.05, 1.0]), _bad_numbers),
+    "emit_every": st.one_of(st.integers(-1, 3), st.just(1.5)),
+    "seed": st.one_of(st.integers(-2, 3), _bad_numbers),
+    "sampler": st.sampled_from(["halton", "mcmc", "grid"]),
+    "workers": st.sampled_from([None, 1, 0, "two", 1.5]),
+    "strict_rk4": st.sampled_from([False, True, "yes"]),
+    "x_pert_units": st.sampled_from(["deg", "rad", "grad"]),
+    "x_pert": st.one_of(st.dictionaries(st.sampled_from(["theta", "V", "alpha", "q"]),
+                                        st.floats(-100, 100), min_size=3), _json_scalars),
+    "ic_box_deg": st.one_of(
+        st.just(DEFAULT_IC_BOX_DEG),
+        st.fixed_dictionaries({k: st.lists(st.floats(), min_size=1, max_size=3)
+                               for k in DEFAULT_IC_BOX_DEG}),
+        _json_scalars),
+    "param_delta_percent": st.one_of(
+        st.lists(st.sampled_from([0.0, 2.5, 15.0, -5.0, 1e308, math.nan, "x"]), max_size=2),
+        _bad_numbers, st.just(5.0)),
+    "omega_rad_s": st.one_of(
+        st.lists(st.sampled_from([0.0, 2.0, 100.0, -1.0, 1e308, math.nan, "x"]), max_size=2),
+        _bad_numbers, st.just(2.0)),
+    "disturbance_amp_deg": st.one_of(st.sampled_from([6.5, 1e308]), _bad_numbers),
+    "bogus": _json_scalars,
+}
+
+
+@st.composite
+def _scenario_docs(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.one_of(_json_scalars, st.lists(_json_scalars, max_size=2)))
+    return {**_TINY_CONFIG, **draw(st.fixed_dictionaries({}, optional=_config_fields))}
+
+
+@settings(max_examples=60, deadline=None)
+@example(command="propagate", doc=_TINY_CONFIG)
+@example(command="scenario", doc={**_TINY_CONFIG, "kind": "param",
+                                  "param_delta_percent": [0.0, 2.5]})
+@given(command=st.sampled_from(["propagate", "scenario"]), doc=_scenario_docs())
+def test_propagate_and_scenario_exit_codes(command, doc):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "cfg.json"
+        path.write_text(json.dumps(doc))
+        flag = "--config" if command == "scenario" else "--scenario"
+        code, _ = _quiet_main([command, flag, str(path), "--out", str(Path(d) / "out")])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)

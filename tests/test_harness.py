@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import dominant_frequency
 from otrobust import harness
 from otrobust.controller import LinearModel, LqrWeights
 from otrobust.f16 import DEG, ClosedLoop
@@ -16,7 +17,6 @@ from otrobust.harness import (
     _param_cloud,
     _x_pert_internal,
     default_omega_grid,
-    dominant_frequency,
     freq_response,
     marginal_histogram,
     mc_compare,

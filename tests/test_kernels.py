@@ -6,6 +6,7 @@ difference one on states packed around every kink of the closed loop."""
 import numpy as np
 import pytest
 
+from oracles import lookup_coefficient
 from otrobust import liouville
 from otrobust.controller import LqrLaw, ScheduledLaw
 from otrobust.f16 import (
@@ -19,7 +20,6 @@ from otrobust.f16 import (
     SineDisturbance,
     _aero,
     _rhs,
-    lookup_coefficient,
 )
 from otrobust.liouville import DIVERGENCE_ROW_BUDGET, EnsembleSnapshot, divergence, propagate
 

@@ -4,12 +4,12 @@ import os
 import numpy as np
 import pytest
 
+from oracles import query_density
 from otrobust.liouville import (
     EnsembleSnapshot,
     divergence,
     likelihood_extremes,
     propagate,
-    query_density,
     resolve_workers,
 )
 from otrobust.sampling import BoxDomain, InitialPdf
