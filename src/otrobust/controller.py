@@ -8,10 +8,11 @@ continuous algebraic Riccati equation is solved from the stable invariant
 subspace of the ordered real Schur form of the Hamiltonian, polished with
 one Newton-Kleinman (Lyapunov) step. The scheduled controller keeps one
 gain per node of a (V, alpha) lattice, interpolates the gains bilinearly
-in the scheduling states (clamped to the lattice hull) and regulates
-deviations from one fixed reference trim; node trims are not interpolated.
-Both laws also give the Jacobian of their command, which the closed-form
-Liouville divergence uses (f16.ClosedLoop.state_rhs_div).
+in the scheduling states (clamped to the lattice hull, by the lattice
+kernel the aero tables use, f16._lattice) and regulates deviations from
+one fixed reference trim; node trims are not interpolated. Both laws also
+give the Jacobian of their command, which the closed-form Liouville
+divergence uses (f16.ClosedLoop.state_rhs_div).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .f16 import (CONTROL_UNITS, DEG, STATE_UNITS, AeroTables, AircraftParams, ControlInput,
-                  LongitudinalState, dynamics, numeric_arrays)
+                  LongitudinalState, _cell, _crosses, _lattice, dynamics, numeric_arrays)
 from .trim import TrimPoint
 
 CARE_RESIDUAL_RTOL = 1e-8
@@ -354,57 +355,12 @@ def build_schedule(trims: list[TrimPoint], weights: LqrWeights | None = None,
                         u_ref=reference.u_trim.as_array())
 
 
-def _cell_weights(nodes: np.ndarray, v):
-    """Lower index and fractional position of v in nodes, clamped to hull."""
-    v = np.minimum(np.maximum(v, nodes[0]), nodes[-1])
-    if nodes.size == 1:
-        return np.zeros(np.shape(v), dtype=int), np.zeros(np.shape(v))
-    i = np.minimum(np.maximum(np.searchsorted(nodes, v, side="right") - 1, 0), nodes.size - 2)
-    w = (v - nodes[i]) / (nodes[i + 1] - nodes[i])
-    return i, w
-
-
-def _gain_cell(x, schedule: GainSchedule):
-    """Lattice cell of the scheduling pair (V, alpha) of x: its lower node
-    indices (i, j), its four corner gains K[i, j], K[i+1, j], K[i, j+1],
-    K[i+1, j+1] and the clamped weights (wv, wa), shaped to broadcast
-    against the corners."""
-    x = np.asarray(x, dtype=float)
-    i, wv = _cell_weights(schedule.V_nodes, x[..., 1])
-    j, wa = _cell_weights(schedule.alpha_nodes, x[..., 2])
-    grid = schedule.K
-    na = schedule.alpha_nodes.size
-    flat = grid.reshape((-1,) + grid.shape[2:])  # row i * na + j holds node (i, j)
-    # _cell_weights keeps i + 1 (j + 1) on the lattice unless the axis has
-    # one node, where the neighbour is the node itself: offset 0.
-    dv = na if schedule.V_nodes.size > 1 else 0
-    da = 1 if na > 1 else 0
-    corners = tuple(flat.take(np.add.outer((0, dv, da, dv + da), i * na + j), axis=0))
-    shape = np.shape(wv) + (1,) * (grid.ndim - 2)  # trailing value axes
-    return (i, j), corners, wv.reshape(shape), wa.reshape(shape)
-
-
-def _blend(corners, wv, wa):
-    g00, g10, g01, g11 = corners
-    return ((1 - wv) * (1 - wa) * g00 + wv * (1 - wa) * g10
-            + (1 - wv) * wa * g01 + wv * wa * g11)
-
-
 def interpolate_gain(x, schedule: GainSchedule) -> np.ndarray:
     """Elementwise-bilinear gain at the scheduling pair (V, alpha) of x,
     clamped to the lattice hull; batched over leading axes of x."""
-    _, corners, wv, wa = _gain_cell(x, schedule)
-    return _blend(corners, wv, wa)
-
-
-def _node_slope(nodes: np.ndarray, i, v, h):
-    """1 / width of the lattice cell i holding v (0 where v clamps to the
-    hull or the axis has one node), and whether v +/- h lie in different
-    cells."""
-    kink = nodes.searchsorted(v + h, side="right") != nodes.searchsorted(v - h, side="right")
-    if nodes.size == 1:
-        return np.zeros(np.shape(v)), kink
-    return ((v > nodes[0]) & (v < nodes[-1])) / (nodes[i + 1] - nodes[i]), kink
+    x = np.asarray(x, dtype=float)
+    return _lattice(schedule.K, _cell(schedule.V_nodes, x[..., 1]),
+                    _cell(schedule.alpha_nodes, x[..., 2]))
 
 
 def gs_control(x, schedule: GainSchedule) -> np.ndarray:
@@ -441,17 +397,15 @@ class ScheduledLaw:
         (see f16.ClosedLoop)."""
         s = self.schedule
         x = np.asarray(x, dtype=float)
-        (i, j), (g00, g10, g01, g11), wv, wa = _gain_cell(x, s)
-        Kt = _blend((g00, g10, g01, g11), wv, wa)
+        V, alpha = x[..., 1], x[..., 2]
+        Kt, dK_dV, dK_da = _lattice(s.K, _cell(s.V_nodes, V, slopes=True),
+                                    _cell(s.alpha_nodes, alpha, slopes=True))
         dx = x - s.x_ref
         u = s.u_ref - np.einsum("...ij,...j->...i", Kt, dx)
-        sv, kink_v = _node_slope(s.V_nodes, i, x[..., 1], h[..., 1])
-        sa, kink_a = _node_slope(s.alpha_nodes, j, x[..., 2], h[..., 2])
-        dK_dV = ((1 - wa) * (g10 - g00) + wa * (g11 - g01)) * sv[..., None, None]
-        dK_da = ((1 - wv) * (g01 - g00) + wv * (g11 - g10)) * sa[..., None, None]
         J = -Kt
         J[..., 1] -= np.einsum("...ij,...j->...i", dK_dV, dx)
         J[..., 2] -= np.einsum("...ij,...j->...i", dK_da, dx)
         C = np.zeros_like(J)
         C[..., 1], C[..., 2] = -dK_dV[..., 1], -dK_da[..., 2]
-        return u, J, C, kink_v | kink_a
+        return u, J, C, (_crosses(s.V_nodes, V - h[..., 1], V + h[..., 1])
+                         | _crosses(s.alpha_nodes, alpha - h[..., 2], alpha + h[..., 2]))

@@ -7,6 +7,12 @@ force and moment coefficients come from clamped multilinear interpolation
 of wind-tunnel tables; the shipped data file carries the public-domain
 Stevens-Lewis longitudinal set.
 
+One lattice kernel serves the aero tables and the controller's gain
+schedule: _cell finds a clamped cell (index, weight, slope factor; a
+one-node axis has none), _lattice blends the four corners of a 2-D grid
+and gives its in-cell partials, and _crosses tells whether a stencil
+crosses a node line. The divergence below reads all three.
+
 Angles are radians internally. Files, the CLI and the Wasserstein scores
 speak degrees (deg, ft/s, deg, deg/s for states; lb, deg for controls), and
 STATE_UNITS and CONTROL_UNITS are the one table that converts state and
@@ -246,58 +252,67 @@ def numeric_arrays(d: dict, keys, what: str) -> dict[str, np.ndarray]:
     return out
 
 
-def _cell(bp: np.ndarray, x):
-    """Lower breakpoint index and fractional position of x, clamped to bp."""
-    x = np.minimum(np.maximum(x, bp[0]), bp[-1])
-    i = np.minimum(np.maximum(bp.searchsorted(x, side="right") - 1, 0), bp.size - 2)
-    return i, np.asarray((x - bp[i]) / (bp[i + 1] - bp[i]))[..., None]
+def _cell(bp: np.ndarray, x, unit: float = 1.0, slopes: bool = False):
+    """Lattice cell of x (in the units of the breakpoints bp), clamped to
+    [bp[0], bp[-1]]: the lower index i and the weight w of bp[i + 1], and
+    with slopes=True the slope factor 1 / (cell width * unit) (zero where x
+    clamps). A one-node axis gives i = 0, w = 0 and slope 0."""
+    if bp.size == 1:
+        zero = np.zeros(np.shape(x))
+        return (zero.astype(np.intp), zero) + ((zero,) if slopes else ())
+    xc = np.minimum(np.maximum(x, bp[0]), bp[-1])
+    i = np.minimum(np.maximum(bp.searchsorted(xc, side="right") - 1, 0), bp.size - 2)
+    width = bp[i + 1] - bp[i]
+    w = np.asarray((xc - bp[i]) / width)
+    if not slopes:
+        return i, w
+    return i, w, np.asarray(((x > bp[0]) & (x < bp[-1])) / (width * unit))
 
 
-def _slope(bp: np.ndarray, i, x):
-    """Per-radian slope factor of the cell i of bp at x (degrees): 1 / cell
-    width inside the table, 0 where the lookup clamps."""
-    inside = (x > bp[0]) & (x < bp[-1])
-    return np.asarray(inside / ((bp[i + 1] - bp[i]) * DEG))[..., None]
+def _lattice(grid: np.ndarray, cell_a, cell_b):
+    """Bilinear blend of grid (na, nb, *values) at the _cell cells of its two
+    axes, broadcast against each other, from one gather of the four corners;
+    a one-node axis takes the node itself as its upper corner. When the
+    cells carry slopes, also the partials along a and along b."""
+    na, nb = grid.shape[:2]
+    da, db = (nb if na > 1 else 0), (1 if nb > 1 else 0)
+    flat = grid.reshape((na * nb,) + grid.shape[2:])  # row i * nb + j holds node (i, j)
+    g00, g10, g01, g11 = flat.take(np.add.outer(np.array((0, da, db, da + db)),
+                                                cell_a[0] * nb + cell_b[0]), axis=0)
+    tail = (Ellipsis,) + (None,) * (grid.ndim - 2)  # broadcast over the value axes
+    wa, wb = cell_a[1][tail], cell_b[1][tail]
+    ua, ub = 1 - wa, 1 - wb
+    blend = ua * ub * g00 + wa * ub * g10 + ua * wb * g01 + wa * wb * g11
+    if len(cell_a) == 2:
+        return blend
+    sa, sb = cell_a[2][tail], cell_b[2][tail]
+    return (blend, (ub * (g10 - g00) + wb * (g11 - g01)) * sa,
+            (ua * (g01 - g00) + wa * (g11 - g10)) * sb)
+
+
+def _crosses(bp: np.ndarray, lo, hi):
+    """Whether lo and hi lie in different cells of the breakpoints bp."""
+    return bp.searchsorted(lo, side="right") != bp.searchsorted(hi, side="right")
 
 
 def _aero(tables: AeroTables, alpha, delta_e, slopes: bool = False):
     """Clamped table lookup of (CX, CZ, Cm) and (CXq, CZq, Cmq), each stacked
     on a trailing axis of 3. One alpha cell serves all six coefficients; a
-    degenerate single-column delta_e grid makes CX, CZ, Cm alpha-only.
+    single-column delta_e grid makes CX, CZ, Cm alpha-only.
 
     slopes=True also returns the in-cell per-radian partials
     d(static)/d alpha, d(damping)/d alpha and d(static)/d delta_e (zero where
     the lookup clamps), from the same cells and gathers."""
-    a = np.asarray(alpha) / DEG
-    bpa = tables.alpha_breakpoints_deg
-    i, wa = _cell(bpa, a)
-    ua = 1 - wa
+    cell_a = _cell(tables.alpha_breakpoints_deg, np.asarray(alpha) / DEG, DEG, slopes)
+    cell_d = _cell(tables.deltae_breakpoints_deg, np.asarray(delta_e) / DEG, DEG, slopes)
+    i, wa = cell_a[0], cell_a[1][..., None]
     gq = tables._damping
     q0, q1 = gq.take(i, axis=0), gq.take(i + 1, axis=0)
-    damping = q0 * ua + q1 * wa
-    nd = tables.deltae_breakpoints_deg.size
-    g = tables._static.reshape(-1, 3)  # row i * nd + j holds cell (i, j)
-    if nd == 1:
-        g0, g1 = g.take(i, axis=0), g.take(i + 1, axis=0)
-        static = g0 * ua + g1 * wa
-        if not slopes:
-            return static, damping
-        sa = _slope(bpa, i, a)
-        return static, damping, ((g1 - g0) * sa, (q1 - q0) * sa, np.zeros_like(static))
-    d = np.asarray(delta_e) / DEG
-    bpd = tables.deltae_breakpoints_deg
-    j, wd = _cell(bpd, d)
-    ud = 1 - wd
-    k = i * nd + j
-    g00, g10 = g.take(k, axis=0), g.take(k + nd, axis=0)
-    g01, g11 = g.take(k + 1, axis=0), g.take(k + nd + 1, axis=0)
-    static = ua * ud * g00 + wa * ud * g10 + ua * wd * g01 + wa * wd * g11
+    damping = q0 * (1 - wa) + q1 * wa
     if not slopes:
-        return static, damping
-    sa, sd = _slope(bpa, i, a), _slope(bpd, j, d)
-    return static, damping, ((ud * (g10 - g00) + wd * (g11 - g01)) * sa,
-                             (q1 - q0) * sa,
-                             (ua * (g01 - g00) + wa * (g11 - g10)) * sd)
+        return _lattice(tables._static, cell_a, cell_d), damping
+    static, static_a, static_e = _lattice(tables._static, cell_a, cell_d)
+    return static, damping, (static_a, (q1 - q0) * cell_a[2][..., None], static_e)
 
 
 def saturate_array(u: np.ndarray) -> np.ndarray:
@@ -484,10 +499,9 @@ class ClosedLoop:
             e_lo = u_cmd[..., 1] + np.minimum(np.minimum(lo[..., 0], lo[..., 1]), lo[..., 2])
             e_hi = u_cmd[..., 1] + np.maximum(np.maximum(hi[..., 0], hi[..., 1]), hi[..., 2])
         kinks = self._deltae_kinks()
-        bpa = self.tables.alpha_breakpoints_deg
         kink = (kink | (kinks.searchsorted(e_lo) != kinks.searchsorted(e_hi))
-                | (bpa.searchsorted((alpha + ha) / DEG, side="right")
-                   != bpa.searchsorted((alpha - ha) / DEG, side="right"))
+                | _crosses(self.tables.alpha_breakpoints_deg, (alpha - ha) / DEG,
+                           (alpha + ha) / DEG)
                 | (V - hV <= 0.0))
         return xdot, div, kink
 

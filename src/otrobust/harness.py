@@ -169,6 +169,8 @@ class ScenarioConfig:
                 raise ConfigError(f"a {self.kind} scenario needs a non-empty list {sweep}")
             for v in values:
                 _check_number(v, f"{sweep} entry")
+                if sweep == "param_delta_percent" and not 0.0 <= v < 100.0:
+                    raise ConfigError(f"{sweep} entry must lie in [0, 100), got {v!r}")
         for what in ("ic_box_deg", "x_pert"):
             if not isinstance(getattr(self, what), dict):
                 raise ConfigError(f"{what} must be a JSON object")

@@ -182,6 +182,12 @@ def _projected_gradient(z: np.ndarray, g: np.ndarray) -> np.ndarray:
     return pg
 
 
+def _converged(rnorm: float, optimality: float) -> bool:
+    """An equilibrium to _RTOL, or first-order stationarity: the projected
+    gradient below _GTOL, relaxed to 1e-7 relative to a finite residual."""
+    return rnorm < _RTOL or (math.isfinite(rnorm) and optimality < max(_GTOL, 1e-7 * rnorm))
+
+
 def find_trim(V: float, alpha: float, params: AircraftParams | None = None,
               tables: AeroTables | None = None) -> TrimPoint:
     """Trim the plant at velocity V (ft/s) and angle of attack alpha (rad).
@@ -220,16 +226,14 @@ def find_trim(V: float, alpha: float, params: AircraftParams | None = None,
             rnorm = float(np.linalg.norm(sol.fun))
             g = sol.jac.T @ sol.fun  # both evaluated at sol.x
             optimality = float(np.max(np.abs(_projected_gradient(z, g))))
-            if rnorm < _RTOL or optimality < _GTOL:
+            if _converged(rnorm, optimality):
                 break
-    converged = rnorm < _RTOL or (math.isfinite(rnorm)
-                                  and optimality < max(_GTOL, 1e-7 * rnorm))
 
     return TrimPoint(
         x_trim=LongitudinalState(float(z[0]), V, alpha, 0.0),
         u_trim=ControlInput(float(z[1]), float(z[2])),
         residual=rnorm,
-        converged=converged,
+        converged=_converged(rnorm, optimality),
         optimality=optimality,
         iterations=nfev,
     )

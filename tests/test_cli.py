@@ -173,6 +173,7 @@ MALFORMED = {
     "emit_every": {"emit_every": 1.5},
     "x_pert": {"kind": "param", "x_pert": {"theta": 1.0, "alpha": 2.8, "q": 0.0}},
     "workers": {"workers": "two"},
+    "param": {"kind": "param", "param_delta_percent": [150]},
     "ic_box_deg": {"ic_box_deg": {"theta": ["a", "b"], "V": [-65, 65],
                                   "alpha": [-20, 50], "q": [-70, 70]}},
 }

@@ -10,8 +10,8 @@ from otrobust.controller import (
     LinearModel,
     LqrLaw,
     LqrWeights,
+    ScheduledLaw,
     SynthesisError,
-    _cell_weights,
     build_schedule,
     care_residual,
     gs_control,
@@ -23,7 +23,7 @@ from otrobust.controller import (
     solve_care,
     spectral_abscissa,
 )
-from otrobust.f16 import DEG, dynamics
+from otrobust.f16 import DEG, H_REL, _cell, dynamics
 
 # Published gain for this plant and weights, printed there for the opposite
 # feedback-sign convention (u = u_trim + K dx); ours is u = u_trim - K dx,
@@ -206,14 +206,64 @@ def test_gain_gather_matches_corner_indexing(schedule, rng, nv, na):
         K=schedule.K[:nv, :na], abscissa_open=schedule.abscissa_open[:nv, :na],
         abscissa_closed=schedule.abscissa_closed[:nv, :na])
     x = rng.uniform([-0.5, 50.0, -20 * DEG, -1.0], [0.5, 1100.0, 60 * DEG, 1.0], (300, 4))
-    i, wv = _cell_weights(sub.V_nodes, x[:, 1])
-    j, wa = _cell_weights(sub.alpha_nodes, x[:, 2])
+    i, wv = _cell(sub.V_nodes, x[:, 1])
+    j, wa = _cell(sub.alpha_nodes, x[:, 2])
     i1, j1 = np.minimum(i + 1, nv - 1), np.minimum(j + 1, na - 1)
     wv, wa = wv[:, None, None], wa[:, None, None]
     expect = ((1 - wv) * (1 - wa) * sub.K[i, j] + wv * (1 - wa) * sub.K[i1, j]
               + (1 - wv) * wa * sub.K[i, j1] + wv * wa * sub.K[i1, j1])
     assert np.array_equal(interpolate_gain(x, sub), expect)
     assert np.array_equal(interpolate_gain(x[7], sub), expect[7])
+
+
+@pytest.mark.parametrize("nv, na", [(10, 10), (1, 10), (10, 1), (1, 1)])
+def test_scheduled_jacobian_matches_corner_formulas(schedule, rng, nv, na):
+    # ScheduledLaw.jacobian's command, Jacobian, curvature and kink flags
+    # against the four corner gains K[i, j] ... K[i+1, j+1] indexed one at a
+    # time, on sub-lattices with a one-node axis too
+    sub = dataclasses.replace(
+        schedule, V_nodes=schedule.V_nodes[:nv], alpha_nodes=schedule.alpha_nodes[:na],
+        x_trims=schedule.x_trims[:nv, :na], u_trims=schedule.u_trims[:nv, :na],
+        K=schedule.K[:nv, :na], abscissa_open=schedule.abscissa_open[:nv, :na],
+        abscissa_closed=schedule.abscissa_closed[:nv, :na])
+    x = rng.uniform([-0.5, 50.0, -20 * DEG, -1.0], [0.5, 1100.0, 60 * DEG, 1.0], (300, 4))
+    # rows on and next to every node line, where the stencil crosses it
+    x[:40, 1] = np.resize(sub.V_nodes, 40) + np.resize([0.0, 1e-3, -1e-3, 0.5], 40)
+    x[40:80, 2] = np.resize(sub.alpha_nodes, 40) + np.resize([0.0, 1e-7, -1e-7, 0.01], 40)
+    h = H_REL * np.maximum(1.0, np.abs(x))
+    u, J, C, kink = ScheduledLaw(sub).jacobian(x, h)
+
+    def cell(nodes, v, hv):
+        crosses = (np.searchsorted(nodes, v + hv, side="right")
+                   != np.searchsorted(nodes, v - hv, side="right"))
+        if nodes.size == 1:
+            zero = np.zeros(v.shape, dtype=int)
+            return zero, zero, np.zeros(v.shape), np.zeros(v.shape), crosses
+        vc = np.clip(v, nodes[0], nodes[-1])
+        i = np.clip(np.searchsorted(nodes, vc, side="right") - 1, 0, nodes.size - 2)
+        width = nodes[i + 1] - nodes[i]
+        inside = (v > nodes[0]) & (v < nodes[-1])
+        return i, i + 1, (vc - nodes[i]) / width, inside / width, crosses
+
+    i, i1, wv, sv, kink_v = cell(sub.V_nodes, x[:, 1], h[:, 1])
+    j, j1, wa, sa, kink_a = cell(sub.alpha_nodes, x[:, 2], h[:, 2])
+    wv, sv, wa, sa = (w[:, None, None] for w in (wv, sv, wa, sa))
+    K00, K10, K01, K11 = sub.K[i, j], sub.K[i1, j], sub.K[i, j1], sub.K[i1, j1]
+    Kt = (1 - wv) * (1 - wa) * K00 + wv * (1 - wa) * K10 + (1 - wv) * wa * K01 + wv * wa * K11
+    dK_dV = ((1 - wa) * (K10 - K00) + wa * (K11 - K01)) * sv
+    dK_da = ((1 - wv) * (K01 - K00) + wv * (K11 - K10)) * sa
+    dx = x - sub.x_ref
+    J_ref = -Kt
+    J_ref[:, :, 1] -= np.einsum("...ij,...j->...i", dK_dV, dx)
+    J_ref[:, :, 2] -= np.einsum("...ij,...j->...i", dK_da, dx)
+    C_ref = np.zeros_like(J_ref)
+    C_ref[:, :, 1], C_ref[:, :, 2] = -dK_dV[:, :, 1], -dK_da[:, :, 2]
+    assert np.array_equal(u, sub.u_ref - np.einsum("...ij,...j->...i", Kt, dx))
+    assert np.array_equal(J, J_ref)
+    assert np.array_equal(C, C_ref)
+    assert np.array_equal(kink, kink_v | kink_a)
+    assert kink.any() and not kink.all()
+    assert (nv == 1 and na == 1) != C.any()
 
 
 def test_single_node_schedule_degenerates_to_lqr(params, tables, nominal_trim,

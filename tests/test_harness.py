@@ -62,6 +62,8 @@ def test_config_validation_errors():
                    {"ic_box_deg": {**box, "q": [-1, True]}},
                    {"kind": "param", "param_delta_percent": []},
                    {"kind": "param", "param_delta_percent": ["2.5"]},
+                   {"kind": "param", "param_delta_percent": [150]},
+                   {"kind": "param", "param_delta_percent": [-5]},
                    {"kind": "disturbance", "omega_rad_s": []}]:
         with pytest.raises(ConfigError):
             ScenarioConfig(**{"kind": "ic", **fields})

@@ -85,6 +85,42 @@ def test_fused_lookup_matches_reference(tables, rng, which, degenerate):
                               equal_nan=True)
 
 
+def _ref_cell(bp, x):
+    """Clamped cell (i, i + 1), weight and per-radian slope factor of x
+    (degrees) on bp; one-node axes get (0, 0), weight 0 and slope 0."""
+    if bp.size == 1:
+        zero = np.zeros(x.shape, dtype=int)
+        return zero, zero, np.zeros(x.shape), np.zeros(x.shape)
+    xc = np.clip(x, bp[0], bp[-1])
+    i = np.clip(np.searchsorted(bp, xc, side="right") - 1, 0, bp.size - 2)
+    width = bp[i + 1] - bp[i]
+    return i, i + 1, (xc - bp[i]) / width, ((x > bp[0]) & (x < bp[-1])) / (width * DEG)
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_lookup_slopes_match_corner_formulas(tables, rng, degenerate):
+    # the in-cell partials of the lookup against the four corners indexed one
+    # at a time, on every query point with a finite (alpha, delta_e)
+    tab = _single_column(tables) if degenerate else tables
+    a, d = _query_points(tables, rng)
+    keep = np.isfinite(a) & np.isfinite(d)
+    a, d = a[keep], d[keep]
+    static, damping, (static_a, damping_a, static_e) = _aero(tab, a, d, slopes=True)
+    i, i1, wa, sa = _ref_cell(tab.alpha_breakpoints_deg, a / DEG)
+    j, j1, wd, sd = _ref_cell(tab.deltae_breakpoints_deg, d / DEG)
+    wa, sa, wd, sd = (v[:, None] for v in (wa, sa, wd, sd))
+    g = np.stack([tab.CX, tab.CZ, tab.Cm], axis=-1)
+    q = np.stack([tab.CXq, tab.CZq, tab.Cmq], axis=-1)
+    g00, g10, g01, g11 = g[i, j], g[i1, j], g[i, j1], g[i1, j1]
+    assert np.array_equal(static_a, ((1 - wd) * (g10 - g00) + wd * (g11 - g01)) * sa)
+    assert np.array_equal(damping_a, (q[i1] - q[i]) * sa)
+    assert np.array_equal(static_e, ((1 - wa) * (g01 - g00) + wa * (g11 - g10)) * sd)
+    # zero slope where the lookup clamps, and along a one-node delta_e axis
+    clamped = (a / DEG <= tab.alpha_breakpoints_deg[0]) | (a / DEG >= tab.alpha_breakpoints_deg[-1])
+    assert clamped.any() and not static_a[clamped].any() and not damping_a[clamped].any()
+    assert static_e.any() != degenerate
+
+
 def _ref_divergence(rhs, X, P, t, h_rel=3e-5):
     h = h_rel * np.maximum(1.0, np.abs(X))
     div = np.zeros(X.shape[0])

@@ -61,6 +61,14 @@ def test_overflowing_residual_is_not_converged(params, tables):
     assert not tp.converged
 
 
+def test_stationary_trim_stops_restarting(params, tables):
+    # at 1.5 ft/s no equilibrium exists; the first solve already ends at a
+    # point the converged flag accepts, so no restart follows it
+    tp = find_trim(1.5, 0.0, params, tables)
+    assert tp.converged
+    assert tp.iterations == 600
+
+
 def test_default_grid_is_100_nodes():
     grid = default_grid()
     assert len(grid) == 100
