@@ -129,9 +129,7 @@ def _cmd_propagate(args) -> int:
     setup = harness.build_controllers(params, tables,
                                       need_schedule="gslqr" in cfg.controllers)
     out_dir = Path(args.out)
-    for name, loop, cloud in harness._first_cases(cfg, setup, params, tables):
-        snaps = harness.propagate(cloud, loop, cfg.t_f, cfg.dt,
-                                  cfg.emit_every, cfg.strict_rk4, cfg.workers)
+    for name, snaps in harness._first_variants(cfg, setup, params, tables):
         if args.per_time:
             for s, stamp in zip(snaps, _time_stamps([s.t for s in snaps])):
                 harness.write_snapshot_csv([s], out_dir / f"{name}_t{stamp}.csv")
@@ -265,9 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wasserstein", help="score snapshot CSVs")
     p.add_argument("--a", required=True, help="snapshot CSV")
-    p.add_argument("--b", help="second snapshot CSV (transportation LP)")
-    p.add_argument("--dirac-at", dest="dirac_at",
-                   help="trim JSON: closed-form distance to the trim point")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--b", help="second snapshot CSV (transportation LP)")
+    target.add_argument("--dirac-at", dest="dirac_at",
+                        help="trim JSON: closed-form distance to the trim point")
     p.add_argument("--weights", choices=["density", "mass"], default="density",
                    help="marginal weights: normalized carried densities or transport masses")
     p.add_argument("--plan", help="write the final optimal plan as triplet CSV")

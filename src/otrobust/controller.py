@@ -218,7 +218,7 @@ class GainSchedule:
     using their interpolation as the regulation target plants spurious
     closed-loop equilibria all over the envelope, so every scheduled gain
     regulates deviations from the single reference (x_ref, u_ref). Per-node
-    trims are retained as synthesis metadata alongside the per-node
+    trims are retained as a synthesis record alongside the per-node
     open/closed-loop spectral abscissas.
 
     Shapes: x_trims (nv, na, 4), u_trims (nv, na, 2), K (nv, na, 2, 4).

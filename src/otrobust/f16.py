@@ -146,7 +146,8 @@ class AircraftParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AircraftParams":
-        """Inverse of to_dict; ValueError naming an unknown or non-numeric field."""
+        """Parameters from a JSON object of field values; ValueError naming
+        an unknown or non-numeric field."""
         if not isinstance(d, dict):
             raise ValueError(f"aircraft parameters must be a JSON object, got {type(d).__name__}")
         unknown = set(d) - {f.name for f in fields(cls)}
@@ -154,13 +155,6 @@ class AircraftParams:
             raise ValueError(f"unknown aircraft parameter {sorted(unknown)[0]!r}")
         return cls(**{key: as_number(v, f"aircraft parameter {key!r}")
                       for key, v in d.items()})
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m, "g": self.g, "S": self.S, "cbar": self.cbar,
-            "xcg_ref": self.xcg_ref, "xcg": self.xcg, "Jyy": self.Jyy,
-            "rho0": self.rho0, "h": self.h,
-        }
 
 
 @dataclass(frozen=True, eq=False)

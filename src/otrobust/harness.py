@@ -12,15 +12,17 @@ every emitted time.
               swept over forcing frequencies
 
 One case generator (_cases) turns a config into propagations and the
-variants each carries, and one runner (run_scenario) scores every variant;
-mc_compare and the CLI's propagate take their clouds and loops from the
-same generator. Every curve is a closed-form Dirac distance to trim, the
-param one on the extended space (see _cases); the transportation LP is
-kept for general CLI inputs and as the oracle of that score. Wasserstein
-values are reported in the degree-based reporting units (deg, ft/s, deg,
-deg/s) of f16.STATE_UNITS, as are all file outputs. Reports are plain dicts
-rendered to report.json / W.csv / snapshot CSVs, stamped with a content
-hash so identical configurations are bit-reproducible.
+variants each carries, and one generator (_runs) propagates each case once
+and slices out its variants' snapshots. run_scenario scores every variant;
+mc_compare and the CLI's propagate take the first variant's snapshots from
+the same propagation (_first_variants). Every curve is a closed-form Dirac
+distance to trim, the param one on the extended space (see _cases); the
+transportation LP is kept for general CLI inputs and as the oracle of that
+score. Wasserstein values are reported in the degree-based reporting units
+(deg, ft/s, deg, deg/s) of f16.STATE_UNITS, as are all file outputs.
+Reports are plain dicts rendered to report.json / W.csv / snapshot CSVs,
+stamped with a content hash so identical configurations are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -83,6 +85,9 @@ PAPER_STATE_SCALE = 1.0 / STATE_UNITS
 
 SNAPSHOT_BASE_COLUMNS = ["t", "id", "theta_deg", "V", "alpha_deg", "q_dps"]
 SNAPSHOT_PARAM_COLUMNS = ["m", "xcg", "Jyy"]
+# The diverged flags a snapshot CSV may hold; anything else is malformed.
+_DIVERGED = {"0": False, "False": False, "false": False,
+             "1": True, "True": True, "true": True}
 
 # Config fields that say where and how a run executes, not what it computes;
 # report.json echoes them, the content hash leaves them out.
@@ -273,9 +278,7 @@ def initial_cloud(cfg: ScenarioConfig, x_trim: np.ndarray) -> EnsembleSnapshot:
         samples = halton(cfg.samples, box)
     else:
         samples = mcmc_sample(pdf, cfg.samples, cfg.seed)
-    states, phi, gamma = weighted_cloud(samples, pdf)
-    return EnsembleSnapshot.from_cloud(states, phi, gamma,
-                                       metadata={"scenario": cfg.kind, "seed": cfg.seed})
+    return EnsembleSnapshot.from_cloud(*weighted_cloud(samples, pdf))
 
 
 def weighted_mean(states: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -476,7 +479,11 @@ def read_snapshot_csv(path) -> list[EnsembleSnapshot]:
                             for r in chunk]) if has_params else None)
         phi = np.array([float(r["phi"]) for r in chunk])
         gamma = np.array([float(r["gamma"]) for r in chunk])
-        dead = np.array([r["diverged"] not in ("0", "False", "false") for r in chunk])
+        try:
+            dead = np.array([_DIVERGED[r["diverged"]] for r in chunk])
+        except KeyError as exc:
+            raise ValueError(f"snapshot file {path} has diverged value {exc.args[0]!r}, "
+                             "not one of 0, 1, False, True, false, true") from None
         snaps.append(EnsembleSnapshot(t=t, states=states, params=params,
                                       phi=phi, gamma=gamma, diverged=dead))
     return snaps
@@ -520,18 +527,16 @@ def _param_cloud(cfg: ScenarioConfig, delta: float, x0: np.ndarray,
         phi = np.asarray(pdf(p))
     gamma = np.full(n, 1.0 / n)
     states = np.tile(x0, (n, 1))
-    return EnsembleSnapshot(t=0.0, states=states, params=p, phi=phi,
-                            gamma=gamma, diverged=None,
-                            metadata={"scenario": "param", "delta": delta})
+    return EnsembleSnapshot.from_cloud(states, phi, gamma, params=p)
 
 
-def _cases(cfg: ScenarioConfig, x_trim: np.ndarray, setup: ControllerSetup,
-           params: AircraftParams, tables: AeroTables):
+def _cases(cfg: ScenarioConfig, setup: ControllerSetup, params: AircraftParams,
+           tables: AeroTables):
     """The propagations of a scenario, in report order.
 
     Yields (controller, ClosedLoop, initial ensemble, variants); a variant
-    is (name, the ensemble rows it owns, the cloud whose params, masses and
-    metadata its snapshots carry).
+    is (name, the ensemble rows it owns, the cloud whose params and masses
+    its snapshots carry).
       ic          per controller: the box cloud, variant ""
       disturbance per omega, then per controller: the box cloud under
                   w(t) = A sin(omega t), variant "omega=.."
@@ -549,6 +554,7 @@ def _cases(cfg: ScenarioConfig, x_trim: np.ndarray, setup: ControllerSetup,
         return ClosedLoop(law=setup.law(name), params=params, tables=tables,
                           disturbance=disturbance)
 
+    x_trim = setup.trim.x_trim.as_array()
     if cfg.kind == "param":
         x0 = x_trim + _x_pert_internal(cfg)
         clouds = [_param_cloud(cfg, float(d), x0, params) for d in cfg.param_delta_percent]
@@ -574,14 +580,32 @@ def _cases(cfg: ScenarioConfig, x_trim: np.ndarray, setup: ControllerSetup,
             yield name, loop(name, disturbance), cloud, [(f"omega={omega:g}", slice(None), cloud)]
 
 
-def _first_cases(cfg: ScenarioConfig, setup: ControllerSetup,
-                 params: AircraftParams, tables: AeroTables):
-    """(controller, ClosedLoop, cloud) of each controller's first case: the
-    first omega, or the first delta cloud on its own."""
+def _runs(cfg: ScenarioConfig, setup: ControllerSetup, params: AircraftParams,
+          tables: AeroTables, track_density: bool = True):
+    """Propagate each case of _cases once, in report order.
+
+    Yields (controller, the ensemble's snapshots, [(variant, its snapshots)]);
+    a variant's snapshots are its rows of the ensemble's, carrying its
+    cloud's params and masses.
+    """
+    for name, loop, ensemble, variants in _cases(cfg, setup, params, tables):
+        snaps = propagate(ensemble, loop, cfg.t_f, cfg.dt, cfg.emit_every,
+                          cfg.strict_rk4, cfg.workers, track_density)
+        yield name, snaps, [
+            (variant, [EnsembleSnapshot(t=s.t, states=s.states[rows], params=cloud.params,
+                                        phi=s.phi[rows], gamma=cloud.gamma,
+                                        diverged=s.diverged[rows]) for s in snaps])
+            for variant, rows, cloud in variants]
+
+
+def _first_variants(cfg: ScenarioConfig, setup: ControllerSetup, params: AircraftParams,
+                    tables: AeroTables, track_density: bool = True):
+    """(controller, snapshots) of each controller's first variant: the first
+    omega, or the first delta cloud sliced out of [x0 | cloud_1]."""
     sweep = _SWEEPS.get(cfg.kind)
     first = replace(cfg, **{sweep: getattr(cfg, sweep)[:1]}) if sweep else cfg
-    return [(name, loop, variants[0][2]) for name, loop, _, variants
-            in _cases(first, setup.trim.x_trim.as_array(), setup, params, tables)]
+    for name, _, variants in _runs(first, setup, params, tables, track_density):
+        yield name, variants[0][1]
 
 
 def run_scenario(cfg: ScenarioConfig,
@@ -606,21 +630,14 @@ def run_scenario(cfg: ScenarioConfig,
                        nominal_trim=setup.trim.to_dict(), curves=[],
                        histograms={}, extremes={}, diverged={}, nonconverged={})
     snapshots_by_key = {}
-    for name, loop, ensemble, variants in _cases(cfg, x_trim, setup, params, tables):
-        all_snaps = propagate(ensemble, loop, cfg.t_f, cfg.dt,
-                              cfg.emit_every, cfg.strict_rk4, cfg.workers)
+    for name, all_snaps, variants in _runs(cfg, setup, params, tables):
         if cfg.kind == "param":
             report.curves.append({"controller": name, "variant": "deterministic",
                                   "t": [s.t for s in all_snaps],
                                   "W": [float(np.linalg.norm((s.states[0] - x_trim)
                                                              * PAPER_STATE_SCALE))
                                         for s in all_snaps]})
-        for variant, rows, cloud in variants:
-            snaps = [EnsembleSnapshot(t=s.t, states=s.states[rows], params=cloud.params,
-                                      phi=s.phi[rows], gamma=cloud.gamma,
-                                      diverged=s.diverged[rows],
-                                      metadata={**cloud.metadata, **s.metadata})
-                     for s in all_snaps]
+        for variant, snaps in variants:
             curve = {"controller": name, "variant": variant, "t": [s.t for s in snaps]}
             W_mass = _W_dirac_series(snaps, x_trim, "mass")
             if cfg.kind == "param":
@@ -656,36 +673,22 @@ def mc_compare(cfg: ScenarioConfig,
                setup: ControllerSetup | None = None) -> dict:
     """Plain trajectory ensembles (no density ODE) for cross-validation.
 
-    Uses each controller's first case of the scenario and the same
-    integrator kernel as the density propagation, so state trajectories
-    agree bit for bit with the characteristics under identical seeds.
-    Returns per-controller error trajectories, mass-weighted means (computed
-    by the same routine the density side uses), quantile envelopes, and
-    final-time statistics.
+    Runs each controller's first variant of the scenario through the same
+    propagation and integrator kernel as the density side, so state
+    trajectories agree bit for bit with the characteristics under identical
+    seeds. Returns per controller the stacked states (T, n, 4), the
+    mass-weighted means (computed by the routine the density side uses)
+    and the snapshots.
     """
     params = params or AircraftParams()
     tables = tables or AeroTables.default()
     setup = setup or build_controllers(params, tables,
                                        need_schedule="gslqr" in cfg.controllers)
-    x_trim = setup.trim.x_trim.as_array()
-    out = {"t": None, "controllers": {}}
-    for name, loop, cloud in _first_cases(cfg, setup, params, tables):
-        snaps = propagate(cloud, loop, cfg.t_f, cfg.dt,
-                          cfg.emit_every, cfg.strict_rk4, cfg.workers,
-                          track_density=False)
-        t = np.array([s.t for s in snaps])
-        states = np.stack([s.states for s in snaps])          # (T, n, 4)
-        delta_x = states - x_trim
-        means = np.stack([weighted_mean(s.states, s.gamma) for s in snaps])
-        q = np.quantile(delta_x, [0.05, 0.25, 0.5, 0.75, 0.95], axis=1)
-        out["t"] = t
+    out = {"controllers": {}}
+    for name, snaps in _first_variants(cfg, setup, params, tables, track_density=False):
         out["controllers"][name] = {
-            "states": states,
-            "delta": delta_x,
-            "mean": means,
-            "quantiles": q,
-            "diverged": int(np.count_nonzero(snaps[-1].diverged)),
-            "nonconverged": _nonconverged_count(snaps[-1], x_trim),
+            "states": np.stack([s.states for s in snaps]),
+            "mean": np.stack([weighted_mean(s.states, s.gamma) for s in snaps]),
             "snapshots": snaps,
         }
     return out

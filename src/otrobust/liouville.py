@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,7 +61,7 @@ _RK4_C = (0.0, 0.5, 0.5, 1.0)
 @dataclass(eq=False)
 class EnsembleSnapshot:
     """Time-stamped ensemble: states (n, dx), params (n, dp), densities,
-    masses, diverged flags, plus run metadata."""
+    masses and diverged flags."""
 
     t: float
     states: np.ndarray
@@ -69,7 +69,6 @@ class EnsembleSnapshot:
     phi: np.ndarray
     gamma: np.ndarray
     diverged: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.states = np.atleast_2d(np.asarray(self.states, dtype=float))
@@ -99,10 +98,8 @@ class EnsembleSnapshot:
         return np.concatenate([self.states, self.params], axis=1)
 
     @classmethod
-    def from_cloud(cls, states, phi, gamma, params=None, t: float = 0.0,
-                   metadata: dict | None = None) -> "EnsembleSnapshot":
-        return cls(t=t, states=states, params=params, phi=phi, gamma=gamma,
-                   diverged=None, metadata=metadata or {})
+    def from_cloud(cls, states, phi, gamma, params=None, t: float = 0.0) -> "EnsembleSnapshot":
+        return cls(t=t, states=states, params=params, phi=phi, gamma=gamma, diverged=None)
 
 
 def divergence(rhs: Callable, x: np.ndarray, p: np.ndarray | None, t: float) -> np.ndarray:
@@ -286,13 +283,6 @@ def propagate(cloud: EnsembleSnapshot, rhs: Callable, t_f: float, dt: float,
         with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
             blocks = list(pool.map(_propagate_chunk, jobs))
 
-    meta = dict(cloud.metadata)
-    meta.update({
-        "dt": dt, "t_f": cloud.t + n_steps * dt, "emit_every": emit_every,
-        "strict_rk4": strict_rk4,
-        # cost contract: one scalar ODE per state plus one for the density
-        "odes_per_sample": cloud.states.shape[1] + (1 if track_density else 0),
-    })
     snapshots = []
     for k, _ in enumerate(sorted(emit_steps)):
         t_k = blocks[0][k][0]
@@ -301,7 +291,7 @@ def propagate(cloud: EnsembleSnapshot, rhs: Callable, t_f: float, dt: float,
         dead = np.concatenate([blk[k][3] for blk in blocks], axis=0)
         snapshots.append(EnsembleSnapshot(
             t=t_k, states=X, params=cloud.params, phi=phi,
-            gamma=cloud.gamma, diverged=dead, metadata=meta))
+            gamma=cloud.gamma, diverged=dead))
     return snapshots
 
 

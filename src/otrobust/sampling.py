@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -18,6 +18,8 @@ import numpy as np
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 DEFAULT_HALTON_SKIP = 20
+# Metropolis steps that adapt the proposal scale before any sample is kept.
+_BURN_IN = 1000
 
 
 class DegenerateProposalError(RuntimeError):
@@ -64,14 +66,12 @@ class InitialPdf:
     """Initial joint density over the (extended) state space.
 
     density evaluates pointwise (batched over leading axes) and must return
-    0 off the declared support. normalized records whether the evaluator
-    integrates to one (the uniform-box constructor does).
+    0 off support, the box the Metropolis chain starts in and scales its
+    proposal to.
     """
 
     density: Callable[[np.ndarray], np.ndarray]
-    support: BoxDomain | None = None
-    normalized: bool = True
-    metadata: dict = field(default_factory=dict)
+    support: BoxDomain
 
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.density(np.asarray(x, dtype=float)))
@@ -84,8 +84,7 @@ class InitialPdf:
         def density(x: np.ndarray) -> np.ndarray:
             return np.where(box.contains(x), inv_vol, 0.0)
 
-        return cls(density=density, support=box, normalized=True,
-                   metadata={"kind": "uniform_box"})
+        return cls(density=density, support=box)
 
 
 def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
@@ -119,29 +118,20 @@ def halton(n: int, box: BoxDomain, skip: int = DEFAULT_HALTON_SKIP) -> np.ndarra
     return box.lower + unit * box.widths
 
 
-def mcmc_sample(pdf: InitialPdf, n: int, seed: int,
-                proposal_scale: np.ndarray | None = None,
-                burn_in: int = 1000) -> np.ndarray:
+def mcmc_sample(pdf: InitialPdf, n: int, seed: int) -> np.ndarray:
     """Random-walk Metropolis samples from pdf, seeded and reproducible.
 
-    The proposal is an isotropic-per-axis Gaussian initialised at 10% of
-    each support dimension (or proposal_scale), with log-scale adaptation
-    toward 30% acceptance during burn-in only. Raises
-    DegenerateProposalError if fewer than 1% of post-adaptation proposals
-    are accepted.
+    The chain starts at the centre of pdf.support. The proposal is an
+    isotropic-per-axis Gaussian initialised at 10% of each support
+    dimension, with log-scale adaptation toward 30% acceptance during the
+    _BURN_IN burn-in steps only. Raises DegenerateProposalError if
+    fewer than 1% of post-adaptation proposals are accepted.
     """
     if n <= 0:
         raise ValueError("sample count must be positive")
-    if pdf.support is not None:
-        box = pdf.support
-        scale = 0.1 * box.widths if proposal_scale is None else np.asarray(proposal_scale, float)
-        x = 0.5 * (box.lower + box.upper)
-    else:
-        if proposal_scale is None:
-            raise ValueError("proposal_scale required for unbounded support")
-        scale = np.asarray(proposal_scale, dtype=float)
-        x = np.zeros(scale.size)
-    scale = scale.copy()
+    box = pdf.support
+    scale = 0.1 * box.widths
+    x = 0.5 * (box.lower + box.upper)
 
     rng = np.random.default_rng(seed)
     fx = float(pdf(x))
@@ -150,7 +140,7 @@ def mcmc_sample(pdf: InitialPdf, n: int, seed: int,
 
     accepted = 0
     window = 0
-    for step in range(burn_in):
+    for step in range(_BURN_IN):
         cand = x + scale * rng.standard_normal(x.size)
         fc = float(pdf(cand))
         if fc > 0 and rng.uniform() < fc / fx:

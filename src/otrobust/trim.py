@@ -207,9 +207,10 @@ def find_trim(V: float, alpha: float, params: AircraftParams | None = None,
     rnorm = optimality = float("inf")
     # A warm restart re-inflates the trust region and polishes the last
     # digits of stationarity at awkward (no-equilibrium) conditions.
-    # A residual too large to square (V near 0) overflows in the solver's
-    # cost and in the norm; it comes out inf and is never converged.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # A residual too large to square (V near 0, or an absurd air density)
+    # overflows in the solver's cost and in the norm, and can zero a slope
+    # its trust-region step divides by; such a trim is never converged.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(3):
             sol = least_squares(
                 _residual, z,

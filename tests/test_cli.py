@@ -308,6 +308,35 @@ def test_dirac_at_malformed_trim_exits_2(capsys, tmp_path, doc, field):
     assert str(trim_json) in err and field in err
 
 
+@pytest.mark.parametrize("targets, message", [
+    ((), "one of the arguments --b --dirac-at is required"),
+    (("--b", "ok.csv", "--dirac-at", "t.json"), "not allowed with argument")],
+    ids=["neither", "both"])
+def test_wasserstein_takes_exactly_one_of_b_and_dirac_at(capsys, tmp_path, monkeypatch,
+                                                         targets, message):
+    monkeypatch.chdir(tmp_path)
+    _good_snapshot(tmp_path)
+    (tmp_path / "t.json").write_text(json.dumps(GOOD_TRIM))
+    with pytest.raises(SystemExit) as exc:
+        main(["wasserstein", "--a", "ok.csv", *targets])
+    assert exc.value.code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+# a file cut off just before the last field of its last row, and a word
+@pytest.mark.parametrize("last_row", ["0,1,3.0,410.0,7.0,1.0,1.0,0.5,",
+                                      "0,1,3.0,410.0,7.0,1.0,1.0,0.5,yes\n"],
+                         ids=["cut-row", "yes"])
+def test_snapshot_csv_unknown_diverged_value_exits_2(capsys, tmp_path, last_row):
+    f = tmp_path / "bad.csv"
+    f.write_text(SNAPSHOT_HEADER + "\n0,0,1.0,400.0,5.0,0.0,1.0,0.5,0\n" + last_row)
+    trim_json = tmp_path / "t.json"
+    trim_json.write_text(json.dumps(GOOD_TRIM))
+    code, _, err = run_cli(capsys, "wasserstein", "--a", str(f), "--dirac-at", str(trim_json))
+    assert code == EXIT_CONFIG
+    assert str(f) in err and "diverged" in err
+
+
 def test_trim_unknown_parameter_exits_2(capsys, tmp_path):
     p = tmp_path / "p.json"
     p.write_text('{"mass": 3}')
@@ -322,6 +351,15 @@ def test_trim_altitude_past_density_model_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "trim", "--V", "500", "--alpha-deg", "2", "--params", str(p))
     assert code == EXIT_CONFIG
     assert str(p) in err and "h must be below" in err
+
+
+def test_trim_at_an_absurd_air_density_is_not_converged(capsys, tmp_path):
+    # the residual overflows and zeroes the slope of the solver's step
+    p = tmp_path / "p.json"
+    p.write_text('{"rho0": 1.957318894963978e+50}')
+    code, out, _ = run_cli(capsys, "trim", "--V", "50", "--alpha-deg", "0", "--params", str(p))
+    assert code == EXIT_OK
+    assert _strict_json(out)["converged"] is False
 
 
 def test_trim_malformed_tables_exit_2(capsys, tmp_path):

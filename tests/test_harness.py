@@ -396,7 +396,7 @@ def test_param_stacked_slices_equal_own_propagation(param_small, params, tables,
             sliced = rep.extras["snapshots"][f"{name}|delta={delta:g}"]
             assert len(sliced) == len(own)
             for a, b in zip(sliced, own):
-                assert a.t == b.t and a.metadata == b.metadata
+                assert a.t == b.t
                 for f in ("states", "params", "phi", "gamma", "diverged"):
                     assert np.array_equal(getattr(a, f), getattr(b, f)), (name, delta, f)
 

@@ -144,15 +144,6 @@ def test_diverged_samples_frozen_and_retained():
     assert math.fsum(final.gamma.tolist()) == 1.0
 
 
-def test_odes_per_sample_contract(stable_M, rng):
-    rhs = linear_rhs(stable_M)
-    cloud = make_cloud(rng)
-    snaps = propagate(cloud, rhs, 0.1, 0.01)
-    assert snaps[-1].metadata["odes_per_sample"] == 5
-    mc = propagate(cloud, rhs, 0.1, 0.01, track_density=False)
-    assert mc[-1].metadata["odes_per_sample"] == 4
-
-
 def test_track_density_off_matches_states(stable_M, rng):
     rhs = linear_rhs(stable_M)
     cloud = make_cloud(rng)
