@@ -151,6 +151,8 @@ def _dist_from_snapshot(snap, weights: str) -> DiscreteDistribution:
 
 
 def _cmd_wasserstein(args) -> int:
+    if args.plan and not args.b:
+        raise ConfigError("--plan needs --b: --dirac-at solves no transport plan")
     snaps_a = harness.read_snapshot_csv(args.a)
     rows = []
     plan_export = None
@@ -269,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="trim JSON: closed-form distance to the trim point")
     p.add_argument("--weights", choices=["density", "mass"], default="density",
                    help="marginal weights: normalized carried densities or transport masses")
-    p.add_argument("--plan", help="write the final optimal plan as triplet CSV")
+    p.add_argument("--plan", help="with --b, write the final optimal plan as triplet CSV")
     p.add_argument("--out", help="output CSV (default stdout)")
     p.set_defaults(func=_cmd_wasserstein)
 

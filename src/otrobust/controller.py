@@ -1,18 +1,19 @@
 """LQR synthesis and gain scheduling.
 
-Linearization is central finite differences on the nonlinear plant, with
-all 2 (n + m) perturbed (x, u) pairs in one call of a right-hand side that
-broadcasts over leading axes (as f16.dynamics does). A and B come back in
-C order, so the LAPACK calls of the Riccati solve take a fixed path. The
+Linearization is the trim solve's central-difference Jacobian
+(trim.central_difference) over the stacked (x, u) of a right-hand side that
+broadcasts over leading axes (as f16.dynamics does); A and B come back in C
+order, so the LAPACK calls of the Riccati solve take a fixed path. The
 continuous algebraic Riccati equation is solved from the stable invariant
 subspace of the ordered real Schur form of the Hamiltonian, polished with
-one Newton-Kleinman (Lyapunov) step. The scheduled controller keeps one
+one Newton-Kleinman (Lyapunov) step. The closed loop calls one of two law
+objects: LqrLaw, one gain about a trim, or ScheduledLaw, which keeps one
 gain per node of a (V, alpha) lattice, interpolates the gains bilinearly
 in the scheduling states (clamped to the lattice hull, by the lattice
 kernel the aero tables use, f16._lattice) and regulates deviations from
-one fixed reference trim; node trims are not interpolated. Both laws also
-give the Jacobian of their command, which the closed-form Liouville
-divergence uses (f16.ClosedLoop.state_rhs_div).
+one fixed reference trim; node trims are not interpolated. Both also give
+the Jacobian of their command, which the closed-form Liouville divergence
+uses (f16.ClosedLoop.state_rhs_div).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import scipy.linalg
 
 from .f16 import (CONTROL_UNITS, DEG, STATE_UNITS, AeroTables, AircraftParams, ControlInput,
                   LongitudinalState, _cell, _crosses, _lattice, dynamics, numeric_arrays)
-from .trim import TrimPoint
+from .trim import TrimPoint, central_difference
 
 CARE_RESIDUAL_RTOL = 1e-8
 # The unit of every gain matrix: K acts on radian state deviations.
@@ -86,27 +87,18 @@ def spectral_abscissa(A: np.ndarray) -> float:
 
 def linearize(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
               x0, u0) -> LinearModel:
-    """Central-difference linearization of rhs(x, u) about (x0, u0).
-
-    Steps are 1e-6 * max(1, |component|) per direction; exact for linear
-    maps up to roundoff. All 2 (n + m) perturbed (x, u) pairs go through
-    one rhs call, so rhs must broadcast over leading axes.
-    """
+    """Central-difference linearization of rhs(x, u) about (x0, u0), which
+    may be a TrimPoint's state objects; rhs must broadcast over leading axes
+    (trim.central_difference). Exact for linear maps up to roundoff."""
     if isinstance(x0, LongitudinalState):
         x0 = x0.as_array()
     if isinstance(u0, ControlInput):
         u0 = u0.as_array()
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
-    n, m = x0.size, u0.size
-
-    xu0 = np.concatenate([x0, u0])
-    h = 1e-6 * np.maximum(1.0, np.abs(xu0))
-    xu = np.tile(xu0, (2 * (n + m), 1))  # rows xu0 + h_j e_j, then xu0 - h_j e_j
-    xu[np.arange(2 * (n + m)), np.arange(2 * (n + m)) % (n + m)] += np.concatenate([h, -h])
-    f = np.asarray(rhs(xu[:, :n], xu[:, n:]))
-    D = (f[:n + m] - f[n + m:]) / (2 * h)[:, None]
-    A, B = np.ascontiguousarray(D[:n].T), np.ascontiguousarray(D[n:].T)
+    n = x0.size
+    D = central_difference(lambda xu: rhs(xu[:, :n], xu[:, n:]), np.concatenate([x0, u0]))
+    A, B = np.ascontiguousarray(D[:, :n]), np.ascontiguousarray(D[:, n:])
 
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise LinearizationError("non-finite entries in finite-difference Jacobian")
@@ -176,30 +168,23 @@ def lqr_gain(model: LinearModel, weights: LqrWeights | None = None) -> np.ndarra
     return np.linalg.solve(weights.R, model.B.T @ P)
 
 
-def lqr_control(x, K: np.ndarray, trim: TrimPoint) -> np.ndarray:
-    """Pre-saturation control u = u_trim - K (x - x_trim); batched over x."""
-    if isinstance(x, LongitudinalState):
-        x = x.as_array()
-    x = np.asarray(x, dtype=float)
-    dx = x - trim.x_trim.as_array()
-    if dx.size == dx.shape[-1]:
-        # BLAS takes gemv for one row and gemm for more, which round
-        # differently in the last bit; a two-row block keeps a lone sample
-        # bitwise equal to the same state inside an ensemble.
-        Kdx = (np.tile(dx.reshape(1, -1), (2, 1)) @ np.asarray(K).T)[0]
-        return trim.u_trim.as_array() - Kdx.reshape(dx.shape[:-1] + Kdx.shape)
-    return trim.u_trim.as_array() - dx @ np.asarray(K).T
-
-
 @dataclass(frozen=True, eq=False)
 class LqrLaw:
-    """Callable (and picklable) form of lqr_control for the closed loop."""
+    """Fixed-gain LQR law about a trim point, as the closed loop calls it."""
 
     K: np.ndarray
     trim: TrimPoint
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return lqr_control(x, self.K, self.trim)
+        """Pre-saturation control u = u_trim - K (x - x_trim); batched over x."""
+        dx = np.asarray(x, dtype=float) - self.trim.x_trim.as_array()
+        if dx.size == dx.shape[-1]:
+            # BLAS takes gemv for one row and gemm for more, which round
+            # differently in the last bit; a two-row block keeps a lone sample
+            # bitwise equal to the same state inside an ensemble.
+            Kdx = (np.tile(dx.reshape(1, -1), (2, 1)) @ np.asarray(self.K).T)[0]
+            return self.trim.u_trim.as_array() - Kdx.reshape(dx.shape[:-1] + Kdx.shape)
+        return self.trim.u_trim.as_array() - dx @ np.asarray(self.K).T
 
     def jacobian(self, x: np.ndarray, h: np.ndarray):
         """The command (as __call__), its Jacobian -K, zero curvature and no
@@ -355,38 +340,19 @@ def build_schedule(trims: list[TrimPoint], weights: LqrWeights | None = None,
                         u_ref=reference.u_trim.as_array())
 
 
-def interpolate_gain(x, schedule: GainSchedule) -> np.ndarray:
-    """Elementwise-bilinear gain at the scheduling pair (V, alpha) of x,
-    clamped to the lattice hull; batched over leading axes of x."""
-    x = np.asarray(x, dtype=float)
-    return _lattice(schedule.K, _cell(schedule.V_nodes, x[..., 1]),
-                    _cell(schedule.alpha_nodes, x[..., 2]))
-
-
-def gs_control(x, schedule: GainSchedule) -> np.ndarray:
-    """Scheduled pre-saturation control at state x (batched).
-
-    The gain is interpolated in the scheduling pair (V, alpha) of the
-    current state (clamped to the lattice hull); the deviation is taken
-    from the schedule's fixed reference trim:
-    u = u_ref - K~(V, alpha) (x - x_ref).
-    """
-    if isinstance(x, LongitudinalState):
-        x = x.as_array()
-    x = np.asarray(x, dtype=float)
-    Kt = interpolate_gain(x, schedule)
-    dx = x - schedule.x_ref
-    return schedule.u_ref - np.einsum("...ij,...j->...i", Kt, dx)
-
-
 @dataclass(frozen=True, eq=False)
 class ScheduledLaw:
-    """Callable (and picklable) form of gs_control for the closed loop."""
+    """Gain-scheduled LQR law, as the closed loop calls it."""
 
     schedule: GainSchedule
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return gs_control(x, self.schedule)
+        """Pre-saturation control u = u_ref - K~(V, alpha) (x - x_ref), batched
+        over x; K~ is bilinear in (V, alpha), clamped to the lattice hull."""
+        s = self.schedule
+        x = np.asarray(x, dtype=float)
+        Kt = _lattice(s.K, _cell(s.V_nodes, x[..., 1]), _cell(s.alpha_nodes, x[..., 2]))
+        return s.u_ref - np.einsum("...ij,...j->...i", Kt, x - s.x_ref)
 
     def jacobian(self, x: np.ndarray, h: np.ndarray):
         """The command u = u_ref - K~(V, alpha) dx (bitwise as __call__);

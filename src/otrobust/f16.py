@@ -19,15 +19,17 @@ STATE_UNITS and CONTROL_UNITS are the one table that converts state and
 control vectors between the two: a reporting value times its unit is the
 internal value.
 
-All evaluation routines are pure and broadcast over leading sample axes:
-states have a trailing axis of length 4, controls of length 2. Per-sample
-parameter overrides (mass, c.g. position, pitch inertia) may be arrays.
+All evaluation routines are pure, take arrays and broadcast over leading
+sample axes: states have a trailing axis of length 4, controls of length 2.
+Per-sample parameter overrides (mass, c.g. position, pitch inertia) may be
+arrays.
 
 The Liouville density needs the divergence of the closed loop, the trace
 dV_dot/dV + dalpha_dot/dalpha + dq_dot/dq (theta_dot = q adds 0). Where the
 loop is piecewise smooth its value is a convention: the central-difference
 secant with steps h = H_REL max(1, |x|). ClosedLoop.state_rhs_div
-computes it in the same pass as the state derivative:
+computes it in the same pass as the state derivative, with the Jacobian
+its law must give (a plain callable field gets finite differences):
   * closed form: the plant partials from the table cells the lookup already
     found, plus the elevator channel times the law's Jacobian;
   * thrust enters linearly, so its saturation kink is the secant itself,
@@ -382,16 +384,8 @@ def _rhs(x: np.ndarray, u: np.ndarray, m, xcg, Jyy, params: AircraftParams,
 
 
 def dynamics(x, u, params: AircraftParams, tables: AeroTables) -> np.ndarray:
-    """Open-loop state derivative (theta_dot, V_dot, alpha_dot, q_dot).
-
-    Accepts LongitudinalState/ControlInput or plain arrays with trailing
-    axes 4 and 2. Raises SingularStateError for V <= 0 (the equations divide
-    by V).
-    """
-    if isinstance(x, LongitudinalState):
-        x = x.as_array()
-    if isinstance(u, ControlInput):
-        u = u.as_array()
+    """Open-loop state derivative (theta_dot, V_dot, alpha_dot, q_dot) of state
+    and control arrays; SingularStateError for V <= 0 (the equations divide by V)."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     if np.any(x[..., 1] <= 0.0) or not np.all(np.isfinite(x)):
@@ -420,12 +414,13 @@ class ClosedLoop:
     the plant. Uncertain parameters (m, xcg, Jyy) ride along as frozen
     extended states with zero derivative.
 
-    state_rhs_div also needs law.jacobian(x, h) -> (u, J, C, kink): the
-    command u (bitwise law(x)), its Jacobian J and in-cell curvature C per
+    state_rhs_div needs law.jacobian(x, h) -> (u, J, C, kink): the command
+    u (bitwise law(x)), its Jacobian J and in-cell curvature C per
     direction, so that the command at x +/- h_k e_k is u +/- h_k J_k +
     h_k^2 C_k (both broadcasting to (..., 2, 4)), and the rows whose
-    stencil leaves the law's own cell (as LqrLaw and ScheduledLaw have).
-    Any other law gets finite differences on every row.
+    stencil leaves the law's own cell (as LqrLaw and ScheduledLaw give).
+    For a law without one, pass state_rhs to liouville.propagate as a plain
+    field: it then takes finite differences on every row.
     """
 
     law: Callable[[np.ndarray], np.ndarray]
@@ -458,12 +453,8 @@ class ClosedLoop:
         rows it does not cover, whose +/- h stencil (h = H_REL max(1, |x|))
         in V, alpha or q crosses elevator saturation, an alpha or delta_e
         table breakpoint (or table edge), a cell edge of the law, or V = 0.
-        A law without a jacobian method leaves every row flagged.
         """
         x = np.asarray(x, dtype=float)
-        if not hasattr(self.law, "jacobian"):
-            xdot = self.state_rhs(t, x, p)
-            return xdot, np.full(xdot.shape[:-1], np.nan), np.ones(xdot.shape[:-1], dtype=bool)
         m, xcg, Jyy, _ = _split_params(p, self.params)
         h = H_REL * np.maximum(1.0, np.abs(x))
         u_law, J, C, kink = self.law.jacobian(x, h)

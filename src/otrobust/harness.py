@@ -467,6 +467,8 @@ def read_snapshot_csv(path) -> list[EnsembleSnapshot]:
         raise ValueError(f"snapshot file {path} lacks columns {', '.join(missing)}")
     if not rows:
         raise ValueError(f"empty snapshot file {path}")
+    if any(None in r for r in rows):  # DictReader files surplus fields under None
+        raise ValueError(f"snapshot file {path} has a row with more fields than its header")
     by_t: dict[float, list] = {}
     for r in rows:
         by_t.setdefault(float(r["t"]), []).append(r)

@@ -7,11 +7,12 @@ Gauss-Newton iteration on the scaled residual (V_dot / 100, alpha_dot,
 q_dot) constrained to the actuator box (scipy's trust-region-reflective
 least squares, central-difference Jacobian).
 
-The residual broadcasts over leading axes of z, so the Jacobian evaluates
-its six +/- points as one stacked plant call, bitwise equal to six single
-calls. It is handed to scipy in C order: an F-ordered copy holds the same
-numbers but sends the TRF step down another LAPACK/BLAS path, which moves
-most lattice trims (thrust by up to 1e-3 lb).
+The residual broadcasts over leading axes of z, so the Jacobian
+(central_difference, shared with controller.linearize) evaluates its six
++/- points as one stacked plant call, bitwise equal to six single calls,
+and hands it to scipy in C order: an F-ordered copy holds the same numbers
+but sends the TRF step down another LAPACK/BLAS path, which moves most
+lattice trims (thrust by up to 1e-3 lb).
 
 Thrust frequently rides its 1000 lb floor at low-drag conditions, and parts
 of the scheduling envelope admit no exact equilibrium at all (e.g. high V
@@ -163,13 +164,16 @@ def _residual(z: np.ndarray, V: float, alpha: float, params: AircraftParams,
     return xdot[..., 1:] / np.array([V_DOT_SCALE, 1.0, 1.0])
 
 
-def _jacobian(z: np.ndarray, V: float, alpha: float, params: AircraftParams,
-              tables: AeroTables) -> np.ndarray:
+def central_difference(f, z: np.ndarray) -> np.ndarray:
+    """Jacobian of f at z in C order, by central differences with steps
+    1e-6 max(1, |z_k|); all 2 n points go through one call of f, which must
+    broadcast over a leading axis."""
+    n = z.size
     h = 1e-6 * np.maximum(1.0, np.abs(z))
-    zs = np.tile(z, (6, 1))  # rows z + h_k e_k, then z - h_k e_k
-    zs[np.arange(6), np.arange(6) % 3] += np.concatenate([h, -h])
-    r = _residual(zs, V, alpha, params, tables)
-    return np.ascontiguousarray(((r[:3] - r[3:]) / (2.0 * h)[:, None]).T)
+    zs = np.tile(z, (2 * n, 1))  # rows z + h_k e_k, then z - h_k e_k
+    zs[np.arange(2 * n), np.arange(2 * n) % n] += np.concatenate([h, -h])
+    r = np.asarray(f(zs))
+    return np.ascontiguousarray(((r[:n] - r[n:]) / (2.0 * h)[:, None]).T)
 
 
 def _projected_gradient(z: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -214,7 +218,7 @@ def find_trim(V: float, alpha: float, params: AircraftParams | None = None,
         for _ in range(3):
             sol = least_squares(
                 _residual, z,
-                jac=lambda z, *a: _jacobian(z, *a),
+                jac=lambda z, *a: central_difference(lambda zs: _residual(zs, *a), z),
                 bounds=(_LOWER, _UPPER),
                 args=(V, alpha, params, tables),
                 method="trf",

@@ -337,6 +337,29 @@ def test_snapshot_csv_unknown_diverged_value_exits_2(capsys, tmp_path, last_row)
     assert str(f) in err and "diverged" in err
 
 
+def test_snapshot_csv_row_with_surplus_field_exits_2(capsys, tmp_path):
+    # csv.DictReader files a field past the header under the key None
+    f = tmp_path / "bad.csv"
+    f.write_text(SNAPSHOT_HEADER + "\n0,0,1.0,400.0,5.0,0.0,1.0,0.5,0\n"
+                 "0,1,3.0,410.0,7.0,1.0,1.0,0.5,0,7\n")
+    trim_json = tmp_path / "t.json"
+    trim_json.write_text(json.dumps(GOOD_TRIM))
+    code, out, err = run_cli(capsys, "wasserstein", "--a", str(f), "--dirac-at", str(trim_json))
+    assert code == EXIT_CONFIG and out == ""
+    assert str(f) in err and "more fields than its header" in err
+
+
+def test_plan_without_b_exits_2(capsys, tmp_path):
+    # --dirac-at solves no transport LP, so there is no plan to write
+    trim_json = tmp_path / "t.json"
+    trim_json.write_text(json.dumps(GOOD_TRIM))
+    plan = tmp_path / "plan.csv"
+    code, out, err = run_cli(capsys, "wasserstein", "--a", str(_good_snapshot(tmp_path)),
+                             "--dirac-at", str(trim_json), "--plan", str(plan))
+    assert code == EXIT_CONFIG and out == ""
+    assert "--plan" in err and not plan.exists()
+
+
 def test_trim_unknown_parameter_exits_2(capsys, tmp_path):
     p = tmp_path / "p.json"
     p.write_text('{"mass": 3}')

@@ -14,11 +14,8 @@ from otrobust.controller import (
     SynthesisError,
     build_schedule,
     care_residual,
-    gs_control,
-    interpolate_gain,
     linearize,
     linearize_plant,
-    lqr_control,
     lqr_gain,
     solve_care,
     spectral_abscissa,
@@ -132,15 +129,16 @@ def test_lqr_gain_matches_published_values(setup):
 
 
 def test_lqr_control_at_trim(nominal_trim, nominal_gain):
-    u = lqr_control(nominal_trim.x_trim, nominal_gain, nominal_trim)
+    u = LqrLaw(nominal_gain, nominal_trim)(nominal_trim.x_trim.as_array())
     assert np.allclose(u, nominal_trim.u_trim.as_array(), rtol=0, atol=1e-12)
 
 
 def test_lqr_control_linearity(nominal_trim, nominal_gain, rng):
+    law = LqrLaw(nominal_gain, nominal_trim)
     dx = rng.standard_normal(4) * 0.01
     x0 = nominal_trim.x_trim.as_array()
-    u1 = lqr_control(x0 + dx, nominal_gain, nominal_trim)
-    u2 = lqr_control(x0 + 2 * dx, nominal_gain, nominal_trim)
+    u1 = law(x0 + dx)
+    u2 = law(x0 + 2 * dx)
     u0 = nominal_trim.u_trim.as_array()
     assert np.allclose(u2 - u0, 2 * (u1 - u0), rtol=1e-9)
 
@@ -148,7 +146,7 @@ def test_lqr_control_linearity(nominal_trim, nominal_gain, rng):
 def test_lqr_control_pitch_offset_thrust_response(nominal_trim, nominal_gain):
     # one degree of pitch error; frozen from K(0,0) ~ -7142.8 lb/rad
     x = nominal_trim.x_trim.as_array() + np.array([1.0 * DEG, 0, 0, 0])
-    u = lqr_control(x, nominal_gain, nominal_trim)
+    u = LqrLaw(nominal_gain, nominal_trim)(x)
     dT = u[0] - nominal_trim.u_trim.T
     assert dT == pytest.approx(-nominal_gain[0, 0] * DEG, rel=1e-9)
     assert dT == pytest.approx(124.66, abs=0.5)
@@ -171,8 +169,19 @@ def test_schedule_rejects_empty_trim_list(params, tables, nominal_trim):
 
 
 def test_gs_control_at_reference(schedule, nominal_trim):
-    u = gs_control(nominal_trim.x_trim, schedule)
+    u = ScheduledLaw(schedule)(nominal_trim.x_trim.as_array())
     assert np.allclose(u, nominal_trim.u_trim.as_array(), rtol=0, atol=1e-9)
+
+
+# A deviation whose components are dyadic: with the reference at x - DX the
+# law's own x - x_ref is DX exactly at the states below, so two commands
+# differ only through the scheduled gain.
+DX = np.array([-0.25, 2.0, 0.125, -0.5])
+
+
+def _at_deviation(schedule, x):
+    """ScheduledLaw's command u_ref - K~(V, alpha) DX at the state x."""
+    return ScheduledLaw(dataclasses.replace(schedule, x_ref=x - DX))(x)
 
 
 def test_gain_interpolation_midpoint_mean(schedule):
@@ -180,26 +189,23 @@ def test_gain_interpolation_midpoint_mean(schedule):
     V_mid = 0.5 * (schedule.V_nodes[i] + schedule.V_nodes[i + 1])
     alpha = schedule.alpha_nodes[j]
     x = np.array([0.0, V_mid, alpha, 0.0])
-    K_mid = interpolate_gain(x, schedule)
-    expect = 0.5 * (schedule.K[i, j] + schedule.K[i + 1, j])
-    assert np.allclose(K_mid, expect, rtol=1e-12)
+    expect = schedule.u_ref - 0.5 * (schedule.K[i, j] + schedule.K[i + 1, j]) @ DX
+    assert np.allclose(_at_deviation(schedule, x), expect, rtol=1e-12)
 
 
 def test_gain_interpolation_clamps_to_hull(schedule):
     x_lo = np.array([0.0, 50.0, 0.0, 0.0])
     x_edge = np.array([0.0, 100.0, 0.0, 0.0])
-    assert np.array_equal(interpolate_gain(x_lo, schedule),
-                          interpolate_gain(x_edge, schedule))
+    assert np.array_equal(_at_deviation(schedule, x_lo), _at_deviation(schedule, x_edge))
     x_hi = np.array([0.0, 400.0, 80.0 * DEG, 0.0])
     x_hi_edge = np.array([0.0, 400.0, 45.0 * DEG, 0.0])
-    assert np.array_equal(interpolate_gain(x_hi, schedule),
-                          interpolate_gain(x_hi_edge, schedule))
+    assert np.array_equal(_at_deviation(schedule, x_hi), _at_deviation(schedule, x_hi_edge))
 
 
 @pytest.mark.parametrize("nv, na", [(10, 10), (1, 10), (10, 1), (1, 1)])
 def test_gain_gather_matches_corner_indexing(schedule, rng, nv, na):
-    # The one-take corner gather against K[i, j] ... K[i+1, j+1] indexed one
-    # corner at a time, on sub-lattices with a one-node axis too.
+    # ScheduledLaw's one-take corner gather against K[i, j] ... K[i+1, j+1]
+    # indexed one corner at a time, on sub-lattices with a one-node axis too.
     sub = dataclasses.replace(
         schedule, V_nodes=schedule.V_nodes[:nv], alpha_nodes=schedule.alpha_nodes[:na],
         x_trims=schedule.x_trims[:nv, :na], u_trims=schedule.u_trims[:nv, :na],
@@ -210,14 +216,17 @@ def test_gain_gather_matches_corner_indexing(schedule, rng, nv, na):
     j, wa = _cell(sub.alpha_nodes, x[:, 2])
     i1, j1 = np.minimum(i + 1, nv - 1), np.minimum(j + 1, na - 1)
     wv, wa = wv[:, None, None], wa[:, None, None]
-    expect = ((1 - wv) * (1 - wa) * sub.K[i, j] + wv * (1 - wa) * sub.K[i1, j]
-              + (1 - wv) * wa * sub.K[i, j1] + wv * wa * sub.K[i1, j1])
-    assert np.array_equal(interpolate_gain(x, sub), expect)
-    assert np.array_equal(interpolate_gain(x[7], sub), expect[7])
+    Kt = ((1 - wv) * (1 - wa) * sub.K[i, j] + wv * (1 - wa) * sub.K[i1, j]
+          + (1 - wv) * wa * sub.K[i, j1] + wv * wa * sub.K[i1, j1])
+    expect = sub.u_ref - np.einsum("...ij,...j->...i", Kt, x - sub.x_ref)
+    law = ScheduledLaw(sub)
+    assert np.array_equal(law(x), expect)
+    assert np.array_equal(law(x[7]), expect[7])
 
 
 @pytest.mark.parametrize("nv, na", [(10, 10), (1, 10), (10, 1), (1, 1)])
-def test_scheduled_jacobian_matches_corner_formulas(schedule, rng, nv, na):
+def test_scheduled_jacobian_matches_corner_formulas(schedule, nominal_trim, nominal_gain,
+                                                    rng, nv, na):
     # ScheduledLaw.jacobian's command, Jacobian, curvature and kink flags
     # against the four corner gains K[i, j] ... K[i+1, j+1] indexed one at a
     # time, on sub-lattices with a one-node axis too
@@ -232,6 +241,11 @@ def test_scheduled_jacobian_matches_corner_formulas(schedule, rng, nv, na):
     x[40:80, 2] = np.resize(sub.alpha_nodes, 40) + np.resize([0.0, 1e-7, -1e-7, 0.01], 40)
     h = H_REL * np.maximum(1.0, np.abs(x))
     u, J, C, kink = ScheduledLaw(sub).jacobian(x, h)
+    # the command of both laws' jacobian is bitwise the law's own, inside
+    # cells, on node lines and beyond the hull: state_rhs_div relies on it
+    assert np.array_equal(u, ScheduledLaw(sub)(x))
+    lqr = LqrLaw(K=nominal_gain, trim=nominal_trim)
+    assert np.array_equal(lqr.jacobian(x, h)[0], lqr(x))
 
     def cell(nodes, v, hv):
         crosses = (np.searchsorted(nodes, v + hv, side="right")
@@ -271,8 +285,8 @@ def test_single_node_schedule_degenerates_to_lqr(params, tables, nominal_trim,
     sched = build_schedule([nominal_trim], params=params, tables=tables,
                            reference=nominal_trim)
     x = nominal_trim.x_trim.as_array() + np.array([0.02, -5.0, 0.01, 0.03])
-    u_sched = gs_control(x, sched)
-    u_lqr = lqr_control(x, sched.K[0, 0], nominal_trim)
+    u_sched = ScheduledLaw(sched)(x)
+    u_lqr = LqrLaw(sched.K[0, 0], nominal_trim)(x)
     assert np.allclose(u_sched, u_lqr, rtol=0, atol=1e-12)
     assert np.allclose(sched.K[0, 0], nominal_gain, rtol=1e-8)
 
@@ -284,13 +298,13 @@ def test_gs_control_affine_within_cell(schedule, rng):
     V0, V1 = schedule.V_nodes[i], schedule.V_nodes[i + 1]
     a0, a1 = schedule.alpha_nodes[j], schedule.alpha_nodes[j + 1]
 
-    def K_at(fv, fa):
+    def u_at(fv, fa):
         x = np.array([0.0, V0 + fv * (V1 - V0), a0 + fa * (a1 - a0), 0.0])
-        return interpolate_gain(x, schedule)
+        return _at_deviation(schedule, x)
 
     # along V at fixed alpha fraction: midpoint equals the mean of the ends
-    k_left, k_mid, k_right = K_at(0.2, 0.3), K_at(0.5, 0.3), K_at(0.8, 0.3)
-    assert np.allclose(k_mid, 0.5 * (k_left + k_right), rtol=1e-10)
+    u_left, u_mid, u_right = u_at(0.2, 0.3), u_at(0.5, 0.3), u_at(0.8, 0.3)
+    assert np.allclose(u_mid, 0.5 * (u_left + u_right), rtol=1e-10)
 
 
 def test_schedule_serialization_roundtrip(schedule):
@@ -299,7 +313,7 @@ def test_schedule_serialization_roundtrip(schedule):
     assert np.allclose(again.x_trims, schedule.x_trims, rtol=0, atol=1e-12)
     assert np.allclose(again.x_ref, schedule.x_ref, rtol=0, atol=1e-12)
     x = np.array([0.1, 430.0, 0.2, -0.1])
-    assert np.allclose(gs_control(x, again), gs_control(x, schedule), atol=1e-9)
+    assert np.allclose(ScheduledLaw(again)(x), ScheduledLaw(schedule)(x), atol=1e-9)
 
 
 @pytest.mark.parametrize("edit, field", [(lambda d: d.pop("K"), "'K'"),

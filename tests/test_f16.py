@@ -150,7 +150,8 @@ def test_theta_dot_equals_q(params, tables, rng):
 
 
 def test_dynamics_at_trim_is_small(params, tables, nominal_trim):
-    xdot = dynamics(nominal_trim.x_trim, nominal_trim.u_trim, params, tables)
+    xdot = dynamics(nominal_trim.x_trim.as_array(), nominal_trim.u_trim.as_array(),
+                    params, tables)
     # scaled residual norm matches the trim solve's report
     scaled = np.array([xdot[1] / 100.0, xdot[2], xdot[3]])
     assert np.linalg.norm(scaled) == pytest.approx(nominal_trim.residual, rel=1e-6)

@@ -330,17 +330,3 @@ def test_kink_dense_propagation_matches_finite_difference_path(
             assert a.phi == pytest.approx(b.phi, rel=1e-9)
         else:
             assert np.array_equal(a.phi, cloud.phi)
-
-
-def test_law_without_jacobian_takes_finite_differences(params, tables, nominal_trim, rng):
-    K = np.array([[-500.0, 20.0, 300.0, 50.0], [0.1, 0.001, 0.5, 0.2]])
-    u0 = nominal_trim.u_trim.as_array()
-    loop = ClosedLoop(law=lambda x: u0 - (x - nominal_trim.x_trim.as_array()) @ K.T,
-                      params=params, tables=tables)
-    X = _states(nominal_trim, 30, rng)
-    cloud = EnsembleSnapshot.from_cloud(X, np.ones(30), np.full(30, 1 / 30))
-    fused = propagate(cloud, loop, 0.03, 0.01)
-    fd = propagate(cloud, loop.state_rhs, 0.03, 0.01)
-    for a, b in zip(fused, fd):
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.phi, b.phi)

@@ -3,7 +3,8 @@ import pytest
 
 from otrobust.f16 import DEG, saturate_array
 from otrobust import trim as trim_module
-from otrobust.trim import TrimPoint, default_grid, find_trim, trim_grid, _jacobian, _residual
+from otrobust.trim import (TrimPoint, central_difference, default_grid, find_trim, trim_grid,
+                           _residual)
 
 
 def test_nominal_trim_matches_reference(nominal_trim):
@@ -123,16 +124,15 @@ def test_trim_point_json_roundtrip(nominal_trim):
     assert again.converged == nominal_trim.converged
 
 
-def _loop_jacobian(z, V, alpha, params, tables):
-    """Central differences one column and one residual call at a time."""
+def _loop_jacobian(f, z):
+    """Central differences one column and one call of f at a time."""
     J = np.empty((3, 3))
     for k in range(3):
         h = 1e-6 * max(1.0, abs(z[k]))
         zp, zm = z.copy(), z.copy()
         zp[k] += h
         zm[k] -= h
-        J[:, k] = (_residual(zp, V, alpha, params, tables)
-                   - _residual(zm, V, alpha, params, tables)) / (2.0 * h)
+        J[:, k] = (f(zp) - f(zm)) / (2.0 * h)
     return J
 
 
@@ -153,10 +153,13 @@ def test_stacked_jacobian_matches_column_loop(params, tables, nominal_trim,
     tp = nominal_trim if node == "nominal" else grid_trims[node]
     V, alpha = tp.x_trim.V, tp.x_trim.alpha
     z0 = np.array([tp.x_trim.theta, tp.u_trim.T, tp.u_trim.delta_e])
+    def residual(z):
+        return _residual(z, V, alpha, params, tables)
+
     for z in (z0, np.clip(np.array([alpha, 5000.0, 0.0]), trim_module._LOWER,
                           trim_module._UPPER)):
-        J = _jacobian(z, V, alpha, params, tables)
-        assert np.array_equal(J, _loop_jacobian(z, V, alpha, params, tables))
+        J = central_difference(residual, z)
+        assert np.array_equal(J, _loop_jacobian(residual, z))
         assert J.flags.c_contiguous
 
 
@@ -165,7 +168,7 @@ def test_find_trim_independent_of_jacobian_evaluation(params, tables, monkeypatc
     # must not see a difference in their memory layout either.
     V, alpha = 100.0, -10.0 * DEG
     stacked = find_trim(V, alpha, params, tables)
-    monkeypatch.setattr(trim_module, "_jacobian", _loop_jacobian)
+    monkeypatch.setattr(trim_module, "central_difference", _loop_jacobian)
     assert find_trim(V, alpha, params, tables) == stacked
 
 
@@ -178,6 +181,6 @@ def test_reported_residual_and_optimality_are_those_at_the_trim(params, tables, 
     V, alpha = tp.x_trim.V, tp.x_trim.alpha
     z = np.array([tp.x_trim.theta, tp.u_trim.T, tp.u_trim.delta_e])
     r = _residual(z, V, alpha, params, tables)
-    g = _jacobian(z, V, alpha, params, tables).T @ r
+    g = central_difference(lambda zs: _residual(zs, V, alpha, params, tables), z).T @ r
     assert tp.residual == float(np.linalg.norm(r))
     assert tp.optimality == float(np.max(np.abs(trim_module._projected_gradient(z, g))))
