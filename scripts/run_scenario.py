@@ -14,6 +14,7 @@ scale (200 samples); ic_full.json is the full 2000-sample run.
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 from otrobust.harness import ScenarioConfig, run_scenario
 
@@ -25,13 +26,9 @@ def main() -> int:
     ap.add_argument("--samples", type=int, help="override sample count")
     args = ap.parse_args()
 
-    cfg = ScenarioConfig.from_json(args.config)
-    doc = cfg.to_dict()
-    if args.out:
-        doc["output_dir"] = args.out
-    if args.samples:
-        doc["samples"] = args.samples
-    cfg = ScenarioConfig(**doc)
+    overrides = {"output_dir": args.out, "samples": args.samples}
+    cfg = replace(ScenarioConfig.from_json(args.config),
+                  **{k: v for k, v in overrides.items() if v})
     if cfg.output_dir is None:
         ap.error("config has no output_dir and --out not given")
 

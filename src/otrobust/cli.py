@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -108,9 +110,7 @@ def _scenario_config_from_args(args) -> ScenarioConfig:
         overrides["controller"] = args.controller
     if getattr(args, "strict_rk4", False):
         overrides["strict_rk4"] = True
-    doc = cfg.to_dict()
-    doc.update(overrides)
-    return ScenarioConfig(**doc)
+    return replace(cfg, **overrides)
 
 
 def _time_stamps(times) -> list[str]:
@@ -129,7 +129,7 @@ def _cmd_propagate(args) -> int:
     setup = harness.build_controllers(params, tables,
                                       need_schedule="gslqr" in cfg.controllers)
     out_dir = Path(args.out)
-    for name, snaps in harness._first_variants(cfg, setup, params, tables):
+    for name, snaps in harness._first_variants(cfg, setup):
         if args.per_time:
             for s, stamp in zip(snaps, _time_stamps([s.t for s in snaps])):
                 harness.write_snapshot_csv([s], out_dir / f"{name}_t{stamp}.csv")
@@ -162,8 +162,12 @@ def _cmd_wasserstein(args) -> int:
         rows = [(s.t, w) for s, w in zip(snaps_a, W)]
     else:
         snaps_b = harness.read_snapshot_csv(args.b)
-        if len(snaps_a) != len(snaps_b):
-            raise ConfigError("snapshot files carry different emit schedules")
+        times = zip_longest([s.t for s in snaps_a], [s.t for s in snaps_b], fillvalue="none")
+        mismatches = [(k, ta, tb) for k, (ta, tb) in enumerate(times) if ta != tb]
+        if mismatches:
+            k, ta, tb = mismatches[0]
+            raise ConfigError(f"snapshot files carry different emit schedules: snapshot {k} "
+                              f"is at t = {ta} in {args.a} but t = {tb} in {args.b}")
         for sa, sb in zip(snaps_a, snaps_b):
             plan = wasserstein_lp(_dist_from_snapshot(sa, args.weights),
                                   _dist_from_snapshot(sb, args.weights))
@@ -202,9 +206,7 @@ def _cmd_freq(args) -> int:
 def _cmd_scenario(args) -> int:
     cfg = ScenarioConfig.from_json(args.config)
     if args.out:
-        doc = cfg.to_dict()
-        doc["output_dir"] = args.out
-        cfg = ScenarioConfig(**doc)
+        cfg = replace(cfg, output_dir=args.out)
     if cfg.output_dir is None:
         raise ConfigError("no output directory: set output_dir in the config or pass --out")
     report = harness.run_scenario(cfg, keep_snapshots=True)

@@ -161,9 +161,8 @@ def solve_care(A, B, Q, R) -> np.ndarray:
     return P
 
 
-def lqr_gain(model: LinearModel, weights: LqrWeights | None = None) -> np.ndarray:
-    """State-feedback gain K = R^-1 B' P for the linearized model."""
-    weights = weights or LqrWeights()
+def lqr_gain(model: LinearModel, weights: LqrWeights) -> np.ndarray:
+    """State-feedback gain K = R^-1 B' P for the linearized model and weights."""
     P = solve_care(model.A, model.B, weights.Q, weights.R)
     return np.linalg.solve(weights.R, model.B.T @ P)
 
@@ -275,26 +274,17 @@ class GainSchedule:
         )
 
 
-def build_schedule(trims: list[TrimPoint], weights: LqrWeights | None = None,
-                   params: AircraftParams | None = None,
-                   tables: AeroTables | None = None,
-                   reference: TrimPoint | None = None) -> GainSchedule:
+def build_schedule(trims: list[TrimPoint], weights: LqrWeights, params: AircraftParams,
+                   tables: AeroTables, reference: TrimPoint) -> GainSchedule:
     """Synthesize one LQR gain per trim node and assemble the schedule.
 
     The trim list must cover a full rectangular (V, alpha) lattice (any
     order); nodes are identified from the trim states themselves. A node
     whose closed loop fails to stabilize raises SynthesisError naming the
-    node. `reference` sets the regulation target of the scheduled law;
-    when omitted it defaults to the node trim with the smallest residual
-    (an exact equilibrium).
+    node. `reference` sets the regulation target of the scheduled law.
     """
     if not trims:
         raise ValueError("a gain schedule needs at least one trim point")
-    weights = weights or LqrWeights()
-    params = params or AircraftParams()
-    tables = tables or AeroTables.default()
-    if reference is None:
-        reference = min(trims, key=lambda tp: tp.residual)
 
     Vs = np.array(sorted({tp.x_trim.V for tp in trims}))
     alphas = np.array(sorted({tp.x_trim.alpha for tp in trims}))

@@ -11,11 +11,12 @@ every emitted time.
   disturbance initial-condition box plus a sinusoidal elevator disturbance
               swept over forcing frequencies
 
-One case generator (_cases) turns a config into propagations and the
-variants each carries, and one generator (_runs) propagates each case once
-and slices out its variants' snapshots. run_scenario scores every variant;
+A ControllerSetup holds the gains and the plant they fly. One case generator,
+_cases(cfg, setup), turns a config into propagations and the variants each
+carries, and _runs(cfg, setup, track_density) propagates each case once and
+slices out its variants' snapshots. run_scenario scores every variant;
 mc_compare and the CLI's propagate take the first variant's snapshots from
-the same propagation (_first_variants). Every curve is a closed-form Dirac
+the same propagation, _first_variants(cfg, setup). Every curve is a closed-form Dirac
 distance to trim, the param one on the extended space (see _cases); the
 transportation LP is kept for general CLI inputs and as the oracle of that
 score. Wasserstein values are reported in the degree-based reporting units
@@ -53,7 +54,7 @@ from .f16 import (CONTROL_UNITS, DEG, STATE_UNITS, AeroTables, AircraftParams, C
 from .liouville import EnsembleSnapshot, likelihood_extremes, propagate
 from .sampling import BoxDomain, InitialPdf, halton, mcmc_sample, weighted_cloud
 from .transport import wasserstein_dirac
-from .trim import TrimPoint, find_trim, trim_grid
+from .trim import TrimPoint, default_grid, find_trim, trim_grid
 
 # Nominal flight condition for the regulation study.
 NOMINAL_V = 407.8942          # ft/s
@@ -215,21 +216,25 @@ class ScenarioConfig:
 
 @dataclass(frozen=True, eq=False)
 class ControllerSetup:
-    """Everything scenario runs need: nominal trim, fixed gain, schedule."""
+    """Everything scenario runs need: nominal trim, fixed gain, schedule, and
+    the plant (params, tables) the gains were designed for and the closed
+    loops fly; replace(setup, params=...) flies another with the same gains."""
 
     trim: TrimPoint
     K: np.ndarray
     model: LinearModel
     schedule: GainSchedule | None
+    params: AircraftParams
+    tables: AeroTables
 
-    def law(self, name: str):
-        if name == "lqr":
-            return LqrLaw(self.K, self.trim)
-        if name == "gslqr":
-            if self.schedule is None:
-                raise ConfigError("gain schedule not built")
-            return ScheduledLaw(self.schedule)
-        raise ConfigError(f"unknown controller {name!r}")
+    def closed_loop(self, name: str, disturbance=None) -> ClosedLoop:
+        """Controller "lqr" or "gslqr" flying the set-up's plant."""
+        if name not in ("lqr", "gslqr"):
+            raise ConfigError(f"unknown controller {name!r}")
+        if name == "gslqr" and self.schedule is None:
+            raise ConfigError("gain schedule not built")
+        law = LqrLaw(self.K, self.trim) if name == "lqr" else ScheduledLaw(self.schedule)
+        return ClosedLoop(law, self.params, self.tables, disturbance)
 
     def closed_loop_linear_model(self) -> LinearModel:
         """Closed-loop (A - B K, B) model in the reporting units: the
@@ -243,21 +248,22 @@ class ControllerSetup:
 
 def build_controllers(params: AircraftParams | None = None,
                       tables: AeroTables | None = None,
-                      weights: LqrWeights | None = None,
                       need_schedule: bool = True) -> ControllerSetup:
-    """Trim at the nominal condition, synthesize the fixed gain, and build
-    the 10x10 gain schedule (unless need_schedule is False)."""
+    """Trim the plant (nominal by default) at the nominal condition,
+    synthesize the fixed gain under LqrWeights(), and build the 10x10 gain
+    schedule (unless need_schedule is False)."""
     params = params or AircraftParams()
     tables = tables or AeroTables.default()
-    weights = weights or LqrWeights()
+    weights = LqrWeights()
     trim = find_trim(NOMINAL_V, NOMINAL_ALPHA_DEG * DEG, params, tables)
     model = linearize_plant(trim.x_trim, trim.u_trim, params, tables)
     K = lqr_gain(model, weights)
     schedule = None
     if need_schedule:
-        schedule = build_schedule(trim_grid(None, params, tables),
-                                  weights, params, tables, reference=trim)
-    return ControllerSetup(trim=trim, K=K, model=model, schedule=schedule)
+        schedule = build_schedule(trim_grid(default_grid(), params, tables),
+                                  weights, params, tables, trim)
+    return ControllerSetup(trim=trim, K=K, model=model, schedule=schedule,
+                           params=params, tables=tables)
 
 
 def _ic_box_internal(cfg: ScenarioConfig, x_trim: np.ndarray) -> BoxDomain:
@@ -458,7 +464,7 @@ def write_snapshot_csv(snapshots, path) -> None:
 def read_snapshot_csv(path) -> list[EnsembleSnapshot]:
     """Inverse of write_snapshot_csv; ValueError on a malformed file."""
     with open(path) as f:
-        reader = csv.DictReader(f, restval="")
+        reader = csv.DictReader(f)
         rows = list(reader)
     header = reader.fieldnames or []
     has_params = "m" in header
@@ -469,12 +475,18 @@ def read_snapshot_csv(path) -> list[EnsembleSnapshot]:
         raise ValueError(f"empty snapshot file {path}")
     if any(None in r for r in rows):  # DictReader files surplus fields under None
         raise ValueError(f"snapshot file {path} has a row with more fields than its header")
+    if any(None in r.values() for r in rows):  # and fills missing ones with None
+        raise ValueError(f"snapshot file {path} has a row with fewer fields than its header")
     by_t: dict[float, list] = {}
     for r in rows:
         by_t.setdefault(float(r["t"]), []).append(r)
     snaps = []
     for t in sorted(by_t):
         chunk = sorted(by_t[t], key=lambda r: int(r["id"]))
+        ids = [int(r["id"]) for r in chunk]
+        repeated = [i for i, j in zip(ids, ids[1:]) if i == j]
+        if repeated:
+            raise ValueError(f"snapshot file {path} repeats id {repeated[0]} at t = {t}")
         states = np.array([[float(r[c]) for c in SNAPSHOT_BASE_COLUMNS[2:]]
                            for r in chunk]) * STATE_UNITS
         params = (np.array([[float(r["m"]), float(r["xcg"]), float(r["Jyy"])]
@@ -532,8 +544,7 @@ def _param_cloud(cfg: ScenarioConfig, delta: float, x0: np.ndarray,
     return EnsembleSnapshot.from_cloud(states, phi, gamma, params=p)
 
 
-def _cases(cfg: ScenarioConfig, setup: ControllerSetup, params: AircraftParams,
-           tables: AeroTables):
+def _cases(cfg: ScenarioConfig, setup: ControllerSetup):
     """The propagations of a scenario, in report order.
 
     Yields (controller, ClosedLoop, initial ensemble, variants); a variant
@@ -545,19 +556,17 @@ def _cases(cfg: ScenarioConfig, setup: ControllerSetup, params: AircraftParams,
       param       per controller: the deterministic trajectory (row 0) and
                   every delta cloud stacked [x0 | cloud_1 | ...], variant
                   "delta=.." per cloud; rows are independent, so a slice
-                  equals its cloud's own propagation bit for bit.
+                  equals its cloud's own propagation bit for bit; the
+                  boxes centre on setup.params.
     The param W against the trim-pinned reference sharing the parameter
     samples, with transport masses on both marginals, is the mass-weighted
     Dirac distance to trim: every coupling pays sum_i gamma_i ||x_i -
     x_trim||^2 and the identity pays no parameter displacement
     (extended_wasserstein's LP is the oracle).
     """
-    def loop(name, disturbance=None):
-        return ClosedLoop(law=setup.law(name), params=params, tables=tables,
-                          disturbance=disturbance)
-
     x_trim = setup.trim.x_trim.as_array()
     if cfg.kind == "param":
+        params = setup.params
         x0 = x_trim + _x_pert_internal(cfg)
         clouds = [_param_cloud(cfg, float(d), x0, params) for d in cfg.param_delta_percent]
         rows = 1 + cfg.samples * len(clouds)
@@ -569,28 +578,28 @@ def _cases(cfg: ScenarioConfig, setup: ControllerSetup, params: AircraftParams,
         variants = [(f"delta={d:g}", slice(1 + k * cfg.samples, 1 + (k + 1) * cfg.samples), c)
                     for k, (d, c) in enumerate(zip(cfg.param_delta_percent, clouds))]
         for name in cfg.controllers:
-            yield name, loop(name), stacked, variants
+            yield name, setup.closed_loop(name), stacked, variants
         return
     cloud = initial_cloud(cfg, x_trim)
     if cfg.kind == "ic":
         for name in cfg.controllers:
-            yield name, loop(name), cloud, [("", slice(None), cloud)]
+            yield name, setup.closed_loop(name), cloud, [("", slice(None), cloud)]
         return
     for omega in cfg.omega_rad_s:
         disturbance = SineDisturbance(cfg.disturbance_amp_deg * DEG, float(omega))
         for name in cfg.controllers:
-            yield name, loop(name, disturbance), cloud, [(f"omega={omega:g}", slice(None), cloud)]
+            yield (name, setup.closed_loop(name, disturbance), cloud,
+                   [(f"omega={omega:g}", slice(None), cloud)])
 
 
-def _runs(cfg: ScenarioConfig, setup: ControllerSetup, params: AircraftParams,
-          tables: AeroTables, track_density: bool = True):
+def _runs(cfg: ScenarioConfig, setup: ControllerSetup, track_density: bool = True):
     """Propagate each case of _cases once, in report order.
 
     Yields (controller, the ensemble's snapshots, [(variant, its snapshots)]);
     a variant's snapshots are its rows of the ensemble's, carrying its
     cloud's params and masses.
     """
-    for name, loop, ensemble, variants in _cases(cfg, setup, params, tables):
+    for name, loop, ensemble, variants in _cases(cfg, setup):
         snaps = propagate(ensemble, loop, cfg.t_f, cfg.dt, cfg.emit_every,
                           cfg.strict_rk4, cfg.workers, track_density)
         yield name, snaps, [
@@ -600,20 +609,16 @@ def _runs(cfg: ScenarioConfig, setup: ControllerSetup, params: AircraftParams,
             for variant, rows, cloud in variants]
 
 
-def _first_variants(cfg: ScenarioConfig, setup: ControllerSetup, params: AircraftParams,
-                    tables: AeroTables, track_density: bool = True):
+def _first_variants(cfg: ScenarioConfig, setup: ControllerSetup, track_density: bool = True):
     """(controller, snapshots) of each controller's first variant: the first
     omega, or the first delta cloud sliced out of [x0 | cloud_1]."""
     sweep = _SWEEPS.get(cfg.kind)
     first = replace(cfg, **{sweep: getattr(cfg, sweep)[:1]}) if sweep else cfg
-    for name, _, variants in _runs(first, setup, params, tables, track_density):
+    for name, _, variants in _runs(first, setup, track_density):
         yield name, variants[0][1]
 
 
-def run_scenario(cfg: ScenarioConfig,
-                 params: AircraftParams | None = None,
-                 tables: AeroTables | None = None,
-                 setup: ControllerSetup | None = None,
+def run_scenario(cfg: ScenarioConfig, setup: ControllerSetup | None = None,
                  keep_snapshots: bool = False) -> RunReport:
     """Run the experiment cfg describes and assemble its report.
 
@@ -621,18 +626,16 @@ def run_scenario(cfg: ScenarioConfig,
     slice: ic and disturbance curves by density weights (W) and transport
     masses (W_mass), param curves by masses, next to the deterministic
     distance-to-trim curve. A disturbance run of both controllers also
-    reports the W_lqr - W_gslqr series per frequency.
+    reports the W_lqr - W_gslqr series per frequency. The set-up defaults
+    to build_controllers(), the nominal plant.
     """
-    params = params or AircraftParams()
-    tables = tables or AeroTables.default()
-    setup = setup or build_controllers(params, tables,
-                                       need_schedule="gslqr" in cfg.controllers)
+    setup = setup or build_controllers(need_schedule="gslqr" in cfg.controllers)
     x_trim = setup.trim.x_trim.as_array()
     report = RunReport(scenario=cfg.kind, config=cfg.to_dict(),
                        nominal_trim=setup.trim.to_dict(), curves=[],
                        histograms={}, extremes={}, diverged={}, nonconverged={})
     snapshots_by_key = {}
-    for name, all_snaps, variants in _runs(cfg, setup, params, tables):
+    for name, all_snaps, variants in _runs(cfg, setup):
         if cfg.kind == "param":
             report.curves.append({"controller": name, "variant": "deterministic",
                                   "t": [s.t for s in all_snaps],
@@ -669,10 +672,7 @@ def run_scenario(cfg: ScenarioConfig,
     return report
 
 
-def mc_compare(cfg: ScenarioConfig,
-               params: AircraftParams | None = None,
-               tables: AeroTables | None = None,
-               setup: ControllerSetup | None = None) -> dict:
+def mc_compare(cfg: ScenarioConfig, setup: ControllerSetup | None = None) -> dict:
     """Plain trajectory ensembles (no density ODE) for cross-validation.
 
     Runs each controller's first variant of the scenario through the same
@@ -680,14 +680,11 @@ def mc_compare(cfg: ScenarioConfig,
     trajectories agree bit for bit with the characteristics under identical
     seeds. Returns per controller the stacked states (T, n, 4), the
     mass-weighted means (computed by the routine the density side uses)
-    and the snapshots.
+    and the snapshots. The set-up defaults as in run_scenario.
     """
-    params = params or AircraftParams()
-    tables = tables or AeroTables.default()
-    setup = setup or build_controllers(params, tables,
-                                       need_schedule="gslqr" in cfg.controllers)
+    setup = setup or build_controllers(need_schedule="gslqr" in cfg.controllers)
     out = {"controllers": {}}
-    for name, snaps in _first_variants(cfg, setup, params, tables, track_density=False):
+    for name, snaps in _first_variants(cfg, setup, track_density=False):
         out["controllers"][name] = {
             "states": np.stack([s.states for s in snaps]),
             "mean": np.stack([weighted_mean(s.states, s.gamma) for s in snaps]),

@@ -192,8 +192,7 @@ def _converged(rnorm: float, optimality: float) -> bool:
     return rnorm < _RTOL or (math.isfinite(rnorm) and optimality < max(_GTOL, 1e-7 * rnorm))
 
 
-def find_trim(V: float, alpha: float, params: AircraftParams | None = None,
-              tables: AeroTables | None = None) -> TrimPoint:
+def find_trim(V: float, alpha: float, params: AircraftParams, tables: AeroTables) -> TrimPoint:
     """Trim the plant at velocity V (ft/s) and angle of attack alpha (rad).
 
     Minimizes the scaled residual over (theta, T, delta_e) subject to the
@@ -201,8 +200,6 @@ def find_trim(V: float, alpha: float, params: AircraftParams | None = None,
     Deterministic (fixed iteration policy, no randomness), and the reported
     residual never exceeds the residual of the initial guess.
     """
-    params = params or AircraftParams()
-    tables = tables or AeroTables.default()
     if not (V > 0 and math.isfinite(V) and math.isfinite(alpha)):
         raise ValueError(f"invalid flight condition V={V}, alpha={alpha}")
 
@@ -251,18 +248,13 @@ def default_grid(n_v: int = 10, n_alpha: int = 10) -> list[tuple[float, float]]:
     return [(float(v), float(a)) for v in vs for a in alphas]
 
 
-def trim_grid(grid: list[tuple[float, float]] | None = None,
-              params: AircraftParams | None = None,
-              tables: AeroTables | None = None) -> list[TrimPoint]:
-    """Trim every (V, alpha) node of the scheduling grid, order preserved.
+def trim_grid(grid: list[tuple[float, float]], params: AircraftParams,
+              tables: AeroTables) -> list[TrimPoint]:
+    """Trim every (V, alpha) node of the grid (default_grid()), order preserved.
 
     Per-node failures are reported through the converged flag of the
     corresponding TrimPoint; the batch never aborts.
     """
-    if grid is None:
-        grid = default_grid()
     if not grid:
         raise ValueError("empty trim grid")
-    params = params or AircraftParams()
-    tables = tables or AeroTables.default()
     return [find_trim(V, alpha, params, tables) for V, alpha in grid]

@@ -4,7 +4,7 @@ import pytest
 from otrobust.controller import LqrWeights, build_schedule, lqr_gain, linearize_plant
 from otrobust.f16 import DEG, AeroTables, AircraftParams
 from otrobust.harness import NOMINAL_ALPHA_DEG, NOMINAL_V, ControllerSetup
-from otrobust.trim import find_trim, trim_grid
+from otrobust.trim import default_grid, find_trim, trim_grid
 
 
 @pytest.fixture(scope="session")
@@ -30,7 +30,7 @@ def nominal_gain(params, tables, nominal_trim):
 
 @pytest.fixture(scope="session")
 def grid_trims(params, tables):
-    return trim_grid(None, params, tables)
+    return trim_grid(default_grid(), params, tables)
 
 
 @pytest.fixture(scope="session")
@@ -43,7 +43,7 @@ def schedule(params, tables, grid_trims, nominal_trim):
 def setup(params, tables, nominal_trim, nominal_gain, schedule):
     model = linearize_plant(nominal_trim.x_trim, nominal_trim.u_trim, params, tables)
     return ControllerSetup(trim=nominal_trim, K=nominal_gain, model=model,
-                           schedule=schedule)
+                           schedule=schedule, params=params, tables=tables)
 
 
 @pytest.fixture()

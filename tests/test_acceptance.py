@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from oracles import dominant_frequency, marginal_bound_check, wasserstein_1d
-from otrobust.controller import lqr_gain, linearize_plant, spectral_abscissa
+from otrobust.controller import LqrWeights, lqr_gain, linearize_plant, spectral_abscissa
 from otrobust.f16 import DEG, AircraftParams, AeroTables
 from otrobust.harness import (
     ScenarioConfig,
@@ -54,35 +54,35 @@ def timed_setup(params, tables):
 
 
 @pytest.fixture(scope="module")
-def ic_run(params, tables, timed_setup):
+def ic_run(timed_setup):
     setup, _ = timed_setup
     cfg = ScenarioConfig(kind="ic", samples=200, t_f=20.0, dt=0.01,
                          emit_every=100, seed=0)
     t0 = time.perf_counter()
-    rep = run_scenario(cfg, params, tables, setup=setup, keep_snapshots=True)
+    rep = run_scenario(cfg, setup=setup, keep_snapshots=True)
     return cfg, rep, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
-def param_run(params, tables, timed_setup):
+def param_run(timed_setup):
     setup, _ = timed_setup
     cfg = ScenarioConfig(kind="param", samples=200, t_f=20.0, dt=0.01,
                          emit_every=100, seed=0,
                          param_delta_percent=[0.0, 0.5, 15.0])
     t0 = time.perf_counter()
-    rep = run_scenario(cfg, params, tables, setup=setup)
+    rep = run_scenario(cfg, setup=setup)
     return cfg, rep, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
-def disturbance_run(params, tables, timed_setup):
+def disturbance_run(timed_setup):
     setup, _ = timed_setup
     # 0.1 s emit cadence: the 10..20 s window must resolve oscillations at
     # and above the forcing frequency without aliasing
     cfg = ScenarioConfig(kind="disturbance", samples=200, t_f=20.0, dt=0.01,
                          emit_every=10, seed=0, omega_rad_s=[0.0, 2.0, 100.0])
     t0 = time.perf_counter()
-    rep = run_scenario(cfg, params, tables, setup=setup)
+    rep = run_scenario(cfg, setup=setup)
     return cfg, rep, time.perf_counter() - t0
 
 
@@ -109,7 +109,7 @@ def test_criterion_01_trim_regression(params, tables):
 def test_criterion_02_lqr_gain(params, tables, nominal_trim):
     t0 = time.perf_counter()
     model = linearize_plant(nominal_trim.x_trim, nominal_trim.u_trim, params, tables)
-    K = lqr_gain(model)
+    K = lqr_gain(model, LqrWeights())
     elapsed = time.perf_counter() - t0
     # published entries use the opposite feedback-sign convention
     # (u = u_trim + K dx); the stabilizing gain here is their negative
@@ -125,11 +125,11 @@ def test_criterion_02_lqr_gain(params, tables, nominal_trim):
                     f"closed-loop abscissa {acl:.3f}, {elapsed:.2f} s")
 
 
-def test_criterion_03_schedule_synthesis(schedule, grid_trims):
+def test_criterion_03_schedule_synthesis(schedule, grid_trims, params, tables, nominal_trim):
     # fixture work is the synthesis; re-time a fresh build for the budget
     t0 = time.perf_counter()
     from otrobust.controller import build_schedule
-    sched = build_schedule(grid_trims, reference=None)
+    sched = build_schedule(grid_trims, LqrWeights(), params, tables, nominal_trim)
     elapsed = time.perf_counter() - t0
     assert sched.n_nodes == 100
     assert np.all(sched.abscissa_closed < 0.0)
@@ -345,11 +345,11 @@ def test_criterion_11_frequency_response(timed_setup):
                      f"[1, 4], {elapsed:.1f} s")
 
 
-def test_criterion_12_mc_pf_consistency(params, tables, timed_setup, ic_run):
+def test_criterion_12_mc_pf_consistency(timed_setup, ic_run):
     setup, _ = timed_setup
     cfg, rep, _ = ic_run
     t0 = time.perf_counter()
-    mc = mc_compare(cfg, params, tables, setup=setup)
+    mc = mc_compare(cfg, setup=setup)
     elapsed = time.perf_counter() - t0
     for name in ("lqr", "gslqr"):
         snaps = rep.extras["snapshots"][name]

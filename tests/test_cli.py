@@ -349,6 +349,42 @@ def test_snapshot_csv_row_with_surplus_field_exits_2(capsys, tmp_path):
     assert str(f) in err and "more fields than its header" in err
 
 
+# a row cut off after its V field, and a second row with id 0 at t = 0
+@pytest.mark.parametrize("last_row, message", [
+    ("0,1,3.0,410.0\n", "a row with fewer fields than its header"),
+    ("0,0,3.0,410.0,7.0,1.0,1.0,0.5,0\n", "repeats id 0 at t = 0.0")],
+    ids=["short-row", "repeated-id"])
+def test_snapshot_csv_malformed_row_exits_2(capsys, tmp_path, last_row, message):
+    f = tmp_path / "bad.csv"
+    f.write_text(SNAPSHOT_HEADER + "\n0,0,1.0,400.0,5.0,0.0,1.0,0.5,0\n" + last_row)
+    trim_json = tmp_path / "t.json"
+    trim_json.write_text(json.dumps(GOOD_TRIM))
+    code, out, err = run_cli(capsys, "wasserstein", "--a", str(f), "--dirac-at", str(trim_json))
+    assert code == EXIT_CONFIG and out == ""
+    assert str(f) in err and message in err
+
+
+def test_snapshot_csv_id_gaps_are_accepted(tmp_path):
+    f = tmp_path / "gaps.csv"
+    f.write_text(SNAPSHOT_HEADER + "\n0,0,1.0,400.0,5.0,0.0,1.0,0.5,0\n"
+                 "0,7,3.0,410.0,7.0,1.0,1.0,0.5,0\n")
+    (snap,) = read_snapshot_csv(f)
+    assert snap.n == 2
+
+
+def test_wasserstein_rejects_different_snapshot_times(capsys, tmp_path):
+    rows = "{t},0,1.0,400.0,5.0,0.0,1.0,0.5,0\n{t},1,3.0,410.0,7.0,1.0,1.0,0.5,0\n"
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text(SNAPSHOT_HEADER + "\n" + rows.format(t=0) + rows.format(t=1))
+    b.write_text(SNAPSHOT_HEADER + "\n" + rows.format(t=0) + rows.format(t=5))
+    w_csv = tmp_path / "W.csv"
+    code, out, err = run_cli(capsys, "wasserstein", "--a", str(a), "--b", str(b),
+                             "--out", str(w_csv))
+    assert code == EXIT_CONFIG and out == ""
+    assert "t = 1.0" in err and "t = 5.0" in err
+    assert not w_csv.exists()
+
+
 def test_plan_without_b_exits_2(capsys, tmp_path):
     # --dirac-at solves no transport LP, so there is no plan to write
     trim_json = tmp_path / "t.json"

@@ -158,14 +158,14 @@ def test_schedule_all_nodes_stable(schedule):
     assert np.any(schedule.abscissa_open > 0.0)
 
 
-def test_schedule_rejects_partial_grid(grid_trims, params, tables):
+def test_schedule_rejects_partial_grid(grid_trims, params, tables, nominal_trim):
     with pytest.raises(ValueError):
-        build_schedule(grid_trims[:37], params=params, tables=tables)
+        build_schedule(grid_trims[:37], LqrWeights(), params, tables, nominal_trim)
 
 
 def test_schedule_rejects_empty_trim_list(params, tables, nominal_trim):
     with pytest.raises(ValueError, match="at least one trim point"):
-        build_schedule([], params=params, tables=tables, reference=nominal_trim)
+        build_schedule([], LqrWeights(), params, tables, nominal_trim)
 
 
 def test_gs_control_at_reference(schedule, nominal_trim):
@@ -282,8 +282,7 @@ def test_scheduled_jacobian_matches_corner_formulas(schedule, nominal_trim, nomi
 
 def test_single_node_schedule_degenerates_to_lqr(params, tables, nominal_trim,
                                                  nominal_gain):
-    sched = build_schedule([nominal_trim], params=params, tables=tables,
-                           reference=nominal_trim)
+    sched = build_schedule([nominal_trim], LqrWeights(), params, tables, nominal_trim)
     x = nominal_trim.x_trim.as_array() + np.array([0.02, -5.0, 0.01, 0.03])
     u_sched = ScheduledLaw(sched)(x)
     u_lqr = LqrLaw(sched.K[0, 0], nominal_trim)(x)

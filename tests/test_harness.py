@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from oracles import dominant_frequency
 from otrobust import harness
 from otrobust.controller import LinearModel, LqrWeights
-from otrobust.f16 import DEG, ClosedLoop
+from otrobust.f16 import DEG, AircraftParams, ClosedLoop
 from otrobust.harness import (
     PAPER_STATE_SCALE,
     ConfigError,
@@ -141,18 +142,18 @@ def test_probability_weights_normalization(rng):
 
 
 @pytest.fixture(scope="module")
-def ic_report(params, tables, setup):
+def ic_report(setup):
     cfg = mini_cfg()
-    return cfg, run_scenario(cfg, params, tables, setup=setup, keep_snapshots=True)
+    return cfg, run_scenario(cfg, setup=setup, keep_snapshots=True)
 
 
 class TestMiniScenarios:
-    def test_curves_and_hash_reproducible(self, params, tables, setup, ic_report):
+    def test_curves_and_hash_reproducible(self, setup, ic_report):
         cfg, rep = ic_report
         t, W = rep.curve("lqr")
         assert t[0] == 0.0 and t[-1] == pytest.approx(2.0)
         assert np.all(W >= 0)
-        rep2 = run_scenario(cfg, params, tables, setup=setup)
+        rep2 = run_scenario(cfg, setup=setup)
         assert rep2.content_hash == rep.content_hash
 
     def test_w_matches_snapshot_recompute(self, ic_report, setup):
@@ -179,11 +180,11 @@ class TestMiniScenarios:
                 assert sum(rec["axes"][axis]["mass"]) == pytest.approx(1.0)
         assert len(rep.extremes["lqr"]) == len(rep.curve("lqr")[0])
 
-    def test_report_persistence(self, ic_report, params, tables, setup, tmp_path):
+    def test_report_persistence(self, ic_report, setup, tmp_path):
         cfg, base = ic_report
         out = tmp_path / "run"
         cfg2 = ScenarioConfig(**{**cfg.to_dict(), "output_dir": str(out)})
-        rep = run_scenario(cfg2, params, tables, setup=setup, keep_snapshots=True)
+        rep = run_scenario(cfg2, setup=setup, keep_snapshots=True)
         assert (out / "report.json").exists()
         assert (out / "W.csv").exists()
         assert (out / "snapshots" / "lqr.csv").exists()
@@ -203,11 +204,11 @@ FIRST_VARIANT = {"ic": ({}, ""),
 
 
 @pytest.mark.parametrize("kind", ["ic", "param", "disturbance"])
-def test_mc_matches_propagation_bitwise(params, tables, setup, kind):
+def test_mc_matches_propagation_bitwise(setup, kind):
     fields, variant = FIRST_VARIANT[kind]
     cfg = mini_cfg(kind=kind, samples=16, t_f=1.0, **fields)
-    rep = run_scenario(cfg, params, tables, setup=setup, keep_snapshots=True)
-    mc = mc_compare(cfg, params, tables, setup=setup)
+    rep = run_scenario(cfg, setup=setup, keep_snapshots=True)
+    mc = mc_compare(cfg, setup=setup)
     for name in ("lqr", "gslqr"):
         snaps = rep.extras["snapshots"][f"{name}|{variant}" if variant else name]
         pf_states = np.stack([s.states for s in snaps])
@@ -216,13 +217,13 @@ def test_mc_matches_propagation_bitwise(params, tables, setup, kind):
         assert np.array_equal(pf_mean, mc["controllers"][name]["mean"][-1])
 
 
-def test_mc_compare_draws_only_the_first_cloud(params, tables, setup, monkeypatch):
+def test_mc_compare_draws_only_the_first_cloud(params, setup, monkeypatch):
     calls = []
     real = harness.mcmc_sample
     monkeypatch.setattr(harness, "mcmc_sample", lambda *a: calls.append(a) or real(*a))
     cfg = mini_cfg(kind="param", samples=16, t_f=0.1, sampler="mcmc",
                    param_delta_percent=[2.5, 5.0, 15.0])
-    mc = mc_compare(cfg, params, tables, setup=setup)
+    mc = mc_compare(cfg, setup=setup)
     assert len(calls) == 1  # the first delta's cloud, shared by both controllers
     first = _param_cloud(cfg, 2.5, np.zeros(4), params)
     for name in ("lqr", "gslqr"):
@@ -314,19 +315,18 @@ def test_snapshot_csv_bytes_match_per_row_writer(tmp_path, rng, case):
         assert b",-0.0," in body and b",nan," in body and b"\r\n0.30000000000000004,0," in body
 
 
-def test_scenario_snapshot_csvs_match_per_row_writer(tmp_path, params, tables, setup):
+def test_scenario_snapshot_csvs_match_per_row_writer(tmp_path, setup):
     cfg = ScenarioConfig(kind="param", controller="lqr", samples=6, t_f=0.1, dt=0.01,
                          emit_every=5, seed=3, param_delta_percent=[2.5],
                          output_dir=str(tmp_path / "run"))
-    rep = run_scenario(cfg, params, tables, setup=setup, keep_snapshots=True)
+    rep = run_scenario(cfg, setup=setup, keep_snapshots=True)
     for key, snaps in rep.extras["snapshots"].items():
         _per_row_snapshot_csv(snaps, tmp_path / "oracle.csv")
         written = (tmp_path / "run" / "snapshots" / f"{key}.csv").read_bytes()
         assert written == (tmp_path / "oracle.csv").read_bytes()
 
 
-def test_ic_report_hash_independent_of_workers_with_kink_rows(params, tables, setup,
-                                                              monkeypatch):
+def test_ic_report_hash_independent_of_workers_with_kink_rows(setup, monkeypatch):
     monkeypatch.delenv("OTROBUST_WORKERS", raising=False)
     flagged = []
     fused = ClosedLoop.state_rhs_div
@@ -338,30 +338,58 @@ def test_ic_report_hash_independent_of_workers_with_kink_rows(params, tables, se
 
     monkeypatch.setattr(ClosedLoop, "state_rhs_div", counting)
     cfg = mini_cfg(samples=40, t_f=1.0)
-    rep = run_scenario(cfg, params, tables, setup=setup)
+    rep = run_scenario(cfg, setup=setup)
     assert sum(flagged) > 0  # some steps take the finite-difference fallback
-    rep2 = run_scenario(ScenarioConfig(**{**cfg.to_dict(), "workers": 2}), params, tables,
-                        setup=setup)
+    rep2 = run_scenario(ScenarioConfig(**{**cfg.to_dict(), "workers": 2}), setup=setup)
     assert rep2.content_hash == rep.content_hash
 
 
-def test_param_scenario_delta_zero_is_deterministic(params, tables, setup):
+def test_param_scenario_delta_zero_is_deterministic(setup):
     cfg = ScenarioConfig(kind="param", controller="lqr", samples=8, t_f=1.5,
                          dt=0.01, emit_every=50, param_delta_percent=[0.0])
-    rep = run_scenario(cfg, params, tables, setup=setup)
+    rep = run_scenario(cfg, setup=setup)
     t, W0 = rep.curve("lqr", "delta=0")
     _, Wdet = rep.curve("lqr", "deterministic")
     assert np.max(np.abs(W0 - Wdet)) < 1e-6
 
 
-def test_param_scenario_carries_parameters(params, tables, setup):
+def test_param_scenario_carries_parameters(setup):
     cfg = ScenarioConfig(kind="param", controller="lqr", samples=8, t_f=0.5,
                          dt=0.01, emit_every=25, param_delta_percent=[5.0])
-    rep = run_scenario(cfg, params, tables, setup=setup, keep_snapshots=True)
+    rep = run_scenario(cfg, setup=setup, keep_snapshots=True)
     snaps = rep.extras["snapshots"]["lqr|delta=5"]
     assert snaps[0].params.shape == (8, 3)
     # frozen parameters: identical in every snapshot
     assert np.array_equal(snaps[0].params, snaps[-1].params)
+
+
+def test_param_scenario_centres_on_the_setup_plant(setup):
+    heavy = replace(setup, params=AircraftParams(m=700.0))
+    cfg = ScenarioConfig(kind="param", controller="lqr", samples=8, t_f=0.1,
+                         dt=0.01, emit_every=5, param_delta_percent=[0.0, 2.5])
+    [(_, stacked, variants)] = list(harness._runs(cfg, heavy))
+    assert stacked[0].params[0, 0] == 700.0  # the deterministic nominal row
+    (_, zero), (_, box) = variants
+    for s in zero:
+        assert np.all(s.params[:, 0] == 700.0)
+    assert np.all(np.abs(box[0].params[:, 0] - 700.0) <= 700.0 * 0.025)
+
+
+def test_ic_run_flies_the_setup_plant_with_the_same_gains(setup):
+    heavy = replace(setup, params=AircraftParams(m=700.0))
+    cfg = mini_cfg(controller="lqr", samples=8, t_f=1.0)
+    _, W = run_scenario(cfg, setup=setup).curve("lqr")
+    _, W_heavy = run_scenario(cfg, setup=heavy).curve("lqr")
+    assert heavy.K is setup.K
+    assert W_heavy[0] == W[0] and not np.array_equal(W_heavy, W)
+
+
+def test_gslqr_without_a_schedule_is_a_config_error():
+    setup = harness.build_controllers(need_schedule=False)
+    with pytest.raises(ConfigError, match="gain schedule not built"):
+        run_scenario(mini_cfg(controller="gslqr", samples=4, t_f=0.1), setup=setup)
+    with pytest.raises(ConfigError, match="unknown controller 'pid'"):
+        setup.closed_loop("pid")
 
 
 PARAM_SMALL = dict(kind="param", samples=20, t_f=0.5, dt=0.01, emit_every=10,
@@ -369,9 +397,9 @@ PARAM_SMALL = dict(kind="param", samples=20, t_f=0.5, dt=0.01, emit_every=10,
 
 
 @pytest.fixture(scope="module")
-def param_small(params, tables, setup):
+def param_small(setup):
     cfg = ScenarioConfig(**PARAM_SMALL)
-    return cfg, run_scenario(cfg, params, tables, setup=setup, keep_snapshots=True)
+    return cfg, run_scenario(cfg, setup=setup, keep_snapshots=True)
 
 
 def test_param_closed_form_equals_extended_lp(param_small, setup):
@@ -385,11 +413,11 @@ def test_param_closed_form_equals_extended_lp(param_small, setup):
             assert np.allclose(W, lp, rtol=1e-12, atol=0.0), (name, delta)
 
 
-def test_param_stacked_slices_equal_own_propagation(param_small, params, tables, setup):
+def test_param_stacked_slices_equal_own_propagation(param_small, params, setup):
     cfg, rep = param_small
     x0 = setup.trim.x_trim.as_array() + _x_pert_internal(cfg)
     for name in ("lqr", "gslqr"):
-        loop = ClosedLoop(law=setup.law(name), params=params, tables=tables)
+        loop = setup.closed_loop(name)
         for delta in cfg.param_delta_percent:
             cloud = _param_cloud(cfg, float(delta), x0, params)
             own = propagate(cloud, loop, cfg.t_f, cfg.dt, cfg.emit_every)
@@ -401,21 +429,20 @@ def test_param_stacked_slices_equal_own_propagation(param_small, params, tables,
                     assert np.array_equal(getattr(a, f), getattr(b, f)), (name, delta, f)
 
 
-def test_param_report_hash_independent_of_workers(param_small, params, tables, setup):
+def test_param_report_hash_independent_of_workers(param_small, setup):
     cfg, rep = param_small
-    rep2 = run_scenario(ScenarioConfig(**PARAM_SMALL, workers=2), params, tables,
-                        setup=setup)
+    rep2 = run_scenario(ScenarioConfig(**PARAM_SMALL, workers=2), setup=setup)
     assert rep2.config["workers"] == 2 and rep.config["workers"] is None
     assert rep2.content_hash == rep.content_hash
 
 
-def test_array_holding_dataclasses_compare_by_identity(tables, setup, params):
+def test_array_holding_dataclasses_compare_by_identity(tables, setup):
     box = BoxDomain([0.0, 0.0], [1.0, 2.0])
     dist = DiscreteDistribution([[0.0], [1.0]], [0.5, 0.5])
     snap = EnsembleSnapshot.from_cloud(np.zeros((2, 4)), np.ones(2), np.full(2, 0.5))
     objs = [tables, setup, setup.model, setup.schedule, LqrWeights(),
-            setup.law("lqr"), setup.law("gslqr"),
-            ClosedLoop(law=setup.law("lqr"), params=params, tables=tables),
+            setup.closed_loop("lqr").law, setup.closed_loop("gslqr").law,
+            setup.closed_loop("lqr"),
             box, InitialPdf.uniform_box(box), dist, wasserstein_lp(dist, dist), snap]
     for obj in objs:
         twin = copy.deepcopy(obj)
@@ -424,23 +451,23 @@ def test_array_holding_dataclasses_compare_by_identity(tables, setup, params):
         assert len({obj, twin}) == 2
 
 
-def test_disturbance_zero_amplitude_matches_ic(params, tables, setup):
+def test_disturbance_zero_amplitude_matches_ic(setup):
     ic = mini_cfg(samples=12, t_f=1.0)
-    base = run_scenario(ic, params, tables, setup=setup)
+    base = run_scenario(ic, setup=setup)
     dist = ScenarioConfig(kind="disturbance", samples=12, t_f=1.0, dt=0.01,
                           emit_every=50, seed=0, omega_rad_s=[2.0],
                           disturbance_amp_deg=0.0)
-    rep = run_scenario(dist, params, tables, setup=setup)
+    rep = run_scenario(dist, setup=setup)
     for name in ("lqr", "gslqr"):
         _, W_ic = base.curve(name)
         _, W_d = rep.curve(name, "omega=2")
         assert np.array_equal(W_ic, W_d)
 
 
-def test_disturbance_difference_series(params, tables, setup):
+def test_disturbance_difference_series(setup):
     cfg = ScenarioConfig(kind="disturbance", samples=10, t_f=1.0, dt=0.01,
                          emit_every=50, omega_rad_s=[0.0, 2.0])
-    rep = run_scenario(cfg, params, tables, setup=setup)
+    rep = run_scenario(cfg, setup=setup)
     diffs = rep.extras["W_lqr_minus_gslqr"]
     assert {d["variant"] for d in diffs} == {"omega=0", "omega=2"}
     for d in diffs:
