@@ -9,6 +9,8 @@ scale (200 samples); ic_full.json is the full 2000-sample run.
 
     python scripts/run_scenario.py scripts/configs/ic_desk.json
     python scripts/run_scenario.py scripts/configs/param_desk.json --out /tmp/param
+
+Exit codes: 0 success, 2 configuration error (as otrobust propagate).
 """
 
 import argparse
@@ -16,7 +18,7 @@ import sys
 import time
 from dataclasses import replace
 
-from otrobust.harness import ScenarioConfig, run_scenario
+from otrobust.harness import ConfigError, ScenarioConfig, run_scenario
 
 
 def main() -> int:
@@ -27,13 +29,16 @@ def main() -> int:
     args = ap.parse_args()
 
     overrides = {"output_dir": args.out, "samples": args.samples}
-    cfg = replace(ScenarioConfig.from_json(args.config),
-                  **{k: v for k, v in overrides.items() if v})
-    if cfg.output_dir is None:
-        ap.error("config has no output_dir and --out not given")
-
-    t0 = time.time()
-    report = run_scenario(cfg, keep_snapshots=True)
+    try:
+        cfg = replace(ScenarioConfig.from_json(args.config),
+                      **{k: v for k, v in overrides.items() if v is not None})
+        if not cfg.output_dir:
+            ap.error("config has no output_dir and --out not given")
+        t0 = time.time()
+        report = run_scenario(cfg, keep_snapshots=True)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{cfg.kind} scenario ({cfg.samples} samples, {len(cfg.controllers)} "
           f"controllers) finished in {time.time() - t0:.0f} s")
     print(f"outputs in {cfg.output_dir} (content hash {report.content_hash[:12]})")

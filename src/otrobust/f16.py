@@ -394,15 +394,17 @@ def dynamics(x, u, params: AircraftParams, tables: AeroTables) -> np.ndarray:
 
 
 def _split_params(p, params: AircraftParams):
-    """Map an (m, xcg, Jyy) override block (possibly empty) to rhs arguments."""
-    if p is None:
-        return params.m, params.xcg, params.Jyy, 0
-    p = np.asarray(p, dtype=float)
-    if p.shape[-1] == 0:
-        return params.m, params.xcg, params.Jyy, 0
-    if p.shape[-1] != 3:
-        raise ValueError("parameter block must be empty or (m, xcg, Jyy)")
-    return p[..., 0], p[..., 1], p[..., 2], 3
+    """(m, xcg, Jyy, law ids, disturbance ids) of a p block: an optional
+    (m, xcg, Jyy) override, then optionally ClosedLoop's two index columns;
+    a missing part gives the plant's values or id 0."""
+    p = np.zeros(0) if p is None else np.asarray(p, dtype=float)
+    width = p.shape[-1]
+    if width not in (0, 2, 3, 5):
+        raise ValueError("parameter block must be [m, xcg, Jyy] [law id, disturbance id]")
+    m, xcg, Jyy = ((p[..., 0], p[..., 1], p[..., 2]) if width >= 3
+                   else (params.m, params.xcg, params.Jyy))
+    ids = p[..., -2:].astype(np.intp) if width in (2, 5) else np.zeros(2, dtype=np.intp)
+    return m, xcg, Jyy, ids[..., 0], ids[..., 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,6 +416,12 @@ class ClosedLoop:
     the plant. Uncertain parameters (m, xcg, Jyy) ride along as frozen
     extended states with zero derivative.
 
+    law and disturbance may be tuples: one loop then flies a stacked
+    ensemble whose p rows end in two frozen index columns, the positions of
+    the row's law and disturbance in those tuples. Each law runs on its own
+    rows (slices where the law ids are sorted, index arrays in a kink
+    stencil); each w(t) is evaluated once per call and gathered per row.
+
     state_rhs_div needs law.jacobian(x, h) -> (u, J, C, kink): the command
     u (bitwise law(x)), its Jacobian J and in-cell curvature C per
     direction, so that the command at x +/- h_k e_k is u +/- h_k J_k +
@@ -423,26 +431,47 @@ class ClosedLoop:
     field: it then takes finite differences on every row.
     """
 
-    law: Callable[[np.ndarray], np.ndarray]
+    law: Callable[[np.ndarray], np.ndarray] | tuple
     params: AircraftParams
     tables: AeroTables
-    disturbance: Callable[[float], float] | None = None
+    disturbance: Callable[[float], float] | tuple | None = None
 
-    def _command(self, u: np.ndarray, t: float) -> np.ndarray:
-        """The law's output u plus the elevator disturbance w(t), unsaturated."""
-        u = np.array(u, dtype=float, copy=True)
-        if self.disturbance is not None:
-            u[..., 1] = u[..., 1] + self.disturbance(t)
+    def _blocks(self, ids):
+        """(law, rows) of each law that flies some of the rows with law ids."""
+        laws = self.law if isinstance(self.law, tuple) else (self.law,)
+        if np.ndim(ids) == 0:
+            return [(laws[ids], slice(None))]
+        counts = np.bincount(ids, minlength=len(laws))
+        if counts.size > len(laws):
+            raise ValueError("a law id lies outside the loop's laws")
+        if np.all(ids[1:] >= ids[:-1]):
+            ends = np.cumsum(counts).tolist()
+            rows = [slice(end - c, end) for end, c in zip(ends, counts.tolist())]
+        else:
+            rows = [np.flatnonzero(ids == k) for k in range(counts.size)]
+        return [(law, r) for law, r, c in zip(laws, rows, counts) if c]
+
+    def _disturb(self, u: np.ndarray, t: float, ids) -> np.ndarray:
+        """u with each row's elevator disturbance w(t) added, in place."""
+        d = self.disturbance
+        if d is not None:
+            u[..., 1] += np.take([w(t) for w in (d if isinstance(d, tuple) else (d,))], ids)
         return u
 
-    def control(self, x: np.ndarray, t: float) -> np.ndarray:
-        """Saturated control applied at state x, time t."""
-        return saturate_array(self._command(self.law(x), t))
+    def control(self, x: np.ndarray, t: float, p=None) -> np.ndarray:
+        """Saturated control applied at state x, time t (p as in state_rhs)."""
+        x = np.asarray(x, dtype=float)
+        *_, law_ids, dist_ids = _split_params(p, self.params)
+        u = np.empty(x.shape[:-1] + (2,))
+        for law, rows in self._blocks(law_ids):
+            u[rows] = law(x[rows])
+        return saturate_array(self._disturb(u, t, dist_ids))
 
     def state_rhs(self, t: float, x: np.ndarray, p=None) -> np.ndarray:
-        """Derivative of the state block; p overrides (m, xcg, Jyy)."""
-        m, xcg, Jyy, _ = _split_params(p, self.params)
-        return _rhs(np.asarray(x, dtype=float), self.control(x, t),
+        """Derivative of the state block; p overrides (m, xcg, Jyy) and
+        carries the index columns (see the class docstring)."""
+        m, xcg, Jyy, _, _ = _split_params(p, self.params)
+        return _rhs(np.asarray(x, dtype=float), self.control(x, t, p),
                     m, xcg, Jyy, self.params, self.tables)
 
     def state_rhs_div(self, t: float, x: np.ndarray, p=None):
@@ -455,10 +484,14 @@ class ClosedLoop:
         table breakpoint (or table edge), a cell edge of the law, or V = 0.
         """
         x = np.asarray(x, dtype=float)
-        m, xcg, Jyy, _ = _split_params(p, self.params)
+        m, xcg, Jyy, law_ids, dist_ids = _split_params(p, self.params)
         h = H_REL * np.maximum(1.0, np.abs(x))
-        u_law, J, C, kink = self.law.jacobian(x, h)
-        u_cmd = self._command(u_law, t)
+        n = len(x)
+        u_cmd, J, C = np.empty((n, 2)), np.empty((n, 2, 4)), np.empty((n, 2, 4))
+        kink = np.empty(n, dtype=bool)
+        for law, rows in self._blocks(law_ids):
+            u_cmd[rows], J[rows], C[rows], kink[rows] = law.jacobian(x[rows], h[rows])
+        u_cmd = self._disturb(u_cmd, t, dist_ids)
         xdot, div, dfde = _rhs(x, saturate_array(u_cmd), m, xcg, Jyy,
                                self.params, self.tables, partials=True)
         # directions V, alpha, q (theta_dot = q contributes 0); the command

@@ -7,17 +7,20 @@ every emitted time.
 
   ic          uniform initial-condition box around trim, no disturbance
   param       deterministic initial state, uniform (m, xcg, Jyy) boxes
-              over +/- delta percent, one stacked ensemble per controller
+              over +/- delta percent
   disturbance initial-condition box plus a sinusoidal elevator disturbance
               swept over forcing frequencies
 
-A ControllerSetup holds the gains and the plant they fly. One case generator,
-_cases(cfg, setup), turns a config into propagations and the variants each
-carries, and _runs(cfg, setup, track_density) propagates each case once and
-slices out its variants' snapshots. run_scenario scores every variant;
+A ControllerSetup holds the gains and the plant they fly. Every scenario
+is one propagation: _cases(cfg, setup) stacks the clouds of all its
+controllers and variants into one ensemble, laid out controller-major
+([lqr: block_1 ... block_m | gslqr: block_1 ... block_m], a block per
+omega for disturbance), whose per-row index columns pick each row's law and
+disturbance; _runs(cfg, setup, track_density) propagates it once and
+slices out each block and variant. run_scenario scores every variant;
 mc_compare and the CLI's propagate take the first variant's snapshots from
-the same propagation, _first_variants(cfg, setup). Every curve is a closed-form Dirac
-distance to trim, the param one on the extended space (see _cases); the
+the same pipeline, _first_variants(cfg, setup). Every curve is a closed-form
+Dirac distance to trim, the param one on the extended space (see _cases); the
 transportation LP is kept for general CLI inputs and as the oracle of that
 score. Wasserstein values are reported in the degree-based reporting units
 (deg, ft/s, deg, deg/s) of f16.STATE_UNITS, as are all file outputs.
@@ -77,7 +80,7 @@ DEFAULT_X_PERT = {"theta": 1.1803, "V": 5.1058, "alpha": 2.8370, "q": 1e-4}
 DEFAULT_DELTAS = [0.5, 2.5, 5.0, 7.5, 15.0]
 DEFAULT_OMEGAS = [0.0, 2.0, 100.0]
 DEFAULT_DISTURBANCE_AMP_DEG = 6.5
-# The config list each scenario kind sweeps, one propagation per entry.
+# The config list each scenario kind sweeps, one variant per entry.
 _SWEEPS = {"param": "param_delta_percent", "disturbance": "omega_rad_s"}
 
 STATE_KEYS = ("theta", "V", "alpha", "q")
@@ -227,8 +230,12 @@ class ControllerSetup:
     params: AircraftParams
     tables: AeroTables
 
-    def closed_loop(self, name: str, disturbance=None) -> ClosedLoop:
-        """Controller "lqr" or "gslqr" flying the set-up's plant."""
+    def closed_loop(self, name: str | tuple, disturbance=None) -> ClosedLoop:
+        """Controller "lqr" or "gslqr" flying the set-up's plant; a tuple of
+        names (and of disturbances) flies a stacked ensemble (f16.ClosedLoop)."""
+        if isinstance(name, tuple):
+            return ClosedLoop(tuple(self.closed_loop(n).law for n in name),
+                              self.params, self.tables, disturbance)
         if name not in ("lqr", "gslqr"):
             raise ConfigError(f"unknown controller {name!r}")
         if name == "gslqr" and self.schedule is None:
@@ -436,29 +443,43 @@ def _float_column(values: np.ndarray):
     return map(repr, values.tolist())
 
 
-def write_snapshot_csv(snapshots, path) -> None:
+def _snapshot_text(snap: EnsembleSnapshot, has_params: bool) -> str:
+    floats = list((snap.states / STATE_UNITS).T)
+    if has_params:
+        floats += list(snap.params.T)
+    floats += [snap.phi, snap.gamma]
+    columns = [repeat(str(snap.t), snap.n), map(str, range(snap.n)),
+               *map(_float_column, floats),
+               [("0\r\n", "1\r\n")[d] for d in snap.diverged.tolist()]]
+    return "".join(map(",".join, zip(*columns)))
+
+
+def write_snapshot_csv(snapshots, path, memo: dict | None = None) -> None:
     """Long-format snapshot CSV (all emitted times in one file).
 
     The bytes are those csv.writer writes for the same rows: repr floats,
     str(t), CRLF line ends, and no quoting, which no field needs since none
     can hold a delimiter, a quote or a newline. Each snapshot is one write;
-    its line ends ride on the last (diverged) column.
+    its line ends ride on the last (diverged) column. memo, a dict shared
+    between calls, maps the content of each file's first snapshot to its
+    text: the initial cloud that several controllers (and frequencies)
+    share is formatted once.
     """
     snapshots = snapshots if isinstance(snapshots, (list, tuple)) else [snapshots]
     has_params = snapshots[0].params.shape[1] == 3
+    first = snapshots[0]
+    key = (str(first.t), *(a.tobytes() for a in (first.states, first.params, first.phi,
+                                                first.gamma, first.diverged)))
+    memo = {} if memo is None else memo
+    if key not in memo:
+        memo[key] = _snapshot_text(first, has_params)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:
         f.write(",".join(_snapshot_columns(has_params)) + "\r\n")
-        for snap in snapshots:
-            floats = list((snap.states / STATE_UNITS).T)
-            if has_params:
-                floats += list(snap.params.T)
-            floats += [snap.phi, snap.gamma]
-            columns = [repeat(str(snap.t), snap.n), map(str, range(snap.n)),
-                       *map(_float_column, floats),
-                       [("0\r\n", "1\r\n")[d] for d in snap.diverged.tolist()]]
-            f.write("".join(map(",".join, zip(*columns))))
+        f.write(memo[key])
+        for snap in snapshots[1:]:
+            f.write(_snapshot_text(snap, has_params))
 
 
 def read_snapshot_csv(path) -> list[EnsembleSnapshot]:
@@ -505,7 +526,8 @@ def read_snapshot_csv(path) -> list[EnsembleSnapshot]:
 
 def save_report(report: RunReport, out_dir,
                 snapshots_by_key: dict | None = None) -> Path:
-    """Write report.json, W.csv, and snapshot CSVs under out_dir."""
+    """Write report.json, W.csv, and snapshot CSVs under out_dir; the CSVs
+    share one write_snapshot_csv memo."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w") as f:
@@ -517,8 +539,9 @@ def save_report(report: RunReport, out_dir,
             for t, W in zip(c["t"], c["W"]):
                 w.writerow([t, c["variant"], c["controller"], W])
     if snapshots_by_key:
+        memo: dict = {}
         for key, snaps in snapshots_by_key.items():
-            write_snapshot_csv(snaps, out / "snapshots" / f"{key}.csv")
+            write_snapshot_csv(snaps, out / "snapshots" / f"{key}.csv", memo)
     return out
 
 
@@ -545,19 +568,26 @@ def _param_cloud(cfg: ScenarioConfig, delta: float, x0: np.ndarray,
 
 
 def _cases(cfg: ScenarioConfig, setup: ControllerSetup):
-    """The propagations of a scenario, in report order.
+    """The one propagation of a scenario: (stacked ensemble, closed loop,
+    blocks in report order).
 
-    Yields (controller, ClosedLoop, initial ensemble, variants); a variant
-    is (name, the ensemble rows it owns, the cloud whose params and masses
-    its snapshots carry).
-      ic          per controller: the box cloud, variant ""
-      disturbance per omega, then per controller: the box cloud under
-                  w(t) = A sin(omega t), variant "omega=.."
-      param       per controller: the deterministic trajectory (row 0) and
-                  every delta cloud stacked [x0 | cloud_1 | ...], variant
-                  "delta=.." per cloud; rows are independent, so a slice
-                  equals its cloud's own propagation bit for bit; the
-                  boxes centre on setup.params.
+    A block is (controller, its rows of the ensemble, its initial cloud,
+    variants); a variant is (name, its rows of the block, the cloud whose
+    params and masses its snapshots carry). Per kind, a block's cloud is
+      ic          the box cloud, variant ""
+      disturbance the box cloud under w(t) = A sin(omega t), variant
+                  "omega=..": a block per omega (report order: per omega,
+                  then per controller)
+      param       the deterministic trajectory (row 0) and every delta
+                  cloud stacked [x0 | cloud_1 | ...], variant "delta=.."
+                  per cloud; the boxes centre on setup.params.
+    The rows are controller-major, [lqr: block_1 ... block_m | gslqr:
+    block_1 ... block_m], and each row's p block ends (after its cloud's
+    m, xcg, Jyy, if any) in the frozen index columns f16.ClosedLoop reads:
+    its controller's position in cfg.controllers and its omega's in
+    cfg.omega_rad_s (0 without one). Rows are independent, so a block's
+    slice equals its cloud's own propagation bit for bit.
+
     The param W against the trim-pinned reference sharing the parameter
     samples, with transport masses on both marginals, is the mass-weighted
     Dirac distance to trim: every coupling pays sum_i gamma_i ||x_i -
@@ -575,38 +605,51 @@ def _cases(cfg: ScenarioConfig, setup: ControllerSetup):
             np.concatenate([[1.0]] + [c.phi for c in clouds]),
             np.full(rows, 1.0 / rows),
             params=np.vstack([[params.m, params.xcg, params.Jyy]] + [c.params for c in clouds]))
-        variants = [(f"delta={d:g}", slice(1 + k * cfg.samples, 1 + (k + 1) * cfg.samples), c)
-                    for k, (d, c) in enumerate(zip(cfg.param_delta_percent, clouds))]
-        for name in cfg.controllers:
-            yield name, setup.closed_loop(name), stacked, variants
-        return
-    cloud = initial_cloud(cfg, x_trim)
-    if cfg.kind == "ic":
-        for name in cfg.controllers:
-            yield name, setup.closed_loop(name), cloud, [("", slice(None), cloud)]
-        return
-    for omega in cfg.omega_rad_s:
-        disturbance = SineDisturbance(cfg.disturbance_amp_deg * DEG, float(omega))
-        for name in cfg.controllers:
-            yield (name, setup.closed_loop(name, disturbance), cloud,
-                   [(f"omega={omega:g}", slice(None), cloud)])
+        per_disturbance = [(stacked, [
+            (f"delta={d:g}", slice(1 + k * cfg.samples, 1 + (k + 1) * cfg.samples), c)
+            for k, (d, c) in enumerate(zip(cfg.param_delta_percent, clouds))])]
+    else:
+        cloud = initial_cloud(cfg, x_trim)
+        names = [f"omega={w:g}" for w in cfg.omega_rad_s] if cfg.kind == "disturbance" else [""]
+        per_disturbance = [(cloud, [(name, slice(None), cloud)]) for name in names]
+    blocks, start = {}, 0  # keyed (disturbance, controller), filled controller-major
+    for i, name in enumerate(cfg.controllers):
+        for j, (cloud, variants) in enumerate(per_disturbance):
+            blocks[j, i] = (name, slice(start, start + cloud.n), cloud, variants)
+            start += cloud.n
+    layout = [(ids[::-1], cloud) for ids, (_, _, cloud, _) in blocks.items()]
+    ensemble = EnsembleSnapshot.from_cloud(
+        np.vstack([c.states for _, c in layout]), np.concatenate([c.phi for _, c in layout]),
+        np.full(start, 1.0 / start),
+        params=np.vstack([np.column_stack([c.params, np.full((c.n, 2), ids)])
+                          for ids, c in layout]))
+    disturbances = (tuple(SineDisturbance(cfg.disturbance_amp_deg * DEG, float(w))
+                          for w in cfg.omega_rad_s) if cfg.kind == "disturbance" else None)
+    return (ensemble, setup.closed_loop(tuple(cfg.controllers), disturbances),
+            [blocks[key] for key in sorted(blocks)])
+
+
+def _slice(snap: EnsembleSnapshot, rows, cloud: EnsembleSnapshot) -> EnsembleSnapshot:
+    """The rows of snap, carrying cloud's params and masses."""
+    return EnsembleSnapshot(t=snap.t, states=snap.states[rows], params=cloud.params,
+                            phi=snap.phi[rows], gamma=cloud.gamma,
+                            diverged=snap.diverged[rows])
 
 
 def _runs(cfg: ScenarioConfig, setup: ControllerSetup, track_density: bool = True):
-    """Propagate each case of _cases once, in report order.
+    """Propagate the stacked ensemble of _cases once and slice it up.
 
-    Yields (controller, the ensemble's snapshots, [(variant, its snapshots)]);
-    a variant's snapshots are its rows of the ensemble's, carrying its
-    cloud's params and masses.
+    Yields, per block in report order, (controller, the block's snapshots,
+    [(variant, its snapshots)]); a block's or variant's snapshots are its
+    rows of the ensemble's, carrying its cloud's params and masses.
     """
-    for name, loop, ensemble, variants in _cases(cfg, setup):
-        snaps = propagate(ensemble, loop, cfg.t_f, cfg.dt, cfg.emit_every,
-                          cfg.strict_rk4, cfg.workers, track_density)
-        yield name, snaps, [
-            (variant, [EnsembleSnapshot(t=s.t, states=s.states[rows], params=cloud.params,
-                                        phi=s.phi[rows], gamma=cloud.gamma,
-                                        diverged=s.diverged[rows]) for s in snaps])
-            for variant, rows, cloud in variants]
+    ensemble, loop, blocks = _cases(cfg, setup)
+    snaps = propagate(ensemble, loop, cfg.t_f, cfg.dt, cfg.emit_every,
+                      cfg.strict_rk4, cfg.workers, track_density)
+    for name, rows, cloud, variants in blocks:
+        own = [_slice(s, rows, cloud) for s in snaps]
+        yield name, own, [(variant, [_slice(s, v_rows, v_cloud) for s in own])
+                          for variant, v_rows, v_cloud in variants]
 
 
 def _first_variants(cfg: ScenarioConfig, setup: ControllerSetup, track_density: bool = True):
@@ -622,7 +665,7 @@ def run_scenario(cfg: ScenarioConfig, setup: ControllerSetup | None = None,
                  keep_snapshots: bool = False) -> RunReport:
     """Run the experiment cfg describes and assemble its report.
 
-    Each case of _cases propagates once and each variant is scored on its
+    The scenario propagates once (_runs) and each variant is scored on its
     slice: ic and disturbance curves by density weights (W) and transport
     masses (W_mass), param curves by masses, next to the deterministic
     distance-to-trim curve. A disturbance run of both controllers also

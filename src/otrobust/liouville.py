@@ -34,9 +34,11 @@ transport masses remain accounted for.
 Vector fields are callables rhs(t, x, p) -> dx/dt, vectorized over leading
 sample axes (p may be None), or objects with such a state_rhs method and a
 state_rhs_div (a ClosedLoop). Per-sample propagation is independent, so the
-ensemble can be split across a process pool (chunked by sample index, with
-results reassembled in index order; the arithmetic per sample is identical
-regardless of the split).
+ensemble can be split across a process pool. The split is round robin:
+worker i takes rows i, i + workers, ..., so that every block of a stacked
+ensemble (one block per controller and disturbance, see harness._cases)
+spreads over all workers; the results are reassembled in index order, and
+the arithmetic per sample is identical regardless of the split.
 """
 
 from __future__ import annotations
@@ -254,9 +256,9 @@ def propagate(cloud: EnsembleSnapshot, rhs: Callable, t_f: float, dt: float,
     per the characteristic ODE (track_density=False runs the same state
     integration as a plain Monte Carlo ensemble). rhs is a vector field
     rhs(t, x, p) or a ClosedLoop, whose closed-form divergence the density
-    then uses (see the module docstring). With workers > 1 the ensemble is
-    chunked by sample index across a process pool (rhs must then be
-    picklable); the result is identical to the single-process run.
+    then uses (see the module docstring). With workers > 1 the rows are
+    dealt round robin across a process pool (rhs must then be picklable);
+    the result is identical to the single-process run.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -269,26 +271,23 @@ def propagate(cloud: EnsembleSnapshot, rhs: Callable, t_f: float, dt: float,
 
     workers = resolve_workers(workers)
     X0, P0 = cloud.states, (cloud.params if cloud.params.shape[1] else None)
-    if workers == 1 or cloud.n < 2 * workers:
-        blocks = [_propagate_arrays(rhs, X0, P0, cloud.phi, cloud.t, n_steps,
-                                    dt, emit_steps, strict_rk4, cloud.diverged,
-                                    track_density)]
+    parts = ([slice(None)] if workers == 1 or cloud.n < 2 * workers
+             else [np.arange(i, cloud.n, workers) for i in range(workers)])
+    jobs = [(rhs, X0[rows], None if P0 is None else P0[rows], cloud.phi[rows], cloud.t,
+             n_steps, dt, emit_steps, strict_rk4, cloud.diverged[rows], track_density)
+            for rows in parts]
+    if len(jobs) == 1:
+        blocks = [_propagate_chunk(jobs[0])]
     else:
-        edges = np.linspace(0, cloud.n, workers + 1).astype(int)
-        bounds = [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
-        jobs = [(rhs, X0[a:b], None if P0 is None else P0[a:b], cloud.phi[a:b],
-                 cloud.t, n_steps, dt, emit_steps, strict_rk4, cloud.diverged[a:b],
-                 track_density)
-                for a, b in bounds]
-        with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             blocks = list(pool.map(_propagate_chunk, jobs))
 
     snapshots = []
-    for k, _ in enumerate(sorted(emit_steps)):
-        t_k = blocks[0][k][0]
-        X = np.concatenate([blk[k][1] for blk in blocks], axis=0)
-        phi = np.concatenate([blk[k][2] for blk in blocks], axis=0)
-        dead = np.concatenate([blk[k][3] for blk in blocks], axis=0)
+    for k in range(len(emit_steps)):
+        X, phi = np.empty_like(X0), np.empty(cloud.n)
+        dead = np.empty(cloud.n, dtype=bool)
+        for rows, blk in zip(parts, blocks):
+            t_k, X[rows], phi[rows], dead[rows] = blk[k]
         snapshots.append(EnsembleSnapshot(
             t=t_k, states=X, params=cloud.params, phi=phi,
             gamma=cloud.gamma, diverged=dead))

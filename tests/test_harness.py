@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from oracles import dominant_frequency
-from otrobust import harness
+from otrobust import harness, liouville
 from otrobust.controller import LinearModel, LqrWeights
-from otrobust.f16 import DEG, AircraftParams, ClosedLoop
+from otrobust.f16 import DEG, AircraftParams, ClosedLoop, SineDisturbance
 from otrobust.harness import (
     PAPER_STATE_SCALE,
     ConfigError,
@@ -475,3 +475,94 @@ def test_disturbance_difference_series(setup):
         _, Wg = rep.curve("gslqr", d["variant"])
         assert np.allclose(np.asarray(d["W_diff"]), Wl - Wg, rtol=1e-12)
 
+
+
+def _blocks_equal_own_propagation(cfg, setup, disturbance=lambda k: None):
+    """Each block of the scenario's one propagation against its initial
+    cloud's own propagation through its controller alone, bit for bit."""
+    _, _, blocks = harness._cases(cfg, setup)
+    runs = list(harness._runs(cfg, setup))
+    assert len(runs) == len(blocks) == len(cfg.controllers) * (
+        len(cfg.omega_rad_s) if cfg.kind == "disturbance" else 1)
+    for k, ((name, _, cloud, _), (run_name, snaps, _)) in enumerate(zip(blocks, runs)):
+        assert run_name == name
+        own = propagate(cloud, setup.closed_loop(name, disturbance(k)),
+                        cfg.t_f, cfg.dt, cfg.emit_every)
+        assert len(snaps) == len(own)
+        for a, b in zip(snaps, own):
+            assert a.t == b.t
+            for f in ("states", "params", "phi", "diverged"):
+                assert np.array_equal(getattr(a, f), getattr(b, f)), (name, k, f)
+
+
+def test_disturbance_blocks_equal_own_propagation(setup, monkeypatch):
+    # each row must meet its own law and its own omega, also inside one
+    # finite-difference stencil call that holds kink rows of both laws
+    mixed = []
+    divergence = liouville.divergence
+
+    def recording(f, X, P, t):
+        mixed.append(P is not None and len(set(P[:, -2].tolist())) == 2)
+        return divergence(f, X, P, t)
+
+    monkeypatch.setattr(liouville, "divergence", recording)
+    cfg = ScenarioConfig(kind="disturbance", samples=12, t_f=1.0, dt=0.01, emit_every=20,
+                         omega_rad_s=[0.0, 2.0, 100.0])
+    omegas = [w for w in cfg.omega_rad_s for _ in cfg.controllers]  # report order
+    _blocks_equal_own_propagation(
+        cfg, setup, lambda k: SineDisturbance(cfg.disturbance_amp_deg * DEG, omegas[k]))
+    assert any(mixed)
+
+
+def test_ic_blocks_equal_own_propagation(setup):
+    _blocks_equal_own_propagation(mini_cfg(samples=16, t_f=0.5), setup)
+
+
+def test_param_blocks_equal_own_propagation(setup):
+    _blocks_equal_own_propagation(ScenarioConfig(**{**PARAM_SMALL, "t_f": 0.3}), setup)
+
+
+@pytest.mark.parametrize("controller", ["both", "lqr", "gslqr"])
+@pytest.mark.parametrize("kind", ["ic", "param", "disturbance"])
+def test_one_propagation_per_scenario(setup, monkeypatch, kind, controller):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].n)
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "propagate", counting)
+    cfg = ScenarioConfig(kind=kind, controller=controller, samples=3, t_f=0.02, dt=0.01,
+                         param_delta_percent=[0.0, 2.5], omega_rad_s=[0.0, 2.0, 100.0])
+    rep = run_scenario(cfg, setup=setup)
+    per_controller = {"ic": 3, "param": 1 + 2 * 3, "disturbance": 3 * 3}[kind]
+    assert calls == [len(cfg.controllers) * per_controller]
+    assert len(rep.curves) == len(cfg.controllers) * {"ic": 1, "param": 3, "disturbance": 3}[kind]
+
+
+def test_disturbance_report_hash_independent_of_workers(setup, monkeypatch):
+    monkeypatch.delenv("OTROBUST_WORKERS", raising=False)
+    cfg = ScenarioConfig(kind="disturbance", samples=12, t_f=0.5, dt=0.01, emit_every=10,
+                         omega_rad_s=[0.0, 2.0, 100.0])
+    rep = run_scenario(cfg, setup=setup)
+    rep2 = run_scenario(replace(cfg, workers=2), setup=setup)
+    assert rep2.config["workers"] == 2
+    assert rep2.content_hash == rep.content_hash
+
+
+def test_shared_initial_snapshot_is_formatted_once(setup, monkeypatch, tmp_path):
+    texts = []
+    snapshot_text = harness._snapshot_text
+
+    def counting(snap, has_params):
+        texts.append(snap.t)
+        return snapshot_text(snap, has_params)
+
+    monkeypatch.setattr(harness, "_snapshot_text", counting)
+    cfg = mini_cfg(samples=6, t_f=0.1, emit_every=5, output_dir=str(tmp_path / "run"))
+    rep = run_scenario(cfg, setup=setup, keep_snapshots=True)
+    assert sorted(texts) == [0.0, 0.05, 0.05, 0.1, 0.1]  # t = 0 once for both files
+    for key, snaps in rep.extras["snapshots"].items():
+        _per_row_snapshot_csv(snaps, tmp_path / "oracle.csv")
+        written = (tmp_path / "run" / "snapshots" / f"{key}.csv").read_bytes()
+        assert written == (tmp_path / "oracle.csv").read_bytes()
