@@ -187,8 +187,9 @@ class LqrLaw:
 
     def jacobian(self, x: np.ndarray, h: np.ndarray):
         """The command (as __call__), its Jacobian -K, zero curvature and no
-        cell edges, in the form f16.ClosedLoop.state_rhs_div takes."""
-        return self(x), -np.asarray(self.K), np.zeros((2, 4)), False
+        cell edges, value-major (2, 4, 1) as f16.ClosedLoop.state_rhs_div
+        takes them."""
+        return self(x), -np.asarray(self.K)[..., None], np.zeros((2, 4, 1)), False
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,8 +206,9 @@ class GainSchedule:
     trims are retained as a synthesis record alongside the per-node
     open/closed-loop spectral abscissas.
 
-    Shapes: x_trims (nv, na, 4), u_trims (nv, na, 2), K (nv, na, 2, 4).
-    Immutable after construction and safe to share between workers.
+    Shapes: x_trims (nv, na, 4), u_trims (nv, na, 2), K (nv, na, 2, 4);
+    the laws read K through its value-major copy (2, 4, nv, na), built once
+    here. Immutable after construction and safe to share between workers.
     """
 
     V_nodes: np.ndarray
@@ -232,6 +234,7 @@ class GainSchedule:
             raise ValueError("gain grid inconsistent with node vectors")
         if self.x_ref.shape != (4,) or self.u_ref.shape != (2,):
             raise ValueError("reference trim must be a (4,) state and (2,) control")
+        object.__setattr__(self, "_K", np.ascontiguousarray(np.moveaxis(self.K, (0, 1), (2, 3))))
 
     @property
     def n_nodes(self) -> int:
@@ -330,38 +333,52 @@ def build_schedule(trims: list[TrimPoint], weights: LqrWeights, params: Aircraft
                         u_ref=reference.u_trim.as_array())
 
 
+def _contract(M: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """sum_j M[:, j] dx[j] of value-major (2, 4, ...) gains and (4, ...)
+    deviations, summed in the order of np.einsum("...ij,...j->...i") over
+    the sample-major arrays, so the two agree bit for bit."""
+    return (M[:, 0] * dx[0] + M[:, 2] * dx[2]) + (M[:, 1] * dx[1] + M[:, 3] * dx[3])
+
+
 @dataclass(frozen=True, eq=False)
 class ScheduledLaw:
-    """Gain-scheduled LQR law, as the closed loop calls it."""
+    """Gain-scheduled LQR law, as the closed loop calls it. The arithmetic
+    runs value-major, on (4, n) deviations and (2, 4, n) gains."""
 
     schedule: GainSchedule
+
+    def _gains(self, x: np.ndarray, slopes: bool):
+        """For (n, 4) states x: their deviations from x_ref as contiguous
+        (4, n) rows, and the lattice blend of K~ at their (V, alpha),
+        (2, 4, n) (with slopes, also its two partials)."""
+        s = self.schedule
+        return np.subtract(x.T, s.x_ref[:, None], order="C"), _lattice(
+            s._K, _cell(s.V_nodes, x[:, 1], slopes=slopes),
+            _cell(s.alpha_nodes, x[:, 2], slopes=slopes))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Pre-saturation control u = u_ref - K~(V, alpha) (x - x_ref), batched
         over x; K~ is bilinear in (V, alpha), clamped to the lattice hull."""
-        s = self.schedule
         x = np.asarray(x, dtype=float)
-        Kt = _lattice(s.K, _cell(s.V_nodes, x[..., 1]), _cell(s.alpha_nodes, x[..., 2]))
-        return s.u_ref - np.einsum("...ij,...j->...i", Kt, x - s.x_ref)
+        dx, Kt = self._gains(np.reshape(x, (-1, 4)), False)
+        return (self.schedule.u_ref[:, None] - _contract(Kt, dx)).T.reshape(x.shape[:-1] + (2,))
 
     def jacobian(self, x: np.ndarray, h: np.ndarray):
-        """The command u = u_ref - K~(V, alpha) dx (bitwise as __call__);
-        its Jacobian inside the gain cell, -K~ - (dK~/dV dx) e_V' -
-        (dK~/dalpha dx) e_alpha'; the curvature -dK~/dV e_V and
-        -dK~/dalpha e_alpha in the V and alpha columns; and the rows whose V
-        or alpha stencil (steps h) crosses a node line or the lattice hull
-        (see f16.ClosedLoop)."""
+        """For (n, 4) states x and steps h: the command u = u_ref - K~(V, alpha)
+        dx (bitwise as __call__); its Jacobian inside the gain cell, -K~ -
+        (dK~/dV dx) e_V' - (dK~/dalpha dx) e_alpha'; the curvature -dK~/dV e_V
+        and -dK~/dalpha e_alpha in the V and alpha columns; and the rows whose
+        V or alpha stencil crosses a node line or the lattice hull (see
+        f16.ClosedLoop). J and C are value-major, (2, 4, n)."""
         s = self.schedule
         x = np.asarray(x, dtype=float)
-        V, alpha = x[..., 1], x[..., 2]
-        Kt, dK_dV, dK_da = _lattice(s.K, _cell(s.V_nodes, V, slopes=True),
-                                    _cell(s.alpha_nodes, alpha, slopes=True))
-        dx = x - s.x_ref
-        u = s.u_ref - np.einsum("...ij,...j->...i", Kt, dx)
+        dx, (Kt, dK_dV, dK_da) = self._gains(x, True)
+        u = s.u_ref[:, None] - _contract(Kt, dx)
         J = -Kt
-        J[..., 1] -= np.einsum("...ij,...j->...i", dK_dV, dx)
-        J[..., 2] -= np.einsum("...ij,...j->...i", dK_da, dx)
+        J[:, 1] -= _contract(dK_dV, dx)
+        J[:, 2] -= _contract(dK_da, dx)
         C = np.zeros_like(J)
-        C[..., 1], C[..., 2] = -dK_dV[..., 1], -dK_da[..., 2]
-        return u, J, C, (_crosses(s.V_nodes, V - h[..., 1], V + h[..., 1])
-                         | _crosses(s.alpha_nodes, alpha - h[..., 2], alpha + h[..., 2]))
+        C[:, 1], C[:, 2] = -dK_dV[:, 1], -dK_da[:, 2]
+        V, alpha, hV, ha = x[:, 1], x[:, 2], h[:, 1], h[:, 2]
+        return u.T, J, C, (_crosses(s.V_nodes, V - hV, V + hV)
+                           | _crosses(s.alpha_nodes, alpha - ha, alpha + ha))

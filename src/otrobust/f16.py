@@ -22,7 +22,10 @@ internal value.
 All evaluation routines are pure, take arrays and broadcast over leading
 sample axes: states have a trailing axis of length 4, controls of length 2.
 Per-sample parameter overrides (mass, c.g. position, pitch inertia) may be
-arrays.
+arrays. Inside, the hot arrays are value-major: lattice lookups return
+(values..., n), the law Jacobians are (2, 4, n) and the controls are
+stored column by column, so each per-sample operation runs on a contiguous
+n-long row rather than broadcasting over a short trailing axis.
 
 The Liouville density needs the divergence of the closed loop, the trace
 dV_dot/dV + dalpha_dot/dalpha + dq_dot/dq (theta_dot = q adds 0). Where the
@@ -163,7 +166,9 @@ class AircraftParams:
 class AeroTables:
     """Breakpoint grids for CX, CZ, Cm (alpha x delta_e) and the pitch-rate
     derivatives CXq, CZq, Cmq (alpha only). Breakpoints are stored in degrees
-    as in the data file; lookups accept radians."""
+    as in the data file; lookups accept radians. The lookups read value-major
+    stacks built here, (3, na, nd) for CX, CZ, Cm and (3, na) for the
+    damping derivatives, and return one n-long row per coefficient."""
 
     alpha_breakpoints_deg: np.ndarray
     deltae_breakpoints_deg: np.ndarray
@@ -196,9 +201,10 @@ class AeroTables:
         for name in ("CX", "CZ", "Cm", "CXq", "CZq", "Cmq"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} contains non-finite entries")
-        # derived lookup grids: (na, nd, 3) for CX/CZ/Cm, (na, 3) for CXq/CZq/Cmq
-        object.__setattr__(self, "_static", np.stack([self.CX, self.CZ, self.Cm], axis=-1))
-        object.__setattr__(self, "_damping", np.stack([self.CXq, self.CZq, self.Cmq], axis=-1))
+        # derived value-major lookup grids: (3, na, nd) for CX/CZ/Cm, (3, na)
+        # for CXq/CZq/Cmq
+        object.__setattr__(self, "_static", np.stack([self.CX, self.CZ, self.Cm]))
+        object.__setattr__(self, "_damping", np.stack([self.CXq, self.CZq, self.Cmq]))
 
     @classmethod
     def from_json(cls, path) -> "AeroTables":
@@ -257,31 +263,38 @@ def _cell(bp: np.ndarray, x, unit: float = 1.0, slopes: bool = False):
         zero = np.zeros(np.shape(x))
         return (zero.astype(np.intp), zero) + ((zero,) if slopes else ())
     xc = np.minimum(np.maximum(x, bp[0]), bp[-1])
-    i = np.minimum(np.maximum(bp.searchsorted(xc, side="right") - 1, 0), bp.size - 2)
-    width = bp[i + 1] - bp[i]
-    w = np.asarray((xc - bp[i]) / width)
+    # xc >= bp[0] (or NaN, which sorts last), so only the top needs a clamp
+    i = np.minimum(bp.searchsorted(xc, side="right") - 1, bp.size - 2)
+    lo = bp[i]
+    width = bp[i + 1] - lo
+    w = np.asarray((xc - lo) / width)
     if not slopes:
         return i, w
     return i, w, np.asarray(((x > bp[0]) & (x < bp[-1])) / (width * unit))
 
 
 def _lattice(grid: np.ndarray, cell_a, cell_b):
-    """Bilinear blend of grid (na, nb, *values) at the _cell cells of its two
+    """Bilinear blend of grid (*values, na, nb) at the _cell cells of its two
     axes, broadcast against each other, from one gather of the four corners;
-    a one-node axis takes the node itself as its upper corner. When the
-    cells carry slopes, also the partials along a and along b."""
-    na, nb = grid.shape[:2]
+    a one-node axis takes the node itself as its upper corner. The result
+    is value-major, (*values, *cell shape). When the cells carry slopes,
+    also the partials along a and along b."""
+    na, nb = grid.shape[-2:]
     da, db = (nb if na > 1 else 0), (1 if nb > 1 else 0)
-    flat = grid.reshape((na * nb,) + grid.shape[2:])  # row i * nb + j holds node (i, j)
-    g00, g10, g01, g11 = flat.take(np.add.outer(np.array((0, da, db, da + db)),
-                                                cell_a[0] * nb + cell_b[0]), axis=0)
-    tail = (Ellipsis,) + (None,) * (grid.ndim - 2)  # broadcast over the value axes
-    wa, wb = cell_a[1][tail], cell_b[1][tail]
+    flat = grid.reshape(grid.shape[:-2] + (na * nb,))  # entry i * nb + j holds node (i, j)
+    corners = flat.take(np.add.outer(np.array((0, da, db, da + db)),
+                                     cell_a[0] * nb + cell_b[0]), axis=-1)
+    nv = grid.ndim - 2  # corner axis after the value axes
+    g00, g10, g01, g11 = corners.transpose((nv, *range(nv), *range(nv + 1, corners.ndim)))
+    wa, wb = cell_a[1], cell_b[1]
     ua, ub = 1 - wa, 1 - wb
-    blend = ua * ub * g00 + wa * ub * g10 + ua * wb * g01 + wa * wb * g11
+    blend = ua * ub * g00  # in place, in the order of a + b + c + d: fewer live temporaries
+    blend += wa * ub * g10
+    blend += ua * wb * g01
+    blend += wa * wb * g11
     if len(cell_a) == 2:
         return blend
-    sa, sb = cell_a[2][tail], cell_b[2][tail]
+    sa, sb = cell_a[2], cell_b[2]
     return (blend, (ub * (g10 - g00) + wb * (g11 - g01)) * sa,
             (ua * (g01 - g00) + wa * (g11 - g10)) * sb)
 
@@ -293,22 +306,22 @@ def _crosses(bp: np.ndarray, lo, hi):
 
 def _aero(tables: AeroTables, alpha, delta_e, slopes: bool = False):
     """Clamped table lookup of (CX, CZ, Cm) and (CXq, CZq, Cmq), each stacked
-    on a trailing axis of 3. One alpha cell serves all six coefficients; a
-    single-column delta_e grid makes CX, CZ, Cm alpha-only.
+    value-major on a leading axis of 3. One alpha cell serves all six
+    coefficients; a single-column delta_e grid makes CX, CZ, Cm alpha-only.
 
     slopes=True also returns the in-cell per-radian partials
     d(static)/d alpha, d(damping)/d alpha and d(static)/d delta_e (zero where
     the lookup clamps), from the same cells and gathers."""
     cell_a = _cell(tables.alpha_breakpoints_deg, np.asarray(alpha) / DEG, DEG, slopes)
     cell_d = _cell(tables.deltae_breakpoints_deg, np.asarray(delta_e) / DEG, DEG, slopes)
-    i, wa = cell_a[0], cell_a[1][..., None]
+    i, wa = cell_a[0], cell_a[1]
     gq = tables._damping
-    q0, q1 = gq.take(i, axis=0), gq.take(i + 1, axis=0)
+    q0, q1 = gq.take(i, axis=-1), gq.take(i + 1, axis=-1)
     damping = q0 * (1 - wa) + q1 * wa
     if not slopes:
         return _lattice(tables._static, cell_a, cell_d), damping
     static, static_a, static_e = _lattice(tables._static, cell_a, cell_d)
-    return static, damping, (static_a, (q1 - q0) * cell_a[2][..., None], static_e)
+    return static, damping, (static_a, (q1 - q0) * cell_a[2], static_e)
 
 
 def saturate_array(u: np.ndarray) -> np.ndarray:
@@ -346,8 +359,7 @@ def _rhs(x: np.ndarray, u: np.ndarray, m, xcg, Jyy, params: AircraftParams,
 
         lookup = _aero(tables, alpha, de, partials)
         static, damping = lookup[:2]
-        coef = static + np.asarray(chord_rate)[..., None] * damping
-        cx, cz, cm = coef[..., 0], coef[..., 1], coef[..., 2]
+        cx, cz, cm = static + chord_rate * damping
 
         sa, ca = np.sin(alpha), np.cos(alpha)
         st, ct = np.sin(theta), np.cos(theta)
@@ -368,16 +380,16 @@ def _rhs(x: np.ndarray, u: np.ndarray, m, xcg, Jyy, params: AircraftParams,
         mV = m * V_safe
         pitch = qS * params.cbar / Jyy
         arm = (params.xcg_ref - xcg) / params.cbar
-        qx, qz, qm = damping[..., 0], damping[..., 1], damping[..., 2]
+        qx, qz, qm = damping
         # coefficient partials: chord_rate = cbar q / (2 V) scales damping
         trace = ((2.0 * qS / V_safe * (ca * cx + sa * cz)
                   - qS * chord_rate / V_safe * (ca * qx + sa * qz)) / m
                  + (-ca * (qS * cx - m * params.g * st) - sa * f_normal
-                    + qS * (-sa * static_a[..., 0] + ca * static_a[..., 1]
-                            + chord_rate * (-sa * damping_a[..., 0] + ca * damping_a[..., 1])))
+                    + qS * (-sa * static_a[0] + ca * static_a[1]
+                            + chord_rate * (-sa * damping_a[0] + ca * damping_a[1])))
                  / mV
                  + pitch * params.cbar / (2.0 * V_safe) * (qm + arm * qz))
-        ex, ez, em = static_e[..., 0], static_e[..., 1], static_e[..., 2]
+        ex, ez, em = static_e
         dfde = (qS * (ca * ex + sa * ez) / m, qS * (-sa * ex + ca * ez) / mV,
                 pitch * (em + arm * ez))
     return out, trace, dfde
@@ -422,11 +434,13 @@ class ClosedLoop:
     rows (slices where the law ids are sorted, index arrays in a kink
     stencil); each w(t) is evaluated once per call and gathered per row.
 
-    state_rhs_div needs law.jacobian(x, h) -> (u, J, C, kink): the command
-    u (bitwise law(x)), its Jacobian J and in-cell curvature C per
-    direction, so that the command at x +/- h_k e_k is u +/- h_k J_k +
-    h_k^2 C_k (both broadcasting to (..., 2, 4)), and the rows whose
-    stencil leaves the law's own cell (as LqrLaw and ScheduledLaw give).
+    state_rhs_div needs law.jacobian(x, h) -> (u, J, C, kink) for (n, 4)
+    states x and steps h: the (n, 2) command u (bitwise law(x)), its
+    Jacobian J and in-cell curvature C per direction, so that the command
+    at x +/- h_k e_k is u +/- h_k J_k + h_k^2 C_k (both value-major,
+    broadcasting to (2, 4, n): J[i, k] is one row over the samples), and
+    the rows whose stencil leaves the law's own cell (as LqrLaw and
+    ScheduledLaw give).
     For a law without one, pass state_rhs to liouville.propagate as a plain
     field: it then takes finite differences on every row.
     """
@@ -462,7 +476,7 @@ class ClosedLoop:
         """Saturated control applied at state x, time t (p as in state_rhs)."""
         x = np.asarray(x, dtype=float)
         *_, law_ids, dist_ids = _split_params(p, self.params)
-        u = np.empty(x.shape[:-1] + (2,))
+        u = np.empty(x.shape[:-1] + (2,), order="F")  # value-major: T and delta_e rows
         for law, rows in self._blocks(law_ids):
             u[rows] = law(x[rows])
         return saturate_array(self._disturb(u, t, dist_ids))
@@ -485,37 +499,39 @@ class ClosedLoop:
         """
         x = np.asarray(x, dtype=float)
         m, xcg, Jyy, law_ids, dist_ids = _split_params(p, self.params)
-        h = H_REL * np.maximum(1.0, np.abs(x))
+        h = H_REL * np.maximum(1.0, np.abs(x.T, order="C"))  # value-major: a row per state
         n = len(x)
-        u_cmd, J, C = np.empty((n, 2)), np.empty((n, 2, 4)), np.empty((n, 2, 4))
+        u_cmd, J, C = np.empty((n, 2), order="F"), np.empty((2, 4, n)), np.empty((2, 4, n))
         kink = np.empty(n, dtype=bool)
         for law, rows in self._blocks(law_ids):
-            u_cmd[rows], J[rows], C[rows], kink[rows] = law.jacobian(x[rows], h[rows])
+            u_cmd[rows], J[..., rows], C[..., rows], kink[rows] = law.jacobian(x[rows], h.T[rows])
         u_cmd = self._disturb(u_cmd, t, dist_ids)
         xdot, div, dfde = _rhs(x, saturate_array(u_cmd), m, xcg, Jyy,
                                self.params, self.tables, partials=True)
-        # directions V, alpha, q (theta_dot = q contributes 0); the command
-        # at x +/- h_k e_k is u +/- h_k J_k + h_k^2 C_k inside the law's cell
-        h, J, C = h[..., 1:], J[..., 1:], C[..., 1:]
-        dT, dE = h * J[..., 0, :], h * J[..., 1, :]
-        cT, cE = h * h * C[..., 0, :], h * h * C[..., 1, :]
-        V, alpha = x[..., 1], x[..., 2]
-        hV, ha = h[..., 0], h[..., 1]
+        # directions V, alpha, q (theta_dot = q contributes 0) on (3, n) rows;
+        # the command at x +/- h_k e_k is u +/- h_k J_k + h_k^2 C_k inside
+        # the law's cell
+        h, J, C = h[1:], J[:, 1:], C[:, 1:]
+        hh = h * h
+        dT, dE = h * J[0], h * J[1]
+        cT, cE = hh * C[0], hh * C[1]
+        V, alpha = x[:, 1], x[:, 2]
+        hV, ha = h[0], h[1]
+        uT, uE = u_cmd.T
         with np.errstate(all="ignore"):
             # thrust enters linearly: the secant of its saturation in V, alpha
-            T_hi = np.minimum(np.maximum(u_cmd[..., :1] + dT + cT, THRUST_MIN), THRUST_MAX)
-            T_lo = np.minimum(np.maximum(u_cmd[..., :1] - dT + cT, THRUST_MIN), THRUST_MAX)
-            div = (div + np.cos(alpha) * (T_hi[..., 0] - T_lo[..., 0]) / (2.0 * hV * m)
-                   + (np.sin(alpha - ha) * T_lo[..., 1] - np.sin(alpha + ha) * T_hi[..., 1])
+            T_hi = np.minimum(np.maximum(uT + dT + cT, THRUST_MIN), THRUST_MAX)
+            T_lo = np.minimum(np.maximum(uT - dT + cT, THRUST_MIN), THRUST_MAX)
+            div = (div + np.cos(alpha) * (T_hi[0] - T_lo[0]) / (2.0 * hV * m)
+                   + (np.sin(alpha - ha) * T_lo[1] - np.sin(alpha + ha) * T_hi[1])
                    / (2.0 * ha * m * V))
-            free = np.abs(u_cmd[..., 1]) < ELEVATOR_LIMIT
-            JE = J[..., 1, :]
-            div = div + free * (dfde[0] * JE[..., 0] + dfde[1] * JE[..., 1]
-                                + dfde[2] * JE[..., 2])
+            free = np.abs(uE) < ELEVATOR_LIMIT
+            JE = J[1]
+            div = div + free * (dfde[0] * JE[0] + dfde[1] * JE[1] + dfde[2] * JE[2])
             # the elevator command over all three stencils, against its kinks
             lo, hi = cE - np.abs(dE), cE + np.abs(dE)
-            e_lo = u_cmd[..., 1] + np.minimum(np.minimum(lo[..., 0], lo[..., 1]), lo[..., 2])
-            e_hi = u_cmd[..., 1] + np.maximum(np.maximum(hi[..., 0], hi[..., 1]), hi[..., 2])
+            e_lo = uE + np.minimum(np.minimum(lo[0], lo[1]), lo[2])
+            e_hi = uE + np.maximum(np.maximum(hi[0], hi[1]), hi[2])
         kinks = self._deltae_kinks()
         kink = (kink | (kinks.searchsorted(e_lo) != kinks.searchsorted(e_hi))
                 | _crosses(self.tables.alpha_breakpoints_deg, (alpha - ha) / DEG,

@@ -176,10 +176,16 @@ class ScenarioConfig:
             values = getattr(self, sweep)
             if not (isinstance(values, (list, tuple)) and values):
                 raise ConfigError(f"a {self.kind} scenario needs a non-empty list {sweep}")
+            labels: dict[str, float] = {}  # the curves' variant labels, as _cases names them
             for v in values:
                 _check_number(v, f"{sweep} entry")
                 if sweep == "param_delta_percent" and not 0.0 <= v < 100.0:
                     raise ConfigError(f"{sweep} entry must lie in [0, 100), got {v!r}")
+                label = f"{v:g}"
+                if label in labels:
+                    raise ConfigError(f"{sweep} entries {labels[label]!r} and {v!r} share "
+                                      f"the label {label!r}")
+                labels[label] = v
         for what in ("ic_box_deg", "x_pert"):
             if not isinstance(getattr(self, what), dict):
                 raise ConfigError(f"{what} must be a JSON object")
@@ -531,7 +537,7 @@ def save_report(report: RunReport, out_dir,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w") as f:
-        json.dump(report.to_dict(), f, indent=1)
+        f.write(json.dumps(report.to_dict()) + "\n")  # json's C encoder takes no indent
     with open(out / "W.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["t", "variant", "controller", "W"])

@@ -218,12 +218,13 @@ def _propagate_arrays(rhs, X0, P0, phi0, t0, n_steps, dt, emit_steps,
         for s in range(1, n_steps + 1):
             t = t0 + (s - 1) * dt
             X_new, phi_new = _step(f, fused, t, X, P0, phi, dt, strict_rk4, track_density)
-            ok = np.all(np.isfinite(X_new), axis=-1)
+            ok = np.isfinite(X_new[:, 0])
+            for column in X_new.T[1:]:  # a row is finite if each of its columns is
+                ok &= np.isfinite(column)
             upd = ok & ~dead
-            X[upd] = X_new[upd]
+            np.copyto(X, X_new, where=upd[:, None])
             if track_density:
-                upd_phi = upd & np.isfinite(phi_new)
-                phi[upd_phi] = phi_new[upd_phi]
+                np.copyto(phi, phi_new, where=upd & np.isfinite(phi_new))
             dead |= ~ok
             if s in emit_steps:
                 out.append((t0 + s * dt, X.copy(), phi.copy(), dead.copy()))

@@ -30,7 +30,7 @@ def lookup_coefficient(tables: AeroTables, which: str, alpha, delta_e=0.0):
     if which not in COEFFICIENT_IDS:
         raise KeyError(f"unknown coefficient id {which!r}; expected one of {COEFFICIENT_IDS}")
     k = COEFFICIENT_IDS.index(which)
-    return np.take(_aero(tables, alpha, delta_e)[k // 3], k % 3, axis=-1)
+    return np.take(_aero(tables, alpha, delta_e)[k // 3], k % 3, axis=0)
 
 
 def marginal(dist: DiscreteDistribution, axis: int) -> DiscreteDistribution:

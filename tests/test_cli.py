@@ -192,6 +192,18 @@ def test_malformed_scenario_config_exits_2(capsys, tmp_path, command, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fields", [{"kind": "param", "param_delta_percent": [2.5, 2.5000001]},
+                                    {"kind": "disturbance", "omega_rad_s": [2.0, 2.0]}])
+def test_repeated_sweep_label_exits_2_and_writes_nothing(capsys, tmp_path, fields):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_IC, **fields}))
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "scenario", "--config", str(cfg), "--out", str(out))
+    assert code == EXIT_CONFIG
+    assert "share the label" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind,fields,first_variant", [
     ("ic", {}, ""),
     ("param", {"param_delta_percent": [2.5, 15.0]}, "|delta=2.5"),

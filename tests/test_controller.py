@@ -241,6 +241,7 @@ def test_scheduled_jacobian_matches_corner_formulas(schedule, nominal_trim, nomi
     x[40:80, 2] = np.resize(sub.alpha_nodes, 40) + np.resize([0.0, 1e-7, -1e-7, 0.01], 40)
     h = H_REL * np.maximum(1.0, np.abs(x))
     u, J, C, kink = ScheduledLaw(sub).jacobian(x, h)
+    J, C = J.transpose(2, 0, 1), C.transpose(2, 0, 1)  # value-major (2, 4, n) to (n, 2, 4)
     # the command of both laws' jacobian is bitwise the law's own, inside
     # cells, on node lines and beyond the hull: state_rhs_div relies on it
     assert np.array_equal(u, ScheduledLaw(sub)(x))

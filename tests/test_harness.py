@@ -85,6 +85,18 @@ def test_config_scalar_lists_normalized():
     assert cfg2.omega_rad_s == [2.0]
 
 
+REPEATED_LABELS = [({"kind": "param", "param_delta_percent": [2.5, 2.5000001]}, "'2.5'"),
+                   ({"kind": "disturbance", "omega_rad_s": [2.0, 2.0]}, "'2'")]
+
+
+@pytest.mark.parametrize("fields, label", REPEATED_LABELS)
+def test_repeated_sweep_labels_are_a_config_error(fields, label):
+    # two entries with one f"{v:g}" label would give two curves, histograms
+    # and snapshot files of one name, the second overwriting the first
+    with pytest.raises(ConfigError, match=label):
+        ScenarioConfig(**fields)
+
+
 def test_freq_response_scalar_analytic():
     model = LinearModel(A=np.array([[-1.0]]), B=np.array([[0.0, 1.0]]),
                         x0=np.zeros(1), u0=np.zeros(2))

@@ -105,7 +105,7 @@ def test_lookup_slopes_match_corner_formulas(tables, rng, degenerate):
     a, d = _query_points(tables, rng)
     keep = np.isfinite(a) & np.isfinite(d)
     a, d = a[keep], d[keep]
-    static, damping, (static_a, damping_a, static_e) = _aero(tab, a, d, slopes=True)
+    static_a, damping_a, static_e = (v.T for v in _aero(tab, a, d, slopes=True)[2])
     i, i1, wa, sa = _ref_cell(tab.alpha_breakpoints_deg, a / DEG)
     j, j1, wd, sd = _ref_cell(tab.deltae_breakpoints_deg, d / DEG)
     wa, sa, wd, sd = (v[:, None] for v in (wa, sa, wd, sd))
@@ -160,8 +160,8 @@ def _ref_rhs(x, u, m, xcg, Jyy, params, tables):
     theta, V, alpha, q = (x[..., k] for k in range(4))
     static, damping = _aero(tables, alpha, u[..., 1])
     qS = 0.5 * params.density() * V * V * params.S
-    coef = static + np.asarray(params.cbar * q / (2.0 * V))[..., None] * damping
-    cx, cz, cm = coef[..., 0], coef[..., 1], coef[..., 2]
+    coef = static + np.asarray(params.cbar * q / (2.0 * V)) * damping
+    cx, cz, cm = coef[0], coef[1], coef[2]
     sa, ca, st, ct = np.sin(alpha), np.cos(alpha), np.sin(theta), np.cos(theta)
     f_axial = u[..., 0] - m * params.g * st + qS * cx
     f_normal = m * params.g * ct + qS * cz
@@ -243,7 +243,7 @@ def _kink_dense_states(loop, schedule, x_trim, t, rng, per_kink=4):
         x = x_trim + spread * rng.uniform(-1.0, 1.0, 4)
         h = H_REL * np.maximum(1.0, np.abs(x))
         u, J, _, _ = loop.law.jacobian(x[None], h[None])
-        u, J = u[0], np.broadcast_to(J, (1, 2, 4))[0]
+        u, J = u[0], np.broadcast_to(J, (2, 4, 1))[..., 0]
         k = rng.integers(1, 4)
         target = value + rng.uniform(-3.0, 3.0) * h[k] * J[c, k]
         x[0] += (target - u[c] - (w if c == 1 else 0.0)) / J[c, 0]
@@ -330,3 +330,32 @@ def test_kink_dense_propagation_matches_finite_difference_path(
             assert a.phi == pytest.approx(b.phi, rel=1e-9)
         else:
             assert np.array_equal(a.phi, cloud.phi)
+
+
+def test_shuffled_stacked_rows_give_the_permuted_field(params, tables, nominal_trim,
+                                                       nominal_gain, schedule, rng):
+    # a stacked ensemble of two laws and two disturbances, law-sorted (each
+    # law on a slice) and shuffled (each law on an index array): xdot, the
+    # divergence and the kink flags are the same values, permuted, bit for bit
+    t = 0.4
+    lqr = _kink_loop("lqr", True, params, tables, nominal_trim, nominal_gain, schedule)
+    gs = _kink_loop("scheduled", True, params, tables, nominal_trim, nominal_gain, schedule)
+    x_trim = nominal_trim.x_trim.as_array()
+    blocks = [_kink_dense_states(loop, schedule, x_trim, t, rng) for loop in (lqr, gs)]
+    X = np.vstack(blocks)
+    law_ids = np.repeat([0.0, 1.0], [len(b) for b in blocks])
+    P = np.column_stack([np.array([params.m, params.xcg, params.Jyy])
+                         * rng.uniform(0.9, 1.1, (len(X), 3)),
+                         law_ids, rng.integers(0, 2, len(X))])
+    loop = ClosedLoop(law=(lqr.law, gs.law), params=params, tables=tables,
+                      disturbance=(SineDisturbance(6.5 * DEG, 2.0),
+                                   SineDisturbance(6.5 * DEG, 100.0)))
+    xdot, div, kink = loop.state_rhs_div(t, X, P)
+    assert 0 < np.count_nonzero(kink) < len(X)
+    perm = rng.permutation(len(X))
+    assert not np.all(np.diff(law_ids[perm]) >= 0)
+    xdot_p, div_p, kink_p = loop.state_rhs_div(t, X[perm], P[perm])
+    assert np.array_equal(xdot_p, xdot[perm])
+    assert np.array_equal(div_p, div[perm])
+    assert np.array_equal(kink_p, kink[perm])
+    assert np.array_equal(loop.state_rhs(t, X[perm], P[perm]), loop.state_rhs(t, X, P)[perm])
