@@ -18,7 +18,7 @@ import sys
 import time
 from dataclasses import replace
 
-from otrobust.harness import ConfigError, ScenarioConfig, run_scenario
+from otrobust.harness import ScenarioConfig, run_scenario
 
 
 def main() -> int:
@@ -36,7 +36,7 @@ def main() -> int:
             ap.error("config has no output_dir and --out not given")
         t0 = time.time()
         report = run_scenario(cfg, keep_snapshots=True)
-    except ConfigError as exc:
+    except ValueError as exc:  # a ConfigError, or a malformed OTROBUST_WORKERS
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"{cfg.kind} scenario ({cfg.samples} samples, {len(cfg.controllers)} "

@@ -12,21 +12,20 @@ every emitted time.
               swept over forcing frequencies
 
 A ControllerSetup holds the gains and the plant they fly. Every scenario
-is one propagation: _cases(cfg, setup) stacks the clouds of all its
-controllers and variants into one ensemble, laid out controller-major
-([lqr: block_1 ... block_m | gslqr: block_1 ... block_m], a block per
-omega for disturbance), whose per-row index columns pick each row's law and
-disturbance; _runs(cfg, setup, track_density) propagates it once and
-slices out each block and variant. run_scenario scores every variant;
-mc_compare and the CLI's propagate take the first variant's snapshots from
-the same pipeline, _first_variants(cfg, setup). Every curve is a closed-form
-Dirac distance to trim, the param one on the extended space (see _cases); the
-transportation LP is kept for general CLI inputs and as the oracle of that
-score. Wasserstein values are reported in the degree-based reporting units
-(deg, ft/s, deg, deg/s) of f16.STATE_UNITS, as are all file outputs.
-Reports are plain dicts rendered to report.json / W.csv / snapshot CSVs,
-stamped with a content hash so identical configurations are
-bit-reproducible.
+is one propagation: _cases(cfg, setup) lays out one flat list of curves in
+report order, each (controller, variant, its rows, its initial cloud), and
+stacks their clouds into one ensemble whose per-row index columns pick
+each row's law and disturbance; _runs(cfg, setup, track_density)
+propagates it once and slices out each curve. run_scenario scores every
+curve; mc_compare and the CLI's propagate take the first variant's
+snapshots from the same pipeline, _first_variants(cfg, setup). Every curve
+is a closed-form Dirac distance to trim, the param one on the extended
+space (see _cases); the transportation LP is kept for general CLI inputs
+and as the oracle of that score. Wasserstein values are reported in the
+degree-based reporting units (deg, ft/s, deg, deg/s) of f16.STATE_UNITS,
+as are all file outputs. Reports are plain dicts rendered to report.json /
+W.csv / snapshot CSVs, stamped with a content hash so identical
+configurations are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -161,21 +160,26 @@ class ScenarioConfig:
             raise ConfigError(f"output_dir must be a path string, got {self.output_dir!r}")
         if not (self.t_f > 0 and self.dt > 0 and self.samples > 0):
             raise ConfigError("t_f, dt and samples must be positive")
+        steps = self.t_f / self.dt
+        if not (math.isfinite(steps) and round(steps) >= 1):
+            raise ConfigError(f"t_f / dt = {steps:g} must round to a finite step count "
+                              "of at least 1")
         if self.emit_every < 1:
             raise ConfigError("emit_every must be at least 1")
         if self.x_pert_units not in ("deg", "rad"):
             raise ConfigError(f"unknown x_pert_units {self.x_pert_units!r}")
         if self.sampler not in ("halton", "mcmc"):
             raise ConfigError(f"unknown sampler {self.sampler!r}")
-        if isinstance(self.param_delta_percent, (int, float)):
-            self.param_delta_percent = [float(self.param_delta_percent)]
-        if isinstance(self.omega_rad_s, (int, float)):
-            self.omega_rad_s = [float(self.omega_rad_s)]
+        for name in _SWEEPS.values():  # a scalar is a one-entry sweep; a bool is neither
+            value = getattr(self, name)
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                setattr(self, name, [float(value)])
         sweep = _SWEEPS.get(self.kind)
         if sweep:
             values = getattr(self, sweep)
             if not (isinstance(values, (list, tuple)) and values):
-                raise ConfigError(f"a {self.kind} scenario needs a non-empty list {sweep}")
+                raise ConfigError(f"a {self.kind} scenario needs a number or a non-empty "
+                                  f"list {sweep}, got {values!r}")
             labels: dict[str, float] = {}  # the curves' variant labels, as _cases names them
             for v in values:
                 _check_number(v, f"{sweep} entry")
@@ -236,18 +240,14 @@ class ControllerSetup:
     params: AircraftParams
     tables: AeroTables
 
-    def closed_loop(self, name: str | tuple, disturbance=None) -> ClosedLoop:
-        """Controller "lqr" or "gslqr" flying the set-up's plant; a tuple of
-        names (and of disturbances) flies a stacked ensemble (f16.ClosedLoop)."""
-        if isinstance(name, tuple):
-            return ClosedLoop(tuple(self.closed_loop(n).law for n in name),
-                              self.params, self.tables, disturbance)
+    def closed_loop(self, name: str) -> ClosedLoop:
+        """Controller "lqr" or "gslqr" flying the set-up's plant."""
         if name not in ("lqr", "gslqr"):
             raise ConfigError(f"unknown controller {name!r}")
         if name == "gslqr" and self.schedule is None:
             raise ConfigError("gain schedule not built")
         law = LqrLaw(self.K, self.trim) if name == "lqr" else ScheduledLaw(self.schedule)
-        return ClosedLoop(law, self.params, self.tables, disturbance)
+        return ClosedLoop(law, self.params, self.tables)
 
     def closed_loop_linear_model(self) -> LinearModel:
         """Closed-loop (A - B K, B) model in the reporting units: the
@@ -289,15 +289,20 @@ def _x_pert_internal(cfg: ScenarioConfig) -> np.ndarray:
     return vec * STATE_UNITS if cfg.x_pert_units == "deg" else vec
 
 
-def initial_cloud(cfg: ScenarioConfig, x_trim: np.ndarray) -> EnsembleSnapshot:
-    """Sample the initial-condition box and tag densities and masses."""
-    box = _ic_box_internal(cfg, x_trim)
+def _draw(cfg: ScenarioConfig, box: BoxDomain):
+    """cfg.samples draws (cfg.sampler) of the uniform density on box, with
+    their density values and transport masses (sampling.weighted_cloud)."""
     pdf = InitialPdf.uniform_box(box)
     if cfg.sampler == "halton":
         samples = halton(cfg.samples, box)
     else:
         samples = mcmc_sample(pdf, cfg.samples, cfg.seed)
-    return EnsembleSnapshot.from_cloud(*weighted_cloud(samples, pdf))
+    return weighted_cloud(samples, pdf)
+
+
+def initial_cloud(cfg: ScenarioConfig, x_trim: np.ndarray) -> EnsembleSnapshot:
+    """Sample the initial-condition box and tag densities and masses."""
+    return EnsembleSnapshot.from_cloud(*_draw(cfg, _ic_box_internal(cfg, x_trim)))
 
 
 def weighted_mean(states: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -558,40 +563,35 @@ def _key(controller: str, variant: str) -> str:
 def _param_cloud(cfg: ScenarioConfig, delta: float, x0: np.ndarray,
                  params: AircraftParams) -> EnsembleSnapshot:
     nominal = np.array([params.m, params.xcg, params.Jyy])
-    n = cfg.samples
     if delta == 0.0:
-        p = np.tile(nominal, (n, 1))
-        phi = np.ones(n)  # degenerate parameter distribution: flat placeholder
+        n = cfg.samples  # degenerate parameter distribution: flat placeholder density
+        p, phi, gamma = np.tile(nominal, (n, 1)), np.ones(n), np.full(n, 1.0 / n)
     else:
         half = np.abs(nominal) * (delta / 100.0)
-        box = BoxDomain(nominal - half, nominal + half)
-        pdf = InitialPdf.uniform_box(box)
-        p = halton(n, box) if cfg.sampler == "halton" else mcmc_sample(pdf, n, cfg.seed)
-        phi = np.asarray(pdf(p))
-    gamma = np.full(n, 1.0 / n)
-    states = np.tile(x0, (n, 1))
-    return EnsembleSnapshot.from_cloud(states, phi, gamma, params=p)
+        p, phi, gamma = _draw(cfg, BoxDomain(nominal - half, nominal + half))
+    return EnsembleSnapshot.from_cloud(np.tile(x0, (len(p), 1)), phi, gamma, params=p)
 
 
 def _cases(cfg: ScenarioConfig, setup: ControllerSetup):
     """The one propagation of a scenario: (stacked ensemble, closed loop,
-    blocks in report order).
+    curves in report order).
 
-    A block is (controller, its rows of the ensemble, its initial cloud,
-    variants); a variant is (name, its rows of the block, the cloud whose
-    params and masses its snapshots carry). Per kind, a block's cloud is
+    A curve is (controller, variant, its rows of the ensemble, its initial
+    cloud, whose params and masses its snapshots carry). Per kind, a
+    controller's curves are
       ic          the box cloud, variant ""
       disturbance the box cloud under w(t) = A sin(omega t), variant
-                  "omega=..": a block per omega (report order: per omega,
-                  then per controller)
-      param       the deterministic trajectory (row 0) and every delta
-                  cloud stacked [x0 | cloud_1 | ...], variant "delta=.."
-                  per cloud; the boxes centre on setup.params.
-    The rows are controller-major, [lqr: block_1 ... block_m | gslqr:
-    block_1 ... block_m], and each row's p block ends (after its cloud's
+                  "omega=.." per omega (report order: per omega, then per
+                  controller)
+      param       the deterministic trajectory, variant "deterministic": x0
+                  on the set-up plant, one row with phi = 1; then a cloud
+                  per delta, variant "delta=..", the boxes centred on
+                  setup.params.
+    The rows are controller-major, [lqr: curve_1 ... curve_m | gslqr:
+    curve_1 ... curve_m], and each row's p block ends (after its cloud's
     m, xcg, Jyy, if any) in the frozen index columns f16.ClosedLoop reads:
     its controller's position in cfg.controllers and its omega's in
-    cfg.omega_rad_s (0 without one). Rows are independent, so a block's
+    cfg.omega_rad_s (0 without one). Rows are independent, so a curve's
     slice equals its cloud's own propagation bit for bit.
 
     The param W against the trim-pinned reference sharing the parameter
@@ -602,81 +602,70 @@ def _cases(cfg: ScenarioConfig, setup: ControllerSetup):
     """
     x_trim = setup.trim.x_trim.as_array()
     if cfg.kind == "param":
-        params = setup.params
         x0 = x_trim + _x_pert_internal(cfg)
-        clouds = [_param_cloud(cfg, float(d), x0, params) for d in cfg.param_delta_percent]
-        rows = 1 + cfg.samples * len(clouds)
-        stacked = EnsembleSnapshot.from_cloud(
-            np.vstack([x0] + [c.states for c in clouds]),
-            np.concatenate([[1.0]] + [c.phi for c in clouds]),
-            np.full(rows, 1.0 / rows),
-            params=np.vstack([[params.m, params.xcg, params.Jyy]] + [c.params for c in clouds]))
-        per_disturbance = [(stacked, [
-            (f"delta={d:g}", slice(1 + k * cfg.samples, 1 + (k + 1) * cfg.samples), c)
-            for k, (d, c) in enumerate(zip(cfg.param_delta_percent, clouds))])]
+        variants = [("deterministic", _param_cloud(replace(cfg, samples=1), 0.0, x0,
+                                                   setup.params))]
+        variants += [(f"delta={d:g}", _param_cloud(cfg, float(d), x0, setup.params))
+                     for d in cfg.param_delta_percent]
     else:
         cloud = initial_cloud(cfg, x_trim)
         names = [f"omega={w:g}" for w in cfg.omega_rad_s] if cfg.kind == "disturbance" else [""]
-        per_disturbance = [(cloud, [(name, slice(None), cloud)]) for name in names]
-    blocks, start = {}, 0  # keyed (disturbance, controller), filled controller-major
+        variants = [(name, cloud) for name in names]
+    keyed, start = [], 0  # ((controller, disturbance) ids, curve), controller-major
     for i, name in enumerate(cfg.controllers):
-        for j, (cloud, variants) in enumerate(per_disturbance):
-            blocks[j, i] = (name, slice(start, start + cloud.n), cloud, variants)
+        for k, (variant, cloud) in enumerate(variants):
+            ids = (i, k if cfg.kind == "disturbance" else 0)
+            keyed.append((ids, (name, variant, slice(start, start + cloud.n), cloud)))
             start += cloud.n
-    layout = [(ids[::-1], cloud) for ids, (_, _, cloud, _) in blocks.items()]
+    clouds = [(ids, curve[-1]) for ids, curve in keyed]
     ensemble = EnsembleSnapshot.from_cloud(
-        np.vstack([c.states for _, c in layout]), np.concatenate([c.phi for _, c in layout]),
+        np.vstack([c.states for _, c in clouds]), np.concatenate([c.phi for _, c in clouds]),
         np.full(start, 1.0 / start),
         params=np.vstack([np.column_stack([c.params, np.full((c.n, 2), ids)])
-                          for ids, c in layout]))
+                          for ids, c in clouds]))
     disturbances = (tuple(SineDisturbance(cfg.disturbance_amp_deg * DEG, float(w))
                           for w in cfg.omega_rad_s) if cfg.kind == "disturbance" else None)
-    return (ensemble, setup.closed_loop(tuple(cfg.controllers), disturbances),
-            [blocks[key] for key in sorted(blocks)])
-
-
-def _slice(snap: EnsembleSnapshot, rows, cloud: EnsembleSnapshot) -> EnsembleSnapshot:
-    """The rows of snap, carrying cloud's params and masses."""
-    return EnsembleSnapshot(t=snap.t, states=snap.states[rows], params=cloud.params,
-                            phi=snap.phi[rows], gamma=cloud.gamma,
-                            diverged=snap.diverged[rows])
+    loop = ClosedLoop(tuple(setup.closed_loop(name).law for name in cfg.controllers),
+                      setup.params, setup.tables, disturbances)
+    # report order: per disturbance, then per controller (sorted is stable)
+    return ensemble, loop, [curve for _, curve in sorted(keyed, key=lambda e: e[0][::-1])]
 
 
 def _runs(cfg: ScenarioConfig, setup: ControllerSetup, track_density: bool = True):
     """Propagate the stacked ensemble of _cases once and slice it up.
 
-    Yields, per block in report order, (controller, the block's snapshots,
-    [(variant, its snapshots)]); a block's or variant's snapshots are its
-    rows of the ensemble's, carrying its cloud's params and masses.
+    Yields, per curve in report order, (controller, variant, snapshots): its
+    rows of the ensemble's snapshots, carrying its cloud's params and masses.
     """
-    ensemble, loop, blocks = _cases(cfg, setup)
+    ensemble, loop, curves = _cases(cfg, setup)
     snaps = propagate(ensemble, loop, cfg.t_f, cfg.dt, cfg.emit_every,
                       cfg.strict_rk4, cfg.workers, track_density)
-    for name, rows, cloud, variants in blocks:
-        own = [_slice(s, rows, cloud) for s in snaps]
-        yield name, own, [(variant, [_slice(s, v_rows, v_cloud) for s in own])
-                          for variant, v_rows, v_cloud in variants]
+    for name, variant, rows, cloud in curves:
+        yield name, variant, [EnsembleSnapshot(t=s.t, states=s.states[rows], params=cloud.params,
+                                               phi=s.phi[rows], gamma=cloud.gamma,
+                                               diverged=s.diverged[rows]) for s in snaps]
 
 
 def _first_variants(cfg: ScenarioConfig, setup: ControllerSetup, track_density: bool = True):
     """(controller, snapshots) of each controller's first variant: the first
-    omega, or the first delta cloud sliced out of [x0 | cloud_1]."""
+    omega or delta cloud; the param deterministic curve is skipped."""
     sweep = _SWEEPS.get(cfg.kind)
     first = replace(cfg, **{sweep: getattr(cfg, sweep)[:1]}) if sweep else cfg
-    for name, _, variants in _runs(first, setup, track_density):
-        yield name, variants[0][1]
+    for name, variant, snaps in _runs(first, setup, track_density):
+        if variant != "deterministic":
+            yield name, snaps
 
 
 def run_scenario(cfg: ScenarioConfig, setup: ControllerSetup | None = None,
                  keep_snapshots: bool = False) -> RunReport:
     """Run the experiment cfg describes and assemble its report.
 
-    The scenario propagates once (_runs) and each variant is scored on its
+    The scenario propagates once (_runs) and each curve is scored on its
     slice: ic and disturbance curves by density weights (W) and transport
-    masses (W_mass), param curves by masses, next to the deterministic
-    distance-to-trim curve. A disturbance run of both controllers also
-    reports the W_lqr - W_gslqr series per frequency. The set-up defaults
-    to build_controllers(), the nominal plant.
+    masses (W_mass), param delta curves by masses, and the param
+    deterministic curve by its distance to trim alone. A disturbance run of
+    both controllers also reports the W_lqr - W_gslqr series per
+    frequency. The set-up defaults to build_controllers(), the nominal plant.
     """
     setup = setup or build_controllers(need_schedule="gslqr" in cfg.controllers)
     x_trim = setup.trim.x_trim.as_array()
@@ -684,28 +673,25 @@ def run_scenario(cfg: ScenarioConfig, setup: ControllerSetup | None = None,
                        nominal_trim=setup.trim.to_dict(), curves=[],
                        histograms={}, extremes={}, diverged={}, nonconverged={})
     snapshots_by_key = {}
-    for name, all_snaps, variants in _runs(cfg, setup):
+    for name, variant, snaps in _runs(cfg, setup):
+        curve = {"controller": name, "variant": variant, "t": [s.t for s in snaps]}
+        report.curves.append(curve)
+        if variant == "deterministic":
+            curve["W"] = [float(np.linalg.norm((s.states[0] - x_trim) * PAPER_STATE_SCALE))
+                          for s in snaps]
+            continue
+        W_mass = _W_dirac_series(snaps, x_trim, "mass")
         if cfg.kind == "param":
-            report.curves.append({"controller": name, "variant": "deterministic",
-                                  "t": [s.t for s in all_snaps],
-                                  "W": [float(np.linalg.norm((s.states[0] - x_trim)
-                                                             * PAPER_STATE_SCALE))
-                                        for s in all_snaps]})
-        for variant, snaps in variants:
-            curve = {"controller": name, "variant": variant, "t": [s.t for s in snaps]}
-            W_mass = _W_dirac_series(snaps, x_trim, "mass")
-            if cfg.kind == "param":
-                curve["W"] = W_mass
-            else:
-                curve.update(W=_W_dirac_series(snaps, x_trim), W_mass=W_mass)
-            report.curves.append(curve)
-            key = _key(name, variant)
-            report.histograms[key] = _histograms(snaps)
-            report.extremes[key] = _extremes_records(snaps)
-            report.diverged[key] = int(np.count_nonzero(snaps[-1].diverged))
-            report.nonconverged[key] = _nonconverged_count(snaps[-1], x_trim)
-            if keep_snapshots:
-                snapshots_by_key[key] = snaps
+            curve["W"] = W_mass
+        else:
+            curve.update(W=_W_dirac_series(snaps, x_trim), W_mass=W_mass)
+        key = _key(name, variant)
+        report.histograms[key] = _histograms(snaps)
+        report.extremes[key] = _extremes_records(snaps)
+        report.diverged[key] = int(np.count_nonzero(snaps[-1].diverged))
+        report.nonconverged[key] = _nonconverged_count(snaps[-1], x_trim)
+        if keep_snapshots:
+            snapshots_by_key[key] = snaps
     if cfg.kind == "disturbance" and cfg.controller == "both":
         lqr, gslqr = ([c for c in report.curves if c["controller"] == name]
                       for name in ("lqr", "gslqr"))

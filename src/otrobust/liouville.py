@@ -35,9 +35,9 @@ Vector fields are callables rhs(t, x, p) -> dx/dt, vectorized over leading
 sample axes (p may be None), or objects with such a state_rhs method and a
 state_rhs_div (a ClosedLoop). Per-sample propagation is independent, so the
 ensemble can be split across a process pool. The split is round robin:
-worker i takes rows i, i + workers, ..., so that every block of a stacked
-ensemble (one block per controller and disturbance, see harness._cases)
-spreads over all workers; the results are reassembled in index order, and
+worker i takes rows i, i + workers, ..., so that the rows of every curve of
+a stacked ensemble (one per controller and variant, see harness._cases)
+spread over the workers; the results are reassembled in index order, and
 the arithmetic per sample is identical regardless of the split.
 """
 
@@ -238,7 +238,10 @@ def _propagate_chunk(args):
 def resolve_workers(workers: int | None = None) -> int:
     """Worker-count policy: explicit argument capped by OTROBUST_WORKERS."""
     env = os.environ.get(WORKERS_ENV)
-    cap = int(env) if env else None
+    try:
+        cap = int(env) if env else None
+    except ValueError:
+        raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
     if workers is None:
         workers = cap if cap is not None else 1
     if cap is not None:

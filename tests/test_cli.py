@@ -174,13 +174,16 @@ MALFORMED = {
     "x_pert": {"kind": "param", "x_pert": {"theta": 1.0, "alpha": 2.8, "q": 0.0}},
     "workers": {"workers": "two"},
     "param": {"kind": "param", "param_delta_percent": [150]},
+    "t_f": {"t_f": 1e308, "dt": 1e-308},  # t_f / dt rounds to infinitely many steps
+    "dt": {"t_f": 0.001, "dt": 0.01},     # or to none
     "ic_box_deg": {"ic_box_deg": {"theta": ["a", "b"], "V": [-65, 65],
                                   "alpha": [-20, 50], "q": [-70, 70]}},
 }
 
 
 @pytest.mark.parametrize("command,field", [("scenario", f) for f in MALFORMED]
-                         + [("propagate", f) for f in ("x_pert", "workers", "ic_box_deg")])
+                         + [("propagate", f) for f in ("x_pert", "workers", "ic_box_deg",
+                                                       "t_f", "dt")])
 def test_malformed_scenario_config_exits_2(capsys, tmp_path, command, field):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**SMALL_IC, **MALFORMED[field]}))
@@ -201,6 +204,19 @@ def test_repeated_sweep_label_exits_2_and_writes_nothing(capsys, tmp_path, field
     code, _, err = run_cli(capsys, "scenario", "--config", str(cfg), "--out", str(out))
     assert code == EXIT_CONFIG
     assert "share the label" in err
+    assert not out.exists()
+
+
+def test_malformed_workers_variable_exits_2_naming_it(capsys, tmp_path, monkeypatch, setup):
+    import otrobust.cli as cli
+    monkeypatch.setattr(cli.harness, "build_controllers", lambda *a, **k: setup)
+    monkeypatch.setenv("OTROBUST_WORKERS", "two")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SMALL_IC))
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "scenario", "--config", str(cfg), "--out", str(out))
+    assert code == EXIT_CONFIG
+    assert "OTROBUST_WORKERS" in err and "'two'" in err
     assert not out.exists()
 
 

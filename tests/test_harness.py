@@ -65,7 +65,10 @@ def test_config_validation_errors():
                    {"kind": "param", "param_delta_percent": ["2.5"]},
                    {"kind": "param", "param_delta_percent": [150]},
                    {"kind": "param", "param_delta_percent": [-5]},
-                   {"kind": "disturbance", "omega_rad_s": []}]:
+                   {"kind": "disturbance", "omega_rad_s": []},
+                   {"kind": "param", "param_delta_percent": True},
+                   {"kind": "disturbance", "omega_rad_s": False},
+                   {"t_f": 1e308, "dt": 1e-308}, {"t_f": 0.001, "dt": 0.01}]:
         with pytest.raises(ConfigError):
             ScenarioConfig(**{"kind": "ic", **fields})
 
@@ -379,9 +382,8 @@ def test_param_scenario_centres_on_the_setup_plant(setup):
     heavy = replace(setup, params=AircraftParams(m=700.0))
     cfg = ScenarioConfig(kind="param", controller="lqr", samples=8, t_f=0.1,
                          dt=0.01, emit_every=5, param_delta_percent=[0.0, 2.5])
-    [(_, stacked, variants)] = list(harness._runs(cfg, heavy))
-    assert stacked[0].params[0, 0] == 700.0  # the deterministic nominal row
-    (_, zero), (_, box) = variants
+    (_, _, deterministic), (_, _, zero), (_, _, box) = harness._runs(cfg, heavy)
+    assert deterministic[0].params[0, 0] == 700.0  # the deterministic nominal row
     for s in zero:
         assert np.all(s.params[:, 0] == 700.0)
     assert np.all(np.abs(box[0].params[:, 0] - 700.0) <= 700.0 * 0.025)
@@ -441,6 +443,29 @@ def test_param_stacked_slices_equal_own_propagation(param_small, params, setup):
                     assert np.array_equal(getattr(a, f), getattr(b, f)), (name, delta, f)
 
 
+@pytest.mark.parametrize("name", ["lqr", "gslqr"])
+def test_param_deterministic_curve_equals_its_own_one_row_propagation(setup, name):
+    # x0 alone on the set-up plant: for lqr a lone row takes LqrLaw's two-row
+    # BLAS block, in the stacked ensemble it shares a block with the clouds
+    cfg = ScenarioConfig(**{**PARAM_SMALL, "controller": name, "t_f": 2.0})
+    x_trim = setup.trim.x_trim.as_array()
+    x0 = x_trim + _x_pert_internal(cfg)
+    p = setup.params
+    alone = EnsembleSnapshot.from_cloud(x0[None], np.ones(1), np.ones(1),
+                                        params=np.array([[p.m, p.xcg, p.Jyy]]))
+    own = propagate(alone, setup.closed_loop(name), cfg.t_f, cfg.dt, cfg.emit_every)
+    [curve] = [snaps for _, variant, snaps in harness._runs(cfg, setup)
+               if variant == "deterministic"]
+    assert len(curve) == len(own)
+    for a, b in zip(curve, own):
+        assert a.t == b.t
+        for f in ("states", "params", "phi", "gamma", "diverged"):
+            assert np.array_equal(getattr(a, f), getattr(b, f)), (name, a.t, f)
+    _, W = run_scenario(cfg, setup=setup).curve(name, "deterministic")
+    assert W.tolist() == [float(np.linalg.norm((s.states[0] - x_trim) * PAPER_STATE_SCALE))
+                          for s in own]
+
+
 def test_param_report_hash_independent_of_workers(param_small, setup):
     cfg, rep = param_small
     rep2 = run_scenario(ScenarioConfig(**PARAM_SMALL, workers=2), setup=setup)
@@ -490,16 +515,18 @@ def test_disturbance_difference_series(setup):
 
 
 def _blocks_equal_own_propagation(cfg, setup, disturbance=lambda k: None):
-    """Each block of the scenario's one propagation against its initial
+    """Each curve of the scenario's one propagation against its initial
     cloud's own propagation through its controller alone, bit for bit."""
-    _, _, blocks = harness._cases(cfg, setup)
+    _, _, curves = harness._cases(cfg, setup)
     runs = list(harness._runs(cfg, setup))
-    assert len(runs) == len(blocks) == len(cfg.controllers) * (
-        len(cfg.omega_rad_s) if cfg.kind == "disturbance" else 1)
-    for k, ((name, _, cloud, _), (run_name, snaps, _)) in enumerate(zip(blocks, runs)):
-        assert run_name == name
-        own = propagate(cloud, setup.closed_loop(name, disturbance(k)),
-                        cfg.t_f, cfg.dt, cfg.emit_every)
+    assert len(runs) == len(curves) == len(cfg.controllers) * {
+        "ic": 1, "param": 1 + len(cfg.param_delta_percent),
+        "disturbance": len(cfg.omega_rad_s)}[cfg.kind]
+    for k, ((name, variant, _, cloud), (run_name, run_variant, snaps)) in enumerate(
+            zip(curves, runs)):
+        assert (run_name, run_variant) == (name, variant)
+        loop = replace(setup.closed_loop(name), disturbance=disturbance(k))
+        own = propagate(cloud, loop, cfg.t_f, cfg.dt, cfg.emit_every)
         assert len(snaps) == len(own)
         for a, b in zip(snaps, own):
             assert a.t == b.t

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from otrobust import harness
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -46,3 +48,23 @@ def test_run_scenario_applies_overrides_and_prints_its_summary(monkeypatch, caps
     assert lines[1].startswith(f"outputs in {out_dir} (content hash ")
     assert lines[2].startswith("  lqr ") and "W(0)=" in lines[2] and "W(t_f)=" in lines[2]
     assert (out_dir / "report.json").is_file() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("horizon", [{"t_f": 1e308, "dt": 1e-308}, {"t_f": 0.001, "dt": 0.01}])
+def test_run_scenario_rejects_a_horizon_without_a_step_count(monkeypatch, capsys, config,
+                                                             tmp_path, horizon):
+    config.write_text(json.dumps({**json.loads(config.read_text()), **horizon}))
+    code, out, err = run_scenario_script(monkeypatch, capsys, str(config))
+    assert code == 2
+    assert out == "" and "step count" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_scenario_names_a_malformed_workers_variable(monkeypatch, capsys, config,
+                                                         tmp_path, setup):
+    monkeypatch.setattr(harness, "build_controllers", lambda **kw: setup)
+    monkeypatch.setenv("OTROBUST_WORKERS", "two")
+    code, out, err = run_scenario_script(monkeypatch, capsys, str(config))
+    assert code == 2
+    assert out == "" and "OTROBUST_WORKERS" in err and "'two'" in err
+    assert not (tmp_path / "out").exists()
