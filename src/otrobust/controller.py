@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .f16 import (CONTROL_UNITS, DEG, STATE_UNITS, AeroTables, AircraftParams, ControlInput,
-                  LongitudinalState, _cell, _crosses, _lattice, dynamics, numeric_arrays)
+                  LongitudinalState, _cell, _crosses, _lattice, dynamics)
 from .trim import TrimPoint, central_difference
 
 CARE_RESIDUAL_RTOL = 1e-8
@@ -253,28 +253,6 @@ class GainSchedule:
             "x_ref_deg": (self.x_ref * (1.0 / STATE_UNITS)).tolist(),
             "u_ref_deg": (self.u_ref * (1.0 / CONTROL_UNITS)).tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GainSchedule":
-        """Inverse of to_dict; ValueError naming a missing or malformed field."""
-        a = numeric_arrays(d, ("V_nodes", "alpha_nodes_deg", "x_trims_deg", "u_trims_deg",
-                               "K", "abscissa_open", "abscissa_closed", "x_ref_deg",
-                               "u_ref_deg"), "gain schedule")
-        for key, width in (("x_trims_deg", 4), ("u_trims_deg", 2), ("x_ref_deg", 4),
-                           ("u_ref_deg", 2)):
-            if a[key].shape[-1:] != (width,):
-                raise ValueError(f"gain schedule field {key!r} must end in an axis of {width}")
-        return cls(
-            V_nodes=a["V_nodes"],
-            alpha_nodes=a["alpha_nodes_deg"] * STATE_UNITS[2],
-            x_trims=a["x_trims_deg"] * STATE_UNITS,
-            u_trims=a["u_trims_deg"] * CONTROL_UNITS,
-            K=a["K"],
-            abscissa_open=a["abscissa_open"],
-            abscissa_closed=a["abscissa_closed"],
-            x_ref=a["x_ref_deg"] * STATE_UNITS,
-            u_ref=a["u_ref_deg"] * CONTROL_UNITS,
-        )
 
 
 def build_schedule(trims: list[TrimPoint], weights: LqrWeights, params: AircraftParams,

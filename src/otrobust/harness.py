@@ -54,7 +54,7 @@ from .controller import (
 from .f16 import (CONTROL_UNITS, DEG, STATE_UNITS, AeroTables, AircraftParams, ClosedLoop,
                   SineDisturbance, as_number)
 from .liouville import EnsembleSnapshot, likelihood_extremes, propagate
-from .sampling import BoxDomain, InitialPdf, halton, mcmc_sample, weighted_cloud
+from .sampling import BoxDomain, halton, mcmc_sample, weighted_cloud
 from .transport import wasserstein_dirac
 from .trim import TrimPoint, default_grid, find_trim, trim_grid
 
@@ -290,14 +290,14 @@ def _x_pert_internal(cfg: ScenarioConfig) -> np.ndarray:
 
 
 def _draw(cfg: ScenarioConfig, box: BoxDomain):
-    """cfg.samples draws (cfg.sampler) of the uniform density on box, with
-    their density values and transport masses (sampling.weighted_cloud)."""
-    pdf = InitialPdf.uniform_box(box)
+    """cfg.samples points of box (cfg.sampler: Halton, or the seeded random
+    walk on the box), each with the uniform density 1/volume and the
+    transport mass 1/n (sampling.weighted_cloud)."""
     if cfg.sampler == "halton":
         samples = halton(cfg.samples, box)
     else:
-        samples = mcmc_sample(pdf, cfg.samples, cfg.seed)
-    return weighted_cloud(samples, pdf)
+        samples = mcmc_sample(box, cfg.samples, cfg.seed)
+    return weighted_cloud(samples, box)
 
 
 def initial_cloud(cfg: ScenarioConfig, x_trim: np.ndarray) -> EnsembleSnapshot:

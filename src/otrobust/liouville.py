@@ -236,12 +236,15 @@ def _propagate_chunk(args):
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker-count policy: explicit argument capped by OTROBUST_WORKERS."""
+    """Worker-count policy: explicit argument capped by OTROBUST_WORKERS,
+    which must be an integer of at least 1 (ValueError otherwise)."""
     env = os.environ.get(WORKERS_ENV)
     try:
         cap = int(env) if env else None
     except ValueError:
         raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+    if cap is not None and cap < 1:
+        raise ValueError(f"{WORKERS_ENV} must be at least 1, got {env!r}")
     if workers is None:
         workers = cap if cap is not None else 1
     if cap is not None:

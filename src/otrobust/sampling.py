@@ -1,34 +1,32 @@
-"""Scattered sampling of initial joint densities.
+"""Scattered sampling of the uniform initial density on a box.
 
-Uniform box densities are sampled with deterministic Halton sequences;
-general densities with seeded random-walk Metropolis. Samples are then
-tagged with their initial density value and a uniform transport mass
-1/n, which together form the point cloud the propagation engine carries.
+Every initial density is uniform on an axis-aligned box (the
+initial-condition box, or the +/- delta percent parameter box). A cloud
+is drawn with a deterministic Halton sequence or a seeded random walk
+confined to the box; each sample is then tagged with the density value
+1/volume and a uniform transport mass 1/n, which together form the point
+cloud the propagation engine carries.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 DEFAULT_HALTON_SKIP = 20
-# Metropolis steps that adapt the proposal scale before any sample is kept.
+# Random-walk steps that adapt the proposal scale before any sample is kept.
 _BURN_IN = 1000
-
-
-class DegenerateProposalError(RuntimeError):
-    """Metropolis chain acceptance collapsed below 1% after adaptation."""
 
 
 @dataclass(frozen=True, eq=False)
 class BoxDomain:
-    """Axis-aligned box with per-dimension bounds (inclusive)."""
+    """Axis-aligned box with per-dimension bounds (inclusive), the support of
+    a uniform density; its volume and that density 1/volume must be finite
+    and positive."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -44,6 +42,11 @@ class BoxDomain:
             raise ValueError("lower/upper must be 1-D of equal length")
         if not np.all(lo < hi):
             raise ValueError("box requires lower < upper in every dimension")
+        with np.errstate(over="ignore", under="ignore"):
+            vol = self.volume()
+        if not 0.0 < vol < math.inf or 1.0 / vol == math.inf:
+            raise ValueError(f"box volume {vol!r} must be finite and positive, "
+                             "with a finite density 1/volume")
 
     @property
     def dim(self) -> int:
@@ -59,32 +62,6 @@ class BoxDomain:
     def contains(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return np.all((x >= self.lower) & (x <= self.upper), axis=-1)
-
-
-@dataclass(frozen=True, eq=False)
-class InitialPdf:
-    """Initial joint density over the (extended) state space.
-
-    density evaluates pointwise (batched over leading axes) and must return
-    0 off support, the box the Metropolis chain starts in and scales its
-    proposal to.
-    """
-
-    density: Callable[[np.ndarray], np.ndarray]
-    support: BoxDomain
-
-    def __call__(self, x) -> np.ndarray:
-        return np.asarray(self.density(np.asarray(x, dtype=float)))
-
-    @classmethod
-    def uniform_box(cls, box: BoxDomain) -> "InitialPdf":
-        """Uniform density 1/volume on the box, zero outside."""
-        inv_vol = 1.0 / box.volume()
-
-        def density(x: np.ndarray) -> np.ndarray:
-            return np.where(box.contains(x), inv_vol, 0.0)
-
-        return cls(density=density, support=box)
 
 
 def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
@@ -118,69 +95,44 @@ def halton(n: int, box: BoxDomain, skip: int = DEFAULT_HALTON_SKIP) -> np.ndarra
     return box.lower + unit * box.widths
 
 
-def mcmc_sample(pdf: InitialPdf, n: int, seed: int) -> np.ndarray:
-    """Random-walk Metropolis samples from pdf, seeded and reproducible.
+def mcmc_sample(box: BoxDomain, n: int, seed: int) -> np.ndarray:
+    """n states of a seeded random walk on the box, reproducible per seed.
 
-    The chain starts at the centre of pdf.support. The proposal is an
-    isotropic-per-axis Gaussian initialised at 10% of each support
-    dimension, with log-scale adaptation toward 30% acceptance during the
-    _BURN_IN burn-in steps only. Raises DegenerateProposalError if
-    fewer than 1% of post-adaptation proposals are accepted.
+    This is random-walk Metropolis on the uniform density of the box: the
+    Metropolis ratio is 1, so a candidate is accepted exactly when it lies
+    in the box, and otherwise the chain repeats its state. It starts at the
+    box centre. The per-axis Gaussian proposal starts at 10% of each box
+    width and adapts its log scale toward 30% acceptance during the
+    _BURN_IN burn-in steps only.
     """
     if n <= 0:
         raise ValueError("sample count must be positive")
-    box = pdf.support
     scale = 0.1 * box.widths
     x = 0.5 * (box.lower + box.upper)
-
     rng = np.random.default_rng(seed)
-    fx = float(pdf(x))
-    if fx <= 0:
-        raise ValueError("chain must start inside the support")
-
-    accepted = 0
-    window = 0
-    for step in range(_BURN_IN):
-        cand = x + scale * rng.standard_normal(x.size)
-        fc = float(pdf(cand))
-        if fc > 0 and rng.uniform() < fc / fx:
-            x, fx = cand, fc
-            window += 1
-        if (step + 1) % 100 == 0:
-            rate = window / 100.0
-            scale *= math.exp(rate - 0.30)
-            window = 0
-
     out = np.empty((n, x.size))
-    for k in range(n):
+    window = 0
+    for k in range(_BURN_IN + n):
         cand = x + scale * rng.standard_normal(x.size)
-        fc = float(pdf(cand))
-        if fc > 0 and rng.uniform() < fc / fx:
-            x, fx = cand, fc
-            accepted += 1
-        out[k] = x
-    if accepted < 0.01 * n:
-        raise DegenerateProposalError(
-            f"acceptance rate {accepted / n:.4f} below 1% after adaptation")
+        if box.contains(cand):
+            rng.uniform()  # the acceptance draw, kept so every seed keeps its stream
+            x = cand
+            window += 1
+        if k >= _BURN_IN:
+            out[k - _BURN_IN] = x
+        elif (k + 1) % 100 == 0:
+            scale *= math.exp(window / 100.0 - 0.30)
+            window = 0
     return out
 
 
-def weighted_cloud(samples: np.ndarray, pdf: InitialPdf):
-    """Attach initial density values and uniform transport masses.
+def weighted_cloud(samples: np.ndarray, box: BoxDomain):
+    """Attach the uniform density 1/box.volume() and transport masses 1/n.
 
-    Samples with zero density (off support) are rejected with a warning;
-    the remaining n samples carry gamma = 1/n each, so the masses sum to
-    one exactly under compensated summation.
+    The samples are Halton points or random-walk states of the box, so
+    every one lies inside it. Each carries gamma = 1/n, so the masses sum
+    to one exactly under compensated summation.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    phi = np.asarray(pdf(samples), dtype=float)
-    keep = phi > 0.0
-    n_bad = int(np.count_nonzero(~keep))
-    if n_bad:
-        warnings.warn(f"rejected {n_bad} off-support sample(s) with zero density",
-                      stacklevel=2)
-        samples, phi = samples[keep], phi[keep]
-    if samples.shape[0] == 0:
-        raise ValueError("no samples left inside the support")
-    gamma = np.full(samples.shape[0], 1.0 / samples.shape[0])
-    return samples, phi, gamma
+    n = samples.shape[0]
+    return samples, np.full(n, 1.0 / box.volume()), np.full(n, 1.0 / n)

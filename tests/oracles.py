@@ -100,16 +100,15 @@ def query_density(x_star: np.ndarray, t: float, rhs, phi0, dt: float,
     The point is integrated backward to time zero; if it lands outside the
     support of the initial density the answer is exactly zero, otherwise
     the characteristic is re-integrated forward from the recovered initial
-    condition. phi0 must expose support membership through a zero density
-    value (as InitialPdf does). The trailing n_params entries of x_star are
-    the frozen parameter block.
+    condition. phi0 is the initial density as a function, zero off its
+    support. The trailing n_params entries of x_star are the frozen
+    parameter block.
     """
     if t < 0:
         raise ValueError("query time must be nonnegative")
     x_star = np.asarray(x_star, dtype=float).reshape(-1)
-    phi_fn = phi0 if callable(phi0) else phi0.density
     if t == 0.0:
-        return float(np.asarray(phi_fn(x_star)))
+        return float(np.asarray(phi0(x_star)))
 
     dx = x_star.size - n_params
     x = x_star[:dx][None, :]
@@ -127,7 +126,7 @@ def query_density(x_star: np.ndarray, t: float, rhs, phi0, dt: float,
                     f"backward integration diverged at t={tau - dt_eff:.4f}")
 
     x0_ext = np.concatenate([x[0], p[0] if p is not None else []])
-    phi_init = float(np.asarray(phi_fn(x0_ext)))
+    phi_init = float(np.asarray(phi0(x0_ext)))
     if phi_init == 0.0:
         return 0.0
 

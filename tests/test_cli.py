@@ -220,6 +220,54 @@ def test_malformed_workers_variable_exits_2_naming_it(capsys, tmp_path, monkeypa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_non_positive_workers_variable_exits_2_naming_it(capsys, tmp_path, monkeypatch, setup,
+                                                         value):
+    import otrobust.cli as cli
+    monkeypatch.setattr(cli.harness, "build_controllers", lambda *a, **k: setup)
+    monkeypatch.setenv("OTROBUST_WORKERS", value)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SMALL_IC))
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "propagate", "--scenario", str(cfg), "--out", str(out))
+    assert code == EXIT_CONFIG
+    assert "OTROBUST_WORKERS must be at least 1" in err and f"'{value}'" in err
+    assert not out.exists()
+
+
+# Bounds whose box volume overflows, and bounds whose volume underflows to zero.
+DEGENERATE_IC_BOXES = {
+    "overflow": {k: [-1e300, 1e300] for k in DEFAULT_IC_BOX_DEG},
+    "underflow": {"theta": [0, 1e-14], "V": [0, 1e-10], "alpha": [0, 1e-14], "q": [0, 1e-300]},
+}
+
+
+@pytest.mark.parametrize("box", DEGENERATE_IC_BOXES)
+def test_ic_box_without_a_finite_positive_volume_exits_2(capsys, tmp_path, monkeypatch, setup,
+                                                         box):
+    import otrobust.cli as cli
+    monkeypatch.setattr(cli.harness, "build_controllers", lambda *a, **k: setup)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_IC, "ic_box_deg": DEGENERATE_IC_BOXES[box]}))
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "propagate", "--scenario", str(cfg), "--out", str(out))
+    assert code == EXIT_CONFIG
+    assert "box volume" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_propagate_a_one_sample_random_walk_cloud(capsys, tmp_path, monkeypatch, setup, seed):
+    import otrobust.cli as cli
+    monkeypatch.setattr(cli.harness, "build_controllers", lambda *a, **k: setup)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_IC, "samples": 1, "sampler": "mcmc", "seed": seed}))
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "propagate", "--scenario", str(cfg), "--out", str(out))
+    assert code == EXIT_OK, err
+    assert read_snapshot_csv(out / "lqr.csv")[0].states.shape == (1, 4)
+
+
 @pytest.mark.parametrize("kind,fields,first_variant", [
     ("ic", {}, ""),
     ("param", {"param_delta_percent": [2.5, 15.0]}, "|delta=2.5"),

@@ -28,7 +28,7 @@ from otrobust.harness import (
     write_snapshot_csv,
 )
 from otrobust.liouville import EnsembleSnapshot, propagate
-from otrobust.sampling import BoxDomain, InitialPdf
+from otrobust.sampling import BoxDomain
 from otrobust.transport import (
     DiscreteDistribution,
     extended_wasserstein,
@@ -480,7 +480,7 @@ def test_array_holding_dataclasses_compare_by_identity(tables, setup):
     objs = [tables, setup, setup.model, setup.schedule, LqrWeights(),
             setup.closed_loop("lqr").law, setup.closed_loop("gslqr").law,
             setup.closed_loop("lqr"),
-            box, InitialPdf.uniform_box(box), dist, wasserstein_lp(dist, dist), snap]
+            box, dist, wasserstein_lp(dist, dist), snap]
     for obj in objs:
         twin = copy.deepcopy(obj)
         assert (obj == twin) is False, type(obj).__name__

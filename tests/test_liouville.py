@@ -12,7 +12,7 @@ from otrobust.liouville import (
     propagate,
     resolve_workers,
 )
-from otrobust.sampling import BoxDomain, InitialPdf
+from otrobust.sampling import BoxDomain
 
 
 class LinearField:
@@ -27,6 +27,11 @@ class LinearField:
 
 def linear_rhs(M):
     return LinearField(M)
+
+
+def uniform_density(box):
+    """The uniform density on box as a function, zero off the box."""
+    return lambda x: np.where(box.contains(x), 1.0 / box.volume(), 0.0)
 
 
 @pytest.fixture()
@@ -172,16 +177,24 @@ def test_workers_env_cap(monkeypatch):
     assert resolve_workers(4) == 4
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_workers_env_cap_below_one_is_rejected(monkeypatch, value):
+    monkeypatch.setenv("OTROBUST_WORKERS", value)
+    for workers in (None, 4):
+        with pytest.raises(ValueError, match=f"OTROBUST_WORKERS must be at least 1, got '{value}'"):
+            resolve_workers(workers)
+
+
 def test_query_density_at_time_zero():
     box = BoxDomain(-np.ones(2), np.ones(2))
-    pdf = InitialPdf.uniform_box(box)
+    pdf = uniform_density(box)
     rhs = lambda t, x, p: -x
     assert query_density(np.array([0.2, 0.2]), 0.0, rhs, pdf, 0.01) == pytest.approx(0.25)
 
 
 def test_query_density_matches_propagated_sample(stable_M, rng):
     box = BoxDomain(-2 * np.ones(4), 2 * np.ones(4))
-    pdf = InitialPdf.uniform_box(box)
+    pdf = uniform_density(box)
     rhs = linear_rhs(stable_M)
     x0 = np.array([0.5, -0.3, 0.8, -1.0])
     cloud = EnsembleSnapshot.from_cloud(x0[None, :], [float(pdf(x0))], [1.0])
@@ -192,7 +205,7 @@ def test_query_density_matches_propagated_sample(stable_M, rng):
 
 def test_query_density_outside_support_is_zero(stable_M):
     box = BoxDomain(-np.ones(4), np.ones(4))
-    pdf = InitialPdf.uniform_box(box)
+    pdf = uniform_density(box)
     rhs = linear_rhs(stable_M)
     # far away: back-propagates outside the box
     assert query_density(np.array([50.0, 0, 0, 0]), 1.0, rhs, pdf, 1e-3) == 0.0
@@ -257,7 +270,7 @@ def test_worker_pool_keeps_preflagged_samples_frozen(stable_M, rng, monkeypatch)
 
 def test_query_density_below_half_step(stable_M):
     box = BoxDomain(-2 * np.ones(4), 2 * np.ones(4))
-    pdf = InitialPdf.uniform_box(box)
+    pdf = uniform_density(box)
     rhs = linear_rhs(stable_M)
     x = np.array([0.1, -0.2, 0.3, 0.05])
     # t < dt/2 rounds to zero steps; one step of length t is taken instead

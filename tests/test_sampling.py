@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from otrobust.sampling import (
-    BoxDomain,
-    DegenerateProposalError,
-    InitialPdf,
-    halton,
-    mcmc_sample,
-    weighted_cloud,
-)
+from otrobust.sampling import BoxDomain, halton, mcmc_sample, weighted_cloud
 
 
 def test_box_validation():
@@ -20,6 +13,16 @@ def test_box_validation():
     box = BoxDomain([-1.0, 0.0], [1.0, 2.0])
     assert box.dim == 2
     assert box.volume() == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("lower, upper, volume", [
+    ([-1e300, -1e300], [1e300, 1e300], "inf"),             # the volume overflows
+    ([0.0, 0.0, 0.0], [1e-14, 1e-300, 1e-14], "0.0"),      # it underflows to zero
+    ([0.0, 0.0], [1e-160, 1e-160], "1e-320"),              # 1/volume overflows
+])
+def test_box_rejects_a_volume_that_is_not_finite_and_positive(lower, upper, volume):
+    with pytest.raises(ValueError, match=f"box volume {volume} "):
+        BoxDomain(lower, upper)
 
 
 def test_halton_base2_prefix():
@@ -68,60 +71,54 @@ def test_halton_stays_in_box(n):
 
 def test_uniform_pdf_values():
     box = BoxDomain([0.0, 0.0], [2.0, 5.0])
-    pdf = InitialPdf.uniform_box(box)
-    assert pdf(np.array([1.0, 1.0])) == pytest.approx(0.1)
-    assert pdf(np.array([3.0, 1.0])) == 0.0
+    _, phi, _ = weighted_cloud(np.array([1.0, 1.0]), box)
+    assert phi.tolist() == [pytest.approx(0.1)]
+    assert not box.contains(np.array([3.0, 1.0]))
 
 
 def test_mcmc_uniform_box_mean(rng):
     box = BoxDomain([0.0, -2.0], [4.0, 2.0])
-    pdf = InitialPdf.uniform_box(box)
     n = 4000
-    samples = mcmc_sample(pdf, n, seed=7)
+    samples = mcmc_sample(box, n, seed=7)
     center = 0.5 * (box.lower + box.upper)
     # CLT bound with 4 sigma margin; correlated chain inflates the spread,
     # so allow an effective-sample-size factor
     sigma = box.widths / math.sqrt(12.0)
     bound = 4.0 * sigma / math.sqrt(n / 20.0)
     assert np.all(np.abs(samples.mean(axis=0) - center) < bound)
-    assert np.all(pdf(samples) > 0)
-
-
-def test_mcmc_narrow_target_shrinks(rng):
-    box = BoxDomain([-1.0], [1.0])
-
-    def narrow(width):
-        def density(x):
-            return np.where(np.abs(x[..., 0]) < width, 1.0 / (2 * width), 0.0)
-        return InitialPdf(density=density, support=box)
-
-    wide = mcmc_sample(narrow(0.5), 2000, seed=3)
-    tight = mcmc_sample(narrow(0.05), 2000, seed=3)
-    assert tight.std() < wide.std()
+    assert np.all(box.contains(samples))
 
 
 def test_mcmc_deterministic():
     box = BoxDomain([0.0], [1.0])
-    pdf = InitialPdf.uniform_box(box)
-    assert np.array_equal(mcmc_sample(pdf, 100, seed=11), mcmc_sample(pdf, 100, seed=11))
+    assert np.array_equal(mcmc_sample(box, 100, seed=11), mcmc_sample(box, 100, seed=11))
 
 
-def test_mcmc_degenerate_proposal_error():
-    box = BoxDomain([0.0], [1.0])
+# The walk's first five states for seed 7, as the general Metropolis sampler
+# drew them: a candidate outside the box repeats the state.
+PINNED_WALK = [["0x1.9eac5db69e968p-3", "-0x1.f86111a6ba35fp+0"],
+               ["0x1.9eac5db69e968p-3", "-0x1.f86111a6ba35fp+0"],
+               ["0x1.4de2ea984563cp-5", "-0x1.18f5d634bf8e0p+0"],
+               ["0x1.4de2ea984563cp-5", "-0x1.18f5d634bf8e0p+0"],
+               ["0x1.4de2ea984563cp-5", "-0x1.18f5d634bf8e0p+0"]]
 
-    def spike(x):
-        return np.where(np.abs(x[..., 0] - 0.5) < 1e-12, 1.0, 0.0)
 
-    pdf = InitialPdf(density=spike, support=box)
-    with pytest.raises(DegenerateProposalError):
-        mcmc_sample(pdf, 500, seed=0)
+def test_mcmc_stream_is_pinned():
+    walk = mcmc_sample(BoxDomain([0.0, -2.0], [4.0, 2.0]), 5, seed=7)
+    assert walk.tolist() == [[float.fromhex(v) for v in row] for row in PINNED_WALK]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mcmc_small_clouds_stay_in_the_box(n):
+    box = BoxDomain([-1.0, 0.0, 2.0], [1.0, 3.0, 2.5])
+    for seed in range(10):
+        assert np.all(box.contains(mcmc_sample(box, n, seed)))
 
 
 def test_weighted_cloud_uniform_density():
     box = BoxDomain([0.0, 0.0], [2.0, 2.0])
-    pdf = InitialPdf.uniform_box(box)
     samples = halton(100, box)
-    pts, phi, gamma = weighted_cloud(samples, pdf)
+    pts, phi, gamma = weighted_cloud(samples, box)
     assert np.all(phi == pytest.approx(0.25))
     assert math.fsum(gamma.tolist()) == 1.0
 
@@ -129,16 +126,5 @@ def test_weighted_cloud_uniform_density():
 @pytest.mark.parametrize("n", [1, 2, 7, 200, 2000])
 def test_mass_normalization_exact(n):
     box = BoxDomain([0.0], [1.0])
-    pdf = InitialPdf.uniform_box(box)
-    _, _, gamma = weighted_cloud(halton(n, box), pdf)
-    assert math.fsum(gamma.tolist()) == 1.0
-
-
-def test_weighted_cloud_rejects_off_support():
-    box = BoxDomain([0.0], [1.0])
-    pdf = InitialPdf.uniform_box(box)
-    samples = np.array([[0.5], [2.0], [0.25]])
-    with pytest.warns(UserWarning, match="off-support"):
-        pts, phi, gamma = weighted_cloud(samples, pdf)
-    assert pts.shape[0] == 2
+    _, _, gamma = weighted_cloud(halton(n, box), box)
     assert math.fsum(gamma.tolist()) == 1.0

@@ -68,3 +68,29 @@ def test_run_scenario_names_a_malformed_workers_variable(monkeypatch, capsys, co
     assert code == 2
     assert out == "" and "OTROBUST_WORKERS" in err and "'two'" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_run_scenario_rejects_a_non_positive_workers_variable(monkeypatch, capsys, config,
+                                                              tmp_path, setup, value):
+    monkeypatch.setattr(harness, "build_controllers", lambda **kw: setup)
+    monkeypatch.setenv("OTROBUST_WORKERS", value)
+    code, out, err = run_scenario_script(monkeypatch, capsys, str(config))
+    assert code == 2
+    assert out == "" and "OTROBUST_WORKERS must be at least 1" in err
+    assert not (tmp_path / "out").exists()
+
+
+# Bounds whose box volume overflows, and bounds whose volume underflows to zero.
+@pytest.mark.parametrize("box", [
+    {k: [-1e300, 1e300] for k in harness.DEFAULT_IC_BOX_DEG},
+    {"theta": [0, 1e-14], "V": [0, 1e-10], "alpha": [0, 1e-14], "q": [0, 1e-300]}],
+    ids=["overflow", "underflow"])
+def test_run_scenario_rejects_an_ic_box_without_a_finite_positive_volume(
+        monkeypatch, capsys, config, tmp_path, setup, box):
+    monkeypatch.setattr(harness, "build_controllers", lambda **kw: setup)
+    config.write_text(json.dumps({**json.loads(config.read_text()), "ic_box_deg": box}))
+    code, out, err = run_scenario_script(monkeypatch, capsys, str(config))
+    assert code == 2
+    assert out == "" and "box volume" in err
+    assert not (tmp_path / "out").exists()
