@@ -15,17 +15,17 @@ A ControllerSetup holds the gains and the plant they fly. Every scenario
 is one propagation: _cases(cfg, setup) lays out one flat list of curves in
 report order, each (controller, variant, its rows, its initial cloud), and
 stacks their clouds into one ensemble whose per-row index columns pick
-each row's law and disturbance; _runs(cfg, setup, track_density)
-propagates it once and slices out each curve. run_scenario scores every
-curve; mc_compare and the CLI's propagate take the first variant's
-snapshots from the same pipeline, _first_variants(cfg, setup). Every curve
-is a closed-form Dirac distance to trim, the param one on the extended
-space (see _cases); the transportation LP is kept for general CLI inputs
-and as the oracle of that score. Wasserstein values are reported in the
-degree-based reporting units (deg, ft/s, deg, deg/s) of f16.STATE_UNITS,
-as are all file outputs. Reports are plain dicts rendered to report.json /
-W.csv / snapshot CSVs, stamped with a content hash so identical
-configurations are bit-reproducible.
+each row's law and disturbance; _runs(cfg, setup) propagates it once and
+slices out each curve. run_scenario scores every curve; the CLI's
+propagate takes the first variant's snapshots from the same pipeline,
+_first_variants(cfg, setup). Every curve is a closed-form Dirac distance
+to trim, the param one on the extended space (see _cases); the
+transportation LP is kept for general CLI inputs and as the oracle of
+that score. Wasserstein values are reported in the degree-based reporting
+units (deg, ft/s, deg, deg/s) of f16.STATE_UNITS, as are all file outputs.
+Reports are plain dicts rendered to report.json / W.csv / snapshot CSVs,
+stamped with a content hash so identical configurations are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .controller import (
 )
 from .f16 import (CONTROL_UNITS, DEG, STATE_UNITS, AeroTables, AircraftParams, ClosedLoop,
                   SineDisturbance, as_number)
-from .liouville import EnsembleSnapshot, likelihood_extremes, propagate
+from .liouville import EnsembleSnapshot, propagate
 from .sampling import BoxDomain, halton, mcmc_sample, weighted_cloud
 from .transport import wasserstein_dirac
 from .trim import TrimPoint, default_grid, find_trim, trim_grid
@@ -280,8 +280,22 @@ def build_controllers(params: AircraftParams | None = None,
 
 
 def _ic_box_internal(cfg: ScenarioConfig, x_trim: np.ndarray) -> BoxDomain:
+    """The ic box around x_trim in internal units. ConfigError names the
+    ic_box_deg entry whose shifted bounds are not strictly ordered, or, for
+    a box volume that is not finite and positive, the widest (overflow) or
+    narrowest (underflow) entry."""
     lower, upper = np.array([cfg.ic_box_deg[k] for k in STATE_KEYS], dtype=float).T
-    return BoxDomain(x_trim + lower * STATE_UNITS, x_trim + upper * STATE_UNITS)
+    lower, upper = x_trim + lower * STATE_UNITS, x_trim + upper * STATE_UNITS
+    for key, lo, hi in zip(STATE_KEYS, lower.tolist(), upper.tolist()):
+        if not lo < hi:
+            raise ConfigError(f"ic_box_deg[{key!r}] {cfg.ic_box_deg[key]!r} shifted to trim "
+                              f"gives bounds [{lo!r}, {hi!r}] that are not strictly ordered")
+    try:
+        return BoxDomain(lower, upper)
+    except ValueError as exc:
+        widths = upper - lower
+        k = np.argmax(widths) if np.log(widths).sum() > 0.0 else np.argmin(widths)
+        raise ConfigError(f"ic_box_deg[{STATE_KEYS[k]!r}]: {exc}") from None
 
 
 def _x_pert_internal(cfg: ScenarioConfig) -> np.ndarray:
@@ -305,18 +319,12 @@ def initial_cloud(cfg: ScenarioConfig, x_trim: np.ndarray) -> EnsembleSnapshot:
     return EnsembleSnapshot.from_cloud(*_draw(cfg, _ic_box_internal(cfg, x_trim)))
 
 
-def weighted_mean(states: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Mass-weighted ensemble mean; also used for plain MC averages so the
-    two sides agree bit for bit under equal masses."""
-    return np.asarray(gamma) @ np.asarray(states)
-
-
 def marginal_histogram(snapshot: EnsembleSnapshot, axis: int, bins: int,
                        value_range=None):
     """Mass-weighted histogram of one state axis; bin masses sum to 1."""
     if bins < 1:
         raise ValueError("bins must be at least 1")
-    values = snapshot.extended[:, axis]
+    values = snapshot.states[:, axis]
     masses, edges = np.histogram(values, bins=bins, range=value_range,
                                  weights=snapshot.gamma)
     return masses, edges
@@ -383,8 +391,10 @@ def _histograms(snapshots, bins: int = 40) -> list[dict]:
 
 
 def _extremes_records(snapshots) -> list[dict]:
-    return [{"t": t, "most_likely": hi, "least_likely": lo}
-            for t, hi, lo in likelihood_extremes(snapshots)]
+    """Most- and least-likely trajectory ids (argmax and argmin phi) per
+    emitted time; ties break to the lowest sample index."""
+    return [{"t": s.t, "most_likely": int(np.argmax(s.phi)),
+             "least_likely": int(np.argmin(s.phi))} for s in snapshots]
 
 
 def _nonconverged_count(snapshot: EnsembleSnapshot, x_trim: np.ndarray,
@@ -631,7 +641,7 @@ def _cases(cfg: ScenarioConfig, setup: ControllerSetup):
     return ensemble, loop, [curve for _, curve in sorted(keyed, key=lambda e: e[0][::-1])]
 
 
-def _runs(cfg: ScenarioConfig, setup: ControllerSetup, track_density: bool = True):
+def _runs(cfg: ScenarioConfig, setup: ControllerSetup):
     """Propagate the stacked ensemble of _cases once and slice it up.
 
     Yields, per curve in report order, (controller, variant, snapshots): its
@@ -639,19 +649,19 @@ def _runs(cfg: ScenarioConfig, setup: ControllerSetup, track_density: bool = Tru
     """
     ensemble, loop, curves = _cases(cfg, setup)
     snaps = propagate(ensemble, loop, cfg.t_f, cfg.dt, cfg.emit_every,
-                      cfg.strict_rk4, cfg.workers, track_density)
+                      cfg.strict_rk4, cfg.workers)
     for name, variant, rows, cloud in curves:
         yield name, variant, [EnsembleSnapshot(t=s.t, states=s.states[rows], params=cloud.params,
                                                phi=s.phi[rows], gamma=cloud.gamma,
                                                diverged=s.diverged[rows]) for s in snaps]
 
 
-def _first_variants(cfg: ScenarioConfig, setup: ControllerSetup, track_density: bool = True):
+def _first_variants(cfg: ScenarioConfig, setup: ControllerSetup):
     """(controller, snapshots) of each controller's first variant: the first
     omega or delta cloud; the param deterministic curve is skipped."""
     sweep = _SWEEPS.get(cfg.kind)
     first = replace(cfg, **{sweep: getattr(cfg, sweep)[:1]}) if sweep else cfg
-    for name, variant, snaps in _runs(first, setup, track_density):
+    for name, variant, snaps in _runs(first, setup):
         if variant != "deterministic":
             yield name, snaps
 
@@ -706,23 +716,3 @@ def run_scenario(cfg: ScenarioConfig, setup: ControllerSetup | None = None,
         report.extras["snapshots"] = snapshots_by_key
     return report
 
-
-def mc_compare(cfg: ScenarioConfig, setup: ControllerSetup | None = None) -> dict:
-    """Plain trajectory ensembles (no density ODE) for cross-validation.
-
-    Runs each controller's first variant of the scenario through the same
-    propagation and integrator kernel as the density side, so state
-    trajectories agree bit for bit with the characteristics under identical
-    seeds. Returns per controller the stacked states (T, n, 4), the
-    mass-weighted means (computed by the routine the density side uses)
-    and the snapshots. The set-up defaults as in run_scenario.
-    """
-    setup = setup or build_controllers(need_schedule="gslqr" in cfg.controllers)
-    out = {"controllers": {}}
-    for name, snaps in _first_variants(cfg, setup, track_density=False):
-        out["controllers"][name] = {
-            "states": np.stack([s.states for s in snaps]),
-            "mean": np.stack([weighted_mean(s.states, s.gamma) for s in snaps]),
-            "snapshots": snaps,
-        }
-    return out

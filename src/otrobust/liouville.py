@@ -47,7 +47,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -93,11 +93,6 @@ class EnsembleSnapshot:
     @property
     def n(self) -> int:
         return self.states.shape[0]
-
-    @property
-    def extended(self) -> np.ndarray:
-        """States and parameters concatenated, (n, dx + dp)."""
-        return np.concatenate([self.states, self.params], axis=1)
 
     @classmethod
     def from_cloud(cls, states, phi, gamma, params=None, t: float = 0.0) -> "EnsembleSnapshot":
@@ -167,27 +162,25 @@ def _rhs_div(f, fused, t, X, P):
     return k, div
 
 
-def _step(f, fused, t, X, P, phi, dt, strict_rk4: bool, track_density: bool):
+def _step(f, fused, t, X, P, phi, dt, strict_rk4: bool):
     """One RK4 step of states plus the density factor for the step.
 
     Each stage calls f, or _rhs_div where the density needs a divergence:
     at every stage under strict_rk4, by default only at the k2 stage (the
-    Euler midpoint X2), and nowhere with track_density=False. The state
-    arithmetic is the same either way, so a plain trajectory ensemble
-    reproduces the density-tracking run bit for bit.
+    Euler midpoint X2). Either way the states follow the classical RK4
+    tableau on f, since the xdot of state_rhs_div is f's bit for bit: a
+    plain states-only RK4 ensemble reproduces them exactly.
     """
     k, div = [], []
     for c in _RK4_C:
         Xs = X + c * dt * k[-1] if k else X
-        if track_density and (strict_rk4 or len(k) == 1):
+        if strict_rk4 or len(k) == 1:
             ki, di = _rhs_div(f, fused, t + c * dt, Xs, P)
             div.append(di)
         else:
             ki = f(t + c * dt, Xs, P)
         k.append(ki)
     X_new = X + dt / 6.0 * (k[0] + 2 * k[1] + 2 * k[2] + k[3])
-    if not track_density:
-        return X_new, phi
     if not strict_rk4:
         # the RK4 one-step map of phi' = -div phi with div frozen at X2
         return X_new, phi * _density_multiplier(dt * div[0])
@@ -197,9 +190,10 @@ def _step(f, fused, t, X, P, phi, dt, strict_rk4: bool, track_density: bool):
     return X_new, phi + dt / 6.0 * (kp[0] + 2 * kp[1] + 2 * kp[2] + kp[3])
 
 
-def _propagate_arrays(rhs, X0, P0, phi0, t0, n_steps, dt, emit_steps,
-                      strict_rk4, diverged0=None, track_density=True):
-    """Integrate a block of samples; returns per-emit (t, X, phi, diverged).
+def _propagate_arrays(rhs, X0, P0, phi0, t0, n_steps, dt, emit_every,
+                      strict_rk4, diverged0=None):
+    """Integrate a block of samples; returns per-emit (t, X, phi, diverged)
+    at step 0, every emit_every steps and at step n_steps.
 
     A sample is frozen (flagged diverged) as soon as its next state has a
     non-finite component; its last finite state and density stay in every
@@ -211,22 +205,19 @@ def _propagate_arrays(rhs, X0, P0, phi0, t0, n_steps, dt, emit_steps,
     phi = np.array(phi0, dtype=float)
     dead = (np.zeros(X.shape[0], dtype=bool) if diverged0 is None
             else np.array(diverged0, dtype=bool))
-    out = []
-    if 0 in emit_steps:
-        out.append((t0, X.copy(), phi.copy(), dead.copy()))
+    out = [(t0, X.copy(), phi.copy(), dead.copy())]
     with np.errstate(all="ignore"):
         for s in range(1, n_steps + 1):
             t = t0 + (s - 1) * dt
-            X_new, phi_new = _step(f, fused, t, X, P0, phi, dt, strict_rk4, track_density)
+            X_new, phi_new = _step(f, fused, t, X, P0, phi, dt, strict_rk4)
             ok = np.isfinite(X_new[:, 0])
             for column in X_new.T[1:]:  # a row is finite if each of its columns is
                 ok &= np.isfinite(column)
             upd = ok & ~dead
             np.copyto(X, X_new, where=upd[:, None])
-            if track_density:
-                np.copyto(phi, phi_new, where=upd & np.isfinite(phi_new))
+            np.copyto(phi, phi_new, where=upd & np.isfinite(phi_new))
             dead |= ~ok
-            if s in emit_steps:
+            if s % emit_every == 0 or s == n_steps:
                 out.append((t0 + s * dt, X.copy(), phi.copy(), dead.copy()))
     return out
 
@@ -254,18 +245,16 @@ def resolve_workers(workers: int | None = None) -> int:
 
 def propagate(cloud: EnsembleSnapshot, rhs: Callable, t_f: float, dt: float,
               emit_every: int = 1, strict_rk4: bool = False,
-              workers: int | None = None,
-              track_density: bool = True) -> list[EnsembleSnapshot]:
+              workers: int | None = None) -> list[EnsembleSnapshot]:
     """Propagate an ensemble to t_f with fixed-step RK4; emit snapshots.
 
     Snapshots are produced at the initial time, every emit_every steps, and
     at t_f. Transport masses are carried through unchanged; densities evolve
-    per the characteristic ODE (track_density=False runs the same state
-    integration as a plain Monte Carlo ensemble). rhs is a vector field
-    rhs(t, x, p) or a ClosedLoop, whose closed-form divergence the density
-    then uses (see the module docstring). With workers > 1 the rows are
-    dealt round robin across a process pool (rhs must then be picklable);
-    the result is identical to the single-process run.
+    per the characteristic ODE. rhs is a vector field rhs(t, x, p) or a
+    ClosedLoop, whose closed-form divergence the density then uses (see the
+    module docstring). With workers > 1 the rows are dealt round robin
+    across a process pool (rhs must then be picklable); the result is
+    identical to the single-process run.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -273,15 +262,13 @@ def propagate(cloud: EnsembleSnapshot, rhs: Callable, t_f: float, dt: float,
     if n_steps <= 0:
         raise ValueError("t_f must lie at least one step beyond the cloud time")
     emit_every = max(1, int(emit_every))
-    emit_steps = set(range(0, n_steps + 1, emit_every))
-    emit_steps.add(n_steps)
 
     workers = resolve_workers(workers)
     X0, P0 = cloud.states, (cloud.params if cloud.params.shape[1] else None)
     parts = ([slice(None)] if workers == 1 or cloud.n < 2 * workers
              else [np.arange(i, cloud.n, workers) for i in range(workers)])
     jobs = [(rhs, X0[rows], None if P0 is None else P0[rows], cloud.phi[rows], cloud.t,
-             n_steps, dt, emit_steps, strict_rk4, cloud.diverged[rows], track_density)
+             n_steps, dt, emit_every, strict_rk4, cloud.diverged[rows])
             for rows in parts]
     if len(jobs) == 1:
         blocks = [_propagate_chunk(jobs[0])]
@@ -290,7 +277,7 @@ def propagate(cloud: EnsembleSnapshot, rhs: Callable, t_f: float, dt: float,
             blocks = list(pool.map(_propagate_chunk, jobs))
 
     snapshots = []
-    for k in range(len(emit_steps)):
+    for k in range(len(blocks[0])):
         X, phi = np.empty_like(X0), np.empty(cloud.n)
         dead = np.empty(cloud.n, dtype=bool)
         for rows, blk in zip(parts, blocks):
@@ -300,16 +287,3 @@ def propagate(cloud: EnsembleSnapshot, rhs: Callable, t_f: float, dt: float,
             gamma=cloud.gamma, diverged=dead))
     return snapshots
 
-
-def likelihood_extremes(snapshots: Sequence[EnsembleSnapshot]) -> list[tuple[float, int, int]]:
-    """Most- and least-likely trajectory ids per emitted time.
-
-    Returns (t, argmax phi, argmin phi) triples; ties break to the lowest
-    sample index (np.argmax/argmin semantics).
-    """
-    if not snapshots:
-        raise ValueError("no snapshots")
-    out = []
-    for snap in snapshots:
-        out.append((snap.t, int(np.argmax(snap.phi)), int(np.argmin(snap.phi))))
-    return out

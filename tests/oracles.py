@@ -2,9 +2,11 @@
 
 Each one checks a production path against an independent answer: the exact
 1-D quantile coupling and the marginal bound for the transportation LP, a
-density query by back-propagation for the Liouville density, the dominant
-frequency of a W series for the disturbance study, and a single-coefficient
-table lookup for the aerodynamic interpolation.
+density query by back-propagation for the Liouville density, plain Monte
+Carlo trajectory ensembles (textbook RK4 on the closed-loop field, no
+density) for the propagated states, the dominant frequency of a W series
+for the disturbance study, and a single-coefficient table lookup for the
+aerodynamic interpolation.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ import math
 
 import numpy as np
 
+from otrobust import harness
 from otrobust.f16 import AeroTables, _aero
-from otrobust.liouville import _fields, _propagate_arrays, _step
+from otrobust.liouville import _fields, _propagate_arrays
 from otrobust.transport import DiscreteDistribution, TransportPlan, wasserstein_lp
 
 COEFFICIENT_IDS = ("CX", "CZ", "Cm", "CXq", "CZq", "Cmq")
@@ -89,6 +92,59 @@ def marginal_bound_check(a: DiscreteDistribution, b: DiscreteDistribution):
     return per_axis, joint, flag
 
 
+def rk4_states(f, t, X, P, dt):
+    """One classical RK4 step of the states alone, f(t, X, P) at every stage."""
+    k1 = f(t, X, P)
+    k2 = f(t + 0.5 * dt, X + 0.5 * dt * k1, P)
+    k3 = f(t + 0.5 * dt, X + 0.5 * dt * k2, P)
+    k4 = f(t + 1.0 * dt, X + 1.0 * dt * k3, P)
+    return X + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def weighted_mean(states: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Mass-weighted ensemble mean."""
+    return np.asarray(gamma) @ np.asarray(states)
+
+
+def mc_compare(cfg, setup) -> dict:
+    """Plain Monte Carlo trajectory ensembles of every curve of a scenario.
+
+    Takes the stacked initial ensemble and the closed loop of
+    harness._cases and integrates the states alone with rk4_states on
+    loop.state_rhs: no density, no divergence and none of liouville's step
+    or propagation code. A row whose next state has a non-finite component
+    is frozen at its last finite state. Snapshots are taken at t = 0, every
+    emit_every steps and at t_f, and each curve's rows are sliced out.
+
+    Returns {"controllers": {key: {"t", "states" (T, n, 4), "mean" (T, 4)}}}
+    keyed as run_scenario keys its snapshots ("lqr", "lqr|delta=2.5", ...),
+    the param deterministic curve included; "mean" is weighted_mean with
+    the curve's transport masses.
+    """
+    ensemble, loop, curves = harness._cases(cfg, setup)
+    f, P = loop.state_rhs, ensemble.params
+    X, dead = ensemble.states.copy(), ensemble.diverged.copy()
+    t0, dt, n_steps = ensemble.t, cfg.dt, int(round((cfg.t_f - ensemble.t) / cfg.dt))
+    times, states = [t0], [X]
+    with np.errstate(all="ignore"):
+        for s in range(1, n_steps + 1):
+            X_new = rk4_states(f, t0 + (s - 1) * dt, X, P, dt)
+            ok = np.all(np.isfinite(X_new), axis=1)
+            X = np.where((ok & ~dead)[:, None], X_new, X)
+            dead |= ~ok
+            if s % cfg.emit_every == 0 or s == n_steps:
+                times.append(t0 + s * dt)
+                states.append(X)
+    stacked = np.stack(states)
+    out = {}
+    for name, variant, rows, cloud in curves:
+        curve = stacked[:, rows]
+        out[harness._key(name, variant)] = {
+            "t": times, "states": curve,
+            "mean": np.stack([weighted_mean(x, cloud.gamma) for x in curve])}
+    return {"controllers": out}
+
+
 class UnresolvableQueryError(RuntimeError):
     """Backward integration of a density query blew up."""
 
@@ -120,7 +176,7 @@ def query_density(x_star: np.ndarray, t: float, rhs, phi0, dt: float,
     with np.errstate(all="ignore"):
         for s in range(n_steps):
             tau = t - s * dt_eff
-            x, _ = _step(f, None, tau, x, p, None, -dt_eff, False, False)
+            x = rk4_states(f, tau, x, p, -dt_eff)
             if not np.all(np.isfinite(x)):
                 raise UnresolvableQueryError(
                     f"backward integration diverged at t={tau - dt_eff:.4f}")
@@ -131,8 +187,8 @@ def query_density(x_star: np.ndarray, t: float, rhs, phi0, dt: float,
         return 0.0
 
     out = _propagate_arrays(rhs, x, p, np.array([phi_init]), 0.0,
-                            n_steps, dt_eff, {n_steps}, strict_rk4)
-    _, _, phi, dead = out[0]
+                            n_steps, dt_eff, n_steps, strict_rk4)
+    _, _, phi, dead = out[-1]
     if dead[0]:
         raise UnresolvableQueryError("forward re-integration diverged")
     return float(phi[0])

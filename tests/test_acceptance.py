@@ -21,7 +21,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import dominant_frequency, marginal_bound_check, wasserstein_1d
+from oracles import (
+    dominant_frequency,
+    marginal_bound_check,
+    mc_compare,
+    wasserstein_1d,
+    weighted_mean,
+)
 from otrobust.controller import LqrWeights, lqr_gain, linearize_plant, spectral_abscissa
 from otrobust.f16 import DEG, AircraftParams, AeroTables
 from otrobust.harness import (
@@ -29,9 +35,7 @@ from otrobust.harness import (
     build_controllers,
     default_omega_grid,
     freq_response,
-    mc_compare,
     run_scenario,
-    weighted_mean,
 )
 from otrobust.liouville import EnsembleSnapshot, propagate
 from otrobust.transport import (

@@ -235,11 +235,13 @@ def test_non_positive_workers_variable_exits_2_naming_it(capsys, tmp_path, monke
     assert not out.exists()
 
 
-# Bounds whose box volume overflows, and bounds whose volume underflows to zero.
+# Bounds whose box volume overflows, and bounds whose volume underflows to zero;
+# the error names the widest entry of the one and the narrowest of the other.
 DEGENERATE_IC_BOXES = {
     "overflow": {k: [-1e300, 1e300] for k in DEFAULT_IC_BOX_DEG},
     "underflow": {"theta": [0, 1e-14], "V": [0, 1e-10], "alpha": [0, 1e-14], "q": [0, 1e-300]},
 }
+DEGENERATE_IC_BOX_ENTRY = {"overflow": "ic_box_deg['V']", "underflow": "ic_box_deg['q']"}
 
 
 @pytest.mark.parametrize("box", DEGENERATE_IC_BOXES)
@@ -253,6 +255,21 @@ def test_ic_box_without_a_finite_positive_volume_exits_2(capsys, tmp_path, monke
     code, _, err = run_cli(capsys, "propagate", "--scenario", str(cfg), "--out", str(out))
     assert code == EXIT_CONFIG
     assert "box volume" in err
+    assert DEGENERATE_IC_BOX_ENTRY[box] in err
+    assert not out.exists()
+
+
+def test_ic_box_that_rounds_away_at_trim_exits_2_naming_the_entry(capsys, tmp_path,
+                                                                   monkeypatch, setup):
+    # a proper interval, but 407.89 ft/s + 1e-14 rounds back to 407.89
+    import otrobust.cli as cli
+    monkeypatch.setattr(cli.harness, "build_controllers", lambda *a, **k: setup)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_IC, "ic_box_deg": {**DEFAULT_IC_BOX_DEG, "V": [0, 1e-14]}}))
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "propagate", "--scenario", str(cfg), "--out", str(out))
+    assert code == EXIT_CONFIG
+    assert "ic_box_deg['V']" in err and "not strictly ordered" in err
     assert not out.exists()
 
 

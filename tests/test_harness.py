@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import dominant_frequency
+from oracles import dominant_frequency, mc_compare, weighted_mean
 from otrobust import harness, liouville
 from otrobust.controller import LinearModel, LqrWeights
 from otrobust.f16 import DEG, AircraftParams, ClosedLoop, SineDisturbance
@@ -20,11 +20,9 @@ from otrobust.harness import (
     default_omega_grid,
     freq_response,
     marginal_histogram,
-    mc_compare,
     probability_weights,
     read_snapshot_csv,
     run_scenario,
-    weighted_mean,
     write_snapshot_csv,
 )
 from otrobust.liouville import EnsembleSnapshot, propagate
@@ -212,37 +210,43 @@ class TestMiniScenarios:
         assert lines[0] == "t,variant,controller,W"
 
 
-# Each kind's first variant: mc_compare and otrobust propagate run it on its own.
-FIRST_VARIANT = {"ic": ({}, ""),
-                 "param": ({"param_delta_percent": [2.5, 15.0]}, "delta=2.5"),
-                 "disturbance": ({"omega_rad_s": [2.0, 0.0]}, "omega=2")}
+# Two variants per swept kind: the Monte Carlo oracle integrates every curve.
+SWEEP_FIELDS = {"ic": {}, "param": {"param_delta_percent": [2.5, 15.0]},
+                "disturbance": {"omega_rad_s": [2.0, 0.0]}}
 
 
 @pytest.mark.parametrize("kind", ["ic", "param", "disturbance"])
 def test_mc_matches_propagation_bitwise(setup, kind):
-    fields, variant = FIRST_VARIANT[kind]
-    cfg = mini_cfg(kind=kind, samples=16, t_f=1.0, **fields)
+    # 100 steps emitted every 30: the last snapshot is the t_f one
+    cfg = mini_cfg(kind=kind, samples=16, t_f=1.0, emit_every=30, **SWEEP_FIELDS[kind])
     rep = run_scenario(cfg, setup=setup, keep_snapshots=True)
-    mc = mc_compare(cfg, setup=setup)
-    for name in ("lqr", "gslqr"):
-        snaps = rep.extras["snapshots"][f"{name}|{variant}" if variant else name]
-        pf_states = np.stack([s.states for s in snaps])
-        assert np.array_equal(pf_states, mc["controllers"][name]["states"])
-        pf_mean = weighted_mean(snaps[-1].states, snaps[-1].gamma)
-        assert np.array_equal(pf_mean, mc["controllers"][name]["mean"][-1])
+    mc = mc_compare(cfg, setup=setup)["controllers"]
+    x_trim = setup.trim.x_trim.as_array()
+    assert len(mc) == len(rep.curves)
+    for c in rep.curves:
+        key = harness._key(c["controller"], c["variant"])
+        assert mc[key]["t"] == c["t"] and len(c["t"]) == 5
+        if c["variant"] == "deterministic":
+            assert c["W"] == [float(np.linalg.norm((x[0] - x_trim) * PAPER_STATE_SCALE))
+                              for x in mc[key]["states"]]
+            continue
+        snaps = rep.extras["snapshots"][key]
+        assert np.array_equal(np.stack([s.states for s in snaps]), mc[key]["states"])
+        for k, snap in enumerate(snaps):
+            assert np.array_equal(weighted_mean(snap.states, snap.gamma), mc[key]["mean"][k])
 
 
-def test_mc_compare_draws_only_the_first_cloud(params, setup, monkeypatch):
+def test_first_variants_draw_only_the_first_cloud(params, setup, monkeypatch):
     calls = []
     real = harness.mcmc_sample
     monkeypatch.setattr(harness, "mcmc_sample", lambda *a: calls.append(a) or real(*a))
     cfg = mini_cfg(kind="param", samples=16, t_f=0.1, sampler="mcmc",
                    param_delta_percent=[2.5, 5.0, 15.0])
-    mc = mc_compare(cfg, setup=setup)
+    runs = dict(harness._first_variants(cfg, setup))
     assert len(calls) == 1  # the first delta's cloud, shared by both controllers
     first = _param_cloud(cfg, 2.5, np.zeros(4), params)
     for name in ("lqr", "gslqr"):
-        assert np.array_equal(mc["controllers"][name]["snapshots"][0].params, first.params)
+        assert np.array_equal(runs[name][0].params, first.params)
 
 
 def test_snapshot_csv_roundtrip(tmp_path, rng):

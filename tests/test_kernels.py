@@ -6,7 +6,7 @@ difference one on states packed around every kink of the closed loop."""
 import numpy as np
 import pytest
 
-from oracles import lookup_coefficient
+from oracles import lookup_coefficient, rk4_states
 from otrobust import liouville
 from otrobust.controller import LqrLaw, ScheduledLaw
 from otrobust.f16 import (
@@ -289,8 +289,7 @@ def test_kink_dense_step_divergence_matches_finite_differences(
     seen = []
     real = liouville._density_multiplier
     monkeypatch.setattr(liouville, "_density_multiplier", lambda z: seen.append(z) or real(z))
-    liouville._step(loop.state_rhs, loop.state_rhs_div, t, X, P, np.ones(len(X)), dt,
-                    False, True)
+    liouville._step(loop.state_rhs, loop.state_rhs_div, t, X, P, np.ones(len(X)), dt, False)
     X2 = X + 0.5 * dt * loop.state_rhs(t, X, P)
     ref = divergence(loop.state_rhs, X2, P, t + 0.5 * dt)
     xdot, _, kink = loop.state_rhs_div(t + 0.5 * dt, X2, P)
@@ -306,12 +305,12 @@ def test_kink_dense_step_divergence_matches_finite_differences(
 
 
 @pytest.mark.parametrize("law_kind, with_params, disturbed", KINK_CASES)
-@pytest.mark.parametrize("strict_rk4, track_density", [
-    pytest.param(False, True, id="False"), pytest.param(True, True, id="True"),
-    pytest.param(False, False, id="states-only")])
+@pytest.mark.parametrize("strict_rk4, states_only", [
+    pytest.param(False, False, id="False"), pytest.param(True, False, id="True"),
+    pytest.param(False, True, id="states-only")])
 def test_kink_dense_propagation_matches_finite_difference_path(
         params, tables, nominal_trim, nominal_gain, schedule, rng,
-        law_kind, with_params, disturbed, strict_rk4, track_density):
+        law_kind, with_params, disturbed, strict_rk4, states_only):
     loop, X, P = _kink_case(law_kind, with_params, disturbed, params, tables, nominal_trim,
                             nominal_gain, schedule, rng, 0.0)
     # the first step's midpoint already has rows for the finite-difference fallback
@@ -319,17 +318,20 @@ def test_kink_dense_propagation_matches_finite_difference_path(
     assert np.any(loop.state_rhs_div(0.005, X2, P)[2])
     cloud = EnsembleSnapshot.from_cloud(X, np.ones(len(X)), np.full(len(X), 1 / len(X)),
                                         params=P)
-    fused = propagate(cloud, loop, 0.05, 0.01, strict_rk4=strict_rk4,
-                      track_density=track_density)
-    # the states-only run is checked against the density run
+    fused = propagate(cloud, loop, 0.05, 0.01, strict_rk4=strict_rk4)
+    if states_only:
+        # the density run's states against plain RK4 of the states alone
+        Y = X
+        for k, a in enumerate(fused):
+            assert np.array_equal(a.states, Y)
+            assert not a.diverged.any()
+            Y = rk4_states(loop.state_rhs, k * 0.01, Y, P, 0.01)
+        return
     fd = propagate(cloud, loop.state_rhs, 0.05, 0.01, strict_rk4=strict_rk4)
     for a, b in zip(fused, fd):
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.diverged, b.diverged)
-        if track_density:
-            assert a.phi == pytest.approx(b.phi, rel=1e-9)
-        else:
-            assert np.array_equal(a.phi, cloud.phi)
+        assert a.phi == pytest.approx(b.phi, rel=1e-9)
 
 
 def test_shuffled_stacked_rows_give_the_permuted_field(params, tables, nominal_trim,

@@ -1,14 +1,15 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import query_density
+from otrobust.harness import _extremes_records
 from otrobust.liouville import (
     EnsembleSnapshot,
     divergence,
-    likelihood_extremes,
     propagate,
     resolve_workers,
 )
@@ -121,6 +122,26 @@ def test_masses_conserved_and_emit_schedule(stable_M, rng):
         assert math.fsum(s.gamma.tolist()) == 1.0
 
 
+def test_a_long_horizon_allocates_no_emit_schedule_up_front():
+    # 10^8 steps: a precomputed set of emit steps would take about 70 MB
+    # before the field is first called
+    class FirstCall(Exception):
+        pass
+
+    def rhs(t, x, p):
+        raise FirstCall
+
+    cloud = EnsembleSnapshot.from_cloud(np.zeros((1, 2)), [1.0], [1.0])
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstCall):
+            propagate(cloud, rhs, 1e6, 0.01, emit_every=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def test_sample_permutation_equivariance(stable_M, rng):
     rhs = linear_rhs(stable_M)
     X0 = rng.standard_normal((9, 4))
@@ -147,15 +168,6 @@ def test_diverged_samples_frozen_and_retained():
     assert np.isfinite(final.states[0, 0])  # frozen at last finite value
     assert final.states[1, 0] == pytest.approx(0.1 / (1 - 0.5 * 0.1), rel=1e-6)
     assert math.fsum(final.gamma.tolist()) == 1.0
-
-
-def test_track_density_off_matches_states(stable_M, rng):
-    rhs = linear_rhs(stable_M)
-    cloud = make_cloud(rng)
-    a = propagate(cloud, rhs, 0.5, 0.01, emit_every=10)
-    b = propagate(cloud, rhs, 0.5, 0.01, emit_every=10, track_density=False)
-    for sa, sb in zip(a, b):
-        assert np.array_equal(sa.states, sb.states)
 
 
 def test_worker_pool_matches_single_process(stable_M, rng, monkeypatch):
@@ -215,7 +227,8 @@ def test_likelihood_extremes_tiebreak():
     snaps = [EnsembleSnapshot.from_cloud(np.zeros((4, 2)), np.full(4, 0.3),
                                          np.full(4, 0.25), t=float(k))
              for k in range(3)]
-    for t, hi, lo in likelihood_extremes(snaps):
+    for rec in _extremes_records(snaps):
+        hi, lo = rec["most_likely"], rec["least_likely"]
         assert hi == 0 and lo == 0  # exact ties break to the lowest index
 
 
@@ -223,26 +236,18 @@ def test_likelihood_extreme_value_growth(stable_M, rng):
     rhs = linear_rhs(stable_M)
     cloud = make_cloud(rng, n=5, phi0=1.0)
     snaps = propagate(cloud, rhs, 0.5, 1e-3, emit_every=250)
-    ext = likelihood_extremes(snaps)
+    ext = _extremes_records(snaps)
     assert len(ext) == len(snaps)
     # constant divergence: every sample (hence the max) shares the factor
     # e^{-trace t}, so the argmax value grows by exactly that ratio
-    hi0 = ext[0][1]
+    hi0 = ext[0]["most_likely"]
     growth = snaps[-1].phi[hi0] / snaps[0].phi[hi0]
     assert growth == pytest.approx(math.exp(-np.trace(stable_M) * 0.5), rel=1e-6)
 
 
 def test_likelihood_extremes_single_sample():
     snap = EnsembleSnapshot.from_cloud(np.zeros((1, 2)), [0.7], [1.0])
-    assert likelihood_extremes([snap]) == [(0.0, 0, 0)]
-
-
-def test_weighted_sample_view():
-    snap = EnsembleSnapshot(t=1.0, states=np.array([[1.0, 2.0]]),
-                            params=np.array([[9.0]]), phi=[0.5], gamma=[1.0],
-                            diverged=None)
-    # one sample of the snapshot is its extended row (state, then parameters)
-    assert snap.extended.tolist() == [[1.0, 2.0, 9.0]]
+    assert _extremes_records([snap]) == [{"t": 0.0, "most_likely": 0, "least_likely": 0}]
 
 
 def test_snapshot_mass_validation():

@@ -81,16 +81,30 @@ def test_run_scenario_rejects_a_non_positive_workers_variable(monkeypatch, capsy
     assert not (tmp_path / "out").exists()
 
 
-# Bounds whose box volume overflows, and bounds whose volume underflows to zero.
-@pytest.mark.parametrize("box", [
-    {k: [-1e300, 1e300] for k in harness.DEFAULT_IC_BOX_DEG},
-    {"theta": [0, 1e-14], "V": [0, 1e-10], "alpha": [0, 1e-14], "q": [0, 1e-300]}],
+# Bounds whose box volume overflows, and bounds whose volume underflows to zero;
+# the error names the widest entry of the one and the narrowest of the other.
+@pytest.mark.parametrize("box, entry", [
+    ({k: [-1e300, 1e300] for k in harness.DEFAULT_IC_BOX_DEG}, "ic_box_deg['V']"),
+    ({"theta": [0, 1e-14], "V": [0, 1e-10], "alpha": [0, 1e-14], "q": [0, 1e-300]},
+     "ic_box_deg['q']")],
     ids=["overflow", "underflow"])
 def test_run_scenario_rejects_an_ic_box_without_a_finite_positive_volume(
-        monkeypatch, capsys, config, tmp_path, setup, box):
+        monkeypatch, capsys, config, tmp_path, setup, box, entry):
     monkeypatch.setattr(harness, "build_controllers", lambda **kw: setup)
     config.write_text(json.dumps({**json.loads(config.read_text()), "ic_box_deg": box}))
     code, out, err = run_scenario_script(monkeypatch, capsys, str(config))
     assert code == 2
     assert out == "" and "box volume" in err
+    assert entry in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_scenario_names_an_ic_box_entry_that_rounds_away_at_trim(monkeypatch, capsys,
+                                                                     config, tmp_path, setup):
+    monkeypatch.setattr(harness, "build_controllers", lambda **kw: setup)
+    box = {**harness.DEFAULT_IC_BOX_DEG, "V": [0, 1e-14]}
+    config.write_text(json.dumps({**json.loads(config.read_text()), "ic_box_deg": box}))
+    code, out, err = run_scenario_script(monkeypatch, capsys, str(config))
+    assert code == 2
+    assert out == "" and "ic_box_deg['V']" in err and "not strictly ordered" in err
     assert not (tmp_path / "out").exists()
