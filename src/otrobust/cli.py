@@ -127,7 +127,7 @@ def _cmd_propagate(args) -> int:
     cfg = _scenario_config_from_args(args)
     params, tables = _load_params_tables(args)
     setup = harness.build_controllers(params, tables,
-                                      need_schedule="gslqr" in cfg.controllers)
+                                      need_schedule="gslqr" in cfg.controllers, cfg=cfg)
     out_dir = Path(args.out)
     for name, snaps in harness._first_variants(cfg, setup):
         if args.per_time:

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .f16 import (CONTROL_UNITS, DEG, STATE_UNITS, AeroTables, AircraftParams, ControlInput,
-                  LongitudinalState, _cell, _crosses, _lattice, dynamics)
+                  LongitudinalState, _cell, _crosses, _fresh, _lattice, dynamics)
 from .trim import TrimPoint, central_difference
 
 CARE_RESIDUAL_RTOL = 1e-8
@@ -169,27 +169,38 @@ def lqr_gain(model: LinearModel, weights: LqrWeights) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LqrLaw:
-    """Fixed-gain LQR law about a trim point, as the closed loop calls it."""
+    """Fixed-gain LQR law about a trim point, as the closed loop calls it.
+    The trim state and control arrays, -K and the zero curvature are made
+    once, here."""
 
     K: np.ndarray
     trim: TrimPoint
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Pre-saturation control u = u_trim - K (x - x_trim); batched over x."""
-        dx = np.asarray(x, dtype=float) - self.trim.x_trim.as_array()
+    def __post_init__(self):
+        K = np.asarray(self.K)
+        for name, value in (("_x", self.trim.x_trim.as_array()), ("_u", self.trim.u_trim.as_array()),
+                            ("_K", K), ("_J", -K[..., None]), ("_C", np.zeros((2, 4, 1)))):
+            if name != "_K":
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __call__(self, x: np.ndarray, work=None) -> np.ndarray:
+        """Pre-saturation control u = u_trim - K (x - x_trim); batched over x.
+        work is unused: the law keeps no scratch."""
+        dx = np.asarray(x, dtype=float) - self._x
         if dx.size == dx.shape[-1]:
             # BLAS takes gemv for one row and gemm for more, which round
             # differently in the last bit; a two-row block keeps a lone sample
             # bitwise equal to the same state inside an ensemble.
-            Kdx = (np.tile(dx.reshape(1, -1), (2, 1)) @ np.asarray(self.K).T)[0]
-            return self.trim.u_trim.as_array() - Kdx.reshape(dx.shape[:-1] + Kdx.shape)
-        return self.trim.u_trim.as_array() - dx @ np.asarray(self.K).T
+            Kdx = (np.tile(dx.reshape(1, -1), (2, 1)) @ self._K.T)[0]
+            return self._u - Kdx.reshape(dx.shape[:-1] + Kdx.shape)
+        return self._u - dx @ self._K.T
 
-    def jacobian(self, x: np.ndarray, h: np.ndarray):
+    def jacobian(self, x: np.ndarray, h: np.ndarray, work=None):
         """The command (as __call__), its Jacobian -K, zero curvature and no
         cell edges, value-major (2, 4, 1) as f16.ClosedLoop.state_rhs_div
         takes them."""
-        return self(x), -np.asarray(self.K)[..., None], np.zeros((2, 4, 1)), False
+        return self(x), self._J, self._C, False
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,42 +332,47 @@ def _contract(M: np.ndarray, dx: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ScheduledLaw:
     """Gain-scheduled LQR law, as the closed loop calls it. The arithmetic
-    runs value-major, on (4, n) deviations and (2, 4, n) gains."""
+    runs value-major, on (4, n) deviations and (2, 4, n) gains, in the
+    arrays of work (an f16._Work: a closed loop's row block passes its
+    own, kept from call to call; new arrays by default)."""
 
     schedule: GainSchedule
 
-    def _gains(self, x: np.ndarray, slopes: bool):
+    def _gains(self, x: np.ndarray, slopes: bool, work):
         """For (n, 4) states x: their deviations from x_ref as contiguous
         (4, n) rows, and the lattice blend of K~ at their (V, alpha),
         (2, 4, n) (with slopes, also its two partials)."""
         s = self.schedule
-        return np.subtract(x.T, s.x_ref[:, None], order="C"), _lattice(
+        work = _fresh if work is None else work
+        return np.subtract(x.T, s.x_ref[:, None], out=work("dx", x.shape[::-1])), _lattice(
             s._K, _cell(s.V_nodes, x[:, 1], slopes=slopes),
-            _cell(s.alpha_nodes, x[:, 2], slopes=slopes))
+            _cell(s.alpha_nodes, x[:, 2], slopes=slopes), work)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, work=None) -> np.ndarray:
         """Pre-saturation control u = u_ref - K~(V, alpha) (x - x_ref), batched
         over x; K~ is bilinear in (V, alpha), clamped to the lattice hull."""
         x = np.asarray(x, dtype=float)
-        dx, Kt = self._gains(np.reshape(x, (-1, 4)), False)
+        dx, Kt = self._gains(np.reshape(x, (-1, 4)), False, work)
         return (self.schedule.u_ref[:, None] - _contract(Kt, dx)).T.reshape(x.shape[:-1] + (2,))
 
-    def jacobian(self, x: np.ndarray, h: np.ndarray):
+    def jacobian(self, x: np.ndarray, h: np.ndarray, work=None):
         """For (n, 4) states x and steps h: the command u = u_ref - K~(V, alpha)
         dx (bitwise as __call__); its Jacobian inside the gain cell, -K~ -
         (dK~/dV dx) e_V' - (dK~/dalpha dx) e_alpha'; the curvature -dK~/dV e_V
         and -dK~/dalpha e_alpha in the V and alpha columns; and the rows whose
         V or alpha stencil crosses a node line or the lattice hull (see
-        f16.ClosedLoop). J and C are value-major, (2, 4, n)."""
+        f16.ClosedLoop). J and C are value-major, (2, 4, n), formed in the
+        lattice arrays of work."""
         s = self.schedule
         x = np.asarray(x, dtype=float)
-        dx, (Kt, dK_dV, dK_da) = self._gains(x, True)
+        dx, (Kt, dK_dV, dK_da) = self._gains(x, True, work)
         u = s.u_ref[:, None] - _contract(Kt, dx)
-        J = -Kt
+        J = np.negative(Kt, out=Kt)
         J[:, 1] -= _contract(dK_dV, dx)
         J[:, 2] -= _contract(dK_da, dx)
-        C = np.zeros_like(J)
-        C[:, 1], C[:, 2] = -dK_dV[:, 1], -dK_da[:, 2]
+        C = np.negative(dK_dV, out=dK_dV)  # in dK~/dV's place, keeping its V column
+        C[:, 0] = C[:, 3] = 0.0
+        np.negative(dK_da[:, 2], out=C[:, 2])
         V, alpha, hV, ha = x[:, 1], x[:, 2], h[:, 1], h[:, 2]
         return u.T, J, C, (_crosses(s.V_nodes, V - hV, V + hV)
                            | _crosses(s.alpha_nodes, alpha - ha, alpha + ha))

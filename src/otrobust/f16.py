@@ -19,13 +19,20 @@ STATE_UNITS and CONTROL_UNITS are the one table that converts state and
 control vectors between the two: a reporting value times its unit is the
 internal value.
 
-All evaluation routines are pure, take arrays and broadcast over leading
-sample axes: states have a trailing axis of length 4, controls of length 2.
+All evaluation routines take arrays and broadcast over leading sample
+axes: states have a trailing axis of length 4, controls of length 2.
 Per-sample parameter overrides (mass, c.g. position, pitch inertia) may be
 arrays. Inside, the hot arrays are value-major: lattice lookups return
 (values..., n), the law Jacobians are (2, 4, n) and the controls are
 stored column by column, so each per-sample operation runs on a contiguous
 n-long row rather than broadcasting over a short trailing axis.
+
+The routines are pure but for their scratch: the large per-call arrays
+(corner gathers, blends, table lookups, law Jacobians) are written in
+place into a _Work, in the order of the plain expressions, so the bits are
+theirs. A ClosedLoop binds the rows of a propagation once into a RowBlock,
+whose _Work lives as long as the block (see ClosedLoop); at a few thousand
+rows this stops each field call from faulting its temporaries in afresh.
 
 The Liouville density needs the divergence of the closed loop, the trace
 dV_dot/dV + dalpha_dot/dalpha + dq_dot/dq (theta_dot = q adds 0). Where the
@@ -49,6 +56,7 @@ import contextlib
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 from importlib import resources
 from typing import Callable
 
@@ -254,6 +262,27 @@ def numeric_arrays(d: dict, keys, what: str) -> dict[str, np.ndarray]:
     return out
 
 
+class _Work(dict):
+    """Named scratch arrays: work(key, shape) is a view of the flat array
+    kept under key, made on first use and grown when a call needs more.
+    Every call that asks for a key overwrites it, so no result that outlives
+    a call may be one. The lattice and table kernels below take one, or
+    _fresh."""
+
+    def __call__(self, key: str, shape: tuple, dtype=float, order: str = "C") -> np.ndarray:
+        size = math.prod(shape)
+        a = self.get(key)
+        if a is None or a.size < size:
+            a = self[key] = np.empty(size, dtype)
+        return a[:size].reshape(shape, order=order)
+
+
+def _fresh(key: str, shape: tuple, dtype=float, order: str = "C") -> np.ndarray:
+    """Scratch as a _Work hands it out, but a new array on every call: the
+    work of a caller that keeps none (a trim solve, a plain lookup)."""
+    return np.empty(shape, dtype, order)
+
+
 def _cell(bp: np.ndarray, x, unit: float = 1.0, slopes: bool = False):
     """Lattice cell of x (in the units of the breakpoints bp), clamped to
     [bp[0], bp[-1]]: the lower index i and the weight w of bp[i + 1], and
@@ -273,30 +302,45 @@ def _cell(bp: np.ndarray, x, unit: float = 1.0, slopes: bool = False):
     return i, w, np.asarray(((x > bp[0]) & (x < bp[-1])) / (width * unit))
 
 
-def _lattice(grid: np.ndarray, cell_a, cell_b):
+def _lattice(grid: np.ndarray, cell_a, cell_b, work):
     """Bilinear blend of grid (*values, na, nb) at the _cell cells of its two
     axes, broadcast against each other, from one gather of the four corners;
     a one-node axis takes the node itself as its upper corner. The result
     is value-major, (*values, *cell shape). When the cells carry slopes,
-    also the partials along a and along b."""
+    also the partials along a and along b. The corners, the blend and the
+    partials are work's arrays (see _Work)."""
     na, nb = grid.shape[-2:]
     da, db = (nb if na > 1 else 0), (1 if nb > 1 else 0)
     flat = grid.reshape(grid.shape[:-2] + (na * nb,))  # entry i * nb + j holds node (i, j)
-    corners = flat.take(np.add.outer(np.array((0, da, db, da + db)),
-                                     cell_a[0] * nb + cell_b[0]), axis=-1)
+    idx = np.add.outer(np.array((0, da, db, da + db)), cell_a[0] * nb + cell_b[0])
+    # the cells lie on the grid, so "clip" clips nothing; unlike "raise" it
+    # writes straight into out
+    corners = flat.take(idx, axis=-1, out=work("corners", flat.shape[:-1] + idx.shape),
+                        mode="clip")
     nv = grid.ndim - 2  # corner axis after the value axes
     g00, g10, g01, g11 = corners.transpose((nv, *range(nv), *range(nv + 1, corners.ndim)))
     wa, wb = cell_a[1], cell_b[1]
     ua, ub = 1 - wa, 1 - wb
-    blend = ua * ub * g00  # in place, in the order of a + b + c + d: fewer live temporaries
-    blend += wa * ub * g10
-    blend += ua * wb * g01
-    blend += wa * wb * g11
+    blend, t = work("blend", g00.shape), work("lattice", g00.shape)
+    np.multiply(ua * ub, g00, out=blend)  # in place, in the order of a + b + c + d
+    blend += np.multiply(wa * ub, g10, out=t)
+    blend += np.multiply(ua * wb, g01, out=t)
+    blend += np.multiply(wa * wb, g11, out=t)
     if len(cell_a) == 2:
         return blend
-    sa, sb = cell_a[2], cell_b[2]
-    return (blend, (ub * (g10 - g00) + wb * (g11 - g01)) * sa,
-            (ua * (g01 - g00) + wa * (g11 - g10)) * sb)
+    # the partials (ub (g10 - g00) + wb (g11 - g01)) sa and
+    # (ua (g01 - g00) + wa (g11 - g10)) sb, formed in the corners' place
+    np.subtract(g01, g00, out=t)
+    d_a = np.subtract(g10, g00, out=g00)
+    np.subtract(g11, g10, out=g10)
+    np.subtract(g11, g01, out=g11)
+    d_a *= ub
+    d_a += np.multiply(wb, g11, out=g11)
+    d_a *= cell_a[2]
+    d_b = np.multiply(t, ua, out=t)
+    d_b += np.multiply(wa, g10, out=g10)
+    d_b *= cell_b[2]
+    return blend, d_a, d_b
 
 
 def _crosses(bp: np.ndarray, lo, hi):
@@ -304,24 +348,32 @@ def _crosses(bp: np.ndarray, lo, hi):
     return bp.searchsorted(lo, side="right") != bp.searchsorted(hi, side="right")
 
 
-def _aero(tables: AeroTables, alpha, delta_e, slopes: bool = False):
+def _aero(tables: AeroTables, alpha, delta_e, slopes: bool = False, work=None):
     """Clamped table lookup of (CX, CZ, Cm) and (CXq, CZq, Cmq), each stacked
     value-major on a leading axis of 3. One alpha cell serves all six
     coefficients; a single-column delta_e grid makes CX, CZ, Cm alpha-only.
 
     slopes=True also returns the in-cell per-radian partials
     d(static)/d alpha, d(damping)/d alpha and d(static)/d delta_e (zero where
-    the lookup clamps), from the same cells and gathers."""
+    the lookup clamps), from the same cells and gathers. The lookups are
+    arrays of work (see _Work; new arrays by default)."""
+    work = _fresh if work is None else work
     cell_a = _cell(tables.alpha_breakpoints_deg, np.asarray(alpha) / DEG, DEG, slopes)
     cell_d = _cell(tables.deltae_breakpoints_deg, np.asarray(delta_e) / DEG, DEG, slopes)
     i, wa = cell_a[0], cell_a[1]
     gq = tables._damping
-    q0, q1 = gq.take(i, axis=-1), gq.take(i + 1, axis=-1)
-    damping = q0 * (1 - wa) + q1 * wa
+    shape = gq.shape[:-1] + i.shape
+    q0 = gq.take(i, axis=-1, out=work("q0", shape), mode="clip")
+    q1 = gq.take(i + 1, axis=-1, out=work("q1", shape), mode="clip")
+    if slopes:  # (q1 - q0) slope, before q0 and q1 are scaled in place
+        damping_a = np.subtract(q1, q0, out=work("damping_a", shape))
+        damping_a *= cell_a[2]
+    q0 *= 1 - wa  # q0 (1 - wa) + q1 wa
+    q0 += np.multiply(q1, wa, out=q1)
     if not slopes:
-        return _lattice(tables._static, cell_a, cell_d), damping
-    static, static_a, static_e = _lattice(tables._static, cell_a, cell_d)
-    return static, damping, (static_a, (q1 - q0) * cell_a[2], static_e)
+        return _lattice(tables._static, cell_a, cell_d, work), q0
+    static, static_a, static_e = _lattice(tables._static, cell_a, cell_d, work)
+    return static, q0, (static_a, damping_a, static_e)
 
 
 def saturate_array(u: np.ndarray) -> np.ndarray:
@@ -334,9 +386,11 @@ def saturate_array(u: np.ndarray) -> np.ndarray:
 
 
 def _rhs(x: np.ndarray, u: np.ndarray, m, xcg, Jyy, params: AircraftParams,
-         tables: AeroTables, partials: bool = False):
+         tables: AeroTables, partials: bool = False, work=None, out=None):
     """State derivative, broadcast over leading axes; V <= 0 yields NaN rows
     rather than raising so that ensemble integration can flag divergences.
+    It is written into out if given; work holds the table lookups (see
+    _Work; new arrays by default).
 
     partials=True returns (xdot, trace, dfde) from the same arithmetic:
     trace = dV_dot/dV + dalpha_dot/dalpha + dq_dot/dq at fixed u, without the
@@ -344,6 +398,7 @@ def _rhs(x: np.ndarray, u: np.ndarray, m, xcg, Jyy, params: AircraftParams,
     alpha takes that term's secant itself), and dfde = the three partials
     d(V_dot, alpha_dot, q_dot)/d delta_e.
     """
+    work = _fresh if work is None else work
     theta = x[..., 0]
     V = x[..., 1]
     alpha = x[..., 2]
@@ -357,9 +412,10 @@ def _rhs(x: np.ndarray, u: np.ndarray, m, xcg, Jyy, params: AircraftParams,
         qS = qbar * params.S
         chord_rate = params.cbar * q / (2.0 * V_safe)
 
-        lookup = _aero(tables, alpha, de, partials)
+        lookup = _aero(tables, alpha, de, partials, work)
         static, damping = lookup[:2]
-        cx, cz, cm = static + chord_rate * damping
+        coef = np.multiply(chord_rate, damping, out=work("coef", static.shape))
+        cx, cz, cm = np.add(static, coef, out=coef)
 
         sa, ca = np.sin(alpha), np.cos(alpha)
         st, ct = np.sin(theta), np.cos(theta)
@@ -371,7 +427,8 @@ def _rhs(x: np.ndarray, u: np.ndarray, m, xcg, Jyy, params: AircraftParams,
         q_dot = (qS * params.cbar / Jyy) * (
             cm + ((params.xcg_ref - xcg) / params.cbar) * cz)
 
-    out = np.empty(np.broadcast(q, V_dot, alpha_dot, q_dot).shape + (4,))
+    if out is None:
+        out = np.empty(np.broadcast(q, V_dot, alpha_dot, q_dot).shape + (4,))
     out[..., 0], out[..., 1], out[..., 2], out[..., 3] = q, V_dot, alpha_dot, q_dot
     if not partials:
         return out
@@ -405,18 +462,28 @@ def dynamics(x, u, params: AircraftParams, tables: AeroTables) -> np.ndarray:
     return _rhs(x, u, params.m, params.xcg, params.Jyy, params, tables)
 
 
-def _split_params(p, params: AircraftParams):
-    """(m, xcg, Jyy, law ids, disturbance ids) of a p block: an optional
-    (m, xcg, Jyy) override, then optionally ClosedLoop's two index columns;
-    a missing part gives the plant's values or id 0."""
-    p = np.zeros(0) if p is None else np.asarray(p, dtype=float)
-    width = p.shape[-1]
-    if width not in (0, 2, 3, 5):
-        raise ValueError("parameter block must be [m, xcg, Jyy] [law id, disturbance id]")
-    m, xcg, Jyy = ((p[..., 0], p[..., 1], p[..., 2]) if width >= 3
-                   else (params.m, params.xcg, params.Jyy))
-    ids = p[..., -2:].astype(np.intp) if width in (2, 5) else np.zeros(2, dtype=np.intp)
-    return m, xcg, Jyy, ids[..., 0], ids[..., 1]
+@dataclass(frozen=True, eq=False)
+class RowBlock:
+    """A p block bound to a ClosedLoop by ClosedLoop.bind (see there): m,
+    xcg and Jyy are the per-row columns or the plant's values; laws holds
+    (law, rows, command) per law that flies some of the rows, command being
+    law(x, work=work) for a law with a jacobian and law(x) otherwise;
+    dist_ids are the disturbance positions, kinks the elevator kinks
+    (ClosedLoop._deltae_kinks), and work the scratch that the laws, the
+    table lookups and the divergence share in turn. Indexing gives rows of
+    p itself (None without one), which a field call binds afresh."""
+
+    p: np.ndarray | None
+    m: np.ndarray | float
+    xcg: np.ndarray | float
+    Jyy: np.ndarray | float
+    laws: list
+    dist_ids: np.ndarray
+    kinks: np.ndarray
+    work: _Work
+
+    def __getitem__(self, rows):
+        return None if self.p is None else self.p[rows]
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,13 +501,23 @@ class ClosedLoop:
     rows (slices where the law ids are sorted, index arrays in a kink
     stencil); each w(t) is evaluated once per call and gathered per row.
 
-    state_rhs_div needs law.jacobian(x, h) -> (u, J, C, kink) for (n, 4)
-    states x and steps h: the (n, 2) command u (bitwise law(x)), its
+    Every field call reads p through bind, which splits it into a RowBlock
+    (a block is kept as it is). liouville._propagate_arrays binds its rows
+    once and passes the block to every stage of every step: the rows are
+    split once, and the block's scratch (law Jacobians, lattice corner
+    gathers, table lookups) is overwritten call after call and freed with
+    the block. The loop holds no scratch; a raw p gets a new block per call.
+    Results never alias the scratch: xdot is new or the caller's out, and
+    the divergence, kink flags and control are new.
+
+    state_rhs_div needs law.jacobian(x, h, work) -> (u, J, C, kink) for
+    (n, 4) states x and steps h: the (n, 2) command u (bitwise law(x)), its
     Jacobian J and in-cell curvature C per direction, so that the command
     at x +/- h_k e_k is u +/- h_k J_k + h_k^2 C_k (both value-major,
     broadcasting to (2, 4, n): J[i, k] is one row over the samples), and
     the rows whose stencil leaves the law's own cell (as LqrLaw and
-    ScheduledLaw give).
+    ScheduledLaw give). work is the block's scratch, which law(x, work=...)
+    also takes; J and C may be arrays of it, read before the next call.
     For a law without one, pass state_rhs to liouville.propagate as a plain
     field: it then takes finite differences on every row.
     """
@@ -449,6 +526,26 @@ class ClosedLoop:
     params: AircraftParams
     tables: AeroTables
     disturbance: Callable[[float], float] | tuple | None = None
+
+    def bind(self, p=None) -> RowBlock:
+        """p split into a RowBlock: an optional (m, xcg, Jyy) override, then
+        optionally the two index columns; a missing part gives the plant's
+        values or id 0. A RowBlock is returned as it is."""
+        if isinstance(p, RowBlock):
+            return p
+        raw = p
+        p = np.zeros(0) if p is None else np.asarray(p, dtype=float)
+        width = p.shape[-1]
+        if width not in (0, 2, 3, 5):
+            raise ValueError("parameter block must be [m, xcg, Jyy] [law id, disturbance id]")
+        m, xcg, Jyy = ((p[..., 0].copy(), p[..., 1].copy(), p[..., 2].copy()) if width >= 3
+                       else (self.params.m, self.params.xcg, self.params.Jyy))
+        ids = p[..., -2:].astype(np.intp) if width in (2, 5) else np.zeros(2, dtype=np.intp)
+        work = _Work()
+        laws = [(law, rows, partial(law, work=work) if hasattr(law, "jacobian") else law)
+                for law, rows in self._blocks(ids[..., 0])]
+        return RowBlock(None if raw is None else p, m, xcg, Jyy, laws, ids[..., 1],
+                        self._deltae_kinks(), work)
 
     def _blocks(self, ids):
         """(law, rows) of each law that flies some of the rows with law ids."""
@@ -475,21 +572,24 @@ class ClosedLoop:
     def control(self, x: np.ndarray, t: float, p=None) -> np.ndarray:
         """Saturated control applied at state x, time t (p as in state_rhs)."""
         x = np.asarray(x, dtype=float)
-        *_, law_ids, dist_ids = _split_params(p, self.params)
-        u = np.empty(x.shape[:-1] + (2,), order="F")  # value-major: T and delta_e rows
-        for law, rows in self._blocks(law_ids):
-            u[rows] = law(x[rows])
-        return saturate_array(self._disturb(u, t, dist_ids))
+        blk = self.bind(p)
+        # value-major: T and delta_e rows
+        u = blk.work("u", x.shape[:-1] + (2,), order="F")
+        for _, rows, command in blk.laws:
+            u[rows] = command(x[rows])
+        return saturate_array(self._disturb(u, t, blk.dist_ids))
 
-    def state_rhs(self, t: float, x: np.ndarray, p=None) -> np.ndarray:
-        """Derivative of the state block; p overrides (m, xcg, Jyy) and
-        carries the index columns (see the class docstring)."""
-        m, xcg, Jyy, _, _ = _split_params(p, self.params)
-        return _rhs(np.asarray(x, dtype=float), self.control(x, t, p),
-                    m, xcg, Jyy, self.params, self.tables)
+    def state_rhs(self, t: float, x: np.ndarray, p=None, out=None) -> np.ndarray:
+        """Derivative of the state block, written into out if given; p
+        overrides (m, xcg, Jyy) and carries the index columns, or is a
+        RowBlock of them (see the class docstring)."""
+        x = np.asarray(x, dtype=float)
+        blk = self.bind(p)
+        return _rhs(x, self.control(x, t, blk), blk.m, blk.xcg, blk.Jyy, self.params,
+                    self.tables, work=blk.work, out=out)
 
-    def state_rhs_div(self, t: float, x: np.ndarray, p=None):
-        """(state_rhs(t, x, p), divergence, kink) for (n, 4) states x.
+    def state_rhs_div(self, t: float, x: np.ndarray, p=None, out=None):
+        """(state_rhs(t, x, p, out), divergence, kink) for (n, 4) states x.
 
         The divergence is the closed-form trace of the closed-loop Jacobian
         under the kink convention of the module docstring; kink flags the
@@ -498,41 +598,63 @@ class ClosedLoop:
         table breakpoint (or table edge), a cell edge of the law, or V = 0.
         """
         x = np.asarray(x, dtype=float)
-        m, xcg, Jyy, law_ids, dist_ids = _split_params(p, self.params)
-        h = H_REL * np.maximum(1.0, np.abs(x.T, order="C"))  # value-major: a row per state
-        n = len(x)
-        u_cmd, J, C = np.empty((n, 2), order="F"), np.empty((2, 4, n)), np.empty((2, 4, n))
-        kink = np.empty(n, dtype=bool)
-        for law, rows in self._blocks(law_ids):
-            u_cmd[rows], J[..., rows], C[..., rows], kink[rows] = law.jacobian(x[rows], h.T[rows])
-        u_cmd = self._disturb(u_cmd, t, dist_ids)
-        xdot, div, dfde = _rhs(x, saturate_array(u_cmd), m, xcg, Jyy,
-                               self.params, self.tables, partials=True)
+        blk = self.bind(p)
+        w, n = blk.work, len(x)
+        # value-major: a row per state, H_REL max(1, |x|)
+        h = np.abs(x.T, out=w("h", (4, n)))
+        np.maximum(h, 1.0, out=h)
+        h *= H_REL
+        # J and C without their theta column, which the divergence never reads
+        u_cmd, J, C = w("u", (n, 2), order="F"), w("J", (2, 3, n)), w("C", (2, 3, n))
+        kink = w("kink", (n,), bool)
+        for law, rows, _ in blk.laws:
+            u_cmd[rows], J_law, C_law, kink[rows] = law.jacobian(x[rows], h.T[rows], w)
+            J[..., rows], C[..., rows] = J_law[:, 1:], C_law[:, 1:]
+        u_cmd = self._disturb(u_cmd, t, blk.dist_ids)
+        m = blk.m
+        xdot, div, dfde = _rhs(x, saturate_array(u_cmd), m, blk.xcg, blk.Jyy,
+                               self.params, self.tables, partials=True, work=w, out=out)
         # directions V, alpha, q (theta_dot = q contributes 0) on (3, n) rows;
         # the command at x +/- h_k e_k is u +/- h_k J_k + h_k^2 C_k inside
         # the law's cell
-        h, J, C = h[1:], J[:, 1:], C[:, 1:]
-        hh = h * h
-        dT, dE = h * J[0], h * J[1]
-        cT, cE = hh * C[0], hh * C[1]
+        h = h[1:]
+        # the table lookups are spent: these rows reuse their corner gather
+        scratch = w("corners", (15, n))
+        hh, dE, hi = scratch[:3], scratch[3:6], scratch[6:9]
+        # thrust rows V and alpha only: the q row's secant is not needed
+        dT, cT, T_hi = scratch[9:11], scratch[11:13], scratch[13:]
+        np.multiply(h, h, out=hh)
+        np.multiply(h, J[1], out=dE)
+        np.multiply(h[:2], J[0, :2], out=dT)
+        np.multiply(hh[:2], C[0, :2], out=cT)
+        cE = np.multiply(hh, C[1], out=hh)
         V, alpha = x[:, 1], x[:, 2]
         hV, ha = h[0], h[1]
         uT, uE = u_cmd.T
         with np.errstate(all="ignore"):
-            # thrust enters linearly: the secant of its saturation in V, alpha
-            T_hi = np.minimum(np.maximum(uT + dT + cT, THRUST_MIN), THRUST_MAX)
-            T_lo = np.minimum(np.maximum(uT - dT + cT, THRUST_MIN), THRUST_MAX)
+            # thrust enters linearly: the secant of its saturation in V, alpha,
+            # T_hi = sat(uT + dT + cT) and T_lo = sat(uT - dT + cT)
+            np.add(uT, dT, out=T_hi)
+            T_hi += cT
+            T_lo = np.subtract(uT, dT, out=dT)
+            T_lo += cT
+            for T in (T_hi, T_lo):
+                np.maximum(T, THRUST_MIN, out=T)
+                np.minimum(T, THRUST_MAX, out=T)
             div = (div + np.cos(alpha) * (T_hi[0] - T_lo[0]) / (2.0 * hV * m)
                    + (np.sin(alpha - ha) * T_lo[1] - np.sin(alpha + ha) * T_hi[1])
                    / (2.0 * ha * m * V))
             free = np.abs(uE) < ELEVATOR_LIMIT
             JE = J[1]
             div = div + free * (dfde[0] * JE[0] + dfde[1] * JE[1] + dfde[2] * JE[2])
-            # the elevator command over all three stencils, against its kinks
-            lo, hi = cE - np.abs(dE), cE + np.abs(dE)
+            # the elevator command over all three stencils, against its kinks:
+            # lo = cE - |dE| and hi = cE + |dE|
+            np.abs(dE, out=dE)
+            np.add(cE, dE, out=hi)
+            lo = np.subtract(cE, dE, out=cE)
             e_lo = uE + np.minimum(np.minimum(lo[0], lo[1]), lo[2])
             e_hi = uE + np.maximum(np.maximum(hi[0], hi[1]), hi[2])
-        kinks = self._deltae_kinks()
+        kinks = blk.kinks
         kink = (kink | (kinks.searchsorted(e_lo) != kinks.searchsorted(e_hi))
                 | _crosses(self.tables.alpha_breakpoints_deg, (alpha - ha) / DEG,
                            (alpha + ha) / DEG)

@@ -261,14 +261,19 @@ class ControllerSetup:
 
 def build_controllers(params: AircraftParams | None = None,
                       tables: AeroTables | None = None,
-                      need_schedule: bool = True) -> ControllerSetup:
+                      need_schedule: bool = True,
+                      cfg: ScenarioConfig | None = None) -> ControllerSetup:
     """Trim the plant (nominal by default) at the nominal condition,
     synthesize the fixed gain under LqrWeights(), and build the 10x10 gain
-    schedule (unless need_schedule is False)."""
+    schedule (unless need_schedule is False). Given the scenario cfg the
+    set-up is for, an ic box that the trim makes degenerate raises its
+    ConfigError (_ic_box_internal) right after the trim, before the gains."""
     params = params or AircraftParams()
     tables = tables or AeroTables.default()
     weights = LqrWeights()
     trim = find_trim(NOMINAL_V, NOMINAL_ALPHA_DEG * DEG, params, tables)
+    if cfg is not None and cfg.kind != "param":
+        _ic_box_internal(cfg, trim.x_trim.as_array())
     model = linearize_plant(trim.x_trim, trim.u_trim, params, tables)
     K = lqr_gain(model, weights)
     schedule = None
@@ -677,7 +682,7 @@ def run_scenario(cfg: ScenarioConfig, setup: ControllerSetup | None = None,
     both controllers also reports the W_lqr - W_gslqr series per
     frequency. The set-up defaults to build_controllers(), the nominal plant.
     """
-    setup = setup or build_controllers(need_schedule="gslqr" in cfg.controllers)
+    setup = setup or build_controllers(need_schedule="gslqr" in cfg.controllers, cfg=cfg)
     x_trim = setup.trim.x_trim.as_array()
     report = RunReport(scenario=cfg.kind, config=cfg.to_dict(),
                        nominal_trim=setup.trim.to_dict(), curves=[],

@@ -145,24 +145,35 @@ def _density_multiplier(z: np.ndarray) -> np.ndarray:
 
 
 def _fields(rhs):
-    """(field, fused) of a propagate rhs: the vector field f(t, x, p), and
-    state_rhs_div of an rhs that has one (a ClosedLoop), else None."""
-    return getattr(rhs, "state_rhs", rhs), getattr(rhs, "state_rhs_div", None)
+    """(field, fused) of a propagate rhs: the vector field f(t, x, p, out=None),
+    which writes into out if given, and state_rhs_div of an rhs that has one
+    (a ClosedLoop), else None. The field of any other rhs, rhs(t, x, p) or
+    rhs.state_rhs, is wrapped to copy into out."""
+    f, fused = getattr(rhs, "state_rhs", rhs), getattr(rhs, "state_rhs_div", None)
+    if fused is not None:
+        return f, fused
+
+    def field(t, x, p, out=None):
+        if out is None:
+            return f(t, x, p)
+        np.copyto(out, f(t, x, p))
+        return out
+    return field, None
 
 
-def _rhs_div(f, fused, t, X, P):
-    """(f(t, X, P), divergence): the closed form, with the finite-difference
-    divergence on the rows it flags, or finite differences throughout when
-    there is no closed form."""
+def _rhs_div(f, fused, t, X, P, out=None):
+    """(f(t, X, P, out), divergence): the closed form, with the
+    finite-difference divergence on the rows it flags, or finite differences
+    throughout when there is no closed form."""
     if fused is None:
-        return f(t, X, P), divergence(f, X, P, t)
-    k, div, kink = fused(t, X, P)
+        return f(t, X, P, out=out), divergence(f, X, P, t)
+    k, div, kink = fused(t, X, P, out=out)
     if np.any(kink):
         div[kink] = divergence(f, X[kink], None if P is None else P[kink], t)
     return k, div
 
 
-def _step(f, fused, t, X, P, phi, dt, strict_rk4: bool):
+def _step(f, fused, t, X, P, phi, dt, strict_rk4: bool, work):
     """One RK4 step of states plus the density factor for the step.
 
     Each stage calls f, or _rhs_div where the density needs a divergence:
@@ -170,17 +181,29 @@ def _step(f, fused, t, X, P, phi, dt, strict_rk4: bool):
     Euler midpoint X2). Either way the states follow the classical RK4
     tableau on f, since the xdot of state_rhs_div is f's bit for bit: a
     plain states-only RK4 ensemble reproduces them exactly.
+
+    work holds three arrays shaped like X that the step overwrites: the
+    stage state X + c dt k, the stage slope k, and the running sum
+    k0 + 2 k1 + 2 k2 + k3, which becomes X_new. Each is formed in place in
+    the order of the textbook expressions, so the bits are theirs.
     """
-    k, div = [], []
-    for c in _RK4_C:
-        Xs = X + c * dt * k[-1] if k else X
-        if strict_rk4 or len(k) == 1:
-            ki, di = _rhs_div(f, fused, t + c * dt, Xs, P)
-            div.append(di)
+    Xs, k, acc = work
+    div = []
+    for i, c in enumerate(_RK4_C):
+        ki, xi = (acc, X) if i == 0 else (k, Xs)
+        if strict_rk4 or i == 1:
+            div.append(_rhs_div(f, fused, t + c * dt, xi, P, ki)[1])
         else:
-            ki = f(t + c * dt, Xs, P)
-        k.append(ki)
-    X_new = X + dt / 6.0 * (k[0] + 2 * k[1] + 2 * k[2] + k[3])
+            f(t + c * dt, xi, P, out=ki)
+        if i < 3:  # the next stage's state, X + c dt k
+            np.multiply(ki, _RK4_C[i + 1] * dt, out=Xs)
+            Xs += X
+        if 0 < i < 3:
+            k *= 2
+        if i:
+            acc += k
+    acc *= dt / 6.0
+    X_new = np.add(acc, X, out=acc)  # X + dt / 6 (k0 + 2 k1 + 2 k2 + k3)
     if not strict_rk4:
         # the RK4 one-step map of phi' = -div phi with div frozen at X2
         return X_new, phi * _density_multiplier(dt * div[0])
@@ -199,9 +222,17 @@ def _propagate_arrays(rhs, X0, P0, phi0, t0, n_steps, dt, emit_every,
     non-finite component; its last finite state and density stay in every
     later snapshot. A density value that degenerates on its own freezes
     only the density, never the state.
+
+    The block is bound to rhs once (ClosedLoop.bind, for an rhs that has
+    it): every stage of every step passes that RowBlock as p, so the row
+    bookkeeping is made once here, not per field call, and the field's
+    scratch arrays live as long as this call. So do the step's three
+    work arrays (see _step).
     """
     f, fused = _fields(rhs)
     X = np.array(X0, dtype=float)
+    P = rhs.bind(P0) if hasattr(rhs, "bind") else P0
+    work = np.empty((3,) + X.shape)
     phi = np.array(phi0, dtype=float)
     dead = (np.zeros(X.shape[0], dtype=bool) if diverged0 is None
             else np.array(diverged0, dtype=bool))
@@ -209,7 +240,7 @@ def _propagate_arrays(rhs, X0, P0, phi0, t0, n_steps, dt, emit_every,
     with np.errstate(all="ignore"):
         for s in range(1, n_steps + 1):
             t = t0 + (s - 1) * dt
-            X_new, phi_new = _step(f, fused, t, X, P0, phi, dt, strict_rk4)
+            X_new, phi_new = _step(f, fused, t, X, P, phi, dt, strict_rk4, work)
             ok = np.isfinite(X_new[:, 0])
             for column in X_new.T[1:]:  # a row is finite if each of its columns is
                 ok &= np.isfinite(column)

@@ -273,6 +273,32 @@ def test_ic_box_that_rounds_away_at_trim_exits_2_naming_the_entry(capsys, tmp_pa
     assert not out.exists()
 
 
+def refuse_the_schedule(monkeypatch, harness):
+    """Make the gain schedule's trim grid and synthesis raise: a run that
+    reaches either has gone past the nominal trim."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the gain schedule was built")
+    monkeypatch.setattr(harness, "trim_grid", refuse)
+    monkeypatch.setattr(harness, "build_schedule", refuse)
+
+
+@pytest.mark.parametrize("command", ["propagate", "scenario"])
+def test_degenerate_ic_box_exits_2_before_the_schedule_is_built(capsys, tmp_path, monkeypatch,
+                                                                command):
+    # the real set-up: the box is checked right after the nominal trim
+    import otrobust.cli as cli
+    refuse_the_schedule(monkeypatch, cli.harness)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_IC, "controller": "both",
+                               "ic_box_deg": {**DEFAULT_IC_BOX_DEG, "V": [0, 1e-14]}}))
+    out = tmp_path / "out"
+    flag = "--scenario" if command == "propagate" else "--config"
+    code, _, err = run_cli(capsys, command, flag, str(cfg), "--out", str(out))
+    assert code == EXIT_CONFIG
+    assert "ic_box_deg['V']" in err and "not strictly ordered" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_propagate_a_one_sample_random_walk_cloud(capsys, tmp_path, monkeypatch, setup, seed):
     import otrobust.cli as cli

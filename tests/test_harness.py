@@ -350,8 +350,8 @@ def test_ic_report_hash_independent_of_workers_with_kink_rows(setup, monkeypatch
     flagged = []
     fused = ClosedLoop.state_rhs_div
 
-    def counting(self, t, x, p=None):
-        out = fused(self, t, x, p)
+    def counting(self, t, x, p=None, out=None):
+        out = fused(self, t, x, p, out)
         flagged.append(int(np.count_nonzero(out[2])))
         return out
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import lookup_coefficient, rk4_states
-from otrobust import liouville
+from otrobust import harness, liouville
 from otrobust.controller import LqrLaw, ScheduledLaw
 from otrobust.f16 import (
     DEG,
@@ -289,7 +289,8 @@ def test_kink_dense_step_divergence_matches_finite_differences(
     seen = []
     real = liouville._density_multiplier
     monkeypatch.setattr(liouville, "_density_multiplier", lambda z: seen.append(z) or real(z))
-    liouville._step(loop.state_rhs, loop.state_rhs_div, t, X, P, np.ones(len(X)), dt, False)
+    liouville._step(loop.state_rhs, loop.state_rhs_div, t, X, P, np.ones(len(X)), dt, False,
+                    np.empty((3,) + X.shape))
     X2 = X + 0.5 * dt * loop.state_rhs(t, X, P)
     ref = divergence(loop.state_rhs, X2, P, t + 0.5 * dt)
     xdot, _, kink = loop.state_rhs_div(t + 0.5 * dt, X2, P)
@@ -334,30 +335,150 @@ def test_kink_dense_propagation_matches_finite_difference_path(
         assert a.phi == pytest.approx(b.phi, rel=1e-9)
 
 
-def test_shuffled_stacked_rows_give_the_permuted_field(params, tables, nominal_trim,
-                                                       nominal_gain, schedule, rng):
-    # a stacked ensemble of two laws and two disturbances, law-sorted (each
-    # law on a slice) and shuffled (each law on an index array): xdot, the
-    # divergence and the kink flags are the same values, permuted, bit for bit
-    t = 0.4
+def _two_law_kink_stack(params, tables, nominal_trim, nominal_gain, schedule, rng, t):
+    """A law-sorted stacked ensemble of two laws and two disturbances on
+    kink-dense states: (loop, X, P)."""
     lqr = _kink_loop("lqr", True, params, tables, nominal_trim, nominal_gain, schedule)
     gs = _kink_loop("scheduled", True, params, tables, nominal_trim, nominal_gain, schedule)
     x_trim = nominal_trim.x_trim.as_array()
     blocks = [_kink_dense_states(loop, schedule, x_trim, t, rng) for loop in (lqr, gs)]
     X = np.vstack(blocks)
-    law_ids = np.repeat([0.0, 1.0], [len(b) for b in blocks])
     P = np.column_stack([np.array([params.m, params.xcg, params.Jyy])
                          * rng.uniform(0.9, 1.1, (len(X), 3)),
-                         law_ids, rng.integers(0, 2, len(X))])
+                         np.repeat([0.0, 1.0], [len(b) for b in blocks]),
+                         rng.integers(0, 2, len(X))])
     loop = ClosedLoop(law=(lqr.law, gs.law), params=params, tables=tables,
                       disturbance=(SineDisturbance(6.5 * DEG, 2.0),
                                    SineDisturbance(6.5 * DEG, 100.0)))
+    return loop, X, P
+
+
+def test_shuffled_stacked_rows_give_the_permuted_field(params, tables, nominal_trim,
+                                                       nominal_gain, schedule, rng):
+    # law-sorted (each law on a slice) and shuffled (each law on an index
+    # array): xdot, the divergence and the kink flags are the same values,
+    # permuted, bit for bit
+    t = 0.4
+    loop, X, P = _two_law_kink_stack(params, tables, nominal_trim, nominal_gain, schedule,
+                                     rng, t)
     xdot, div, kink = loop.state_rhs_div(t, X, P)
     assert 0 < np.count_nonzero(kink) < len(X)
     perm = rng.permutation(len(X))
-    assert not np.all(np.diff(law_ids[perm]) >= 0)
+    assert not np.all(np.diff(P[perm, 3]) >= 0)
     xdot_p, div_p, kink_p = loop.state_rhs_div(t, X[perm], P[perm])
     assert np.array_equal(xdot_p, xdot[perm])
     assert np.array_equal(div_p, div[perm])
     assert np.array_equal(kink_p, kink[perm])
     assert np.array_equal(loop.state_rhs(t, X[perm], P[perm]), loop.state_rhs(t, X, P)[perm])
+
+
+STACKS = {
+    "ic": dict(kind="ic", samples=30),
+    "param": dict(kind="param", samples=12, param_delta_percent=[0.0, 15.0]),
+    "disturbance": dict(kind="disturbance", samples=12, omega_rad_s=[2.0, 100.0]),
+}
+
+
+def _stack(setup, kind):
+    """The stacked ensemble and loop of a small scenario of both controllers."""
+    cfg = harness.ScenarioConfig(**STACKS[kind], t_f=0.1, dt=0.01, seed=1)
+    ensemble, loop, _ = harness._cases(cfg, setup)
+    return loop, ensemble.states, ensemble.params
+
+
+def _assert_same_bits(a, b):
+    for u, v in zip(a, b) if isinstance(a, tuple) else [(a, b)]:
+        assert u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(STACKS))
+def test_a_bound_block_gives_the_bits_of_its_raw_rows(setup, rng, kind):
+    # one block serves several calls in a row, as the stages of a step do;
+    # a permuted block runs each law on index arrays, a one-row block on one
+    loop, X, P = _stack(setup, kind)
+    perm = rng.permutation(len(X))
+    cases = [(X, P), (X[perm], P[perm])] + [(X[i:i + 1], P[i:i + 1]) for i in (0, len(X) - 1)]
+    for x, p in cases:
+        block = loop.bind(p)
+        assert loop.bind(block) is block
+        x2 = x * (1.0 + 1e-3 * rng.standard_normal(x.shape))
+        for t, y in [(0.0, x), (0.3, x2), (0.0, x)]:
+            _assert_same_bits(loop.state_rhs(t, y, block), loop.state_rhs(t, y, p))
+            _assert_same_bits(loop.state_rhs_div(t, y, block), loop.state_rhs_div(t, y, p))
+
+
+def test_a_bound_kink_subset_gives_the_bits_of_its_raw_rows(params, tables, nominal_trim,
+                                                              nominal_gain, schedule, rng):
+    # shuffled two-law kink-dense rows: the step's divergence takes the
+    # finite-difference fallback on the flagged rows, whose field calls bind
+    # the subset afresh
+    t = 0.4
+    loop, X, P = _two_law_kink_stack(params, tables, nominal_trim, nominal_gain, schedule,
+                                     rng, t)
+    perm = rng.permutation(len(X))
+    X, P = X[perm], P[perm]
+    block = loop.bind(P)
+    kink = loop.state_rhs_div(t, X, block)[2]
+    assert 0 < np.count_nonzero(kink) < len(X)
+    assert np.array_equal(block[kink], P[kink])
+    _assert_same_bits(loop.state_rhs(t, X[kink], loop.bind(P[kink])),
+                      loop.state_rhs(t, X[kink], P[kink]))
+    fields = (loop.state_rhs, loop.state_rhs_div)
+    _assert_same_bits(liouville._rhs_div(*fields, t, X, block),
+                      liouville._rhs_div(*fields, t, X, P))
+
+
+def test_results_of_a_bound_call_survive_the_next_call(setup, rng):
+    # the block's scratch is overwritten by every call; what a call returns
+    # is not scratch
+    loop, X, P = _stack(setup, "disturbance")
+    block = loop.bind(P)
+    X2 = X * (1.0 + 1e-2 * rng.standard_normal(X.shape))
+    first = (*loop.state_rhs_div(0.0, X, block), loop.state_rhs(0.0, X, block),
+             loop.control(X, 0.0, block))
+    kept = [a.copy() for a in first]
+    loop.state_rhs_div(0.5, X2, block)
+    loop.state_rhs(0.5, X2, block)
+    loop.control(X2, 0.5, block)
+    for a, b in zip(first, kept):
+        _assert_same_bits(a, b)
+
+
+def test_ic_wide_propagation_is_the_same_with_two_workers(setup, monkeypatch):
+    # each worker binds and fills its own block's scratch
+    monkeypatch.delenv("OTROBUST_WORKERS", raising=False)
+    cfg = harness.ScenarioConfig(kind="ic", samples=2000, t_f=0.03, dt=0.01)
+    ensemble, loop, _ = harness._cases(cfg, setup)
+    assert ensemble.n == 4000
+    one = propagate(ensemble, loop, cfg.t_f, cfg.dt, workers=1)
+    two = propagate(ensemble, loop, cfg.t_f, cfg.dt, workers=2)
+    assert [s.t for s in one] == [s.t for s in two] and len(one) == 4
+    for a, b in zip(one, two):
+        _assert_same_bits((a.states, a.phi, a.diverged), (b.states, b.phi, b.diverged))
+
+
+def test_a_propagation_splits_its_rows_once_per_block(setup, monkeypatch):
+    # a 10-step propagation of the two-law ic stack: its 40 stage calls share
+    # one split of the rows, and each kink subset's finite-difference field
+    # call (one per subset at this size) makes its own
+    cfg = harness.ScenarioConfig(kind="ic", samples=100, t_f=0.1, dt=0.01)
+    ensemble, loop, _ = harness._cases(cfg, setup)
+    splits, kinks = [], []
+    split, fused = ClosedLoop._blocks, ClosedLoop.state_rhs_div
+
+    def counting_split(self, ids):
+        splits.append(np.size(ids))
+        return split(self, ids)
+
+    def counting_fused(self, *args, **kwargs):
+        result = fused(self, *args, **kwargs)
+        kinks.append(int(np.count_nonzero(result[2])))
+        return result
+
+    monkeypatch.setattr(ClosedLoop, "_blocks", counting_split)
+    monkeypatch.setattr(ClosedLoop, "state_rhs_div", counting_fused)
+    propagate(ensemble, loop, cfg.t_f, cfg.dt, workers=1)
+    assert len(kinks) == 10
+    subsets = [k for k in kinks if k]
+    assert subsets and 8 * max(subsets) <= DIVERGENCE_ROW_BUDGET
+    assert splits == [ensemble.n] + [8 * k for k in subsets]

@@ -108,3 +108,20 @@ def test_run_scenario_names_an_ic_box_entry_that_rounds_away_at_trim(monkeypatch
     assert code == 2
     assert out == "" and "ic_box_deg['V']" in err and "not strictly ordered" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_run_scenario_rejects_a_degenerate_ic_box_before_the_schedule_is_built(
+        monkeypatch, capsys, config, tmp_path):
+    # the real set-up, with the gain schedule's trim grid and synthesis
+    # refused: the box is checked right after the nominal trim
+    def refuse(*args, **kwargs):
+        raise AssertionError("the gain schedule was built")
+    monkeypatch.setattr(harness, "trim_grid", refuse)
+    monkeypatch.setattr(harness, "build_schedule", refuse)
+    box = {**harness.DEFAULT_IC_BOX_DEG, "V": [0, 1e-14]}
+    config.write_text(json.dumps({**json.loads(config.read_text()), "controller": "both",
+                                  "ic_box_deg": box}))
+    code, out, err = run_scenario_script(monkeypatch, capsys, str(config))
+    assert code == 2
+    assert out == "" and "ic_box_deg['V']" in err and "not strictly ordered" in err
+    assert not (tmp_path / "out").exists()
