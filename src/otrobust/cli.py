@@ -205,12 +205,15 @@ def _cmd_freq(args) -> int:
 
 def _cmd_scenario(args) -> int:
     cfg = ScenarioConfig.from_json(args.config)
-    if args.out:
+    if args.out is not None:
         cfg = replace(cfg, output_dir=args.out)
     if cfg.output_dir is None:
         raise ConfigError("no output directory: set output_dir in the config or pass --out")
     report = harness.run_scenario(cfg, keep_snapshots=True)
     print(f"report written to {cfg.output_dir} (hash {report.content_hash[:12]})")
+    for c in report.curves:
+        label = c["controller"] + (f" {c['variant']}" if c["variant"] else "")
+        print(f"  {label:24s} W(0)={c['W'][0]:8.3f}  W(t_f)={c['W'][-1]:8.4f}")
     return EXIT_OK
 
 

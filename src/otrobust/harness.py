@@ -156,8 +156,9 @@ class ScenarioConfig:
             _check_number(getattr(self, name), name)
         if not isinstance(self.strict_rk4, bool):
             raise ConfigError(f"strict_rk4 must be true or false, got {self.strict_rk4!r}")
-        if not (self.output_dir is None or isinstance(self.output_dir, str)):
-            raise ConfigError(f"output_dir must be a path string, got {self.output_dir!r}")
+        if not (self.output_dir is None or isinstance(self.output_dir, str) and self.output_dir):
+            raise ConfigError(f"output_dir must be a non-empty path string, "
+                              f"got {self.output_dir!r}")
         if not (self.t_f > 0 and self.dt > 0 and self.samples > 0):
             raise ConfigError("t_f, dt and samples must be positive")
         steps = self.t_f / self.dt

@@ -155,6 +155,11 @@ def test_scenario_subcommand(capsys, tmp_path):
     doc = json.loads((out_dir / "report.json").read_text())
     assert doc["scenario"] == "ic"
     assert (out_dir / "snapshots" / "lqr.csv").exists()
+    head, *curves = out.splitlines()
+    assert head == f"report written to {out_dir} (hash {doc['content_hash'][:12]})"
+    assert len(curves) == len(doc["curves"]) == 1
+    W = doc["curves"][0]["W"]
+    assert curves[0] == f"  {'lqr':24s} W(0)={W[0]:8.3f}  W(t_f)={W[-1]:8.4f}"
 
 
 def test_bad_config_exits_2(capsys, tmp_path):
@@ -168,6 +173,7 @@ def test_bad_config_exits_2(capsys, tmp_path):
 # Malformed scenario configs exit 2 naming the field, before any output.
 SMALL_IC = {"kind": "ic", "controller": "lqr", "samples": 4, "t_f": 0.02, "dt": 0.01,
             "emit_every": 1, "seed": 0}
+FLAG = {"propagate": "--scenario", "scenario": "--config"}  # each command's config flag
 MALFORMED = {
     "samples": {"samples": 2.5},
     "emit_every": {"emit_every": 1.5},
@@ -178,7 +184,12 @@ MALFORMED = {
     "dt": {"t_f": 0.001, "dt": 0.01},     # or to none
     "ic_box_deg": {"ic_box_deg": {"theta": ["a", "b"], "V": [-65, 65],
                                   "alpha": [-20, 50], "q": [-70, 70]}},
+    "samples=0": {"samples": 0},
+    "samples=-5": {"samples": -5},
 }
+# what the error says, where the case is not named after it
+MALFORMED_ERROR = {"samples=0": "samples must be positive",
+                   "samples=-5": "samples must be positive"}
 
 
 @pytest.mark.parametrize("command,field", [("scenario", f) for f in MALFORMED]
@@ -188,10 +199,9 @@ def test_malformed_scenario_config_exits_2(capsys, tmp_path, command, field):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**SMALL_IC, **MALFORMED[field]}))
     out = tmp_path / "out"
-    flag = "--config" if command == "scenario" else "--scenario"
-    code, _, err = run_cli(capsys, command, flag, str(cfg), "--out", str(out))
+    code, _, err = run_cli(capsys, command, FLAG[command], str(cfg), "--out", str(out))
     assert code == EXIT_CONFIG
-    assert field in err
+    assert MALFORMED_ERROR.get(field, field) in err
     assert not out.exists()
 
 
@@ -207,29 +217,73 @@ def test_repeated_sweep_label_exits_2_and_writes_nothing(capsys, tmp_path, field
     assert not out.exists()
 
 
-def test_malformed_workers_variable_exits_2_naming_it(capsys, tmp_path, monkeypatch, setup):
+@pytest.mark.parametrize("out", [[], ["--out", ""]], ids=["config", "flag"])
+def test_empty_output_dir_exits_2_and_writes_nothing(capsys, tmp_path, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_IC, "output_dir": ""}))
+    code, stdout, err = run_cli(capsys, "scenario", "--config", str(cfg), *out)
+    assert code == EXIT_CONFIG and stdout == ""
+    assert "output_dir" in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+# The config's output_dir is where a scenario writes, unless --out names another.
+@pytest.mark.parametrize("out", [[], ["--out", "elsewhere"]], ids=["config", "flag"])
+def test_scenario_writes_to_the_config_or_the_out_directory(capsys, tmp_path, monkeypatch,
+                                                            setup, out):
+    import otrobust.cli as cli
+    monkeypatch.setattr(cli.harness, "build_controllers", lambda *a, **k: setup)
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_IC, "output_dir": "from_config"}))
+    code, stdout, _ = run_cli(capsys, "scenario", "--config", str(cfg), *out)
+    assert code == EXIT_OK
+    written = out[-1] if out else "from_config"
+    assert stdout.startswith(f"report written to {written} (hash ")
+    assert (tmp_path / written / "report.json").is_file()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["cfg.json", written])
+
+
+def test_unwritable_output_dir_exits_2_without_a_traceback(capsys, tmp_path, monkeypatch, setup):
+    import otrobust.cli as cli
+    monkeypatch.setattr(cli.harness, "build_controllers", lambda *a, **k: setup)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SMALL_IC))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = run_cli(capsys, "scenario", "--config", str(cfg),
+                           "--out", str(blocker / "out"))
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["propagate", "scenario"])
+def test_malformed_workers_variable_exits_2_naming_it(capsys, tmp_path, monkeypatch, setup,
+                                                      command):
     import otrobust.cli as cli
     monkeypatch.setattr(cli.harness, "build_controllers", lambda *a, **k: setup)
     monkeypatch.setenv("OTROBUST_WORKERS", "two")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(SMALL_IC))
     out = tmp_path / "out"
-    code, _, err = run_cli(capsys, "scenario", "--config", str(cfg), "--out", str(out))
+    code, _, err = run_cli(capsys, command, FLAG[command], str(cfg), "--out", str(out))
     assert code == EXIT_CONFIG
     assert "OTROBUST_WORKERS" in err and "'two'" in err
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["propagate", "scenario"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_non_positive_workers_variable_exits_2_naming_it(capsys, tmp_path, monkeypatch, setup,
-                                                         value):
+                                                         value, command):
     import otrobust.cli as cli
     monkeypatch.setattr(cli.harness, "build_controllers", lambda *a, **k: setup)
     monkeypatch.setenv("OTROBUST_WORKERS", value)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(SMALL_IC))
     out = tmp_path / "out"
-    code, _, err = run_cli(capsys, "propagate", "--scenario", str(cfg), "--out", str(out))
+    code, _, err = run_cli(capsys, command, FLAG[command], str(cfg), "--out", str(out))
     assert code == EXIT_CONFIG
     assert "OTROBUST_WORKERS must be at least 1" in err and f"'{value}'" in err
     assert not out.exists()
@@ -244,30 +298,32 @@ DEGENERATE_IC_BOXES = {
 DEGENERATE_IC_BOX_ENTRY = {"overflow": "ic_box_deg['V']", "underflow": "ic_box_deg['q']"}
 
 
+@pytest.mark.parametrize("command", ["propagate", "scenario"])
 @pytest.mark.parametrize("box", DEGENERATE_IC_BOXES)
 def test_ic_box_without_a_finite_positive_volume_exits_2(capsys, tmp_path, monkeypatch, setup,
-                                                         box):
+                                                         box, command):
     import otrobust.cli as cli
     monkeypatch.setattr(cli.harness, "build_controllers", lambda *a, **k: setup)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**SMALL_IC, "ic_box_deg": DEGENERATE_IC_BOXES[box]}))
     out = tmp_path / "out"
-    code, _, err = run_cli(capsys, "propagate", "--scenario", str(cfg), "--out", str(out))
+    code, _, err = run_cli(capsys, command, FLAG[command], str(cfg), "--out", str(out))
     assert code == EXIT_CONFIG
     assert "box volume" in err
     assert DEGENERATE_IC_BOX_ENTRY[box] in err
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["propagate", "scenario"])
 def test_ic_box_that_rounds_away_at_trim_exits_2_naming_the_entry(capsys, tmp_path,
-                                                                   monkeypatch, setup):
+                                                                   monkeypatch, setup, command):
     # a proper interval, but 407.89 ft/s + 1e-14 rounds back to 407.89
     import otrobust.cli as cli
     monkeypatch.setattr(cli.harness, "build_controllers", lambda *a, **k: setup)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**SMALL_IC, "ic_box_deg": {**DEFAULT_IC_BOX_DEG, "V": [0, 1e-14]}}))
     out = tmp_path / "out"
-    code, _, err = run_cli(capsys, "propagate", "--scenario", str(cfg), "--out", str(out))
+    code, _, err = run_cli(capsys, command, FLAG[command], str(cfg), "--out", str(out))
     assert code == EXIT_CONFIG
     assert "ic_box_deg['V']" in err and "not strictly ordered" in err
     assert not out.exists()
@@ -292,8 +348,7 @@ def test_degenerate_ic_box_exits_2_before_the_schedule_is_built(capsys, tmp_path
     cfg.write_text(json.dumps({**SMALL_IC, "controller": "both",
                                "ic_box_deg": {**DEFAULT_IC_BOX_DEG, "V": [0, 1e-14]}}))
     out = tmp_path / "out"
-    flag = "--scenario" if command == "propagate" else "--config"
-    code, _, err = run_cli(capsys, command, flag, str(cfg), "--out", str(out))
+    code, _, err = run_cli(capsys, command, FLAG[command], str(cfg), "--out", str(out))
     assert code == EXIT_CONFIG
     assert "ic_box_deg['V']" in err and "not strictly ordered" in err
     assert not out.exists()
@@ -719,6 +774,5 @@ def test_propagate_and_scenario_exit_codes(command, doc):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "cfg.json"
         path.write_text(json.dumps(doc))
-        flag = "--config" if command == "scenario" else "--scenario"
-        code, _ = _quiet_main([command, flag, str(path), "--out", str(Path(d) / "out")])
+        code, _ = _quiet_main([command, FLAG[command], str(path), "--out", str(Path(d) / "out")])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)

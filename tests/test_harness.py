@@ -55,7 +55,7 @@ def test_config_validation_errors():
     for fields in [{"seed": True}, {"seed": 1.0}, {"samples": "8"}, {"workers": 0},
                    {"workers": 1.5}, {"t_f": float("inf")}, {"dt": "0.01"},
                    {"disturbance_amp_deg": float("nan")}, {"strict_rk4": "false"},
-                   {"output_dir": 5}, {"x_pert": [1.0, 5.0, 2.8, 0.0]},
+                   {"output_dir": 5}, {"output_dir": ""}, {"x_pert": [1.0, 5.0, 2.8, 0.0]},
                    {"x_pert": {"theta": 1.0, "V": "5", "alpha": 2.8, "q": 0.0}},
                    {"ic_box_deg": {**box, "q": -70}},
                    {"ic_box_deg": {**box, "q": [-1, True]}},
