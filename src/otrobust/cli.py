@@ -39,6 +39,22 @@ def _load_params_tables(args):
     return params, tables
 
 
+def _check_output(flag: str, path, is_dir: bool = False) -> None:
+    """ConfigError naming flag unless path (None: stdout) could be written:
+    the nearest existing ancestor of a directory output, or of a file
+    output's parent, is a directory, and a file output is not a directory.
+    Commands call this before any work; it creates nothing."""
+    if path is None:
+        return
+    p = Path(path)
+    if not is_dir and p.is_dir():
+        raise ConfigError(f"{flag} {path} is a directory")
+    start = p if is_dir else p.parent
+    nearest = next(a for a in (start, *start.parents) if a.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"{flag} {path}: {nearest} is not a directory")
+
+
 def _json_text(doc) -> str:
     """doc as indented JSON text; NumericalFailure if it holds a non-finite
     number, which JSON has no token for."""
@@ -56,6 +72,7 @@ def _cmd_trim(args) -> int:
 
 
 def _cmd_trim_grid(args) -> int:
+    _check_output("--out", args.out)
     params, tables = _load_params_tables(args)
     grid = trim.default_grid(args.nv, args.nalpha)
     points = trim.trim_grid(grid, params, tables)
@@ -84,6 +101,7 @@ def _cmd_gains(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
+    _check_output("--out", args.out)
     params, tables = _load_params_tables(args)
     points = trim.read_trims(args.trims)
     reference = trim.find_trim(harness.NOMINAL_V, harness.NOMINAL_ALPHA_DEG * DEG,
@@ -124,6 +142,7 @@ def _time_stamps(times) -> list[str]:
 
 
 def _cmd_propagate(args) -> int:
+    _check_output("--out", args.out, is_dir=True)
     cfg = _scenario_config_from_args(args)
     params, tables = _load_params_tables(args)
     setup = harness.build_controllers(params, tables,
@@ -153,6 +172,8 @@ def _dist_from_snapshot(snap, weights: str) -> DiscreteDistribution:
 def _cmd_wasserstein(args) -> int:
     if args.plan and not args.b:
         raise ConfigError("--plan needs --b: --dirac-at solves no transport plan")
+    _check_output("--out", args.out)
+    _check_output("--plan", args.plan)
     snaps_a = harness.read_snapshot_csv(args.a)
     rows = []
     plan_export = None
@@ -188,6 +209,7 @@ def _cmd_wasserstein(args) -> int:
 
 
 def _cmd_freq(args) -> int:
+    _check_output("--out", args.out)
     params, tables = _load_params_tables(args)
     setup = harness.build_controllers(params, tables, need_schedule=False)
     model = setup.closed_loop_linear_model()
@@ -209,6 +231,8 @@ def _cmd_scenario(args) -> int:
         cfg = replace(cfg, output_dir=args.out)
     if cfg.output_dir is None:
         raise ConfigError("no output directory: set output_dir in the config or pass --out")
+    _check_output("--out" if args.out is not None else "output_dir", cfg.output_dir,
+                  is_dir=True)
     report = harness.run_scenario(cfg, keep_snapshots=True)
     print(f"report written to {cfg.output_dir} (hash {report.content_hash[:12]})")
     for c in report.curves:

@@ -140,8 +140,12 @@ def divergence(rhs: Callable, x: np.ndarray, p: np.ndarray | None, t: float) -> 
 
 
 def _density_multiplier(z: np.ndarray) -> np.ndarray:
-    """Degree-4 Taylor factor of exp(-z); strictly positive for real z."""
-    return 1.0 - z + z * z / 2.0 - z ** 3 / 6.0 + z ** 4 / 24.0
+    """Degree-4 Taylor factor of exp(-z); positive until z * z overflows.
+
+    The powers are products, not `**`: numpy's `pow` takes a slow path for a
+    negative base, and every z = dt div of a contracting ensemble is negative."""
+    z2 = z * z
+    return 1.0 - z + z2 / 2.0 - z2 * z / 6.0 + z2 * z2 / 24.0
 
 
 def _fields(rhs):

@@ -245,17 +245,45 @@ def test_scenario_writes_to_the_config_or_the_out_directory(capsys, tmp_path, mo
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["cfg.json", written])
 
 
-def test_unwritable_output_dir_exits_2_without_a_traceback(capsys, tmp_path, monkeypatch, setup):
+# Each writing command with one output that cannot be written: under a regular
+# file, or (trim-grid-dir) a directory where a file goes. The command must
+# refuse before its first expensive call, patched here to fail the test.
+UNWRITABLE_OUTPUTS = {
+    "scenario": ("--out", "build_controllers", ["scenario", "--config", "cfg.json"]),
+    "propagate": ("--out", "build_controllers", ["propagate", "--scenario", "cfg.json"]),
+    "trim-grid": ("--out", "trim_grid", ["trim-grid", "--nv", "2", "--nalpha", "2"]),
+    "trim-grid-dir": ("--out", "trim_grid", ["trim-grid", "--nv", "2", "--nalpha", "2"]),
+    "schedule": ("--out", "find_trim", ["schedule", "--trims", "trims.json"]),
+    "freq": ("--out", "build_controllers", ["freq"]),
+    "wasserstein-out": ("--out", "read_snapshot_csv",
+                        ["wasserstein", "--a", "ok.csv", "--dirac-at", "t.json"]),
+    "wasserstein-plan": ("--plan", "read_snapshot_csv",
+                         ["wasserstein", "--a", "ok.csv", "--b", "ok.csv"]),
+}
+
+
+@pytest.mark.parametrize("case", UNWRITABLE_OUTPUTS)
+def test_unwritable_output_exits_2_before_any_work(capsys, tmp_path, monkeypatch, case):
     import otrobust.cli as cli
-    monkeypatch.setattr(cli.harness, "build_controllers", lambda *a, **k: setup)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(SMALL_IC))
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    code, _, err = run_cli(capsys, "scenario", "--config", str(cfg),
-                           "--out", str(blocker / "out"))
-    assert code == EXIT_CONFIG
-    assert err.startswith("error:") and "Traceback" not in err
+    flag, expensive, argv = UNWRITABLE_OUTPUTS[case]
+
+    def refuse(*a, **k):
+        pytest.fail(f"{case} called {expensive} before checking {flag}")
+    module = cli.trim if expensive in ("trim_grid", "find_trim") else cli.harness
+    monkeypatch.setattr(module, expensive, refuse)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(SMALL_IC))
+    (tmp_path / "trims.json").write_text(json.dumps([GOOD_TRIM]))
+    (tmp_path / "t.json").write_text(json.dumps(GOOD_TRIM))
+    _good_snapshot(tmp_path)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    out = "dir" if case == "trim-grid-dir" else str(Path("file") / "out")
+    code, stdout, err = run_cli(capsys, *argv, flag, out)
+    assert code == EXIT_CONFIG and stdout == ""
+    assert err.startswith("error:") and flag in err and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("command", ["propagate", "scenario"])
