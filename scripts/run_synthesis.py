@@ -13,14 +13,21 @@ import sys
 
 import numpy as np
 
+from otrobust import cli
 from otrobust.f16 import DEG
-from otrobust.harness import build_controllers, default_omega_grid, freq_response
+from otrobust.harness import (ConfigError, build_controllers, default_omega_grid,
+                              freq_response)
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", help="write the gain schedule JSON here")
     args = ap.parse_args()
+    try:
+        cli._check_output("--out", args.out)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_CONFIG
 
     setup = build_controllers()
     tp = setup.trim

@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands mirror the library pipeline: trim / trim-grid for equilibria,
-gains / schedule for controller synthesis, propagate for raw ensemble
-snapshots, wasserstein for scoring snapshot files, freq for the
-disturbance-to-state response, and scenario for the full experiment
-runner. Angle-valued inputs and outputs are degrees. The JSON that trim,
+gains / schedule for controller synthesis, scenario for the full
+experiment runner (its snapshots/ CSVs are the raw ensemble), wasserstein
+for scoring snapshot files, and freq for the disturbance-to-state
+response. Angle-valued inputs and outputs are degrees. The JSON that trim,
 trim-grid, gains and schedule write is strict: a non-finite number in it is
 a numerical failure, and nothing is written.
 
@@ -117,48 +117,6 @@ def _cmd_schedule(args) -> int:
     return EXIT_OK
 
 
-def _scenario_config_from_args(args) -> ScenarioConfig:
-    cfg = ScenarioConfig.from_json(args.scenario)
-    overrides = {}
-    for field in ("t_f", "dt", "samples", "emit_every", "seed", "workers"):
-        v = getattr(args, field, None)
-        if v is not None:
-            overrides[field] = v
-    if getattr(args, "controller", None):
-        overrides["controller"] = args.controller
-    if getattr(args, "strict_rk4", False):
-        overrides["strict_rk4"] = True
-    return replace(cfg, **overrides)
-
-
-def _time_stamps(times) -> list[str]:
-    """Zero-padded fixed-point times, two decimals or as many more as it
-    takes to tell every time apart (file names of propagate --per-time)."""
-    for places in range(2, 18):
-        stamps = [f"{t:0{places + 5}.{places}f}" for t in times]
-        if len(set(stamps)) == len(stamps):
-            return stamps
-    raise ValueError("snapshot times repeat")
-
-
-def _cmd_propagate(args) -> int:
-    _check_output("--out", args.out, is_dir=True)
-    cfg = _scenario_config_from_args(args)
-    params, tables = _load_params_tables(args)
-    setup = harness.build_controllers(params, tables,
-                                      need_schedule="gslqr" in cfg.controllers, cfg=cfg)
-    out_dir = Path(args.out)
-    for name, snaps in harness._first_variants(cfg, setup):
-        if args.per_time:
-            for s, stamp in zip(snaps, _time_stamps([s.t for s in snaps])):
-                harness.write_snapshot_csv([s], out_dir / f"{name}_t{stamp}.csv")
-        else:
-            harness.write_snapshot_csv(snaps, out_dir / f"{name}.csv")
-        print(f"{name}: {len(snaps)} snapshots, "
-              f"{int(np.count_nonzero(snaps[-1].diverged))} diverged samples")
-    return EXIT_OK
-
-
 def _dist_from_snapshot(snap, weights: str) -> DiscreteDistribution:
     deg_states = snap.states * harness.PAPER_STATE_SCALE
     if snap.params.shape[1]:
@@ -233,7 +191,10 @@ def _cmd_scenario(args) -> int:
         raise ConfigError("no output directory: set output_dir in the config or pass --out")
     _check_output("--out" if args.out is not None else "output_dir", cfg.output_dir,
                   is_dir=True)
-    report = harness.run_scenario(cfg, keep_snapshots=True)
+    params, tables = _load_params_tables(args)
+    setup = harness.build_controllers(params, tables,
+                                      need_schedule="gslqr" in cfg.controllers, cfg=cfg)
+    report = harness.run_scenario(cfg, setup=setup, keep_snapshots=True)
     print(f"report written to {cfg.output_dir} (hash {report.content_hash[:12]})")
     for c in report.curves:
         label = c["controller"] + (f" {c['variant']}" if c["variant"] else "")
@@ -276,22 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_args(p)
     p.set_defaults(func=_cmd_schedule)
 
-    p = sub.add_parser("propagate", help="propagate an ensemble, write snapshots")
-    p.add_argument("--scenario", required=True, help="scenario config JSON")
-    p.add_argument("--controller", choices=["lqr", "gslqr", "both"])
-    p.add_argument("--tf", type=float, dest="t_f")
-    p.add_argument("--dt", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--emit-every", type=int, dest="emit_every")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--strict-rk4", action="store_true", dest="strict_rk4")
-    p.add_argument("--per-time", action="store_true",
-                   help="one CSV per emitted time instead of one long file")
-    p.add_argument("--out", required=True, help="output directory")
-    add_model_args(p)
-    p.set_defaults(func=_cmd_propagate)
-
     p = sub.add_parser("wasserstein", help="score snapshot CSVs")
     p.add_argument("--a", required=True, help="snapshot CSV")
     target = p.add_mutually_exclusive_group(required=True)
@@ -313,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scenario", help="run a full experiment from a config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", help="output directory (overrides config)")
+    add_model_args(p)
     p.set_defaults(func=_cmd_scenario)
 
     return ap

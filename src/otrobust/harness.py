@@ -16,16 +16,14 @@ is one propagation: _cases(cfg, setup) lays out one flat list of curves in
 report order, each (controller, variant, its rows, its initial cloud), and
 stacks their clouds into one ensemble whose per-row index columns pick
 each row's law and disturbance; _runs(cfg, setup) propagates it once and
-slices out each curve. run_scenario scores every curve; the CLI's
-propagate takes the first variant's snapshots from the same pipeline,
-_first_variants(cfg, setup). Every curve is a closed-form Dirac distance
-to trim, the param one on the extended space (see _cases); the
-transportation LP is kept for general CLI inputs and as the oracle of
-that score. Wasserstein values are reported in the degree-based reporting
-units (deg, ft/s, deg, deg/s) of f16.STATE_UNITS, as are all file outputs.
-Reports are plain dicts rendered to report.json / W.csv / snapshot CSVs,
-stamped with a content hash so identical configurations are
-bit-reproducible.
+slices out each curve, and run_scenario scores every curve. Every curve
+is a closed-form Dirac distance to trim, the param one on the extended
+space (see _cases); the transportation LP is kept for general CLI inputs
+and as the oracle of that score. Wasserstein values are reported in the
+degree-based reporting units (deg, ft/s, deg, deg/s) of f16.STATE_UNITS,
+as are all file outputs. Reports are plain dicts rendered to report.json /
+W.csv / snapshot CSVs, stamped with a content hash so identical
+configurations are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -662,17 +660,7 @@ def _runs(cfg: ScenarioConfig, setup: ControllerSetup):
                                                diverged=s.diverged[rows]) for s in snaps]
 
 
-def _first_variants(cfg: ScenarioConfig, setup: ControllerSetup):
-    """(controller, snapshots) of each controller's first variant: the first
-    omega or delta cloud; the param deterministic curve is skipped."""
-    sweep = _SWEEPS.get(cfg.kind)
-    first = replace(cfg, **{sweep: getattr(cfg, sweep)[:1]}) if sweep else cfg
-    for name, variant, snaps in _runs(first, setup):
-        if variant != "deterministic":
-            yield name, snaps
-
-
-def run_scenario(cfg: ScenarioConfig, setup: ControllerSetup | None = None,
+def run_scenario(cfg: ScenarioConfig, setup: ControllerSetup,
                  keep_snapshots: bool = False) -> RunReport:
     """Run the experiment cfg describes and assemble its report.
 
@@ -681,9 +669,8 @@ def run_scenario(cfg: ScenarioConfig, setup: ControllerSetup | None = None,
     masses (W_mass), param delta curves by masses, and the param
     deterministic curve by its distance to trim alone. A disturbance run of
     both controllers also reports the W_lqr - W_gslqr series per
-    frequency. The set-up defaults to build_controllers(), the nominal plant.
+    frequency.
     """
-    setup = setup or build_controllers(need_schedule="gslqr" in cfg.controllers, cfg=cfg)
     x_trim = setup.trim.x_trim.as_array()
     report = RunReport(scenario=cfg.kind, config=cfg.to_dict(),
                        nominal_trim=setup.trim.to_dict(), curves=[],

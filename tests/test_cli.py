@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import runpy
 import tempfile
 from pathlib import Path
 
@@ -66,31 +67,55 @@ def test_trim_grid_and_schedule(capsys, tmp_path):
     assert np.all(np.asarray(doc["abscissa_closed"]) < 0)
 
 
-def test_propagate_and_wasserstein(capsys, tmp_path):
-    cfg = {"kind": "ic", "controller": "lqr", "samples": 10, "t_f": 0.5,
-           "dt": 0.01, "emit_every": 25, "seed": 1}
+# wasserstein --dirac-at on a scenario's snapshots/ CSV, with the report's own
+# nominal trim, reproduces the report's curves exactly: the offline scorer and
+# the scenario runner share one score.
+@pytest.mark.parametrize("kind,fields,variant", [
+    ("ic", {}, ""),
+    ("ic", {"sampler": "mcmc"}, ""),
+    ("param", {"param_delta_percent": [2.5]}, "delta=2.5"),
+    ("param", {"param_delta_percent": [2.5], "sampler": "mcmc"}, "delta=2.5"),
+    ("disturbance", {"omega_rad_s": [2.0]}, "omega=2")])
+def test_wasserstein_reproduces_the_scenario_report(capsys, tmp_path, monkeypatch, setup,
+                                                    kind, fields, variant):
+    import otrobust.cli as cli
+    monkeypatch.setattr(cli.harness, "build_controllers", lambda *a, **k: setup)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    out_dir = tmp_path / "snaps"
-    code, out, _ = run_cli(capsys, "propagate", "--scenario", str(cfg_path),
-                           "--out", str(out_dir))
-    assert code == EXIT_OK
-    snap_csv = out_dir / "lqr.csv"
-    assert snap_csv.exists()
-
+    cfg_path.write_text(json.dumps({"kind": kind, "controller": "both", "samples": 6,
+                                    "t_f": 0.5, "dt": 0.01, "emit_every": 25, "seed": 1,
+                                    **fields}))
+    out_dir = tmp_path / "report"
+    code, _, err = run_cli(capsys, "scenario", "--config", str(cfg_path), "--out", str(out_dir))
+    assert code == EXIT_OK, err
+    doc = json.loads((out_dir / "report.json").read_text())
     trim_json = tmp_path / "trim.json"
-    code, out, _ = run_cli(capsys, "trim", "--V", "407.8942", "--alpha-deg", "6.1650")
-    trim_json.write_text(out)
+    trim_json.write_text(json.dumps(doc["nominal_trim"]))
 
-    w_csv = tmp_path / "W.csv"
-    code, _, _ = run_cli(capsys, "wasserstein", "--a", str(snap_csv),
-                         "--dirac-at", str(trim_json), "--out", str(w_csv))
-    assert code == EXIT_OK
-    lines = w_csv.read_text().splitlines()
-    assert lines[0] == "t,W"
-    assert len(lines) == 4  # t = 0, 0.25, 0.5
+    def score(snap_csv, weights):
+        code, out, err = run_cli(capsys, "wasserstein", "--a", str(snap_csv),
+                                 "--dirac-at", str(trim_json), "--weights", weights)
+        assert code == EXIT_OK, err
+        head, *rows = out.splitlines()
+        assert head == "t,W"
+        return [[float(v) for v in r.split(",")] for r in rows]
+
+    def snapshot_csv(name):
+        return out_dir / "snapshots" / (f"{name}|{variant}.csv" if variant else f"{name}.csv")
+
+    curves = [c for c in doc["curves"] if c["variant"] == variant]
+    assert [c["controller"] for c in curves] == ["lqr", "gslqr"]
+    for curve in curves:
+        snap_csv = snapshot_csv(curve["controller"])
+        mass = score(snap_csv, "mass")
+        assert [t for t, _ in mass] == curve["t"]  # t = 0, 0.25, 0.5
+        if kind == "param":
+            assert [w for _, w in mass] == curve["W"]
+        else:
+            assert [w for _, w in mass] == curve["W_mass"]
+            assert [w for _, w in score(snap_csv, "density")] == curve["W"]
 
     # two-cloud transportation LP route with plan export
+    snap_csv = snapshot_csv("lqr")
     plan_csv = tmp_path / "plan.csv"
     code, _, _ = run_cli(capsys, "wasserstein", "--a", str(snap_csv),
                          "--b", str(snap_csv), "--plan", str(plan_csv),
@@ -98,39 +123,8 @@ def test_propagate_and_wasserstein(capsys, tmp_path):
     assert code == EXIT_OK
     w2 = [float(r.split(",")[1]) for r in
           (tmp_path / "W2.csv").read_text().splitlines()[1:]]
-    assert all(abs(v) < 1e-9 for v in w2)  # identical clouds
+    assert len(w2) == 3 and all(abs(v) < 1e-9 for v in w2)  # identical clouds
     assert plan_csv.read_text().splitlines()[0] == "i,j,mass"
-
-
-def test_propagate_per_time_files(capsys, tmp_path):
-    cfg = {"kind": "ic", "controller": "lqr", "samples": 6, "t_f": 0.2,
-           "dt": 0.01, "emit_every": 10, "seed": 1}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    out_dir = tmp_path / "pertime"
-    code, _, _ = run_cli(capsys, "propagate", "--scenario", str(cfg_path),
-                         "--out", str(out_dir), "--per-time")
-    assert code == EXIT_OK
-    assert len(list(out_dir.glob("lqr_t*.csv"))) == 3
-    assert (out_dir / "lqr_t0000.10.csv").exists()  # the two-decimal names stay
-
-
-def test_propagate_per_time_files_at_a_fine_cadence(capsys, tmp_path):
-    # Emitted every 1 ms: two decimals would give 7 snapshots only 2 names.
-    cfg = {"kind": "ic", "controller": "lqr", "samples": 4, "t_f": 0.006,
-           "dt": 0.001, "emit_every": 1, "seed": 1}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    out_dir = tmp_path / "pertime"
-    code, out, _ = run_cli(capsys, "propagate", "--scenario", str(cfg_path),
-                           "--out", str(out_dir), "--per-time")
-    assert code == EXIT_OK and "7 snapshots" in out
-    files = sorted(out_dir.glob("lqr_t*.csv"))
-    assert len(files) == 7
-    for k, path in enumerate(files):
-        (snap,) = read_snapshot_csv(path)
-        assert snap.t == pytest.approx(0.001 * k, abs=1e-12)
-        assert path.name == f"lqr_t{snap.t:08.3f}.csv"
 
 
 def test_freq_subcommand(capsys, tmp_path):
@@ -173,7 +167,6 @@ def test_bad_config_exits_2(capsys, tmp_path):
 # Malformed scenario configs exit 2 naming the field, before any output.
 SMALL_IC = {"kind": "ic", "controller": "lqr", "samples": 4, "t_f": 0.02, "dt": 0.01,
             "emit_every": 1, "seed": 0}
-FLAG = {"propagate": "--scenario", "scenario": "--config"}  # each command's config flag
 MALFORMED = {
     "samples": {"samples": 2.5},
     "emit_every": {"emit_every": 1.5},
@@ -192,14 +185,12 @@ MALFORMED_ERROR = {"samples=0": "samples must be positive",
                    "samples=-5": "samples must be positive"}
 
 
-@pytest.mark.parametrize("command,field", [("scenario", f) for f in MALFORMED]
-                         + [("propagate", f) for f in ("x_pert", "workers", "ic_box_deg",
-                                                       "t_f", "dt")])
-def test_malformed_scenario_config_exits_2(capsys, tmp_path, command, field):
+@pytest.mark.parametrize("field", MALFORMED)
+def test_malformed_scenario_config_exits_2(capsys, tmp_path, field):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**SMALL_IC, **MALFORMED[field]}))
     out = tmp_path / "out"
-    code, _, err = run_cli(capsys, command, FLAG[command], str(cfg), "--out", str(out))
+    code, _, err = run_cli(capsys, "scenario", "--config", str(cfg), "--out", str(out))
     assert code == EXIT_CONFIG
     assert MALFORMED_ERROR.get(field, field) in err
     assert not out.exists()
@@ -250,7 +241,6 @@ def test_scenario_writes_to_the_config_or_the_out_directory(capsys, tmp_path, mo
 # refuse before its first expensive call, patched here to fail the test.
 UNWRITABLE_OUTPUTS = {
     "scenario": ("--out", "build_controllers", ["scenario", "--config", "cfg.json"]),
-    "propagate": ("--out", "build_controllers", ["propagate", "--scenario", "cfg.json"]),
     "trim-grid": ("--out", "trim_grid", ["trim-grid", "--nv", "2", "--nalpha", "2"]),
     "trim-grid-dir": ("--out", "trim_grid", ["trim-grid", "--nv", "2", "--nalpha", "2"]),
     "schedule": ("--out", "find_trim", ["schedule", "--trims", "trims.json"]),
@@ -286,32 +276,51 @@ def test_unwritable_output_exits_2_before_any_work(capsys, tmp_path, monkeypatch
     assert sorted(tmp_path.rglob("*")) == before
 
 
-@pytest.mark.parametrize("command", ["propagate", "scenario"])
-def test_malformed_workers_variable_exits_2_naming_it(capsys, tmp_path, monkeypatch, setup,
-                                                      command):
+# under a regular file, or a directory where the schedule file goes
+@pytest.mark.parametrize("out", [Path("file") / "out", Path("dir")], ids=["file", "dir"])
+def test_synthesis_script_checks_its_output_before_any_work(capsys, tmp_path, monkeypatch,
+                                                            out):
+    import otrobust.harness as harness
+
+    def refuse(*a, **k):
+        pytest.fail("run_synthesis.py built the controllers before checking --out")
+    monkeypatch.setattr(harness, "build_controllers", refuse)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_synthesis.py"
+    monkeypatch.setattr("sys.argv", [str(script), "--out", str(tmp_path / out)])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_path(str(script), run_name="__main__")
+    out = capsys.readouterr()
+    assert exit_.value.code == EXIT_CONFIG and out.out == ""
+    assert out.err.startswith("error:") and "--out" in out.err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_malformed_workers_variable_exits_2_naming_it(capsys, tmp_path, monkeypatch, setup):
     import otrobust.cli as cli
     monkeypatch.setattr(cli.harness, "build_controllers", lambda *a, **k: setup)
     monkeypatch.setenv("OTROBUST_WORKERS", "two")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(SMALL_IC))
     out = tmp_path / "out"
-    code, _, err = run_cli(capsys, command, FLAG[command], str(cfg), "--out", str(out))
+    code, _, err = run_cli(capsys, "scenario", "--config", str(cfg), "--out", str(out))
     assert code == EXIT_CONFIG
     assert "OTROBUST_WORKERS" in err and "'two'" in err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["propagate", "scenario"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_non_positive_workers_variable_exits_2_naming_it(capsys, tmp_path, monkeypatch, setup,
-                                                         value, command):
+                                                         value):
     import otrobust.cli as cli
     monkeypatch.setattr(cli.harness, "build_controllers", lambda *a, **k: setup)
     monkeypatch.setenv("OTROBUST_WORKERS", value)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(SMALL_IC))
     out = tmp_path / "out"
-    code, _, err = run_cli(capsys, command, FLAG[command], str(cfg), "--out", str(out))
+    code, _, err = run_cli(capsys, "scenario", "--config", str(cfg), "--out", str(out))
     assert code == EXIT_CONFIG
     assert "OTROBUST_WORKERS must be at least 1" in err and f"'{value}'" in err
     assert not out.exists()
@@ -326,32 +335,30 @@ DEGENERATE_IC_BOXES = {
 DEGENERATE_IC_BOX_ENTRY = {"overflow": "ic_box_deg['V']", "underflow": "ic_box_deg['q']"}
 
 
-@pytest.mark.parametrize("command", ["propagate", "scenario"])
 @pytest.mark.parametrize("box", DEGENERATE_IC_BOXES)
 def test_ic_box_without_a_finite_positive_volume_exits_2(capsys, tmp_path, monkeypatch, setup,
-                                                         box, command):
+                                                         box):
     import otrobust.cli as cli
     monkeypatch.setattr(cli.harness, "build_controllers", lambda *a, **k: setup)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**SMALL_IC, "ic_box_deg": DEGENERATE_IC_BOXES[box]}))
     out = tmp_path / "out"
-    code, _, err = run_cli(capsys, command, FLAG[command], str(cfg), "--out", str(out))
+    code, _, err = run_cli(capsys, "scenario", "--config", str(cfg), "--out", str(out))
     assert code == EXIT_CONFIG
     assert "box volume" in err
     assert DEGENERATE_IC_BOX_ENTRY[box] in err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["propagate", "scenario"])
 def test_ic_box_that_rounds_away_at_trim_exits_2_naming_the_entry(capsys, tmp_path,
-                                                                   monkeypatch, setup, command):
+                                                                   monkeypatch, setup):
     # a proper interval, but 407.89 ft/s + 1e-14 rounds back to 407.89
     import otrobust.cli as cli
     monkeypatch.setattr(cli.harness, "build_controllers", lambda *a, **k: setup)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**SMALL_IC, "ic_box_deg": {**DEFAULT_IC_BOX_DEG, "V": [0, 1e-14]}}))
     out = tmp_path / "out"
-    code, _, err = run_cli(capsys, command, FLAG[command], str(cfg), "--out", str(out))
+    code, _, err = run_cli(capsys, "scenario", "--config", str(cfg), "--out", str(out))
     assert code == EXIT_CONFIG
     assert "ic_box_deg['V']" in err and "not strictly ordered" in err
     assert not out.exists()
@@ -366,9 +373,7 @@ def refuse_the_schedule(monkeypatch, harness):
     monkeypatch.setattr(harness, "build_schedule", refuse)
 
 
-@pytest.mark.parametrize("command", ["propagate", "scenario"])
-def test_degenerate_ic_box_exits_2_before_the_schedule_is_built(capsys, tmp_path, monkeypatch,
-                                                                command):
+def test_degenerate_ic_box_exits_2_before_the_schedule_is_built(capsys, tmp_path, monkeypatch):
     # the real set-up: the box is checked right after the nominal trim
     import otrobust.cli as cli
     refuse_the_schedule(monkeypatch, cli.harness)
@@ -376,45 +381,30 @@ def test_degenerate_ic_box_exits_2_before_the_schedule_is_built(capsys, tmp_path
     cfg.write_text(json.dumps({**SMALL_IC, "controller": "both",
                                "ic_box_deg": {**DEFAULT_IC_BOX_DEG, "V": [0, 1e-14]}}))
     out = tmp_path / "out"
-    code, _, err = run_cli(capsys, command, FLAG[command], str(cfg), "--out", str(out))
+    code, _, err = run_cli(capsys, "scenario", "--config", str(cfg), "--out", str(out))
     assert code == EXIT_CONFIG
     assert "ic_box_deg['V']" in err and "not strictly ordered" in err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_propagate_a_one_sample_random_walk_cloud(capsys, tmp_path, monkeypatch, setup, seed):
+def test_scenario_a_one_sample_random_walk_cloud(capsys, tmp_path, monkeypatch, setup, seed):
     import otrobust.cli as cli
     monkeypatch.setattr(cli.harness, "build_controllers", lambda *a, **k: setup)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**SMALL_IC, "samples": 1, "sampler": "mcmc", "seed": seed}))
     out = tmp_path / "out"
-    code, _, err = run_cli(capsys, "propagate", "--scenario", str(cfg), "--out", str(out))
+    code, _, err = run_cli(capsys, "scenario", "--config", str(cfg), "--out", str(out))
     assert code == EXIT_OK, err
-    assert read_snapshot_csv(out / "lqr.csv")[0].states.shape == (1, 4)
+    assert read_snapshot_csv(out / "snapshots" / "lqr.csv")[0].states.shape == (1, 4)
 
 
-@pytest.mark.parametrize("kind,fields,first_variant", [
-    ("ic", {}, ""),
-    ("param", {"param_delta_percent": [2.5, 15.0]}, "|delta=2.5"),
-    ("disturbance", {"omega_rad_s": [2.0, 0.0]}, "|omega=2")])
-def test_propagate_writes_the_scenario_first_variant(capsys, tmp_path, monkeypatch, setup,
-                                                     kind, fields, first_variant):
-    import otrobust.cli as cli
-    monkeypatch.setattr(cli.harness, "build_controllers", lambda *a, **k: setup)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"kind": kind, "samples": 6, "t_f": 0.2, "dt": 0.01,
-                               "emit_every": 10, "seed": 2, **fields}))
-    code, _, _ = run_cli(capsys, "scenario", "--config", str(cfg),
-                         "--out", str(tmp_path / "scenario"))
-    assert code == EXIT_OK
-    code, _, _ = run_cli(capsys, "propagate", "--scenario", str(cfg),
-                         "--out", str(tmp_path / "prop"))
-    assert code == EXIT_OK
-    for name in ("lqr", "gslqr"):
-        written = (tmp_path / "prop" / f"{name}.csv").read_bytes()
-        snapshots = tmp_path / "scenario" / "snapshots" / f"{name}{first_variant}.csv"
-        assert written == snapshots.read_bytes()
+def test_propagate_is_not_a_command(capsys):
+    # scenario is the one command that propagates; its snapshots/ feed wasserstein
+    with pytest.raises(SystemExit) as exit_:
+        main(["propagate", "--config", "cfg.json", "--out", "out"])
+    assert exit_.value.code == EXIT_CONFIG
+    assert "invalid choice: 'propagate'" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(capsys):
@@ -598,12 +588,34 @@ def test_plan_without_b_exits_2(capsys, tmp_path):
     assert "--plan" in err and not plan.exists()
 
 
-def test_trim_unknown_parameter_exits_2(capsys, tmp_path):
+# Every command that takes --params / --tables, up to those options; each
+# writer writes to "out", which a refused model file must leave unmade.
+MODEL_COMMANDS = {
+    "trim": ["trim", "--V", "500", "--alpha-deg", "2"],
+    "trim-grid": ["trim-grid", "--nv", "2", "--nalpha", "2", "--out", "out"],
+    "gains": ["gains"],
+    "schedule": ["schedule", "--trims", "trims.json", "--out", "out"],
+    "freq": ["freq", "--out", "out"],
+    "scenario": ["scenario", "--config", "cfg.json", "--out", "out"],
+}
+
+
+def _model_argv(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(SMALL_IC))
+    (tmp_path / "trims.json").write_text(json.dumps([GOOD_TRIM]))
+    return MODEL_COMMANDS[command]
+
+
+@pytest.mark.parametrize("command", MODEL_COMMANDS)
+def test_trim_unknown_parameter_exits_2(capsys, tmp_path, monkeypatch, command):
     p = tmp_path / "p.json"
     p.write_text('{"mass": 3}')
-    code, _, err = run_cli(capsys, "trim", "--V", "500", "--alpha-deg", "2", "--params", str(p))
+    code, _, err = run_cli(capsys, *_model_argv(tmp_path, monkeypatch, command),
+                           "--params", str(p))
     assert code == EXIT_CONFIG
     assert str(p) in err and "'mass'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_trim_altitude_past_density_model_exits_2(capsys, tmp_path):
@@ -623,12 +635,47 @@ def test_trim_at_an_absurd_air_density_is_not_converged(capsys, tmp_path):
     assert _strict_json(out)["converged"] is False
 
 
-def test_trim_malformed_tables_exit_2(capsys, tmp_path):
+@pytest.mark.parametrize("command", MODEL_COMMANDS)
+def test_trim_malformed_tables_exit_2(capsys, tmp_path, monkeypatch, command):
     t = tmp_path / "tables.json"
     t.write_text('{"CX": [[1]]}')
-    code, _, err = run_cli(capsys, "trim", "--V", "500", "--alpha-deg", "2", "--tables", str(t))
+    code, _, err = run_cli(capsys, *_model_argv(tmp_path, monkeypatch, command),
+                           "--tables", str(t))
     assert code == EXIT_CONFIG
     assert str(t) in err and "'alpha_breakpoints_deg'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def _heavier_plant(tmp_path, option):
+    """--params: a heavier aircraft; --tables: the shipped tables with less
+    lift at every entry. Either moves the nominal trim."""
+    if option == "--params":
+        doc = {"m": 650.0}
+    else:
+        doc = json.loads((Path(__file__).resolve().parents[1] / "src" / "otrobust" / "data"
+                          / "f16_aero_tables.json").read_text())
+        doc["CZ"] = (np.asarray(doc["CZ"]) * 0.98).tolist()
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return [option, str(path)]
+
+
+@pytest.mark.parametrize("option", ["--params", "--tables"])
+def test_scenario_flies_the_plant_of_its_params(capsys, tmp_path, option):
+    # the set-up is trimmed and designed on --params / --tables, as otrobust trim is
+    model = _heavier_plant(tmp_path, option)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(SMALL_IC))
+    trims = {}
+    for name, argv in (("nominal", []), ("changed", model)):
+        code, _, err = run_cli(capsys, "scenario", "--config", str(cfg),
+                               "--out", str(tmp_path / name), *argv)
+        assert code == EXIT_OK, err
+        trims[name] = json.loads((tmp_path / name / "report.json").read_text())["nominal_trim"]
+    code, out, _ = run_cli(capsys, "trim", "--V", "407.8942", "--alpha-deg", "6.1650", *model)
+    assert code == EXIT_OK
+    assert trims["changed"] == json.loads(out)
+    assert trims["changed"] != trims["nominal"]
 
 
 def test_schedule_trim_missing_field_exits_2(capsys, tmp_path):
@@ -794,13 +841,12 @@ def _scenario_docs(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@example(command="propagate", doc=_TINY_CONFIG)
-@example(command="scenario", doc={**_TINY_CONFIG, "kind": "param",
-                                  "param_delta_percent": [0.0, 2.5]})
-@given(command=st.sampled_from(["propagate", "scenario"]), doc=_scenario_docs())
-def test_propagate_and_scenario_exit_codes(command, doc):
+@example(doc=_TINY_CONFIG)
+@example(doc={**_TINY_CONFIG, "kind": "param", "param_delta_percent": [0.0, 2.5]})
+@given(doc=_scenario_docs())
+def test_scenario_exit_codes(doc):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "cfg.json"
         path.write_text(json.dumps(doc))
-        code, _ = _quiet_main([command, FLAG[command], str(path), "--out", str(Path(d) / "out")])
+        code, _ = _quiet_main(["scenario", "--config", str(path), "--out", str(Path(d) / "out")])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)

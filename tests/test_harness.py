@@ -236,19 +236,6 @@ def test_mc_matches_propagation_bitwise(setup, kind):
             assert np.array_equal(weighted_mean(snap.states, snap.gamma), mc[key]["mean"][k])
 
 
-def test_first_variants_draw_only_the_first_cloud(params, setup, monkeypatch):
-    calls = []
-    real = harness.mcmc_sample
-    monkeypatch.setattr(harness, "mcmc_sample", lambda *a: calls.append(a) or real(*a))
-    cfg = mini_cfg(kind="param", samples=16, t_f=0.1, sampler="mcmc",
-                   param_delta_percent=[2.5, 5.0, 15.0])
-    runs = dict(harness._first_variants(cfg, setup))
-    assert len(calls) == 1  # the first delta's cloud, shared by both controllers
-    first = _param_cloud(cfg, 2.5, np.zeros(4), params)
-    for name in ("lqr", "gslqr"):
-        assert np.array_equal(runs[name][0].params, first.params)
-
-
 def test_snapshot_csv_roundtrip(tmp_path, rng):
     states = rng.normal(size=(5, 4)) * [0.1, 100, 0.1, 0.1] + [0, 400, 0.1, 0]
     params_block = rng.normal(size=(5, 3)) + [600, 3.4, 55000]
@@ -408,6 +395,14 @@ def test_gslqr_without_a_schedule_is_a_config_error():
         run_scenario(mini_cfg(controller="gslqr", samples=4, t_f=0.1), setup=setup)
     with pytest.raises(ConfigError, match="unknown controller 'pid'"):
         setup.closed_loop("pid")
+
+
+def test_a_scenario_runs_on_the_setup_its_caller_built(monkeypatch):
+    # run_scenario builds no set-up of its own: a caller without one is refused
+    monkeypatch.setattr(harness, "build_controllers",
+                        lambda *a, **k: pytest.fail("run_scenario built a set-up"))
+    with pytest.raises(TypeError, match="'setup'"):
+        run_scenario(mini_cfg(samples=4, t_f=0.1))
 
 
 PARAM_SMALL = dict(kind="param", samples=20, t_f=0.5, dt=0.01, emit_every=10,
