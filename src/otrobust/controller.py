@@ -1,7 +1,7 @@
 """LQR synthesis and gain scheduling.
 
 Linearization is the trim solve's central-difference Jacobian
-(trim.central_difference) over the stacked (x, u) of a right-hand side that
+(f16.central_difference) over the stacked (x, u) of a right-hand side that
 broadcasts over leading axes (as f16.dynamics does); A and B come back in C
 order, so the LAPACK calls of the Riccati solve take a fixed path. The
 continuous algebraic Riccati equation is solved from the stable invariant
@@ -25,8 +25,9 @@ import numpy as np
 import scipy.linalg
 
 from .f16 import (CONTROL_UNITS, DEG, STATE_UNITS, AeroTables, AircraftParams, ControlInput,
-                  LongitudinalState, _cell, _crosses, _fresh, _lattice, dynamics)
-from .trim import TrimPoint, central_difference
+                  LongitudinalState, _cell, _crosses, _fresh, _lattice, central_difference,
+                  dynamics)
+from .trim import TrimPoint
 
 CARE_RESIDUAL_RTOL = 1e-8
 # The unit of every gain matrix: K acts on radian state deviations.
@@ -89,7 +90,7 @@ def linearize(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
               x0, u0) -> LinearModel:
     """Central-difference linearization of rhs(x, u) about (x0, u0), which
     may be a TrimPoint's state objects; rhs must broadcast over leading axes
-    (trim.central_difference). Exact for linear maps up to roundoff."""
+    (f16.central_difference). Exact for linear maps up to roundoff."""
     if isinstance(x0, LongitudinalState):
         x0 = x0.as_array()
     if isinstance(u0, ControlInput):

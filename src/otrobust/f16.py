@@ -75,9 +75,30 @@ THRUST_MAX = 28000.0
 ELEVATOR_LIMIT = 25.0 * DEG
 
 # Relative step of the divergence stencil, h_k = H_REL max(1, |x_k|): the
-# central-difference step of liouville.divergence, and so the width of the
+# step liouville.divergence passes to central_difference (whose default,
+# the trim and linearization step, is smaller), and so the width of the
 # secants the closed-form divergence reproduces (see the module docstring).
 H_REL = 3e-5
+
+
+def central_difference(f, z: np.ndarray, rel: float = 1e-6) -> np.ndarray:
+    """Jacobian of f by central differences with steps rel max(1, |z_k|).
+
+    One point z (k,) gives the (m, k) Jacobian in C order; points (n, k)
+    give (n, m, k). All 2 k n perturbed points go through one call of f, in
+    (sign, direction, point) row order, and f maps them row by row to m
+    values."""
+    z = np.asarray(z, dtype=float)
+    Z = np.atleast_2d(z)
+    n, k = Z.shape
+    h = rel * np.maximum(1.0, np.abs(Z.T))  # (direction, point)
+    zs = np.tile(Z, (2 * k, 1)).reshape(2, k, n, k)
+    e = np.arange(k)
+    zs[0, e, :, e] += h
+    zs[1, e, :, e] -= h
+    r = np.asarray(f(zs.reshape(-1, k))).reshape(2, k, n, -1)
+    J = ((r[0] - r[1]) / (2.0 * h)[..., None]).transpose(1, 2, 0).copy()  # C order
+    return J[0] if z.ndim == 1 else J
 
 
 class SingularStateError(ValueError):

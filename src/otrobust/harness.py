@@ -508,7 +508,7 @@ def write_snapshot_csv(snapshots, path, memo: dict | None = None) -> None:
 
 
 def read_snapshot_csv(path) -> list[EnsembleSnapshot]:
-    """Inverse of write_snapshot_csv; ValueError on a malformed file."""
+    """Inverse of write_snapshot_csv; ValueError on a malformed file or a non-finite number."""
     with open(path) as f:
         reader = csv.DictReader(f)
         rows = list(reader)
@@ -523,9 +523,14 @@ def read_snapshot_csv(path) -> list[EnsembleSnapshot]:
         raise ValueError(f"snapshot file {path} has a row with more fields than its header")
     if any(None in r.values() for r in rows):  # and fills missing ones with None
         raise ValueError(f"snapshot file {path} has a row with fewer fields than its header")
+    numeric = [c for c in _snapshot_columns(has_params) if c not in ("id", "diverged")]
     by_t: dict[float, list] = {}
     for r in rows:
-        by_t.setdefault(float(r["t"]), []).append(r)
+        for c in numeric:
+            r[c] = float(r[c])
+            if not math.isfinite(r[c]):
+                raise ValueError(f"snapshot file {path} row id {r['id']} has non-finite {c}")
+        by_t.setdefault(r["t"], []).append(r)
     snaps = []
     for t in sorted(by_t):
         chunk = sorted(by_t[t], key=lambda r: int(r["id"]))
@@ -533,12 +538,11 @@ def read_snapshot_csv(path) -> list[EnsembleSnapshot]:
         repeated = [i for i, j in zip(ids, ids[1:]) if i == j]
         if repeated:
             raise ValueError(f"snapshot file {path} repeats id {repeated[0]} at t = {t}")
-        states = np.array([[float(r[c]) for c in SNAPSHOT_BASE_COLUMNS[2:]]
-                           for r in chunk]) * STATE_UNITS
-        params = (np.array([[float(r["m"]), float(r["xcg"]), float(r["Jyy"])]
-                            for r in chunk]) if has_params else None)
-        phi = np.array([float(r["phi"]) for r in chunk])
-        gamma = np.array([float(r["gamma"]) for r in chunk])
+        states = np.array([[r[c] for c in SNAPSHOT_BASE_COLUMNS[2:]] for r in chunk]) * STATE_UNITS
+        params = (np.array([[r[c] for c in SNAPSHOT_PARAM_COLUMNS] for r in chunk])
+                  if has_params else None)
+        phi = np.array([r["phi"] for r in chunk])
+        gamma = np.array([r["gamma"] for r in chunk])
         try:
             dead = np.array([_DIVERGED[r["diverged"]] for r in chunk])
         except KeyError as exc:

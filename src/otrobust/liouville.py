@@ -22,10 +22,10 @@ that needs a divergence and returns the analytic trace, with the thrust
 saturation taken as that same secant, plus the rows whose stencil crosses
 any other kink. Only those rows get finite differences, in one field call
 of their own. Any other rhs, a plain callable rhs(t, x, p), gets finite
-differences on every row: all +/- perturbed copies stacked into as few
-field calls as DIVERGENCE_ROW_BUDGET allows (a 200-sample step makes 5
-field calls, 4 of them RK4 stages). divergence() is that path, the
-fallback at kinks and the closed form's test oracle.
+differences on every row: all +/- perturbed copies stacked into one
+field call (a step makes 5 field calls, 4 of them RK4 stages).
+divergence() is that path, the fallback at kinks and the closed form's
+test oracle.
 
 Samples whose state or density goes non-finite are frozen at their last
 finite values and flagged diverged; they stay in every later snapshot so
@@ -51,11 +51,9 @@ from typing import Callable
 
 import numpy as np
 
-from .f16 import H_REL
+from .f16 import H_REL, central_difference
 
 WORKERS_ENV = "OTROBUST_WORKERS"
-# Largest stacked batch of perturbed states per rhs call in divergence().
-DIVERGENCE_ROW_BUDGET = 4096
 # RK4 stage nodes: stage i runs at t + c_i dt from y + c_i dt k_(i-1).
 _RK4_C = (0.0, 0.5, 0.5, 1.0)
 
@@ -102,13 +100,12 @@ class EnsembleSnapshot:
 def divergence(rhs: Callable, x: np.ndarray, p: np.ndarray | None, t: float) -> np.ndarray:
     """Divergence of the state block of rhs at (x, p, t), batched.
 
-    Central differences per state direction with steps H_REL max(1, |x|);
-    the frozen parameter block contributes zero. The +/- perturbed copies of
-    the block go through rhs stacked (p tiled to match): as many whole +/-
-    pairs per call as fit in DIVERGENCE_ROW_BUDGET rows, and at least one.
-    The terms are summed in direction order either way. The step is larger
-    than the one used for control-synthesis Jacobians: the trace feeds only
-    the density ODE and a larger step keeps subtractive-cancellation noise
+    The trace of f16.central_difference with steps H_REL max(1, |x|): every
+    +/- perturbed copy of the block goes through one call of rhs (p tiled
+    to match), and the diagonal terms are summed in direction order; the
+    frozen parameter block contributes zero. The step is larger than the
+    one used for control-synthesis Jacobians: the trace feeds only the
+    density ODE and a larger step keeps subtractive-cancellation noise
     below the integrator's truncation error. Non-finite entries stay in
     place, so ensemble integration can flag the sample (a state mid-blow-up
     can be finite while its neighbourhood is not).
@@ -116,27 +113,14 @@ def divergence(rhs: Callable, x: np.ndarray, p: np.ndarray | None, t: float) -> 
     This is the generic path of propagate, the fallback of the closed-form
     divergence at kinks, and its test oracle.
     """
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    X = np.atleast_2d(x)
-    P = None if p is None else np.atleast_2d(np.asarray(p, dtype=float))
+    X = np.atleast_2d(np.asarray(x, dtype=float))
     n, dx = X.shape
+    P = None if p is None else np.tile(np.atleast_2d(np.asarray(p, dtype=float)), (2 * dx, 1))
+    J = central_difference(lambda S: rhs(t, S, P), X, H_REL)
     div = np.zeros(n)
-    h = H_REL * np.maximum(1.0, np.abs(X))
-    per_call = max(1, DIVERGENCE_ROW_BUDGET // (2 * n))
-    for k0 in range(0, dx, per_call):
-        ks = range(k0, min(dx, k0 + per_call))
-        # rows ordered (direction, sign, sample)
-        S = np.broadcast_to(X, (len(ks), 2, n, dx)).copy()
-        for i, k in enumerate(ks):
-            S[i, 0, :, k] += h[:, k]
-            S[i, 1, :, k] -= h[:, k]
-        F = np.atleast_2d(rhs(t, S.reshape(-1, dx),
-                              None if P is None else np.tile(P, (2 * len(ks), 1))))
-        F = F.reshape(len(ks), 2, n, -1)
-        for i, k in enumerate(ks):
-            div += (F[i, 0, :, k] - F[i, 1, :, k]) / (2.0 * h[:, k])
-    return div[0] if squeeze else div
+    for k in range(dx):
+        div += J[:, k, k]
+    return div[0] if np.ndim(x) == 1 else div
 
 
 def _density_multiplier(z: np.ndarray) -> np.ndarray:

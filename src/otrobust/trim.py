@@ -8,7 +8,7 @@ q_dot) constrained to the actuator box (scipy's trust-region-reflective
 least squares, central-difference Jacobian).
 
 The residual broadcasts over leading axes of z, so the Jacobian
-(central_difference, shared with controller.linearize) evaluates its six
+(f16.central_difference, as in controller.linearize) evaluates its six
 +/- points as one stacked plant call, bitwise equal to six single calls,
 and hands it to scipy in C order: an F-ordered copy holds the same numbers
 but sends the TRF step down another LAPACK/BLAS path, which moves most
@@ -43,6 +43,7 @@ from .f16 import (
     LongitudinalState,
     _rhs,
     as_number,
+    central_difference,
     read_json,
 )
 
@@ -162,18 +163,6 @@ def _residual(z: np.ndarray, V: float, alpha: float, params: AircraftParams,
     x[..., 0], x[..., 1], x[..., 2] = z[..., 0], V, alpha
     xdot = _rhs(x, z[..., 1:], params.m, params.xcg, params.Jyy, params, tables)
     return xdot[..., 1:] / np.array([V_DOT_SCALE, 1.0, 1.0])
-
-
-def central_difference(f, z: np.ndarray) -> np.ndarray:
-    """Jacobian of f at z in C order, by central differences with steps
-    1e-6 max(1, |z_k|); all 2 n points go through one call of f, which must
-    broadcast over a leading axis."""
-    n = z.size
-    h = 1e-6 * np.maximum(1.0, np.abs(z))
-    zs = np.tile(z, (2 * n, 1))  # rows z + h_k e_k, then z - h_k e_k
-    zs[np.arange(2 * n), np.arange(2 * n) % n] += np.concatenate([h, -h])
-    r = np.asarray(f(zs))
-    return np.ascontiguousarray(((r[:n] - r[n:]) / (2.0 * h)[:, None]).T)
 
 
 def _projected_gradient(z: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -556,6 +556,25 @@ def test_snapshot_csv_malformed_row_exits_2(capsys, tmp_path, last_row, message)
     assert str(f) in err and message in err
 
 
+# a non-finite state (the score would print nan) and a non-finite time (each
+# such row would become a snapshot of its own), in the second row, id 1
+@pytest.mark.parametrize("header, last_row, column", [
+    (SNAPSHOT_HEADER, "0,1,3.0,nan,7.0,1.0,1.0,0.5,0\n", "V"),
+    (SNAPSHOT_HEADER, "nan,1,3.0,410.0,7.0,1.0,1.0,0.5,0\n", "t"),
+    ("t,id,theta_deg,V,alpha_deg,q_dps,m,xcg,Jyy,phi,gamma,diverged",
+     "0,1,3.0,410.0,7.0,1.0,inf,0.35,55814.0,1.0,0.5,0\n", "m")],
+    ids=["V-nan", "t-nan", "m-inf"])
+def test_snapshot_csv_non_finite_number_exits_2(capsys, tmp_path, header, last_row, column):
+    f = tmp_path / "bad.csv"
+    first = "0,0,1.0,400.0,5.0,0.0," + ("637.0,0.35,55814.0," if ",m," in header else "")
+    f.write_text(header + "\n" + first + "1.0,0.5,0\n" + last_row)
+    trim_json = tmp_path / "t.json"
+    trim_json.write_text(json.dumps(GOOD_TRIM))
+    code, out, err = run_cli(capsys, "wasserstein", "--a", str(f), "--dirac-at", str(trim_json))
+    assert code == EXIT_CONFIG and out == ""
+    assert f"snapshot file {f} row id 1 has non-finite {column}" in err
+
+
 def test_snapshot_csv_id_gaps_are_accepted(tmp_path):
     f = tmp_path / "gaps.csv"
     f.write_text(SNAPSHOT_HEADER + "\n0,0,1.0,400.0,5.0,0.0,1.0,0.5,0\n"

@@ -21,7 +21,7 @@ from otrobust.f16 import (
     _aero,
     _rhs,
 )
-from otrobust.liouville import DIVERGENCE_ROW_BUDGET, EnsembleSnapshot, divergence, propagate
+from otrobust.liouville import EnsembleSnapshot, divergence, propagate
 
 
 def _ref_interp1(bp, vals, x):
@@ -138,7 +138,7 @@ def _states(trim, n, rng):
 
 
 @pytest.mark.parametrize("law_kind", ["lqr", "scheduled"])
-@pytest.mark.parametrize("n", [1, 200, DIVERGENCE_ROW_BUDGET // 2 + 100])
+@pytest.mark.parametrize("n", [1, 200, 2148])
 @pytest.mark.parametrize("with_params", [False, True])
 def test_stacked_divergence_matches_per_direction(params, tables, nominal_trim,
                                                   nominal_gain, schedule, rng,
@@ -201,16 +201,13 @@ class CountingField:
         return x @ self.M.T
 
 
-@pytest.mark.parametrize("n, calls", [(200, 1), (DIVERGENCE_ROW_BUDGET // 4, 2),
-                                      (DIVERGENCE_ROW_BUDGET // 2, 4),
-                                      (DIVERGENCE_ROW_BUDGET, 4)])
-def test_divergence_call_count(rng, n, calls):
+@pytest.mark.parametrize("n", [1, 200, 4096])
+def test_divergence_call_count(rng, n):
+    # every +/- copy of every sample in one field call, however many samples
     M = rng.standard_normal((4, 4))
     rhs = CountingField(M)
     div = divergence(rhs, rng.standard_normal((n, 4)), None, 0.0)
-    assert len(rhs.rows) == calls
-    assert max(rhs.rows) <= max(DIVERGENCE_ROW_BUDGET, 2 * n)
-    assert sum(rhs.rows) == 8 * n
+    assert rhs.rows == [8 * n]
     assert div == pytest.approx(np.full(n, np.trace(M)), rel=1e-7)
 
 
@@ -480,5 +477,5 @@ def test_a_propagation_splits_its_rows_once_per_block(setup, monkeypatch):
     propagate(ensemble, loop, cfg.t_f, cfg.dt, workers=1)
     assert len(kinks) == 10
     subsets = [k for k in kinks if k]
-    assert subsets and 8 * max(subsets) <= DIVERGENCE_ROW_BUDGET
+    assert subsets
     assert splits == [ensemble.n] + [8 * k for k in subsets]

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from otrobust.f16 import DEG, saturate_array
+from otrobust.f16 import DEG, central_difference, dynamics, saturate_array
 from otrobust import trim as trim_module
-from otrobust.trim import (TrimPoint, central_difference, default_grid, find_trim, trim_grid,
-                           _residual)
+from otrobust.trim import TrimPoint, default_grid, find_trim, trim_grid, _residual
 
 
 def test_nominal_trim_matches_reference(nominal_trim):
@@ -161,6 +160,30 @@ def test_stacked_jacobian_matches_column_loop(params, tables, nominal_trim,
         J = central_difference(residual, z)
         assert np.array_equal(J, _loop_jacobian(residual, z))
         assert J.flags.c_contiguous
+
+
+@pytest.mark.parametrize("field", ["trim residual", "plant"])
+def test_jacobians_at_points_match_single_point_calls(params, tables, nominal_trim, rng, field):
+    # (n, m, k) for n points holds the n single-point Jacobians bit for bit,
+    # square (the trim residual, against the column loop) or not (the plant
+    # over stacked (x, u))
+    if field == "trim residual":
+        def f(z):
+            return _residual(z, 500.0, 4.0 * DEG, params, tables)
+        z0 = np.array([0.1, 3000.0, -0.05])
+    else:
+        def f(xu):
+            return dynamics(xu[..., :4], xu[..., 4:], params, tables)
+        z0 = np.concatenate([nominal_trim.x_trim.as_array(), nominal_trim.u_trim.as_array()])
+    Z = z0 * rng.uniform(0.95, 1.05, (5, z0.size))
+    J = central_difference(f, Z)
+    assert J.shape == (5, 4 if field == "plant" else 3, z0.size)
+    for z, Jz in zip(Z, J):
+        single = central_difference(f, z)
+        assert single.flags.c_contiguous
+        assert np.array_equal(Jz, single)
+        if field == "trim residual":
+            assert np.array_equal(single, _loop_jacobian(f, z))
 
 
 def test_find_trim_independent_of_jacobian_evaluation(params, tables, monkeypatch):
