@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands mirror the library pipeline: trim / trim-grid for equilibria,
-gains / schedule for controller synthesis, scenario for the full
+gains for the fixed gain, schedule for the gain schedule that scenario
+builds and flies (harness.build_controllers), scenario for the full
 experiment runner (its snapshots/ CSVs are the raw ensemble), wasserstein
 for scoring snapshot files, and freq for the disturbance-to-state
 response. Angle-valued inputs and outputs are degrees. The JSON that trim,
@@ -102,18 +103,13 @@ def _cmd_gains(args) -> int:
 
 def _cmd_schedule(args) -> int:
     _check_output("--out", args.out)
-    params, tables = _load_params_tables(args)
-    points = trim.read_trims(args.trims)
-    reference = trim.find_trim(harness.NOMINAL_V, harness.NOMINAL_ALPHA_DEG * DEG,
-                               params, tables)
-    sched = controller.build_schedule(points, controller.LqrWeights(),
-                                      params, tables, reference=reference)
+    sched = harness.build_controllers(*_load_params_tables(args)).schedule
     text = _json_text(sched.to_dict())
     with open(args.out, "w") as f:
         f.write(text)
     n_unstable = int(np.count_nonzero(sched.abscissa_open > 0))
-    print(f"wrote {sched.n_nodes}-node schedule to {args.out} "
-          f"({n_unstable} open-loop unstable nodes, all closed loops stable)")
+    print(f"wrote {sched.n_nodes}-node schedule to {args.out} ({n_unstable} open-loop "
+          f"unstable nodes, worst closed-loop abscissa {sched.abscissa_closed.max():.4f})")
     return EXIT_OK
 
 
@@ -231,8 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_args(p)
     p.set_defaults(func=_cmd_gains)
 
-    p = sub.add_parser("schedule", help="build gain schedule from trim-grid JSON")
-    p.add_argument("--trims", required=True)
+    p = sub.add_parser("schedule", help="the gain schedule the gslqr scenarios fly")
     p.add_argument("--out", required=True)
     add_model_args(p)
     p.set_defaults(func=_cmd_schedule)

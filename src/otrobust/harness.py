@@ -508,7 +508,10 @@ def write_snapshot_csv(snapshots, path, memo: dict | None = None) -> None:
 
 
 def read_snapshot_csv(path) -> list[EnsembleSnapshot]:
-    """Inverse of write_snapshot_csv; ValueError on a malformed file or a non-finite number."""
+    """Inverse of write_snapshot_csv; ValueError naming the file (and the row
+    and column) on a malformed file, an unparseable or non-finite number, or
+    a negative transport mass gamma. A negative phi is read as it is: the
+    density weights clamp it at zero (probability_weights)."""
     with open(path) as f:
         reader = csv.DictReader(f)
         rows = list(reader)
@@ -526,15 +529,25 @@ def read_snapshot_csv(path) -> list[EnsembleSnapshot]:
     numeric = [c for c in _snapshot_columns(has_params) if c not in ("id", "diverged")]
     by_t: dict[float, list] = {}
     for r in rows:
+        where = f"snapshot file {path} row id {r['id']}"
+        try:
+            r["id"] = int(r["id"])
+        except ValueError:
+            raise ValueError(f"{where} has non-integer id") from None
         for c in numeric:
-            r[c] = float(r[c])
+            try:
+                r[c] = float(r[c])
+            except ValueError:
+                raise ValueError(f"{where} has non-numeric {c} {r[c]!r}") from None
             if not math.isfinite(r[c]):
-                raise ValueError(f"snapshot file {path} row id {r['id']} has non-finite {c}")
+                raise ValueError(f"{where} has non-finite {c}")
+        if r["gamma"] < 0.0:
+            raise ValueError(f"{where} has negative gamma")
         by_t.setdefault(r["t"], []).append(r)
     snaps = []
     for t in sorted(by_t):
-        chunk = sorted(by_t[t], key=lambda r: int(r["id"]))
-        ids = [int(r["id"]) for r in chunk]
+        chunk = sorted(by_t[t], key=lambda r: r["id"])
+        ids = [r["id"] for r in chunk]
         repeated = [i for i, j in zip(ids, ids[1:]) if i == j]
         if repeated:
             raise ValueError(f"snapshot file {path} repeats id {repeated[0]} at t = {t}")

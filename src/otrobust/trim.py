@@ -147,16 +147,6 @@ class TrimPoint:
         return read_json(path, cls.from_dict)
 
 
-def read_trims(path) -> list[TrimPoint]:
-    """Trim points of a JSON list as `otrobust trim-grid` writes it;
-    ValueError naming the file and the field if an entry is malformed."""
-    def parse(doc):
-        if not isinstance(doc, list):
-            raise ValueError(f"expected a JSON list of trim points, got {type(doc).__name__}")
-        return [TrimPoint.from_dict(d) for d in doc]
-    return read_json(path, parse)
-
-
 def _residual(z: np.ndarray, V: float, alpha: float, params: AircraftParams,
               tables: AeroTables) -> np.ndarray:
     x = np.zeros(z.shape[:-1] + (4,))

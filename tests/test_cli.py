@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import math
-import runpy
 import tempfile
 from pathlib import Path
 
@@ -11,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from otrobust.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from otrobust.harness import DEFAULT_IC_BOX_DEG, read_snapshot_csv
+from otrobust.f16 import AircraftParams
+from otrobust.harness import DEFAULT_IC_BOX_DEG, build_controllers, read_snapshot_csv
+from otrobust.trim import TrimPoint
 
 
 def run_cli(capsys, *argv):
@@ -58,13 +59,25 @@ def test_trim_grid_and_schedule(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "trim-grid", "--nv", "2", "--nalpha", "2",
                            "--out", str(trims))
     assert code == EXIT_OK and "4 trim points" in out
-    sched = tmp_path / "sched.json"
-    code, out, _ = run_cli(capsys, "schedule", "--trims", str(trims),
-                           "--out", str(sched))
-    assert code == EXIT_OK
-    doc = json.loads(sched.read_text())
-    assert np.asarray(doc["K"]).shape == (2, 2, 2, 4)
-    assert np.all(np.asarray(doc["abscissa_closed"]) < 0)
+    points = [TrimPoint.from_dict(d) for d in _strict_json(trims.read_text())]
+    assert len({(tp.x_trim.V, tp.x_trim.alpha) for tp in points}) == 4
+
+
+# schedule writes the gain schedule that build_controllers gives the gslqr
+# scenarios: the conftest fixture on the nominal plant, and on --params the
+# schedule designed on that plant
+@pytest.mark.parametrize("plant", [None, {"m": 650.0}], ids=["nominal", "params"])
+def test_schedule_writes_the_schedule_the_scenarios_fly(capsys, tmp_path, schedule, plant):
+    argv = ["schedule", "--out", str(tmp_path / "s.json")]
+    if plant is not None:
+        (tmp_path / "p.json").write_text(json.dumps(plant))
+        argv += ["--params", str(tmp_path / "p.json")]
+        schedule = build_controllers(AircraftParams(**plant)).schedule
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK and "100-node schedule" in out
+    expected = json.dumps(schedule.to_dict(), indent=1, allow_nan=False)
+    assert (tmp_path / "s.json").read_text() == expected
+    assert f"worst closed-loop abscissa {schedule.abscissa_closed.max():.4f}" in out
 
 
 # wasserstein --dirac-at on a scenario's snapshots/ CSV, with the report's own
@@ -243,7 +256,7 @@ UNWRITABLE_OUTPUTS = {
     "scenario": ("--out", "build_controllers", ["scenario", "--config", "cfg.json"]),
     "trim-grid": ("--out", "trim_grid", ["trim-grid", "--nv", "2", "--nalpha", "2"]),
     "trim-grid-dir": ("--out", "trim_grid", ["trim-grid", "--nv", "2", "--nalpha", "2"]),
-    "schedule": ("--out", "find_trim", ["schedule", "--trims", "trims.json"]),
+    "schedule": ("--out", "build_controllers", ["schedule"]),
     "freq": ("--out", "build_controllers", ["freq"]),
     "wasserstein-out": ("--out", "read_snapshot_csv",
                         ["wasserstein", "--a", "ok.csv", "--dirac-at", "t.json"]),
@@ -259,11 +272,10 @@ def test_unwritable_output_exits_2_before_any_work(capsys, tmp_path, monkeypatch
 
     def refuse(*a, **k):
         pytest.fail(f"{case} called {expensive} before checking {flag}")
-    module = cli.trim if expensive in ("trim_grid", "find_trim") else cli.harness
+    module = cli.trim if expensive == "trim_grid" else cli.harness
     monkeypatch.setattr(module, expensive, refuse)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps(SMALL_IC))
-    (tmp_path / "trims.json").write_text(json.dumps([GOOD_TRIM]))
     (tmp_path / "t.json").write_text(json.dumps(GOOD_TRIM))
     _good_snapshot(tmp_path)
     (tmp_path / "file").write_text("")
@@ -273,28 +285,6 @@ def test_unwritable_output_exits_2_before_any_work(capsys, tmp_path, monkeypatch
     code, stdout, err = run_cli(capsys, *argv, flag, out)
     assert code == EXIT_CONFIG and stdout == ""
     assert err.startswith("error:") and flag in err and "Traceback" not in err
-    assert sorted(tmp_path.rglob("*")) == before
-
-
-# under a regular file, or a directory where the schedule file goes
-@pytest.mark.parametrize("out", [Path("file") / "out", Path("dir")], ids=["file", "dir"])
-def test_synthesis_script_checks_its_output_before_any_work(capsys, tmp_path, monkeypatch,
-                                                            out):
-    import otrobust.harness as harness
-
-    def refuse(*a, **k):
-        pytest.fail("run_synthesis.py built the controllers before checking --out")
-    monkeypatch.setattr(harness, "build_controllers", refuse)
-    (tmp_path / "file").write_text("")
-    (tmp_path / "dir").mkdir()
-    before = sorted(tmp_path.rglob("*"))
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_synthesis.py"
-    monkeypatch.setattr("sys.argv", [str(script), "--out", str(tmp_path / out)])
-    with pytest.raises(SystemExit) as exit_:
-        runpy.run_path(str(script), run_name="__main__")
-    out = capsys.readouterr()
-    assert exit_.value.code == EXIT_CONFIG and out.out == ""
-    assert out.err.startswith("error:") and "--out" in out.err
     assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -556,23 +546,29 @@ def test_snapshot_csv_malformed_row_exits_2(capsys, tmp_path, last_row, message)
     assert str(f) in err and message in err
 
 
-# a non-finite state (the score would print nan) and a non-finite time (each
-# such row would become a snapshot of its own), in the second row, id 1
-@pytest.mark.parametrize("header, last_row, column", [
-    (SNAPSHOT_HEADER, "0,1,3.0,nan,7.0,1.0,1.0,0.5,0\n", "V"),
-    (SNAPSHOT_HEADER, "nan,1,3.0,410.0,7.0,1.0,1.0,0.5,0\n", "t"),
+# a non-finite state (the score would print nan), a non-finite time (each
+# such row would become a snapshot of its own), an unparseable state, a
+# non-integer id, and a negative transport mass: with the first row's 1.5 the
+# masses sum to one, so only the sign check stops --weights mass scoring it
+@pytest.mark.parametrize("header, last_row, error", [
+    (SNAPSHOT_HEADER, "0,1,3.0,nan,7.0,1.0,1.0,0.5,0\n", "1 has non-finite V"),
+    (SNAPSHOT_HEADER, "nan,1,3.0,410.0,7.0,1.0,1.0,0.5,0\n", "1 has non-finite t"),
     ("t,id,theta_deg,V,alpha_deg,q_dps,m,xcg,Jyy,phi,gamma,diverged",
-     "0,1,3.0,410.0,7.0,1.0,inf,0.35,55814.0,1.0,0.5,0\n", "m")],
-    ids=["V-nan", "t-nan", "m-inf"])
-def test_snapshot_csv_non_finite_number_exits_2(capsys, tmp_path, header, last_row, column):
+     "0,1,3.0,410.0,7.0,1.0,inf,0.35,55814.0,1.0,0.5,0\n", "1 has non-finite m"),
+    (SNAPSHOT_HEADER, "0,1,3.0,abc,7.0,1.0,1.0,0.5,0\n", "1 has non-numeric V 'abc'"),
+    (SNAPSHOT_HEADER, "0,1.5,3.0,410.0,7.0,1.0,1.0,0.5,0\n", "1.5 has non-integer id"),
+    (SNAPSHOT_HEADER, "0,1,3.0,410.0,7.0,1.0,1.0,-0.5,0\n", "1 has negative gamma")],
+    ids=["V-nan", "t-nan", "m-inf", "V-abc", "id-1.5", "gamma-negative"])
+def test_snapshot_csv_non_finite_number_exits_2(capsys, tmp_path, header, last_row, error):
     f = tmp_path / "bad.csv"
     first = "0,0,1.0,400.0,5.0,0.0," + ("637.0,0.35,55814.0," if ",m," in header else "")
-    f.write_text(header + "\n" + first + "1.0,0.5,0\n" + last_row)
+    f.write_text(header + "\n" + first + "1.0,1.5,0\n" + last_row)
     trim_json = tmp_path / "t.json"
     trim_json.write_text(json.dumps(GOOD_TRIM))
-    code, out, err = run_cli(capsys, "wasserstein", "--a", str(f), "--dirac-at", str(trim_json))
+    code, out, err = run_cli(capsys, "wasserstein", "--a", str(f), "--dirac-at", str(trim_json),
+                             "--weights", "mass")
     assert code == EXIT_CONFIG and out == ""
-    assert f"snapshot file {f} row id 1 has non-finite {column}" in err
+    assert f"snapshot file {f} row id {error}" in err
 
 
 def test_snapshot_csv_id_gaps_are_accepted(tmp_path):
@@ -613,7 +609,7 @@ MODEL_COMMANDS = {
     "trim": ["trim", "--V", "500", "--alpha-deg", "2"],
     "trim-grid": ["trim-grid", "--nv", "2", "--nalpha", "2", "--out", "out"],
     "gains": ["gains"],
-    "schedule": ["schedule", "--trims", "trims.json", "--out", "out"],
+    "schedule": ["schedule", "--out", "out"],
     "freq": ["freq", "--out", "out"],
     "scenario": ["scenario", "--config", "cfg.json", "--out", "out"],
 }
@@ -622,7 +618,6 @@ MODEL_COMMANDS = {
 def _model_argv(tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps(SMALL_IC))
-    (tmp_path / "trims.json").write_text(json.dumps([GOOD_TRIM]))
     return MODEL_COMMANDS[command]
 
 
@@ -695,24 +690,6 @@ def test_scenario_flies_the_plant_of_its_params(capsys, tmp_path, option):
     assert code == EXIT_OK
     assert trims["changed"] == json.loads(out)
     assert trims["changed"] != trims["nominal"]
-
-
-def test_schedule_trim_missing_field_exits_2(capsys, tmp_path):
-    trims = tmp_path / "s.json"
-    trims.write_text('[{"theta_deg": 1}]')
-    code, _, err = run_cli(capsys, "schedule", "--trims", str(trims),
-                           "--out", str(tmp_path / "o.json"))
-    assert code == EXIT_CONFIG
-    assert str(trims) in err and "'V'" in err
-
-
-def test_schedule_empty_trim_list_exits_2(capsys, tmp_path):
-    trims = tmp_path / "s.json"
-    trims.write_text("[]")
-    out = tmp_path / "o.json"
-    code, _, err = run_cli(capsys, "schedule", "--trims", str(trims), "--out", str(out))
-    assert code == EXIT_CONFIG
-    assert "at least one trim point" in err and not out.exists()
 
 
 _json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-10**30, 10**30),
@@ -794,28 +771,6 @@ def test_trim_exit_codes(V, alpha, params):
         assert _strict_json(out)["V"] == V
     else:
         assert out == ""
-
-
-# Well-formed trim points on a small (V, alpha) set: full lattices, partial
-# ones and duplicated nodes.
-_lattice_trims = st.lists(st.builds(lambda V, a: {**GOOD_TRIM, "V": V, "alpha_deg": a},
-                                    st.sampled_from([300.0, 407.9, 600.0]),
-                                    st.sampled_from([2.0, 6.2, 60.0])), min_size=1, max_size=4)
-
-
-@settings(max_examples=30, deadline=None)
-@example(trims=[GOOD_TRIM])
-@given(trims=st.one_of(_trim_docs(), st.lists(_trim_docs(), max_size=4), _lattice_trims))
-def test_schedule_exit_codes(trims):
-    with tempfile.TemporaryDirectory() as d:
-        path, out = Path(d) / "trims.json", Path(d) / "schedule.json"
-        path.write_text(json.dumps(trims))
-        code, _ = _quiet_main(["schedule", "--trims", str(path), "--out", str(out)])
-        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
-        if code == EXIT_OK:
-            _strict_json(out.read_text())
-        else:
-            assert not out.exists()
 
 
 _TINY_CONFIG = {"kind": "ic", "controller": "lqr", "samples": 3, "t_f": 0.03, "dt": 0.01,

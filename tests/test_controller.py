@@ -159,8 +159,13 @@ def test_schedule_all_nodes_stable(schedule):
 
 
 def test_schedule_rejects_partial_grid(grid_trims, params, tables, nominal_trim):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="37 trim points do not form a 4x10 rectangular grid"):
         build_schedule(grid_trims[:37], LqrWeights(), params, tables, nominal_trim)
+
+
+def test_schedule_rejects_a_repeated_node(params, tables, nominal_trim):
+    with pytest.raises(ValueError, match="2 trim points do not form a 1x1 rectangular grid"):
+        build_schedule([nominal_trim, nominal_trim], LqrWeights(), params, tables, nominal_trim)
 
 
 def test_schedule_rejects_empty_trim_list(params, tables, nominal_trim):
