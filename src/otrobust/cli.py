@@ -5,17 +5,21 @@ gains for the fixed gain, schedule for the gain schedule that scenario
 builds and flies (harness.build_controllers), scenario for the full
 experiment runner (its snapshots/ CSVs are the raw ensemble), wasserstein
 for scoring snapshot files, and freq for the disturbance-to-state
-response. Angle-valued inputs and outputs are degrees. The JSON that trim,
-trim-grid, gains and schedule write is strict: a non-finite number in it is
-a numerical failure, and nothing is written.
+response. Angle-valued inputs and outputs are degrees. JSON inputs are read
+by f16.read_json, so a malformed one exits 2 naming its file. Every command
+writes its output text through _write, to a file or to stdout. The JSON
+that trim, trim-grid, gains and schedule write is strict: a non-finite
+number in it is a numerical failure, and nothing is written.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success (a closed stdout included), 2 configuration error
+(a ValueError or OSError), 3 numerical failure (a RuntimeError).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from itertools import zip_longest
@@ -26,8 +30,7 @@ import numpy as np
 from . import controller, harness, trim
 from .f16 import DEG, AeroTables, AircraftParams
 from .harness import ConfigError, NumericalFailure, ScenarioConfig
-from .transport import (BudgetExceededError, DiscreteDistribution,
-                        MassBalanceError, wasserstein_lp)
+from .transport import DiscreteDistribution, wasserstein_lp
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,10 +68,19 @@ def _json_text(doc) -> str:
         raise NumericalFailure(f"non-finite value in the JSON output ({exc})") from None
 
 
+def _write(path, text: str) -> None:
+    """text to the file at path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w") as f:
+        f.write(text)
+
+
 def _cmd_trim(args) -> int:
     params, tables = _load_params_tables(args)
     tp = trim.find_trim(args.V, args.alpha_deg * DEG, params, tables)
-    sys.stdout.write(_json_text(tp.to_dict()) + "\n")
+    _write(None, _json_text(tp.to_dict()) + "\n")
     return EXIT_OK
 
 
@@ -77,9 +89,7 @@ def _cmd_trim_grid(args) -> int:
     params, tables = _load_params_tables(args)
     grid = trim.default_grid(args.nv, args.nalpha)
     points = trim.trim_grid(grid, params, tables)
-    text = _json_text([tp.to_dict() for tp in points])
-    with open(args.out, "w") as f:
-        f.write(text)
+    _write(args.out, _json_text([tp.to_dict() for tp in points]))
     n_conv = sum(tp.converged for tp in points)
     print(f"wrote {len(points)} trim points ({n_conv} converged) to {args.out}")
     return EXIT_OK
@@ -91,7 +101,7 @@ def _cmd_gains(args) -> int:
     model = controller.linearize_plant(tp.x_trim, tp.u_trim, params, tables)
     K = controller.lqr_gain(model, controller.LqrWeights())
     acl = controller.spectral_abscissa(model.A - model.B @ K)
-    sys.stdout.write(_json_text({
+    _write(None, _json_text({
         "trim": tp.to_dict(),
         "K": K.tolist(),
         "K_units": controller.K_UNITS,
@@ -104,9 +114,7 @@ def _cmd_gains(args) -> int:
 def _cmd_schedule(args) -> int:
     _check_output("--out", args.out)
     sched = harness.build_controllers(*_load_params_tables(args)).schedule
-    text = _json_text(sched.to_dict())
-    with open(args.out, "w") as f:
-        f.write(text)
+    _write(args.out, _json_text(sched.to_dict()))
     n_unstable = int(np.count_nonzero(sched.abscissa_open > 0))
     print(f"wrote {sched.n_nodes}-node schedule to {args.out} ({n_unstable} open-loop "
           f"unstable nodes, worst closed-loop abscissa {sched.abscissa_closed.max():.4f})")
@@ -148,33 +156,25 @@ def _cmd_wasserstein(args) -> int:
                                   _dist_from_snapshot(sb, args.weights))
             rows.append((sa.t, plan.W))
             plan_export = plan
-    out = open(args.out, "w") if args.out else sys.stdout
-    out.write("t,W\n")
-    for t, W in rows:
-        out.write(f"{t},{W}\n")
-    if args.out:
-        out.close()
+    _write(args.out, "t,W\n" + "".join(f"{t},{W}\n" for t, W in rows))
     if args.plan and plan_export is not None:
-        with open(args.plan, "w") as f:
-            f.write("i,j,mass\n")
-            for i, j, mu in zip(plan_export.rows, plan_export.cols, plan_export.flows):
-                f.write(f"{i},{j},{mu}\n")
+        _write(args.plan, "i,j,mass\n" + "".join(
+            f"{i},{j},{mu}\n"
+            for i, j, mu in zip(plan_export.rows, plan_export.cols, plan_export.flows)))
     return EXIT_OK
 
 
 def _cmd_freq(args) -> int:
+    if args.points < 1:
+        raise ConfigError(f"--points must be at least 1, got {args.points}")
     _check_output("--out", args.out)
     params, tables = _load_params_tables(args)
     setup = harness.build_controllers(params, tables, need_schedule=False)
     model = setup.closed_loop_linear_model()
     grid = harness.default_omega_grid(args.points)
     gains_db, peak = harness.freq_response(model, grid)
-    out = open(args.out, "w") if args.out else sys.stdout
-    out.write("omega_rad_s,gain_db\n")
-    for w, g in zip(grid, gains_db):
-        out.write(f"{w},{g}\n")
-    if args.out:
-        out.close()
+    _write(args.out, "omega_rad_s,gain_db\n"
+           + "".join(f"{w},{g}\n" for w, g in zip(grid, gains_db)))
     print(f"peak gain at omega = {peak:.4f} rad/s", file=sys.stderr)
     return EXIT_OK
 
@@ -263,13 +263,18 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, MassBalanceError, BudgetExceededError, ValueError,
-            OSError, json.JSONDecodeError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone, which is no fault of the command; with
+        # stdout on the null device the interpreter's final flush is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+    except (ValueError, OSError) as exc:  # ConfigError and the transport's errors among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalFailure, controller.SynthesisError, controller.LinearizationError,
-            np.linalg.LinAlgError, RuntimeError) as exc:
+    except RuntimeError as exc:  # NumericalFailure, SynthesisError, LinearizationError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

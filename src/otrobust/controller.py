@@ -44,7 +44,7 @@ class SynthesisError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class LinearModel:
-    """Linearization x_dot ~ A (x - x0) + B (u - u0) about (x0, u0).
+    """Linearization x_dot ~ A (x - x0) + B (u - u0) about a point (x0, u0).
 
     Bw is the elevator column of B: the actuator disturbance enters the
     plant through that channel.
@@ -52,8 +52,6 @@ class LinearModel:
 
     A: np.ndarray
     B: np.ndarray
-    x0: np.ndarray
-    u0: np.ndarray
 
     @property
     def Bw(self) -> np.ndarray:
@@ -103,7 +101,7 @@ def linearize(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise LinearizationError("non-finite entries in finite-difference Jacobian")
-    return LinearModel(A=A, B=B, x0=x0, u0=u0)
+    return LinearModel(A=A, B=B)
 
 
 def linearize_plant(x0, u0, params: AircraftParams, tables: AeroTables) -> LinearModel:

@@ -249,14 +249,14 @@ class AeroTables:
 
 
 def read_json(path, parse: Callable):
-    """parse(document) of the JSON file at path. A ValueError from parse, such
-    as a missing or mistyped field, is re-raised with the file name."""
+    """parse(document) of the JSON file at path. Malformed JSON, or a
+    ValueError from parse (such as a missing or mistyped field), is
+    re-raised as a ValueError naming the file; an OSError names it already."""
     with open(path) as f:
-        doc = json.load(f)
-    try:
-        return parse(doc)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        try:
+            return parse(json.load(f))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def as_number(v, what: str) -> float:

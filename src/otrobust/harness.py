@@ -50,7 +50,7 @@ from .controller import (
     spectral_abscissa,
 )
 from .f16 import (CONTROL_UNITS, DEG, STATE_UNITS, AeroTables, AircraftParams, ClosedLoop,
-                  SineDisturbance, as_number)
+                  SineDisturbance, as_number, read_json)
 from .liouville import EnsembleSnapshot, propagate
 from .sampling import BoxDomain, halton, mcmc_sample, weighted_cloud
 from .transport import wasserstein_dirac
@@ -212,15 +212,12 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, path) -> "ScenarioConfig":
-        try:
-            with open(path) as f:
-                doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read scenario config {path}: {exc}") from exc
-        try:
-            return cls(**doc)
-        except TypeError as exc:
-            raise ConfigError(f"bad scenario config field: {exc}") from exc
+        def parse(doc):
+            try:
+                return cls(**doc)
+            except TypeError as exc:  # an unknown field, or not a JSON object
+                raise ConfigError(f"bad scenario config field: {exc}") from None
+        return read_json(path, parse)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -254,8 +251,7 @@ class ControllerSetup:
         A_cl = self.model.A - self.model.B @ self.K
         scale = PAPER_STATE_SCALE[:, None]
         return LinearModel(A=scale * A_cl * STATE_UNITS,
-                           B=scale * self.model.B * CONTROL_UNITS,
-                           x0=self.model.x0, u0=self.model.u0)
+                           B=scale * self.model.B * CONTROL_UNITS)
 
 
 def build_controllers(params: AircraftParams | None = None,

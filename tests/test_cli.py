@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -150,6 +153,19 @@ def test_freq_subcommand(capsys, tmp_path):
     assert len(rows) == 51
 
 
+# --points below 1 leaves no frequency to report: refused before the set-up
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_freq_without_points_exits_2_before_any_work(capsys, monkeypatch, points):
+    import otrobust.cli as cli
+
+    def refuse(*a, **k):
+        pytest.fail("freq built its set-up before checking --points")
+    monkeypatch.setattr(cli.harness, "build_controllers", refuse)
+    code, out, err = run_cli(capsys, "freq", "--points", points)
+    assert code == EXIT_CONFIG and out == ""
+    assert f"--points must be at least 1, got {points}" in err
+
+
 def test_scenario_subcommand(capsys, tmp_path):
     cfg = {"kind": "ic", "controller": "lqr", "samples": 8, "t_f": 0.5,
            "dt": 0.01, "emit_every": 25, "seed": 0}
@@ -205,7 +221,7 @@ def test_malformed_scenario_config_exits_2(capsys, tmp_path, field):
     out = tmp_path / "out"
     code, _, err = run_cli(capsys, "scenario", "--config", str(cfg), "--out", str(out))
     assert code == EXIT_CONFIG
-    assert MALFORMED_ERROR.get(field, field) in err
+    assert str(cfg) in err and MALFORMED_ERROR.get(field, field) in err
     assert not out.exists()
 
 
@@ -397,6 +413,27 @@ def test_propagate_is_not_a_command(capsys):
     assert "invalid choice: 'propagate'" in capsys.readouterr().err
 
 
+# A reader that closes stdout before a command writes (as `| head -0` may)
+# wants no more output: the command ends quietly with 0, its files written.
+@pytest.mark.parametrize("command", ["trim", "scenario"])
+def test_closed_stdout_exits_0_quietly(tmp_path, command):
+    (tmp_path / "cfg.json").write_text(json.dumps(SMALL_IC))
+    argv = {"trim": ["trim", "--V", "407.8942", "--alpha-deg", "6.1650"],
+            "scenario": ["scenario", "--config", "cfg.json", "--out", "out"]}[command]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                               "otrobust.cli", *argv], stdout=write, stderr=subprocess.PIPE,
+                              cwd=tmp_path, env=env, text=True, timeout=300)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    if command == "scenario":
+        assert (tmp_path / "out" / "report.json").is_file()
+
+
 def test_missing_file_exits_2(capsys):
     code, _, _ = run_cli(capsys, "scenario", "--config", "/nonexistent.json")
     assert code == EXIT_CONFIG
@@ -479,11 +516,13 @@ def _good_snapshot(tmp_path):
     return f
 
 
+# a str doc is written as it is: "{" is not JSON at all
 @pytest.mark.parametrize("doc, field", [({"V": 500}, "theta_deg"), ([1, 2], "JSON object"),
-                                        ({**GOOD_TRIM, "T": "heavy"}, "T")])
+                                        ({**GOOD_TRIM, "T": "heavy"}, "T"),
+                                        ("{", "Expecting property name")])
 def test_dirac_at_malformed_trim_exits_2(capsys, tmp_path, doc, field):
     trim_json = tmp_path / "t.json"
-    trim_json.write_text(json.dumps(doc))
+    trim_json.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, _, err = run_cli(capsys, "wasserstein", "--a", str(_good_snapshot(tmp_path)),
                            "--dirac-at", str(trim_json))
     assert code == EXIT_CONFIG
@@ -657,6 +696,21 @@ def test_trim_malformed_tables_exit_2(capsys, tmp_path, monkeypatch, command):
                            "--tables", str(t))
     assert code == EXIT_CONFIG
     assert str(t) in err and "'alpha_breakpoints_deg'" in err
+    assert not (tmp_path / "out").exists()
+
+
+# A model file that is not JSON at all exits 2 naming the file, as one with a
+# bad field does.
+@pytest.mark.parametrize("option", ["--params", "--tables"])
+@pytest.mark.parametrize("command", MODEL_COMMANDS)
+def test_model_file_that_is_not_json_exits_2_naming_it(capsys, tmp_path, monkeypatch,
+                                                       command, option):
+    bad = tmp_path / "model.json"
+    bad.write_text("{")
+    code, out, err = run_cli(capsys, *_model_argv(tmp_path, monkeypatch, command),
+                             option, str(bad))
+    assert code == EXIT_CONFIG and out == ""
+    assert str(bad) in err and "Expecting property name" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -99,8 +99,7 @@ def test_repeated_sweep_labels_are_a_config_error(fields, label):
 
 
 def test_freq_response_scalar_analytic():
-    model = LinearModel(A=np.array([[-1.0]]), B=np.array([[0.0, 1.0]]),
-                        x0=np.zeros(1), u0=np.zeros(2))
+    model = LinearModel(A=np.array([[-1.0]]), B=np.array([[0.0, 1.0]]))
     grid = np.logspace(-2, 2, 60)
     gains_db, peak = freq_response(model, grid)
     expect = 20 * np.log10(1.0 / np.sqrt(1.0 + grid ** 2))
@@ -112,8 +111,7 @@ def test_freq_response_scalar_analytic():
 
 
 def test_freq_response_rejects_unstable():
-    model = LinearModel(A=np.array([[0.5]]), B=np.array([[0.0, 1.0]]),
-                        x0=np.zeros(1), u0=np.zeros(2))
+    model = LinearModel(A=np.array([[0.5]]), B=np.array([[0.0, 1.0]]))
     with pytest.raises(NumericalFailure):
         freq_response(model, np.array([1.0]))
 
