@@ -85,6 +85,9 @@ def _cmd_trim(args) -> int:
 
 
 def _cmd_trim_grid(args) -> int:
+    for flag, n in (("--nv", args.nv), ("--nalpha", args.nalpha)):
+        if n < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {n}")
     _check_output("--out", args.out)
     params, tables = _load_params_tables(args)
     grid = trim.default_grid(args.nv, args.nalpha)

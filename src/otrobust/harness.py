@@ -22,8 +22,11 @@ space (see _cases); the transportation LP is kept for general CLI inputs
 and as the oracle of that score. Wasserstein values are reported in the
 degree-based reporting units (deg, ft/s, deg, deg/s) of f16.STATE_UNITS,
 as are all file outputs. Reports are plain dicts rendered to report.json /
-W.csv / snapshot CSVs, stamped with a content hash so identical
-configurations are bit-reproducible.
+W.csv / snapshot CSVs. report.json holds the curves, the likelihood extremes
+and the diverged and off-trim counts per curve, stamped with a content hash
+over all of it but its run section (where and how the run executed: workers,
+output_dir), so identical configurations are bit-reproducible. The snapshot
+CSVs hold every sample's state and mass, from which any marginal is binned.
 """
 
 from __future__ import annotations
@@ -89,10 +92,6 @@ SNAPSHOT_PARAM_COLUMNS = ["m", "xcg", "Jyy"]
 # The diverged flags a snapshot CSV may hold; anything else is malformed.
 _DIVERGED = {"0": False, "False": False, "false": False,
              "1": True, "True": True, "true": True}
-
-# Config fields that say where and how a run executes, not what it computes;
-# report.json echoes them, the content hash leaves them out.
-RUN_ENVIRONMENT_FIELDS = ("workers", "output_dir")
 
 
 class ConfigError(ValueError):
@@ -319,17 +318,6 @@ def initial_cloud(cfg: ScenarioConfig, x_trim: np.ndarray) -> EnsembleSnapshot:
     return EnsembleSnapshot.from_cloud(*_draw(cfg, _ic_box_internal(cfg, x_trim)))
 
 
-def marginal_histogram(snapshot: EnsembleSnapshot, axis: int, bins: int,
-                       value_range=None):
-    """Mass-weighted histogram of one state axis; bin masses sum to 1."""
-    if bins < 1:
-        raise ValueError("bins must be at least 1")
-    values = snapshot.states[:, axis]
-    masses, edges = np.histogram(values, bins=bins, range=value_range,
-                                 weights=snapshot.gamma)
-    return masses, edges
-
-
 def freq_response(model: LinearModel, omega_grid) -> tuple[np.ndarray, float]:
     """Disturbance-to-state gain of the closed-loop model over omega_grid.
 
@@ -354,15 +342,19 @@ def default_omega_grid(n: int = 200) -> np.ndarray:
 
 
 def probability_weights(snapshot: EnsembleSnapshot) -> np.ndarray:
-    """Unit-mass marginal weights from the carried density values.
+    """Unit-mass weights phi_i / sum(phi) from the carried density values.
 
-    The scoring treats each sample's tracked joint-density value as its
-    probability-mass value, normalized to satisfy mass balance against the
-    unit-mass reference. Samples whose trajectories wander off (tracked
-    density collapsing relative to the ensemble) then contribute little,
-    which is what makes the W series converge when a thin set of
-    characteristics fails to regulate. At t = 0 with a uniform initial
-    density these weights equal the 1/n transport masses exactly.
+    The samples of a snapshot are distributed as the propagated density
+    rho_t, so their transport masses 1/n make W_mass an estimate of
+    W(rho_t, delta_trim). These weights tilt that measure by rho_t once
+    more: W, scored with them, estimates W of rho_t^2 / Z (Z the integral
+    of rho_t^2) to trim, not of rho_t. Samples whose tracked density
+    collapses relative to the ensemble, a low-density set that may still
+    hold a few percent of the probability, then contribute little, which is
+    what makes the W series converge when such a set fails to regulate.
+    Where the divergence is uniform over the cloud (a linear field on a
+    uniform box) the two weightings coincide; at t = 0 with a uniform
+    initial density these weights equal the 1/n transport masses exactly.
     """
     phi = np.maximum(snapshot.phi, 0.0)
     total = phi.sum()
@@ -376,17 +368,6 @@ def _W_dirac_series(snapshots, x_trim, weighting: str = "density") -> list[float
     for s in snapshots:
         w = probability_weights(s) if weighting == "density" else None
         out.append(wasserstein_dirac(s, x_trim, scale=PAPER_STATE_SCALE, weights=w))
-    return out
-
-
-def _histograms(snapshots, bins: int = 40) -> list[dict]:
-    out = []
-    for snap in snapshots:
-        axes = {}
-        for k, name in enumerate(STATE_KEYS):
-            masses, edges = marginal_histogram(snap, k, bins)
-            axes[name] = {"edges": edges.tolist(), "mass": masses.tolist()}
-        out.append({"t": snap.t, "axes": axes})
     return out
 
 
@@ -406,24 +387,24 @@ def _nonconverged_count(snapshot: EnsembleSnapshot, x_trim: np.ndarray,
 
 @dataclass
 class RunReport:
-    """Assembled scenario results, hashable and serializable."""
+    """Assembled scenario results, hashable and serializable. The content
+    hash covers every section but run, which says where and how the run
+    executed rather than what it computed."""
 
     scenario: str
     config: dict
     nominal_trim: dict
     curves: list            # {controller, variant, t: [...], W: [...]}
-    histograms: dict        # key "controller|variant" -> per-time marginals
-    extremes: dict          # key -> likelihood extreme ids per time
+    extremes: dict          # key "controller|variant" -> likelihood extreme ids per time
     diverged: dict          # key -> diverged-sample count at final time
     nonconverged: dict      # key -> samples off trim at final time
     extras: dict = field(default_factory=dict)
+    run: dict = field(default_factory=dict)
     content_hash: str = ""
 
     def finalize(self) -> "RunReport":
         body = self.to_dict()
-        body.pop("content_hash", None)
-        body["config"] = {k: v for k, v in self.config.items()
-                          if k not in RUN_ENVIRONMENT_FIELDS}
+        del body["run"], body["content_hash"]
         blob = json.dumps(body, sort_keys=True).encode()
         self.content_hash = hashlib.sha256(blob).hexdigest()
         return self
@@ -435,11 +416,11 @@ class RunReport:
             "config": self.config,
             "nominal_trim": self.nominal_trim,
             "curves": self.curves,
-            "histograms": self.histograms,
             "extremes": self.extremes,
             "diverged": self.diverged,
             "nonconverged": self.nonconverged,
             "extras": extras,
+            "run": self.run,
             "content_hash": self.content_hash,
         }
 
@@ -685,9 +666,10 @@ def run_scenario(cfg: ScenarioConfig, setup: ControllerSetup,
     frequency.
     """
     x_trim = setup.trim.x_trim.as_array()
-    report = RunReport(scenario=cfg.kind, config=cfg.to_dict(),
-                       nominal_trim=setup.trim.to_dict(), curves=[],
-                       histograms={}, extremes={}, diverged={}, nonconverged={})
+    config = cfg.to_dict()
+    run = {name: config.pop(name) for name in ("workers", "output_dir")}
+    report = RunReport(scenario=cfg.kind, config=config, nominal_trim=setup.trim.to_dict(),
+                       curves=[], extremes={}, diverged={}, nonconverged={}, run=run)
     snapshots_by_key = {}
     for name, variant, snaps in _runs(cfg, setup):
         curve = {"controller": name, "variant": variant, "t": [s.t for s in snaps]}
@@ -702,7 +684,6 @@ def run_scenario(cfg: ScenarioConfig, setup: ControllerSetup,
         else:
             curve.update(W=_W_dirac_series(snaps, x_trim), W_mass=W_mass)
         key = _key(name, variant)
-        report.histograms[key] = _histograms(snaps)
         report.extremes[key] = _extremes_records(snaps)
         report.diverged[key] = int(np.count_nonzero(snaps[-1].diverged))
         report.nonconverged[key] = _nonconverged_count(snaps[-1], x_trim)

@@ -166,6 +166,26 @@ def test_freq_without_points_exits_2_before_any_work(capsys, monkeypatch, points
     assert f"--points must be at least 1, got {points}" in err
 
 
+# a grid axis below one node leaves no trim to solve: refused, naming the
+# flag, before the model files load and before --out is created
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("flag", ["--nv", "--nalpha"])
+def test_trim_grid_without_nodes_exits_2_before_any_work(capsys, monkeypatch, tmp_path,
+                                                         flag, n):
+    import otrobust.cli as cli
+
+    def refuse(*a, **k):
+        pytest.fail(f"trim-grid loaded the model before checking {flag}")
+    monkeypatch.setattr(cli, "_load_params_tables", refuse)
+    out = tmp_path / "trims.json"
+    # argparse keeps the last value of a repeated flag
+    code, stdout, err = run_cli(capsys, "trim-grid", "--nv", "2", "--nalpha", "2", flag, n,
+                                "--out", str(out))
+    assert code == EXIT_CONFIG and stdout == ""
+    assert f"{flag} must be at least 1, got {n}" in err
+    assert not out.exists()
+
+
 def test_scenario_subcommand(capsys, tmp_path):
     cfg = {"kind": "ic", "controller": "lqr", "samples": 8, "t_f": 0.5,
            "dt": 0.01, "emit_every": 25, "seed": 0}

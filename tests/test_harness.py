@@ -19,7 +19,6 @@ from otrobust.harness import (
     _x_pert_internal,
     default_omega_grid,
     freq_response,
-    marginal_histogram,
     probability_weights,
     read_snapshot_csv,
     run_scenario,
@@ -92,7 +91,7 @@ REPEATED_LABELS = [({"kind": "param", "param_delta_percent": [2.5, 2.5000001]}, 
 
 @pytest.mark.parametrize("fields, label", REPEATED_LABELS)
 def test_repeated_sweep_labels_are_a_config_error(fields, label):
-    # two entries with one f"{v:g}" label would give two curves, histograms
+    # two entries with one f"{v:g}" label would give two curves, extremes
     # and snapshot files of one name, the second overwriting the first
     with pytest.raises(ConfigError, match=label):
         ScenarioConfig(**fields)
@@ -121,27 +120,6 @@ def test_dominant_frequency_synthetic():
     W = 2.0 + 0.5 * np.sin(2.0 * t) + 0.05 * np.sin(9.0 * t)
     # FFT bin spacing over a 20 s window is ~0.31 rad/s
     assert dominant_frequency(t, W, 10.0, 30.0) == pytest.approx(2.0, abs=0.32)
-
-
-def test_marginal_histogram_basics(rng):
-    snap = EnsembleSnapshot.from_cloud(rng.normal(size=(50, 4)), np.ones(50),
-                                       np.full(50, 0.02))
-    masses, edges = marginal_histogram(snap, 0, bins=1)
-    assert masses.tolist() == [pytest.approx(1.0)]
-    same = EnsembleSnapshot.from_cloud(np.tile([1.0, 2, 3, 4], (9, 1)),
-                                       np.ones(9), np.full(9, 1 / 9))
-    masses2, _ = marginal_histogram(same, 2, bins=7, value_range=(0.0, 6.0))
-    assert np.count_nonzero(masses2) == 1
-    assert masses2.sum() == pytest.approx(1.0)
-
-
-def test_marginal_histogram_uniform_flatness(rng):
-    vals = rng.uniform(-1, 1, size=(4000, 4))
-    snap = EnsembleSnapshot.from_cloud(vals, np.ones(4000), np.full(4000, 1 / 4000))
-    masses, _ = marginal_histogram(snap, 1, bins=10)
-    # chi-square sanity threshold for 4000 draws over 10 bins
-    chi2 = 4000 * np.sum((masses - 0.1) ** 2 / 0.1)
-    assert chi2 < 30.0
 
 
 def test_probability_weights_normalization(rng):
@@ -183,13 +161,17 @@ class TestMiniScenarios:
         for c in rep.curves:
             assert c["W"][0] == pytest.approx(c["W_mass"][0], rel=1e-12)
 
-    def test_histograms_and_extremes_recorded(self, ic_report):
+    def test_extremes_recorded(self, ic_report):
         cfg, rep = ic_report
-        assert set(rep.histograms) == {"lqr", "gslqr"}
-        for rec in rep.histograms["lqr"]:
-            for axis in ("theta", "V", "alpha", "q"):
-                assert sum(rec["axes"][axis]["mass"]) == pytest.approx(1.0)
         assert len(rep.extremes["lqr"]) == len(rep.curve("lqr")[0])
+
+    def test_run_section_is_outside_the_content_hash(self, ic_report):
+        cfg, rep = ic_report
+        again = copy.deepcopy(rep)
+        again.run.update(workers=7, output_dir="elsewhere", added={"any": [1.0]})
+        assert again.finalize().content_hash == rep.content_hash
+        again.curves[0]["W"][-1] = math.nextafter(again.curves[0]["W"][-1], math.inf)
+        assert again.finalize().content_hash != rep.content_hash
 
     def test_report_persistence(self, ic_report, setup, tmp_path):
         cfg, base = ic_report
@@ -201,8 +183,11 @@ class TestMiniScenarios:
         assert (out / "snapshots" / "lqr.csv").exists()
         doc = json.loads((out / "report.json").read_text())
         assert doc["content_hash"] == rep.content_hash
-        # the output directory is echoed but not hashed
-        assert doc["config"]["output_dir"] == str(out)
+        # the output directory and worker count are echoed under run, which
+        # the content hash leaves out; the marginals live in the snapshots
+        assert doc["run"] == {"workers": None, "output_dir": str(out)}
+        assert not {"workers", "output_dir"} & set(doc["config"])
+        assert "histograms" not in doc
         assert rep.content_hash == base.content_hash
         lines = (out / "W.csv").read_text().splitlines()
         assert lines[0] == "t,variant,controller,W"
@@ -466,7 +451,7 @@ def test_param_deterministic_curve_equals_its_own_one_row_propagation(setup, nam
 def test_param_report_hash_independent_of_workers(param_small, setup):
     cfg, rep = param_small
     rep2 = run_scenario(ScenarioConfig(**PARAM_SMALL, workers=2), setup=setup)
-    assert rep2.config["workers"] == 2 and rep.config["workers"] is None
+    assert rep2.run["workers"] == 2 and rep.run["workers"] is None
     assert rep2.content_hash == rep.content_hash
 
 
@@ -582,7 +567,7 @@ def test_disturbance_report_hash_independent_of_workers(setup, monkeypatch):
                          omega_rad_s=[0.0, 2.0, 100.0])
     rep = run_scenario(cfg, setup=setup)
     rep2 = run_scenario(replace(cfg, workers=2), setup=setup)
-    assert rep2.config["workers"] == 2
+    assert rep2.run["workers"] == 2
     assert rep2.content_hash == rep.content_hash
 
 

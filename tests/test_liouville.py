@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import query_density
-from otrobust.harness import _extremes_records
+from otrobust.harness import _W_dirac_series, _extremes_records
 from otrobust.liouville import (
     EnsembleSnapshot,
     _density_multiplier,
@@ -15,7 +15,7 @@ from otrobust.liouville import (
     propagate,
     resolve_workers,
 )
-from otrobust.sampling import BoxDomain
+from otrobust.sampling import BoxDomain, halton, weighted_cloud
 
 
 class LinearField:
@@ -249,6 +249,19 @@ def test_query_density_outside_support_is_zero(stable_M):
     rhs = linear_rhs(stable_M)
     # far away: back-propagates outside the box
     assert query_density(np.array([50.0, 0, 0, 0]), 1.0, rhs, pdf, 1e-3) == 0.0
+
+
+def test_density_and_mass_weightings_agree_on_a_linear_field(stable_M):
+    # A linear field has one divergence everywhere, so a uniform box stays
+    # uniform: the density weights equal the transport masses, and W (an
+    # estimate of W(rho_t^2 / Z, delta)) equals W_mass (W(rho_t, delta)).
+    box = BoxDomain(-np.ones(4), np.ones(4))
+    cloud = EnsembleSnapshot.from_cloud(*weighted_cloud(halton(200, box), box))
+    snaps = propagate(cloud, linear_rhs(stable_M), 5.0, 0.01, emit_every=50)
+    assert len(snaps) == 11
+    W = _W_dirac_series(snaps, np.zeros(4), "density")
+    W_mass = _W_dirac_series(snaps, np.zeros(4), "mass")
+    assert W == pytest.approx(W_mass, rel=1e-11, abs=0.0)
 
 
 def test_likelihood_extremes_tiebreak():
