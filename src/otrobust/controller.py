@@ -88,16 +88,19 @@ def linearize(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
               x0, u0) -> LinearModel:
     """Central-difference linearization of rhs(x, u) about (x0, u0), which
     may be a TrimPoint's state objects; rhs must broadcast over leading axes
-    (f16.central_difference). Exact for linear maps up to roundoff."""
+    (f16.central_difference). Stacked points, x0 (n, k) and u0 (n, m), give
+    A (n, k, k) and B (n, k, m) from one call of rhs, each node bitwise its
+    single-point linearization. Exact for linear maps up to roundoff."""
     if isinstance(x0, LongitudinalState):
         x0 = x0.as_array()
     if isinstance(u0, ControlInput):
         u0 = u0.as_array()
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
-    n = x0.size
-    D = central_difference(lambda xu: rhs(xu[:, :n], xu[:, n:]), np.concatenate([x0, u0]))
-    A, B = np.ascontiguousarray(D[:, :n]), np.ascontiguousarray(D[:, n:])
+    n = x0.shape[-1]
+    D = central_difference(lambda xu: rhs(xu[:, :n], xu[:, n:]),
+                           np.concatenate([x0, u0], axis=-1))
+    A, B = np.ascontiguousarray(D[..., :n]), np.ascontiguousarray(D[..., n:])
 
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
         raise LinearizationError("non-finite entries in finite-difference Jacobian")
@@ -105,7 +108,8 @@ def linearize(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 
 def linearize_plant(x0, u0, params: AircraftParams, tables: AeroTables) -> LinearModel:
-    """Linearize the open-loop F-16 dynamics about a trim point."""
+    """Linearize the open-loop F-16 dynamics about a trim point, or about
+    each of stacked points (see linearize)."""
     return linearize(lambda x, u: dynamics(x, u, params, tables), x0, u0)
 
 
@@ -270,9 +274,11 @@ def build_schedule(trims: list[TrimPoint], weights: LqrWeights, params: Aircraft
     """Synthesize one LQR gain per trim node and assemble the schedule.
 
     The trim list must cover a full rectangular (V, alpha) lattice (any
-    order); nodes are identified from the trim states themselves. A node
-    whose closed loop fails to stabilize raises SynthesisError naming the
-    node. `reference` sets the regulation target of the scheduled law.
+    order); nodes are identified from the trim states themselves, and all
+    are linearized in one stacked plant call. A node whose Riccati solve
+    fails (solve_care, which also rejects a closed loop that is not
+    Hurwitz) raises SynthesisError naming the node. `reference` sets the
+    regulation target of the scheduled law.
     """
     if not trims:
         raise ValueError("a gain schedule needs at least one trim point")
@@ -296,23 +302,20 @@ def build_schedule(trims: list[TrimPoint], weights: LqrWeights, params: Aircraft
     ab_open = np.empty((nv, na))
     ab_closed = np.empty((nv, na))
 
-    for (i, j), tp in sorted(by_node.items()):
-        model = linearize_plant(tp.x_trim, tp.u_trim, params, tables)
+    nodes = sorted(by_node.items())
+    X = np.array([tp.x_trim.as_array() for _, tp in nodes])
+    U = np.array([tp.u_trim.as_array() for _, tp in nodes])
+    models = linearize_plant(X, U, params, tables)
+    for ((i, j), _), x, u, A, B in zip(nodes, X, U, models.A, models.B):
         try:
-            Kij = lqr_gain(model, weights)
+            Kij = lqr_gain(LinearModel(A=A, B=B), weights)
         except SynthesisError as exc:
             raise SynthesisError(
                 f"node (V={Vs[i]:.1f}, alpha={alphas[j] / DEG:.2f} deg): {exc}") from exc
-        acl = spectral_abscissa(model.A - model.B @ Kij)
-        if acl >= 0.0:
-            raise SynthesisError(
-                f"node (V={Vs[i]:.1f}, alpha={alphas[j] / DEG:.2f} deg) "
-                f"not stabilized (abscissa {acl:.3e})")
-        x_trims[i, j] = tp.x_trim.as_array()
-        u_trims[i, j] = tp.u_trim.as_array()
-        K[i, j] = Kij
-        ab_open[i, j] = spectral_abscissa(model.A)
-        ab_closed[i, j] = acl
+        x_trims[i, j], u_trims[i, j], K[i, j] = x, u, Kij
+        ab_open[i, j] = spectral_abscissa(A)
+        # negative: solve_care has checked these very bits
+        ab_closed[i, j] = spectral_abscissa(A - B @ Kij)
 
     return GainSchedule(V_nodes=Vs, alpha_nodes=alphas, x_trims=x_trims,
                         u_trims=u_trims, K=K, abscissa_open=ab_open,

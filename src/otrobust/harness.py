@@ -54,7 +54,7 @@ from .controller import (
 )
 from .f16 import (CONTROL_UNITS, DEG, STATE_UNITS, AeroTables, AircraftParams, ClosedLoop,
                   SineDisturbance, as_number, read_json)
-from .liouville import EnsembleSnapshot, propagate
+from .liouville import EnsembleSnapshot, propagate, resolve_workers
 from .sampling import BoxDomain, halton, mcmc_sample, weighted_cloud
 from .transport import wasserstein_dirac
 from .trim import TrimPoint, default_grid, find_trim, trim_grid
@@ -667,7 +667,8 @@ def run_scenario(cfg: ScenarioConfig, setup: ControllerSetup,
     """
     x_trim = setup.trim.x_trim.as_array()
     config = cfg.to_dict()
-    run = {name: config.pop(name) for name in ("workers", "output_dir")}
+    del config["workers"]
+    run = {"workers": resolve_workers(cfg.workers), "output_dir": config.pop("output_dir")}
     report = RunReport(scenario=cfg.kind, config=config, nominal_trim=setup.trim.to_dict(),
                        curves=[], extremes={}, diverged={}, nonconverged={}, run=run)
     snapshots_by_key = {}

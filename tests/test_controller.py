@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from otrobust import controller
 from otrobust.controller import (
     LinearModel,
     LqrLaw,
@@ -156,6 +157,34 @@ def test_schedule_all_nodes_stable(schedule):
     assert schedule.n_nodes == 100
     assert np.all(schedule.abscissa_closed < 0.0)
     assert np.any(schedule.abscissa_open > 0.0)
+
+
+def test_stacked_linearization_is_each_node_bitwise(params, tables, grid_trims):
+    X = np.array([tp.x_trim.as_array() for tp in grid_trims])
+    U = np.array([tp.u_trim.as_array() for tp in grid_trims])
+    stacked = linearize_plant(X, U, params, tables)
+    assert stacked.A.shape == (100, 4, 4) and stacked.B.shape == (100, 4, 2)
+    for x, u, A, B in zip(X, U, stacked.A, stacked.B):
+        single = linearize_plant(x, u, params, tables)
+        assert np.array_equal(A, single.A) and np.array_equal(B, single.B)
+
+
+def test_schedule_names_the_node_whose_riccati_solve_fails(params, tables, grid_trims,
+                                                           nominal_trim, monkeypatch):
+    # nodes 0 and 1 are (100 ft/s, -10 deg) and (100 ft/s, -3.89 deg)
+    failing = linearize_plant(grid_trims[1].x_trim, grid_trims[1].u_trim, params, tables).A
+    solve = controller.solve_care
+
+    def care(A, B, Q, R):
+        if np.array_equal(A, failing):
+            raise SynthesisError("closed loop not Hurwitz after Riccati solve")
+        return solve(A, B, Q, R)
+
+    monkeypatch.setattr(controller, "solve_care", care)
+    with pytest.raises(SynthesisError, match=r"^node \(V=100\.0, alpha=-3\.89 deg\): closed loop "
+                                             r"not Hurwitz after Riccati solve$") as err:
+        build_schedule(grid_trims[:2], LqrWeights(), params, tables, nominal_trim)
+    assert isinstance(err.value.__cause__, SynthesisError)
 
 
 def test_schedule_rejects_partial_grid(grid_trims, params, tables, nominal_trim):

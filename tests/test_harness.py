@@ -173,7 +173,8 @@ class TestMiniScenarios:
         again.curves[0]["W"][-1] = math.nextafter(again.curves[0]["W"][-1], math.inf)
         assert again.finalize().content_hash != rep.content_hash
 
-    def test_report_persistence(self, ic_report, setup, tmp_path):
+    def test_report_persistence(self, ic_report, setup, tmp_path, monkeypatch):
+        monkeypatch.delenv("OTROBUST_WORKERS", raising=False)
         cfg, base = ic_report
         out = tmp_path / "run"
         cfg2 = ScenarioConfig(**{**cfg.to_dict(), "output_dir": str(out)})
@@ -183,9 +184,10 @@ class TestMiniScenarios:
         assert (out / "snapshots" / "lqr.csv").exists()
         doc = json.loads((out / "report.json").read_text())
         assert doc["content_hash"] == rep.content_hash
-        # the output directory and worker count are echoed under run, which
-        # the content hash leaves out; the marginals live in the snapshots
-        assert doc["run"] == {"workers": None, "output_dir": str(out)}
+        # the output directory and the worker count the run used (1 with
+        # workers unset) are echoed under run, which the content hash leaves
+        # out; the marginals live in the snapshots
+        assert doc["run"] == {"workers": 1, "output_dir": str(out)}
         assert not {"workers", "output_dir"} & set(doc["config"])
         assert "histograms" not in doc
         assert rep.content_hash == base.content_hash
@@ -448,11 +450,21 @@ def test_param_deterministic_curve_equals_its_own_one_row_propagation(setup, nam
                           for s in own]
 
 
-def test_param_report_hash_independent_of_workers(param_small, setup):
+def test_param_report_hash_independent_of_workers(param_small, setup, monkeypatch):
     cfg, rep = param_small
+    assert rep.run["workers"] == liouville.resolve_workers(None)
+    monkeypatch.delenv("OTROBUST_WORKERS", raising=False)
     rep2 = run_scenario(ScenarioConfig(**PARAM_SMALL, workers=2), setup=setup)
-    assert rep2.run["workers"] == 2 and rep.run["workers"] is None
+    assert rep2.run["workers"] == 2
     assert rep2.content_hash == rep.content_hash
+
+
+def test_run_workers_is_the_count_the_run_used(setup, monkeypatch):
+    # with workers unset in the config, OTROBUST_WORKERS sets the count
+    monkeypatch.setenv("OTROBUST_WORKERS", "2")
+    cfg = mini_cfg(samples=8, t_f=0.1, emit_every=10)
+    assert cfg.workers is None
+    assert run_scenario(cfg, setup=setup).run["workers"] == 2
 
 
 def test_array_holding_dataclasses_compare_by_identity(tables, setup):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from otrobust.f16 import DEG, central_difference, dynamics, saturate_array
+from otrobust.f16 import DEG, AircraftParams, central_difference, dynamics, saturate_array
 from otrobust import trim as trim_module
 from otrobust.trim import TrimPoint, default_grid, find_trim, trim_grid, _residual
 
@@ -98,11 +98,68 @@ def test_all_grid_nodes_converged(grid_trims):
     assert res.max() < 10.0
 
 
-def test_singleton_batch_matches_find_trim(params, tables):
-    node = (407.8942, 6.1650 * DEG)
-    batch = trim_grid([node], params, tables)
-    single = find_trim(*node, params, tables)
-    assert batch == [single]
+def _z(tp):
+    return np.array([tp.x_trim.theta, tp.u_trim.T, tp.u_trim.delta_e])
+
+
+def _assert_on_find_trim_points(points, params, tables):
+    """find_trim as the oracle of each node: the same converged flag, the
+    same point to 1e-6 per component in _X_SCALE units, and a residual no
+    larger (the same stationary point, reached by other arithmetic) or an
+    equilibrium."""
+    for tp in points:
+        ref = find_trim(tp.x_trim.V, tp.x_trim.alpha, params, tables)
+        node = (tp.x_trim.V, tp.x_trim.alpha / DEG)
+        assert tp.converged == ref.converged, node
+        assert np.all(np.abs(_z(tp) - _z(ref)) / trim_module._X_SCALE <= 1e-6), node
+        assert (tp.residual <= ref.residual * (1 + 1e-12)
+                or tp.residual < trim_module._RTOL), node
+
+
+def test_grid_lands_on_the_find_trim_points(params, tables, grid_trims):
+    _assert_on_find_trim_points(grid_trims, params, tables)
+
+
+@pytest.mark.parametrize("plant", [{"m": 636.94 * 1.15}, {"h": 20000.0}])
+def test_grid_lands_on_the_find_trim_points_of_a_perturbed_plant(tables, plant):
+    params = AircraftParams(**plant)
+    _assert_on_find_trim_points(trim_grid(default_grid(), params, tables), params, tables)
+
+
+# Lattice nodes 0 (theta at +30 deg), 10 (T at its floor), 27 and 44 (no
+# bound active), 85 (800 ft/s, 20.6 deg) and 99 (theta and T at bounds).
+BATCH_NODES = [0, 10, 27, 44, 85, 99]
+
+
+def test_grid_node_does_not_depend_on_its_batch(params, tables, grid_trims):
+    grid = default_grid()
+    at_bound = set()
+    for i in BATCH_NODES:
+        assert trim_grid([grid[i]], params, tables) == [grid_trims[i]], i
+        at_bound.add(bool(np.any(trim_module._at_bounds(_z(grid_trims[i])))))
+    assert at_bound == {True, False}
+
+
+def test_overflowing_node_leaves_its_neighbour_alone(params, tables):
+    nominal = (407.8942, 6.1650 * DEG)
+    edge, tp = trim_grid([(1e-300, 0.0), nominal], params, tables)
+    assert edge.residual == float("inf")
+    assert not edge.converged
+    assert tp == trim_grid([nominal], params, tables)[0]
+    assert tp.converged
+
+
+def test_singular_polish_step_is_not_converged(params, tables, monkeypatch):
+    monkeypatch.setattr(trim_module, "_solve3", lambda M, y: np.full_like(y, np.nan))
+    points = trim_grid(default_grid()[:3], params, tables)
+    assert not any(tp.converged for tp in points)
+
+
+def test_grid_never_calls_find_trim(params, tables, grid_trims, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("trim_grid called find_trim")
+    monkeypatch.setattr(trim_module, "find_trim", refuse)
+    assert trim_grid(default_grid()[:3], params, tables) == grid_trims[:3]
 
 
 def test_empty_grid_rejected(params, tables):
