@@ -101,7 +101,7 @@ def _cmd_trim_grid(args) -> int:
 def _cmd_gains(args) -> int:
     params, tables = _load_params_tables(args)
     tp = trim.find_trim(args.V, args.alpha_deg * DEG, params, tables)
-    model = controller.linearize_plant(tp.x_trim, tp.u_trim, params, tables)
+    model = controller.linearize_plant(tp.x_trim.as_array(), tp.u_trim.as_array(), params, tables)
     K = controller.lqr_gain(model, controller.LqrWeights())
     acl = controller.spectral_abscissa(model.A - model.B @ K)
     _write(None, _json_text({

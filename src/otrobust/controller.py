@@ -24,9 +24,8 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .f16 import (CONTROL_UNITS, DEG, STATE_UNITS, AeroTables, AircraftParams, ControlInput,
-                  LongitudinalState, _cell, _crosses, _fresh, _lattice, central_difference,
-                  dynamics)
+from .f16 import (CONTROL_UNITS, DEG, STATE_UNITS, AeroTables, AircraftParams, _cell, _crosses,
+                  _fresh, _lattice, central_difference, dynamics)
 from .trim import TrimPoint
 
 CARE_RESIDUAL_RTOL = 1e-8
@@ -86,15 +85,11 @@ def spectral_abscissa(A: np.ndarray) -> float:
 
 def linearize(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
               x0, u0) -> LinearModel:
-    """Central-difference linearization of rhs(x, u) about (x0, u0), which
-    may be a TrimPoint's state objects; rhs must broadcast over leading axes
-    (f16.central_difference). Stacked points, x0 (n, k) and u0 (n, m), give
-    A (n, k, k) and B (n, k, m) from one call of rhs, each node bitwise its
-    single-point linearization. Exact for linear maps up to roundoff."""
-    if isinstance(x0, LongitudinalState):
-        x0 = x0.as_array()
-    if isinstance(u0, ControlInput):
-        u0 = u0.as_array()
+    """Central-difference linearization of rhs(x, u) about the arrays
+    (x0, u0); rhs must broadcast over leading axes (f16.central_difference).
+    Stacked points, x0 (n, k) and u0 (n, m), give A (n, k, k) and B
+    (n, k, m) from one call of rhs, each node bitwise its single-point
+    linearization. Exact for linear maps up to roundoff."""
     x0 = np.asarray(x0, dtype=float)
     u0 = np.asarray(u0, dtype=float)
     n = x0.shape[-1]
@@ -108,8 +103,8 @@ def linearize(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 
 def linearize_plant(x0, u0, params: AircraftParams, tables: AeroTables) -> LinearModel:
-    """Linearize the open-loop F-16 dynamics about a trim point, or about
-    each of stacked points (see linearize)."""
+    """Linearize the open-loop F-16 dynamics about a trim point's state and
+    control arrays, or about each of stacked points (see linearize)."""
     return linearize(lambda x, u: dynamics(x, u, params, tables), x0, u0)
 
 
@@ -257,15 +252,15 @@ class GainSchedule:
     def to_dict(self) -> dict:
         return {
             "V_nodes": self.V_nodes.tolist(),
-            "alpha_nodes_deg": (self.alpha_nodes * (1.0 / STATE_UNITS[2])).tolist(),
-            "x_trims_deg": (self.x_trims * (1.0 / STATE_UNITS)).tolist(),
-            "u_trims_deg": (self.u_trims * (1.0 / CONTROL_UNITS)).tolist(),
+            "alpha_nodes_deg": (self.alpha_nodes / STATE_UNITS[2]).tolist(),
+            "x_trims_deg": (self.x_trims / STATE_UNITS).tolist(),
+            "u_trims_deg": (self.u_trims / CONTROL_UNITS).tolist(),
             "K": self.K.tolist(),
             "K_units": K_UNITS,
             "abscissa_open": self.abscissa_open.tolist(),
             "abscissa_closed": self.abscissa_closed.tolist(),
-            "x_ref_deg": (self.x_ref * (1.0 / STATE_UNITS)).tolist(),
-            "u_ref_deg": (self.u_ref * (1.0 / CONTROL_UNITS)).tolist(),
+            "x_ref_deg": (self.x_ref / STATE_UNITS).tolist(),
+            "u_ref_deg": (self.u_ref / CONTROL_UNITS).tolist(),
         }
 
 

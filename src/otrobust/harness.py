@@ -268,7 +268,7 @@ def build_controllers(params: AircraftParams | None = None,
     trim = find_trim(NOMINAL_V, NOMINAL_ALPHA_DEG * DEG, params, tables)
     if cfg is not None and cfg.kind != "param":
         _ic_box_internal(cfg, trim.x_trim.as_array())
-    model = linearize_plant(trim.x_trim, trim.u_trim, params, tables)
+    model = linearize_plant(trim.x_trim.as_array(), trim.u_trim.as_array(), params, tables)
     K = lqr_gain(model, weights)
     schedule = None
     if need_schedule:

@@ -2,30 +2,25 @@
 
 At a prescribed flight condition (V, alpha) the pitch rate must vanish
 (theta_dot = q), leaving three unknowns (theta, T, delta_e) against the
-three residual equations (V_dot, alpha_dot, q_dot). The solve is a damped
-Gauss-Newton iteration on the scaled residual (V_dot / 100, alpha_dot,
-q_dot) constrained to the actuator box, with a central-difference
-Jacobian.
+three residual equations (V_dot, alpha_dot, q_dot), solved as a least
+squares problem on the scaled residual (V_dot / 100, alpha_dot, q_dot)
+over the actuator box, with a central-difference Jacobian.
 
-find_trim, which serves the nominal trim and the CLI, runs scipy's
-trust-region-reflective least squares (TRF) with warm restarts. The
-residual broadcasts over leading axes of z, so the Jacobian
-(f16.central_difference, as in controller.linearize) evaluates its six
-+/- points as one stacked plant call, bitwise equal to six single calls,
-and hands it to scipy in C order: an F-ordered copy holds the same numbers
-but sends the TRF step down another LAPACK/BLAS path, which moves most
-lattice trims (thrust by up to 1e-3 lb).
-
-trim_grid, which serves the gain schedule, solves in two phases. Each node
-first takes find_trim's TRF solve capped at _BASIN_NFEV residual
-evaluations, which settles the stationary basin it lands in: polished
-from the initial guess alone, three low-V, low-alpha nodes end at a worse
-stationary point (theta at -30 deg where find_trim finds +30 deg).
-One projected Levenberg-Marquardt pass over all nodes then finishes them,
-with one stacked plant call per iteration for every live node's residual
-and Jacobian, in place of scipy's per-iteration overhead node by node.
-Its per-node arithmetic is elementwise, so a node's trim does not depend
-on the batch it is solved in.
+trim_grid trims every node of a (V, alpha) grid, and find_trim is the
+one-node grid. The solve has two phases. Each node first takes scipy's
+trust-region-reflective least squares (TRF) capped at _BASIN_NFEV
+residual evaluations, which settles the stationary basin it lands in:
+polished from the initial guess alone, three low-V, low-alpha nodes end
+at a worse stationary point (theta at -30 deg where a full TRF solve
+finds +30 deg). The residual broadcasts over leading axes of z, so the
+Jacobian (f16.central_difference, as in controller.linearize) evaluates
+its six +/- points as one stacked plant call, and hands it to scipy in C
+order: an F-ordered copy holds the same numbers but sends the TRF step
+down another LAPACK/BLAS path. One projected Levenberg-Marquardt pass
+over all nodes then finishes them, with one stacked plant call per
+iteration for every live node's residual and Jacobian. Its per-node
+arithmetic is elementwise, so a node's trim does not depend on the batch
+it is solved in.
 
 Thrust frequently rides its 1000 lb floor at low-drag conditions, and parts
 of the scheduling envelope admit no exact equilibrium at all (e.g. high V
@@ -85,11 +80,11 @@ _UPPER = np.array([_THETA_LIMIT, THRUST_MAX, ELEVATOR_LIMIT])
 _X_SCALE = np.array([0.5, 5000.0, 0.2])
 
 # Residual evaluations of the per-node TRF solve with which trim_grid
-# picks each node's stationary basin before its stacked polish. Against
-# find_trim on the default grid, caps of 1 (the initial guess alone) and 2
-# left 4 nodes and 1 node off its point, 3 and 1 of them at a larger
-# residual; caps of 3, 4, 5, 8 and 12 matched all 100 nodes, and so did 3
-# on plants with m x 1.15, Jyy x 0.85 and h = 20,000 ft.
+# picks each node's stationary basin before its stacked polish. Against an
+# uncapped TRF solve on the default grid, caps of 1 (the initial guess
+# alone) and 2 left 4 nodes and 1 node off its point, 3 and 1 of them at a
+# larger residual; caps of 3, 4, 5, 8 and 12 matched all 100 nodes, and so
+# did 3 on plants with m x 1.15, Jyy x 0.85 and h = 20,000 ft.
 _BASIN_NFEV = 3
 
 # The polish stops a node when its step, in _X_SCALE units, is at most
@@ -116,7 +111,8 @@ class TrimPoint:
     1e-7 relative at large-residual minima where the finite-difference
     gradient bottoms out at roundoff of the objective); flight conditions
     with no exact equilibrium end in the second branch with a nonzero
-    residual.
+    residual. iterations counts the TRF evaluations and the polish
+    iterations of the solve (trim_grid).
     """
 
     x_trim: LongitudinalState
@@ -205,18 +201,13 @@ def _converged(rnorm: float, optimality: float) -> bool:
     return rnorm < _RTOL or (math.isfinite(rnorm) and optimality < max(_GTOL, 1e-7 * rnorm))
 
 
-def _valid_condition(V: float, alpha: float) -> None:
-    if not (V > 0 and math.isfinite(V) and math.isfinite(alpha)):
-        raise ValueError(f"invalid flight condition V={V}, alpha={alpha}")
-
-
 def _trf(z: np.ndarray, V: float, alpha: float, params: AircraftParams,
-         tables: AeroTables, max_nfev: int):
-    """One bounded TRF solve of the scaled residual from z (scipy's
-    OptimizeResult). A residual too large to square (V near 0, or an absurd
-    air density) overflows in the solver's cost and in the norm, and can
-    zero a slope its trust-region step divides by; the caller's
-    convergence test rejects such a trim."""
+         tables: AeroTables):
+    """The bounded TRF solve of the scaled residual from z, capped at
+    _BASIN_NFEV evaluations (scipy's OptimizeResult). A residual too large
+    to square (V near 0, or an absurd air density) overflows in the
+    solver's cost and in the norm, and can zero a slope its trust-region
+    step divides by; the caller's convergence test rejects such a trim."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return least_squares(
             _residual, z,
@@ -226,13 +217,8 @@ def _trf(z: np.ndarray, V: float, alpha: float, params: AircraftParams,
             method="trf",
             x_scale=_X_SCALE,
             ftol=1e-15, xtol=1e-15, gtol=1e-14,
-            max_nfev=max_nfev,
+            max_nfev=_BASIN_NFEV,
         )
-
-
-def _start(alpha: float) -> np.ndarray:
-    """The initial guess theta = alpha, T = 5000 lb, delta_e = 0, in the box."""
-    return np.clip(np.array([alpha, 5000.0, 0.0]), _LOWER, _UPPER)
 
 
 def _trim_point(z, V: float, alpha: float, r: np.ndarray, J: np.ndarray,
@@ -252,26 +238,10 @@ def _trim_point(z, V: float, alpha: float, r: np.ndarray, J: np.ndarray,
 
 
 def find_trim(V: float, alpha: float, params: AircraftParams, tables: AeroTables) -> TrimPoint:
-    """Trim the plant at velocity V (ft/s) and angle of attack alpha (rad).
-
-    Minimizes the scaled residual over (theta, T, delta_e) subject to the
-    actuator box, starting from theta = alpha, T = 5000 lb, delta_e = 0.
-    Deterministic (fixed iteration policy, no randomness), and the reported
-    residual never exceeds the residual of the initial guess.
-    """
-    _valid_condition(V, alpha)
-    z = _start(alpha)
-    nfev = 0
-    # A warm restart re-inflates the trust region and polishes the last
-    # digits of stationarity at awkward (no-equilibrium) conditions.
-    for _ in range(3):
-        sol = _trf(z, V, alpha, params, tables, 600)
-        nfev += int(sol.nfev)
-        z = sol.x
-        tp = _trim_point(z, V, alpha, sol.fun, sol.jac, nfev)  # both evaluated at sol.x
-        if tp.converged:
-            break
-    return tp
+    """Trim the plant at velocity V (ft/s) and angle of attack alpha (rad):
+    the one-node trim_grid, so a trim here is bitwise the grid's at the
+    same node."""
+    return trim_grid([(V, alpha)], params, tables)[0]
 
 
 def default_grid(n_v: int = 10, n_alpha: int = 10) -> list[tuple[float, float]]:
@@ -394,15 +364,16 @@ def trim_grid(grid: list[tuple[float, float]], params: AircraftParams,
               tables: AeroTables) -> list[TrimPoint]:
     """Trim every (V, alpha) node of the grid (default_grid()), order preserved.
 
-    Two phases. Each node first runs find_trim's TRF solve (same start,
-    bounds, scaling and tolerances) capped at _BASIN_NFEV residual
+    Two phases, from theta = alpha, T = 5000 lb, delta_e = 0 (in the box).
+    Each node first runs a TRF solve capped at _BASIN_NFEV residual
     evaluations: enough to settle which stationary basin it lands in, but
     few enough that scipy's per-iteration overhead stays small. One
     projected Levenberg-Marquardt pass over all nodes (_polish) then
     finishes them, evaluating the residuals and Jacobians of every live
     node in one stacked plant call per iteration. residual and optimality
-    come from the final evaluation; iterations counts the TRF evaluations
-    plus the node's polish iterations.
+    come from the final evaluation, whose residual is no larger than the
+    start's (up to roundoff); iterations counts the node's TRF evaluations
+    (at most _BASIN_NFEV) plus its polish iterations.
 
     Each node's result is bitwise the same in any batch. Per-node failures
     (a non-finite residual, Jacobian or step) are reported through the
@@ -411,8 +382,10 @@ def trim_grid(grid: list[tuple[float, float]], params: AircraftParams,
     if not grid:
         raise ValueError("empty trim grid")
     for V, alpha in grid:
-        _valid_condition(V, alpha)
-    sols = [_trf(_start(alpha), V, alpha, params, tables, _BASIN_NFEV) for V, alpha in grid]
+        if not (V > 0 and math.isfinite(V) and math.isfinite(alpha)):
+            raise ValueError(f"invalid flight condition V={V}, alpha={alpha}")
+    sols = [_trf(np.clip(np.array([alpha, 5000.0, 0.0]), _LOWER, _UPPER), V, alpha, params, tables)
+            for V, alpha in grid]
     V, alpha = np.array(grid, dtype=float).T
     Z, R, J, its, failed = _polish(np.array([sol.x for sol in sols]), V, alpha, params, tables)
     points = [_trim_point(z, float(v), float(a), r, j, int(sol.nfev + it))

@@ -5,8 +5,9 @@ Each one checks a production path against an independent answer: the exact
 density query by back-propagation for the Liouville density, plain Monte
 Carlo trajectory ensembles (textbook RK4 on the closed-loop field, no
 density) for the propagated states, the dominant frequency of a W series
-for the disturbance study, and a single-coefficient table lookup for the
-aerodynamic interpolation.
+for the disturbance study, a single-coefficient table lookup for the
+aerodynamic interpolation, and scipy's trust-region-reflective least
+squares, uncapped and restarted, for the trim solve.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.optimize import least_squares
 
-from otrobust import harness
-from otrobust.f16 import AeroTables, _aero
+from otrobust import harness, trim
+from otrobust.f16 import AeroTables, _aero, central_difference
 from otrobust.liouville import _fields, _propagate_arrays
 from otrobust.transport import DiscreteDistribution, TransportPlan, wasserstein_lp
 
@@ -34,6 +36,31 @@ def lookup_coefficient(tables: AeroTables, which: str, alpha, delta_e=0.0):
         raise KeyError(f"unknown coefficient id {which!r}; expected one of {COEFFICIENT_IDS}")
     k = COEFFICIENT_IDS.index(which)
     return np.take(_aero(tables, alpha, delta_e)[k // 3], k % 3, axis=0)
+
+
+def trf_trim(V: float, alpha: float, params, tables) -> trim.TrimPoint:
+    """The trim at (V, alpha) by scipy's TRF alone, from trim_grid's start
+    with its bounds, scaling and central-difference Jacobian: up to three
+    solves of at most 600 residual evaluations, each restarting from the
+    last point (which re-inflates the trust region), until the point is
+    converged as trim_grid judges it. iterations counts the evaluations."""
+    def residual(z):
+        return trim._residual(z, V, alpha, params, tables)
+
+    z = np.clip(np.array([alpha, 5000.0, 0.0]), trim._LOWER, trim._UPPER)
+    nfev = 0
+    for _ in range(3):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            sol = least_squares(residual, z, jac=lambda z: central_difference(residual, z),
+                                bounds=(trim._LOWER, trim._UPPER), method="trf",
+                                x_scale=trim._X_SCALE, ftol=1e-15, xtol=1e-15, gtol=1e-14,
+                                max_nfev=600)
+        nfev += int(sol.nfev)
+        z = sol.x
+        tp = trim._trim_point(z, V, alpha, sol.fun, sol.jac, nfev)
+        if tp.converged:
+            break
+    return tp
 
 
 def marginal(dist: DiscreteDistribution, axis: int) -> DiscreteDistribution:

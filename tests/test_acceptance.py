@@ -112,7 +112,8 @@ def test_criterion_01_trim_regression(params, tables):
 
 def test_criterion_02_lqr_gain(params, tables, nominal_trim):
     t0 = time.perf_counter()
-    model = linearize_plant(nominal_trim.x_trim, nominal_trim.u_trim, params, tables)
+    model = linearize_plant(nominal_trim.x_trim.as_array(),
+                            nominal_trim.u_trim.as_array(), params, tables)
     K = lqr_gain(model, LqrWeights())
     elapsed = time.perf_counter() - t0
     # published entries use the opposite feedback-sign convention

@@ -22,6 +22,8 @@ from otrobust.controller import (
     spectral_abscissa,
 )
 from otrobust.f16 import CONTROL_UNITS, DEG, H_REL, STATE_UNITS, _cell, dynamics
+from otrobust.harness import NOMINAL_ALPHA_DEG, NOMINAL_V
+from otrobust.trim import default_grid, find_trim
 
 # Published gain for this plant and weights, printed there for the opposite
 # feedback-sign convention (u = u_trim + K dx); ours is u = u_trim - K dx,
@@ -72,7 +74,8 @@ def test_linearize_plant_matches_per_direction_loop(params, tables, nominal_trim
 
 
 def test_open_loop_eigenvalues_stable_at_trim(params, tables, nominal_trim):
-    model = linearize_plant(nominal_trim.x_trim, nominal_trim.u_trim, params, tables)
+    model = linearize_plant(nominal_trim.x_trim.as_array(),
+                            nominal_trim.u_trim.as_array(), params, tables)
     eigs = np.linalg.eigvals(model.A)
     assert np.all(eigs.real < 0.0)
     # classic short-period / phugoid pair structure
@@ -159,6 +162,28 @@ def test_schedule_all_nodes_stable(schedule):
     assert np.any(schedule.abscissa_open > 0.0)
 
 
+@pytest.mark.parametrize("plant", ["nominal", "forward_cg"])
+def test_schedule_file_holds_each_node_trim_record(params, tables, schedule, forward_cg_params,
+                                                  forward_cg_grid_trims, plant):
+    # the schedule JSON and `otrobust trim` at a node write the same numbers
+    nominal = (NOMINAL_V, NOMINAL_ALPHA_DEG * DEG)
+    if plant == "forward_cg":
+        params = forward_cg_params
+        schedule = build_schedule(forward_cg_grid_trims, LqrWeights(), params, tables,
+                                  reference=find_trim(*nominal, params, tables))
+    d = schedule.to_dict()
+    x_deg = [x for row in d["x_trims_deg"] for x in row]
+    u_deg = [u for row in d["u_trims_deg"] for u in row]
+    for k, ((V, alpha), x, u) in enumerate(zip(default_grid(), x_deg, u_deg)):
+        rec = find_trim(V, alpha, params, tables).to_dict()
+        assert x == [rec["theta_deg"], rec["V"], rec["alpha_deg"], rec["q_dps"]], k
+        assert u == [rec["T"], rec["delta_e_deg"]], k
+        assert d["alpha_nodes_deg"][k % 10] == rec["alpha_deg"], k
+    rec = find_trim(*nominal, params, tables).to_dict()
+    assert d["x_ref_deg"] == [rec["theta_deg"], rec["V"], rec["alpha_deg"], rec["q_dps"]]
+    assert d["u_ref_deg"] == [rec["T"], rec["delta_e_deg"]]
+
+
 def test_stacked_linearization_is_each_node_bitwise(params, tables, grid_trims):
     X = np.array([tp.x_trim.as_array() for tp in grid_trims])
     U = np.array([tp.u_trim.as_array() for tp in grid_trims])
@@ -172,7 +197,8 @@ def test_stacked_linearization_is_each_node_bitwise(params, tables, grid_trims):
 def test_schedule_names_the_node_whose_riccati_solve_fails(params, tables, grid_trims,
                                                            nominal_trim, monkeypatch):
     # nodes 0 and 1 are (100 ft/s, -10 deg) and (100 ft/s, -3.89 deg)
-    failing = linearize_plant(grid_trims[1].x_trim, grid_trims[1].u_trim, params, tables).A
+    failing = linearize_plant(grid_trims[1].x_trim.as_array(),
+                              grid_trims[1].u_trim.as_array(), params, tables).A
     solve = controller.solve_care
 
     def care(A, B, Q, R):
@@ -361,7 +387,7 @@ def test_care_residual_invariant_on_f16_nodes(schedule, params, tables,
     # spot-check a few synthesized nodes against the Riccati residual bound
     weights = LqrWeights()
     for tp in grid_trims[::23]:
-        model = linearize_plant(tp.x_trim, tp.u_trim, params, tables)
+        model = linearize_plant(tp.x_trim.as_array(), tp.u_trim.as_array(), params, tables)
         P = solve_care(model.A, model.B, weights.Q, weights.R)
         assert care_residual(model.A, model.B, weights.Q, weights.R, P) \
             < 1e-8 * np.linalg.norm(weights.Q, "fro")

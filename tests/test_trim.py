@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from oracles import trf_trim
 from otrobust.f16 import DEG, AircraftParams, central_difference, dynamics, saturate_array
 from otrobust import trim as trim_module
+from otrobust.harness import NOMINAL_ALPHA_DEG, NOMINAL_V
 from otrobust.trim import TrimPoint, default_grid, find_trim, trim_grid, _residual
+
+NOMINAL = (NOMINAL_V, NOMINAL_ALPHA_DEG * DEG)
 
 
 def test_nominal_trim_matches_reference(nominal_trim):
@@ -61,12 +65,12 @@ def test_overflowing_residual_is_not_converged(params, tables):
     assert not tp.converged
 
 
-def test_stationary_trim_stops_restarting(params, tables):
-    # at 1.5 ft/s no equilibrium exists; the first solve already ends at a
-    # point the converged flag accepts, so no restart follows it
+def test_trim_without_equilibrium_ends_stationary(params, tables):
+    # at 1.5 ft/s no equilibrium exists; the solve ends at a constrained
+    # stationary point that the converged flag accepts
     tp = find_trim(1.5, 0.0, params, tables)
     assert tp.converged
-    assert tp.iterations == 600
+    assert np.isfinite(tp.residual) and tp.residual > trim_module._RTOL
 
 
 def test_default_grid_is_100_nodes():
@@ -102,13 +106,13 @@ def _z(tp):
     return np.array([tp.x_trim.theta, tp.u_trim.T, tp.u_trim.delta_e])
 
 
-def _assert_on_find_trim_points(points, params, tables):
-    """find_trim as the oracle of each node: the same converged flag, the
-    same point to 1e-6 per component in _X_SCALE units, and a residual no
-    larger (the same stationary point, reached by other arithmetic) or an
-    equilibrium."""
+def _assert_on_trf_points(points, params, tables):
+    """scipy's TRF with restarts (oracles.trf_trim) as the oracle of each
+    node: the same converged flag, the same point to 1e-6 per component in
+    _X_SCALE units, and a residual no larger (the same stationary point,
+    reached by other arithmetic) or an equilibrium."""
     for tp in points:
-        ref = find_trim(tp.x_trim.V, tp.x_trim.alpha, params, tables)
+        ref = trf_trim(tp.x_trim.V, tp.x_trim.alpha, params, tables)
         node = (tp.x_trim.V, tp.x_trim.alpha / DEG)
         assert tp.converged == ref.converged, node
         assert np.all(np.abs(_z(tp) - _z(ref)) / trim_module._X_SCALE <= 1e-6), node
@@ -116,14 +120,15 @@ def _assert_on_find_trim_points(points, params, tables):
                 or tp.residual < trim_module._RTOL), node
 
 
-def test_grid_lands_on_the_find_trim_points(params, tables, grid_trims):
-    _assert_on_find_trim_points(grid_trims, params, tables)
+def test_grid_lands_on_the_find_trim_points(params, tables, grid_trims, nominal_trim):
+    _assert_on_trf_points(grid_trims + [nominal_trim], params, tables)
 
 
 @pytest.mark.parametrize("plant", [{"m": 636.94 * 1.15}, {"h": 20000.0}])
 def test_grid_lands_on_the_find_trim_points_of_a_perturbed_plant(tables, plant):
     params = AircraftParams(**plant)
-    _assert_on_find_trim_points(trim_grid(default_grid(), params, tables), params, tables)
+    points = trim_grid(default_grid(), params, tables) + [find_trim(*NOMINAL, params, tables)]
+    _assert_on_trf_points(points, params, tables)
 
 
 # Lattice nodes 0 (theta at +30 deg), 10 (T at its floor), 27 and 44 (no
@@ -140,12 +145,11 @@ def test_grid_node_does_not_depend_on_its_batch(params, tables, grid_trims):
     assert at_bound == {True, False}
 
 
-def test_overflowing_node_leaves_its_neighbour_alone(params, tables):
-    nominal = (407.8942, 6.1650 * DEG)
-    edge, tp = trim_grid([(1e-300, 0.0), nominal], params, tables)
+def test_overflowing_node_leaves_its_neighbour_alone(params, tables, nominal_trim):
+    edge, tp = trim_grid([(1e-300, 0.0), NOMINAL], params, tables)
     assert edge.residual == float("inf")
     assert not edge.converged
-    assert tp == trim_grid([nominal], params, tables)[0]
+    assert tp == nominal_trim
     assert tp.converged
 
 
@@ -155,11 +159,16 @@ def test_singular_polish_step_is_not_converged(params, tables, monkeypatch):
     assert not any(tp.converged for tp in points)
 
 
-def test_grid_never_calls_find_trim(params, tables, grid_trims, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("trim_grid called find_trim")
-    monkeypatch.setattr(trim_module, "find_trim", refuse)
-    assert trim_grid(default_grid()[:3], params, tables) == grid_trims[:3]
+@pytest.mark.parametrize("plant", ["nominal", "forward_cg"])
+def test_find_trim_is_the_one_node_grid(params, tables, grid_trims, forward_cg_params,
+                                        forward_cg_grid_trims, plant):
+    # `otrobust trim` and the fixed gain's trim are the schedule's at every
+    # node, on the forward-c.g. plant's flat delta_e range too (node 99)
+    if plant == "forward_cg":
+        params, grid_trims = forward_cg_params, forward_cg_grid_trims
+    grid = default_grid()
+    for i in (0, 58, 99):
+        assert find_trim(*grid[i], params, tables) == grid_trims[i], i
 
 
 def test_empty_grid_rejected(params, tables):
@@ -181,7 +190,18 @@ def test_trim_point_json_roundtrip(nominal_trim):
 
 
 def _loop_jacobian(f, z):
-    """Central differences one column and one call of f at a time."""
+    """Central differences one point, one column and one call of f at a
+    time. For points z (n, 3), f takes the 6 n rows of a stacked call, row
+    j at point j % n (as trim._stacked's f does): a value at point i is
+    read from row i of a stack of the unperturbed points."""
+    if z.ndim == 2:
+        def at(i):
+            def g(zi):
+                rows = np.tile(z, (6, 1))
+                rows[i] = zi
+                return f(rows)[i]
+            return g
+        return np.array([_loop_jacobian(at(i), zi) for i, zi in enumerate(z)])
     J = np.empty((3, 3))
     for k in range(3):
         h = 1e-6 * max(1.0, abs(z[k]))
@@ -243,19 +263,20 @@ def test_jacobians_at_points_match_single_point_calls(params, tables, nominal_tr
             assert np.array_equal(single, _loop_jacobian(f, z))
 
 
-def test_find_trim_independent_of_jacobian_evaluation(params, tables, monkeypatch):
-    # The stacked and the looped Jacobian hold the same numbers; the solve
-    # must not see a difference in their memory layout either.
-    V, alpha = 100.0, -10.0 * DEG
-    stacked = find_trim(V, alpha, params, tables)
+def test_find_trim_independent_of_jacobian_evaluation(params, tables, nominal_trim,
+                                                      grid_trims, monkeypatch):
+    # The stacked and the looped Jacobian hold the same numbers; neither
+    # the TRF phase nor the polish may see a difference in their memory
+    # layout either.
     monkeypatch.setattr(trim_module, "central_difference", _loop_jacobian)
-    assert find_trim(V, alpha, params, tables) == stacked
+    assert find_trim(*NOMINAL, params, tables) == nominal_trim
+    assert trim_grid(default_grid()[:3], params, tables) == grid_trims[:3]
 
 
 @pytest.mark.parametrize("node", ["nominal", 0, 37, 99])
 def test_reported_residual_and_optimality_are_those_at_the_trim(params, tables, nominal_trim,
                                                                  grid_trims, node):
-    # find_trim reads them from the solver's last evaluations; they must be
+    # trim_grid reads them from the polish's last evaluations; they must be
     # bitwise what a fresh residual and Jacobian at the returned point give.
     tp = nominal_trim if node == "nominal" else grid_trims[node]
     V, alpha = tp.x_trim.V, tp.x_trim.alpha
