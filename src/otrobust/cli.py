@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import controller, harness, trim
-from .f16 import DEG, AeroTables, AircraftParams
+from .f16 import DEG, STATE_UNITS, AeroTables, AircraftParams
 from .harness import ConfigError, NumericalFailure, ScenarioConfig
 from .transport import DiscreteDistribution, wasserstein_lp
 
@@ -125,11 +125,7 @@ def _cmd_schedule(args) -> int:
 
 
 def _dist_from_snapshot(snap, weights: str) -> DiscreteDistribution:
-    deg_states = snap.states * harness.PAPER_STATE_SCALE
-    if snap.params.shape[1]:
-        pts = np.concatenate([deg_states, snap.params], axis=1)
-    else:
-        pts = deg_states
+    pts = np.concatenate([harness.in_reporting_units(snap).states, snap.params], axis=1)
     w = harness.probability_weights(snap) if weights == "density" else snap.gamma
     return DiscreteDistribution(pts, w)
 
@@ -144,7 +140,8 @@ def _cmd_wasserstein(args) -> int:
     plan_export = None
     if args.dirac_at:
         tp = trim.TrimPoint.from_json(args.dirac_at)
-        W = harness._W_dirac_series(snaps_a, tp.x_trim.as_array(), args.weights)
+        W = harness._W_dirac_series([harness.in_reporting_units(s) for s in snaps_a],
+                                    tp.x_trim.as_array() / STATE_UNITS, args.weights)
         rows = [(s.t, w) for s, w in zip(snaps_a, W)]
     else:
         snaps_b = harness.read_snapshot_csv(args.b)

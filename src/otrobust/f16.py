@@ -16,8 +16,9 @@ crosses a node line. The divergence below reads all three.
 Angles are radians internally. Files, the CLI and the Wasserstein scores
 speak degrees (deg, ft/s, deg, deg/s for states; lb, deg for controls), and
 STATE_UNITS and CONTROL_UNITS are the one table that converts state and
-control vectors between the two: a reporting value times its unit is the
-internal value.
+control vectors between the two, in one form each way: internal =
+reporting * unit, and reporting = internal / unit. STATE_FIELDS and
+CONTROL_FIELDS name the reporting columns.
 
 All evaluation routines take arrays and broadcast over leading sample
 axes: states have a trailing axis of length 4, controls of length 2.
@@ -65,9 +66,11 @@ import numpy as np
 DEG = math.pi / 180.0
 
 # Internal value of one reporting unit per state (deg, ft/s, deg, deg/s) and
-# per control (lb, deg).
+# per control (lb, deg), and the name of each reporting column.
 STATE_UNITS = np.array([DEG, 1.0, DEG, DEG])
 CONTROL_UNITS = np.array([1.0, DEG])
+STATE_FIELDS = ("theta_deg", "V", "alpha_deg", "q_dps")
+CONTROL_FIELDS = ("T", "delta_e_deg")
 
 # Actuator limits: thrust (lb) and elevator (rad).
 THRUST_MIN = 1000.0

@@ -19,14 +19,22 @@ each row's law and disturbance; _runs(cfg, setup) propagates it once and
 slices out each curve, and run_scenario scores every curve. Every curve
 is a closed-form Dirac distance to trim, the param one on the extended
 space (see _cases); the transportation LP is kept for general CLI inputs
-and as the oracle of that score. Wasserstein values are reported in the
-degree-based reporting units (deg, ft/s, deg, deg/s) of f16.STATE_UNITS,
-as are all file outputs. Reports are plain dicts rendered to report.json /
-W.csv / snapshot CSVs. report.json holds the curves, the likelihood extremes
-and the diverged and off-trim counts per curve, stamped with a content hash
-over all of it but its run section (where and how the run executed: workers,
-output_dir), so identical configurations are bit-reproducible. The snapshot
-CSVs hold every sample's state and mass, from which any marginal is binned.
+and as the oracle of that score.
+
+Wasserstein values are reported in the degree-based reporting units (deg,
+ft/s, deg, deg/s) of f16.STATE_UNITS, as are all file outputs. Every score
+and every snapshot CSV reads one view, in_reporting_units (the states
+divided by the unit table), against the trim divided by it; so each W is
+bitwise the score of the run's own snapshot CSV and nominal_trim. The
+snapshots a run keeps (report.extras["snapshots"]) and read_snapshot_csv
+stay in radians.
+
+Reports are plain dicts rendered to report.json / W.csv / snapshot CSVs.
+report.json holds the curves, the likelihood extremes and the diverged and
+off-trim counts per curve, stamped with a content hash over all of it but
+its run section (where and how the run executed: workers, output_dir), so
+identical configurations are bit-reproducible. The snapshot CSVs hold
+every sample's state and mass, from which any marginal is binned.
 """
 
 from __future__ import annotations
@@ -52,8 +60,8 @@ from .controller import (
     lqr_gain,
     spectral_abscissa,
 )
-from .f16 import (CONTROL_UNITS, DEG, STATE_UNITS, AeroTables, AircraftParams, ClosedLoop,
-                  SineDisturbance, as_number, read_json)
+from .f16 import (CONTROL_UNITS, DEG, STATE_FIELDS, STATE_UNITS, AeroTables, AircraftParams,
+                  ClosedLoop, SineDisturbance, as_number, read_json)
 from .liouville import EnsembleSnapshot, propagate, resolve_workers
 from .sampling import BoxDomain, halton, mcmc_sample, weighted_cloud
 from .transport import wasserstein_dirac
@@ -84,10 +92,8 @@ DEFAULT_DISTURBANCE_AMP_DEG = 6.5
 _SWEEPS = {"param": "param_delta_percent", "disturbance": "omega_rad_s"}
 
 STATE_KEYS = ("theta", "V", "alpha", "q")
-# Cost weights expressing states in the reporting units (angles in deg).
-PAPER_STATE_SCALE = 1.0 / STATE_UNITS
 
-SNAPSHOT_BASE_COLUMNS = ["t", "id", "theta_deg", "V", "alpha_deg", "q_dps"]
+SNAPSHOT_BASE_COLUMNS = ["t", "id", *STATE_FIELDS]
 SNAPSHOT_PARAM_COLUMNS = ["m", "xcg", "Jyy"]
 # The diverged flags a snapshot CSV may hold; anything else is malformed.
 _DIVERGED = {"0": False, "False": False, "false": False,
@@ -248,9 +254,8 @@ class ControllerSetup:
         """Closed-loop (A - B K, B) model in the reporting units: the
         similarity transform of the radian model by the unit table."""
         A_cl = self.model.A - self.model.B @ self.K
-        scale = PAPER_STATE_SCALE[:, None]
-        return LinearModel(A=scale * A_cl * STATE_UNITS,
-                           B=scale * self.model.B * CONTROL_UNITS)
+        return LinearModel(A=A_cl * STATE_UNITS / STATE_UNITS[:, None],
+                           B=self.model.B * CONTROL_UNITS / STATE_UNITS[:, None])
 
 
 def build_controllers(params: AircraftParams | None = None,
@@ -363,11 +368,18 @@ def probability_weights(snapshot: EnsembleSnapshot) -> np.ndarray:
     return phi / total
 
 
-def _W_dirac_series(snapshots, x_trim, weighting: str = "density") -> list[float]:
+def in_reporting_units(snapshot: EnsembleSnapshot) -> EnsembleSnapshot:
+    """snapshot with its states in the reporting units of f16.STATE_UNITS,
+    the numbers its snapshot CSV rows hold; every reported score reads this
+    view against the trim in the same units."""
+    return replace(snapshot, states=snapshot.states / STATE_UNITS)
+
+
+def _W_dirac_series(snapshots, x_ref, weighting: str = "density") -> list[float]:
     out = []
     for s in snapshots:
         w = probability_weights(s) if weighting == "density" else None
-        out.append(wasserstein_dirac(s, x_trim, scale=PAPER_STATE_SCALE, weights=w))
+        out.append(wasserstein_dirac(s, x_ref, weights=w))
     return out
 
 
@@ -378,11 +390,11 @@ def _extremes_records(snapshots) -> list[dict]:
              "least_likely": int(np.argmin(s.phi))} for s in snapshots]
 
 
-def _nonconverged_count(snapshot: EnsembleSnapshot, x_trim: np.ndarray,
+def _nonconverged_count(snapshot: EnsembleSnapshot, x_ref: np.ndarray,
                         tol: float = 1.0) -> int:
-    """Samples still farther than tol (deg-mixed units) from trim."""
-    diff = (snapshot.states - x_trim) * PAPER_STATE_SCALE
-    return int(np.count_nonzero(np.linalg.norm(diff, axis=1) > tol))
+    """Samples still farther than tol from x_ref, in the units of the
+    states (run_scenario passes the reporting view: deg-mixed units)."""
+    return int(np.count_nonzero(np.linalg.norm(snapshot.states - x_ref, axis=1) > tol))
 
 
 @dataclass
@@ -446,7 +458,7 @@ def _float_column(values: np.ndarray):
 
 
 def _snapshot_text(snap: EnsembleSnapshot, has_params: bool) -> str:
-    floats = list((snap.states / STATE_UNITS).T)
+    floats = list(in_reporting_units(snap).states.T)
     if has_params:
         floats += list(snap.params.T)
     floats += [snap.phi, snap.gamma]
@@ -528,7 +540,7 @@ def read_snapshot_csv(path) -> list[EnsembleSnapshot]:
         repeated = [i for i, j in zip(ids, ids[1:]) if i == j]
         if repeated:
             raise ValueError(f"snapshot file {path} repeats id {repeated[0]} at t = {t}")
-        states = np.array([[r[c] for c in SNAPSHOT_BASE_COLUMNS[2:]] for r in chunk]) * STATE_UNITS
+        states = np.array([[r[c] for c in STATE_FIELDS] for r in chunk]) * STATE_UNITS
         params = (np.array([[r[c] for c in SNAPSHOT_PARAM_COLUMNS] for r in chunk])
                   if has_params else None)
         phi = np.array([r["phi"] for r in chunk])
@@ -665,7 +677,7 @@ def run_scenario(cfg: ScenarioConfig, setup: ControllerSetup,
     both controllers also reports the W_lqr - W_gslqr series per
     frequency.
     """
-    x_trim = setup.trim.x_trim.as_array()
+    ref = setup.trim.x_trim.as_array() / STATE_UNITS
     config = cfg.to_dict()
     del config["workers"]
     run = {"workers": resolve_workers(cfg.workers), "output_dir": config.pop("output_dir")}
@@ -675,19 +687,19 @@ def run_scenario(cfg: ScenarioConfig, setup: ControllerSetup,
     for name, variant, snaps in _runs(cfg, setup):
         curve = {"controller": name, "variant": variant, "t": [s.t for s in snaps]}
         report.curves.append(curve)
+        view = [in_reporting_units(s) for s in snaps]
         if variant == "deterministic":
-            curve["W"] = [float(np.linalg.norm((s.states[0] - x_trim) * PAPER_STATE_SCALE))
-                          for s in snaps]
+            curve["W"] = [float(np.linalg.norm(s.states[0] - ref)) for s in view]
             continue
-        W_mass = _W_dirac_series(snaps, x_trim, "mass")
+        W_mass = _W_dirac_series(view, ref, "mass")
         if cfg.kind == "param":
             curve["W"] = W_mass
         else:
-            curve.update(W=_W_dirac_series(snaps, x_trim), W_mass=W_mass)
+            curve.update(W=_W_dirac_series(view, ref), W_mass=W_mass)
         key = _key(name, variant)
         report.extremes[key] = _extremes_records(snaps)
         report.diverged[key] = int(np.count_nonzero(snaps[-1].diverged))
-        report.nonconverged[key] = _nonconverged_count(snaps[-1], x_trim)
+        report.nonconverged[key] = _nonconverged_count(view[-1], ref)
         if keep_snapshots:
             snapshots_by_key[key] = snaps
     if cfg.kind == "disturbance" and cfg.controller == "both":

@@ -9,8 +9,9 @@ mass-weighted root-mean-square distance in closed form. Scenario scores use
 only the Dirac form; the LP serves general CLI inputs and, via
 extended_wasserstein, as the oracle of the extended-space param score.
 
-Costs are squared Euclidean with optional per-dimension scale weights
-(the state mixes angles and velocities; the CLI boundary uses degrees).
+Costs are squared Euclidean in the units of the points, so a score is in
+whatever units its caller passes: the scenario scores and the CLI pass
+states in the reporting units of f16.STATE_UNITS (harness.in_reporting_units).
 """
 
 from __future__ import annotations
@@ -90,21 +91,18 @@ class TransportPlan:
         return math.sqrt(max(self.cost, 0.0))
 
 
-def _pairwise_sqdist(a: np.ndarray, b: np.ndarray, scale) -> np.ndarray:
-    d = a.shape[1]
-    scale = np.ones(d) if scale is None else np.asarray(scale, dtype=float).reshape(d)
+def _pairwise_sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     C = np.zeros((a.shape[0], b.shape[0]))
-    for k in range(d):
-        diff = scale[k] * (a[:, k, None] - b[None, :, k])
+    for k in range(a.shape[1]):
+        diff = a[:, k, None] - b[None, :, k]
         C += diff * diff
     return C
 
 
-def wasserstein_lp(a: DiscreteDistribution, b: DiscreteDistribution,
-                   scale=None) -> TransportPlan:
+def wasserstein_lp(a: DiscreteDistribution, b: DiscreteDistribution) -> TransportPlan:
     """Optimal transport plan and W between two weighted point clouds.
 
-    Cost entries are squared scaled-Euclidean distances. Zero-mass points
+    Cost entries are squared Euclidean distances. Zero-mass points
     are dropped before solving; the returned plan is checked against the
     marginal constraints to 1e-9. Problems above DEFAULT_BUDGET coupling
     variables are refused with the offending size named. When the optimum
@@ -128,7 +126,7 @@ def wasserstein_lp(a: DiscreteDistribution, b: DiscreteDistribution,
     # ~200 points, and any fixed threshold is loose on small costs. So the
     # costs are scaled to a maximum of 1 and both tolerances set to 1e-10,
     # the smallest HiGHS takes.
-    C = _pairwise_sqdist(pa, pb, scale)
+    C = _pairwise_sqdist(pa, pb)
     m, n = C.shape
     k = np.arange(m * n)
     A_eq = csr_array((np.ones(2 * m * n), (np.concatenate([k // n, m + k % n]),
@@ -153,45 +151,33 @@ def wasserstein_lp(a: DiscreteDistribution, b: DiscreteDistribution,
                          flows=flows, cost=cost, shape=(a.n, b.n))
 
 
-def wasserstein_dirac(snapshot, x_ref, scale=None, weights=None) -> float:
+def wasserstein_dirac(snapshot, x_ref, weights=None) -> float:
     """W between an ensemble and the Dirac distribution at x_ref.
 
     The single-point target trivializes the transport problem:
     W = sqrt(sum_i w_i ||x_i - x_ref||^2), linear in the sample count.
     The marginal weights default to the snapshot's transport masses;
     density-derived weights may be passed instead (they must sum to one).
-    scale applies per-dimension cost weights as in wasserstein_lp.
     """
     states = snapshot.states
     w = snapshot.gamma if weights is None else np.asarray(weights, dtype=float)
-    x_ref = np.asarray(x_ref, dtype=float).reshape(states.shape[1])
-    d = states.shape[1]
-    s = np.ones(d) if scale is None else np.asarray(scale, dtype=float).reshape(d)
-    diff = (states - x_ref) * s
+    diff = states - np.asarray(x_ref, dtype=float).reshape(states.shape[1])
     return math.sqrt(max(float(np.dot(w, np.einsum("ij,ij->i", diff, diff))), 0.0))
 
 
-def extended_wasserstein(snapshot, x_trim, scale=None, weights=None) -> TransportPlan:
+def extended_wasserstein(snapshot, x_trim) -> TransportPlan:
     """W on the extended state space against the trim-pinned reference.
 
     The reference cloud shares the parameter samples but pins every state
     to x_trim, so the pair cost splits into state-to-trim distance plus
-    parameter displacement. The moving marginal defaults to the snapshot's
-    transport masses (weights overrides it, e.g. with density-derived
-    values); the reference marginal always carries the snapshot masses,
-    matching a reference density that is uniform over the parameter cloud.
-    Parameter dimensions enter the cost unscaled; `scale` weights the
-    state block only.
+    parameter displacement. Both marginals carry the snapshot's transport
+    masses, matching a reference density that is uniform over the
+    parameter cloud.
     """
     if snapshot.params.shape[1] == 0:
         raise ValueError("snapshot carries no parameter block")
     x_trim = np.asarray(x_trim, dtype=float).reshape(snapshot.states.shape[1])
-    dx, dp = snapshot.states.shape[1], snapshot.params.shape[1]
-    s = np.ones(dx) if scale is None else np.asarray(scale, dtype=float).reshape(dx)
-    full_scale = np.concatenate([s, np.ones(dp)])
-
     pts_a = np.concatenate([snapshot.states, snapshot.params], axis=1)
     pts_b = np.concatenate([np.tile(x_trim, (snapshot.n, 1)), snapshot.params], axis=1)
-    a = DiscreteDistribution(pts_a, snapshot.gamma if weights is None else weights)
-    b = DiscreteDistribution(pts_b, snapshot.gamma)
-    return wasserstein_lp(a, b, scale=full_scale)
+    return wasserstein_lp(DiscreteDistribution(pts_a, snapshot.gamma),
+                          DiscreteDistribution(pts_b, snapshot.gamma))

@@ -40,9 +40,11 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .f16 import (
+    CONTROL_FIELDS,
     CONTROL_UNITS,
     DEG,
     ELEVATOR_LIMIT,
+    STATE_FIELDS,
     STATE_UNITS,
     THRUST_MAX,
     THRUST_MIN,
@@ -95,8 +97,7 @@ _POLISH_MAX = 200
 
 
 # TrimPoint.to_dict fields; all but the last are numbers.
-_FIELDS = ("theta_deg", "V", "alpha_deg", "q_dps", "T", "delta_e_deg",
-           "residual", "optimality", "iterations", "converged")
+_FIELDS = (*STATE_FIELDS, *CONTROL_FIELDS, "residual", "optimality", "iterations", "converged")
 
 
 @dataclass(frozen=True)
@@ -124,15 +125,10 @@ class TrimPoint:
 
     def to_dict(self) -> dict:
         """Degree-based JSON form (file/CLI boundary)."""
-        theta, V, alpha, q = (self.x_trim.as_array() / STATE_UNITS).tolist()
-        T, delta_e = (self.u_trim.as_array() / CONTROL_UNITS).tolist()
+        x = (self.x_trim.as_array() / STATE_UNITS).tolist()
+        u = (self.u_trim.as_array() / CONTROL_UNITS).tolist()
         return {
-            "theta_deg": theta,
-            "V": V,
-            "alpha_deg": alpha,
-            "q_dps": q,
-            "T": T,
-            "delta_e_deg": delta_e,
+            **dict(zip(STATE_FIELDS + CONTROL_FIELDS, x + u)),
             "residual": self.residual,
             "optimality": self.optimality,
             "converged": self.converged,
@@ -155,8 +151,8 @@ class TrimPoint:
         if not v["iterations"].is_integer():
             raise ValueError(f"trim point field 'iterations' must be an integer, "
                              f"got {d['iterations']!r}")
-        x = np.array([v[k] for k in _FIELDS[:4]]) * STATE_UNITS
-        u = np.array([v[k] for k in _FIELDS[4:6]]) * CONTROL_UNITS
+        x = np.array([v[k] for k in STATE_FIELDS]) * STATE_UNITS
+        u = np.array([v[k] for k in CONTROL_FIELDS]) * CONTROL_UNITS
         return cls(
             x_trim=LongitudinalState(*x.tolist()),
             u_trim=ControlInput(*u.tolist()),

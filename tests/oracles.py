@@ -4,10 +4,12 @@ Each one checks a production path against an independent answer: the exact
 1-D quantile coupling and the marginal bound for the transportation LP, a
 density query by back-propagation for the Liouville density, plain Monte
 Carlo trajectory ensembles (textbook RK4 on the closed-loop field, no
-density) for the propagated states, the dominant frequency of a W series
-for the disturbance study, a single-coefficient table lookup for the
-aerodynamic interpolation, and scipy's trust-region-reflective least
-squares, uncapped and restarted, for the trim solve.
+density) for the propagated states, the exact moments of a propagated 1-D
+density under a nonlinear flow for the two W weightings, the dominant
+frequency of a W series for the disturbance study, a single-coefficient
+table lookup for the aerodynamic interpolation, and scipy's
+trust-region-reflective least squares, uncapped and restarted, for the
+trim solve.
 """
 
 from __future__ import annotations
@@ -170,6 +172,28 @@ def mc_compare(cfg, setup) -> dict:
             "t": times, "states": curve,
             "mean": np.stack([weighted_mean(x, cloud.gamma) for x in curve])}
     return {"controllers": out}
+
+
+def cubic_decay_moments(t: float, lo: float, hi: float, nodes: int = 64) -> tuple[float, float]:
+    """Exact targets of W_mass^2 and W^2 to the Dirac at 0 for x' = -x - x^3
+    from x0 ~ U[lo, hi] (0 < lo < hi), at time t.
+
+    The flow is closed form: s = x / sqrt(1 + x^2) decays as e^-t, so
+    x_t = s / sqrt(1 - s^2) with s = e^-t x0 / sqrt(1 + x0^2), and
+    J = dx_t/dx0 = e^-t (1 + x0^2)^-1.5 (1 - s^2)^-1.5. The propagated
+    density is rho_t(x_t) = rho_0 / J. Returns
+      E_rho_t[x^2]                    = mean over x0 of x_t^2, and
+      int rho_t^2 x^2 / int rho_t^2   = int x_t^2 / J dx0 / int 1 / J dx0,
+    each by Gauss-Legendre quadrature over x0 (smooth integrands: 32 and
+    128 nodes agree with 64 to 2e-15 relative at t = 1 on [0.2, 3]).
+    """
+    z, w = np.polynomial.legendre.leggauss(nodes)
+    x0 = 0.5 * (hi - lo) * z + 0.5 * (hi + lo)
+    w = 0.5 * (hi - lo) * w
+    s = math.exp(-t) * x0 / np.sqrt(1.0 + x0 * x0)
+    x = s / np.sqrt(1.0 - s * s)
+    inv_J = math.exp(t) * ((1.0 + x0 * x0) * (1.0 - s * s)) ** 1.5
+    return float(w @ (x * x)) / (hi - lo), float(w @ (x * x * inv_J) / (w @ inv_J))
 
 
 class UnresolvableQueryError(RuntimeError):

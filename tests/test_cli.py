@@ -143,6 +143,34 @@ def test_wasserstein_reproduces_the_scenario_report(capsys, tmp_path, monkeypatc
     assert plan_csv.read_text().splitlines()[0] == "i,j,mass"
 
 
+def test_wasserstein_scores_the_file_as_written(capsys, tmp_path, monkeypatch, setup):
+    # The CLI reads a snapshot file's degrees into radians and divides them
+    # by the unit table again, which returns the file's numbers, so its rows
+    # are the report's W and W_mass bit for bit. Scores of radians times
+    # 1 / unit miss those bits at this size, already at t = 0.
+    import otrobust.cli as cli
+    monkeypatch.setattr(cli.harness, "build_controllers", lambda *a, **k: setup)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"kind": "ic", "samples": 24, "t_f": 2.0, "dt": 0.01,
+                                    "emit_every": 50, "seed": 0}))
+    out_dir = tmp_path / "report"
+    code, _, err = run_cli(capsys, "scenario", "--config", str(cfg_path), "--out", str(out_dir))
+    assert code == EXIT_OK, err
+    doc = json.loads((out_dir / "report.json").read_text())
+    trim_json = tmp_path / "trim.json"
+    trim_json.write_text(json.dumps(doc["nominal_trim"]))
+    for curve in doc["curves"]:
+        for weights, key in (("density", "W"), ("mass", "W_mass")):
+            snap_csv = out_dir / "snapshots" / f"{curve['controller']}.csv"
+            code, out, err = run_cli(capsys, "wasserstein", "--a", str(snap_csv),
+                                     "--dirac-at", str(trim_json), "--weights", weights)
+            assert code == EXIT_OK, err
+            head, *rows = out.splitlines()
+            assert head == "t,W"
+            assert [float(r.split(",")[0]) for r in rows] == curve["t"]
+            assert [float(r.split(",")[1]) for r in rows] == curve[key], (curve["controller"], key)
+
+
 def test_freq_subcommand(capsys, tmp_path):
     out = tmp_path / "freq.csv"
     code, _, err = run_cli(capsys, "freq", "--points", "50", "--out", str(out))

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import math
 from dataclasses import replace
@@ -9,9 +10,8 @@ import pytest
 from oracles import dominant_frequency, mc_compare, weighted_mean
 from otrobust import harness, liouville
 from otrobust.controller import LinearModel, LqrWeights
-from otrobust.f16 import DEG, AircraftParams, ClosedLoop, SineDisturbance
+from otrobust.f16 import DEG, STATE_UNITS, AircraftParams, ClosedLoop, SineDisturbance
 from otrobust.harness import (
-    PAPER_STATE_SCALE,
     ConfigError,
     NumericalFailure,
     ScenarioConfig,
@@ -19,6 +19,7 @@ from otrobust.harness import (
     _x_pert_internal,
     default_omega_grid,
     freq_response,
+    in_reporting_units,
     probability_weights,
     read_snapshot_csv,
     run_scenario,
@@ -149,12 +150,11 @@ class TestMiniScenarios:
         cfg, rep = ic_report
         snaps = rep.extras["snapshots"]["lqr"]
         t, W = rep.curve("lqr")
-        x_trim = setup.trim.x_trim.as_array()
-        scale = np.array([1 / DEG, 1.0, 1 / DEG, 1 / DEG])
+        ref = setup.trim.x_trim.as_array() / STATE_UNITS
         for k, snap in enumerate(snaps):
-            again = wasserstein_dirac(snap, x_trim, scale=scale,
+            again = wasserstein_dirac(in_reporting_units(snap), ref,
                                       weights=probability_weights(snap))
-            assert W[k] == pytest.approx(again, rel=1e-12)
+            assert W[k] == again
 
     def test_initial_W_equals_mass_weighted(self, ic_report):
         cfg, rep = ic_report
@@ -212,13 +212,68 @@ def test_mc_matches_propagation_bitwise(setup, kind):
         key = harness._key(c["controller"], c["variant"])
         assert mc[key]["t"] == c["t"] and len(c["t"]) == 5
         if c["variant"] == "deterministic":
-            assert c["W"] == [float(np.linalg.norm((x[0] - x_trim) * PAPER_STATE_SCALE))
+            assert c["W"] == [float(np.linalg.norm(x[0] / STATE_UNITS - x_trim / STATE_UNITS))
                               for x in mc[key]["states"]]
             continue
         snaps = rep.extras["snapshots"][key]
         assert np.array_equal(np.stack([s.states for s in snaps]), mc[key]["states"])
         for k, snap in enumerate(snaps):
             assert np.array_equal(weighted_mean(snap.states, snap.gamma), mc[key]["mean"][k])
+
+
+# The reporting columns of a snapshot CSV and of a trim record, by name: the
+# test below reads the files as any reader would, without the unit table.
+DEGREE_COLUMNS = ("theta_deg", "V", "alpha_deg", "q_dps")
+
+
+def _parse_snapshot_file(path) -> list[EnsembleSnapshot]:
+    """Per emit time, the file's degree states, densities and masses, parsed
+    with csv and float alone."""
+    by_t: dict[float, list] = {}
+    with open(path, newline="") as f:
+        for r in csv.DictReader(f):
+            by_t.setdefault(float(r["t"]), []).append(r)
+    return [EnsembleSnapshot.from_cloud([[float(r[c]) for c in DEGREE_COLUMNS] for r in rows],
+                                        [float(r["phi"]) for r in rows],
+                                        [float(r["gamma"]) for r in rows], t=t)
+            for t, rows in by_t.items()]
+
+
+@pytest.mark.parametrize("kind, fields", [("ic", {}),
+                                          ("disturbance", {"omega_rad_s": [2.0]}),
+                                          ("param", {"param_delta_percent": [5.0]})])
+def test_report_scores_are_the_scores_of_its_own_files(setup, tmp_path, kind, fields):
+    # Every W in report.json is bitwise the Dirac score of the snapshot CSV
+    # the same run wrote, against the report's own nominal_trim, and so is
+    # the off-trim count. The param deterministic curve has no file of its
+    # own: its trajectory, written by the same writer, scores the same.
+    cfg = mini_cfg(kind=kind, output_dir=str(tmp_path / "run"), **fields)
+    run_scenario(cfg, setup=setup, keep_snapshots=True)
+    doc = json.loads((tmp_path / "run" / "report.json").read_text())
+    ref = [doc["nominal_trim"][c] for c in DEGREE_COLUMNS]
+    scored = [c for c in doc["curves"] if c["variant"] != "deterministic"]
+    assert len(scored) == 2
+    for c in scored:
+        key = harness._key(c["controller"], c["variant"])
+        snaps = _parse_snapshot_file(tmp_path / "run" / "snapshots" / f"{key}.csv")
+        assert [s.t for s in snaps] == c["t"] and len(snaps) == 5
+        W_mass = [wasserstein_dirac(s, ref) for s in snaps]
+        if kind == "param":
+            assert c["W"] == W_mass, key
+        else:
+            assert c["W_mass"] == W_mass, key
+            assert c["W"] == [wasserstein_dirac(s, ref, weights=probability_weights(s))
+                              for s in snaps], key
+        off = np.linalg.norm(snaps[-1].states - ref, axis=1) > 1.0
+        assert doc["nonconverged"][key] == np.count_nonzero(off), key
+    if kind == "param":
+        for name, variant, traj in harness._runs(cfg, setup):
+            if variant == "deterministic":
+                path = tmp_path / f"{name}_deterministic.csv"
+                write_snapshot_csv(traj, path)
+                W = [float(np.linalg.norm(s.states[0] - ref)) for s in _parse_snapshot_file(path)]
+                assert W == [c["W"] for c in doc["curves"]
+                             if c["controller"] == name and c["variant"] == variant][0]
 
 
 def test_snapshot_csv_roundtrip(tmp_path, rng):
@@ -406,7 +461,7 @@ def test_param_closed_form_equals_extended_lp(param_small, setup):
     for name in ("lqr", "gslqr"):
         for delta in cfg.param_delta_percent:
             _, W = rep.curve(name, f"delta={delta:g}")
-            lp = [extended_wasserstein(s, x_trim, scale=PAPER_STATE_SCALE).W
+            lp = [extended_wasserstein(in_reporting_units(s), x_trim / STATE_UNITS).W
                   for s in rep.extras["snapshots"][f"{name}|delta={delta:g}"]]
             assert np.allclose(W, lp, rtol=1e-12, atol=0.0), (name, delta)
 
@@ -446,7 +501,7 @@ def test_param_deterministic_curve_equals_its_own_one_row_propagation(setup, nam
         for f in ("states", "params", "phi", "gamma", "diverged"):
             assert np.array_equal(getattr(a, f), getattr(b, f)), (name, a.t, f)
     _, W = run_scenario(cfg, setup=setup).curve(name, "deterministic")
-    assert W.tolist() == [float(np.linalg.norm((s.states[0] - x_trim) * PAPER_STATE_SCALE))
+    assert W.tolist() == [float(np.linalg.norm(s.states[0] / STATE_UNITS - x_trim / STATE_UNITS))
                           for s in own]
 
 

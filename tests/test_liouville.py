@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import query_density
+from oracles import cubic_decay_moments, query_density
 from otrobust.harness import _W_dirac_series, _extremes_records
 from otrobust.liouville import (
     EnsembleSnapshot,
@@ -262,6 +262,24 @@ def test_density_and_mass_weightings_agree_on_a_linear_field(stable_M):
     W = _W_dirac_series(snaps, np.zeros(4), "density")
     W_mass = _W_dirac_series(snaps, np.zeros(4), "mass")
     assert W == pytest.approx(W_mass, rel=1e-11, abs=0.0)
+
+
+def test_each_weighting_estimates_its_own_distribution_on_a_nonlinear_field():
+    # On x' = -x - x^3 the divergence -1 - 3x^2 varies over the cloud, so the
+    # two weightings part: W_mass^2 estimates E_rho_t[x^2], the squared W of
+    # rho_t to the Dirac at 0, and W^2 estimates the same moment of the
+    # tilted density rho_t^2 / Z. The exact targets are 30 % apart.
+    box = BoxDomain(np.array([0.2]), np.array([3.0]))
+    cloud = EnsembleSnapshot.from_cloud(*weighted_cloud(halton(200, box), box))
+    snaps = propagate(cloud, lambda t, x, p: -x - x ** 3, 1.0, 0.01, emit_every=100)
+    assert [s.t for s in snaps] == [0.0, 1.0]
+    W_mass = _W_dirac_series(snaps[-1:], np.zeros(1), "mass")[0]
+    W = _W_dirac_series(snaps[-1:], np.zeros(1), "density")[0]
+    mass_target, tilted_target = cubic_decay_moments(1.0, 0.2, 3.0)
+    assert W_mass ** 2 == pytest.approx(mass_target, rel=5e-3)
+    assert W ** 2 == pytest.approx(tilted_target, rel=5e-3)
+    assert abs(W_mass ** 2 / tilted_target - 1.0) >= 0.2
+    assert abs(W ** 2 / mass_target - 1.0) >= 0.2
 
 
 def test_likelihood_extremes_tiebreak():

@@ -141,13 +141,6 @@ def test_metric_axioms(rng):
         assert wasserstein_lp(a, a).W <= 1e-9
 
 
-def test_scale_weights(rng):
-    a = DiscreteDistribution([[1.0, 0.0]], [1.0])
-    b = DiscreteDistribution([[0.0, 1.0]], [1.0])
-    w = wasserstein_lp(a, b, scale=[2.0, 0.5]).W
-    assert w == pytest.approx(math.hypot(2.0, 0.5), rel=1e-12)
-
-
 def test_budget_error_names_size():
     # 5001^2 = 25,010,001 > DEFAULT_BUDGET (500^2); refused before any allocation
     a = DiscreteDistribution(np.zeros((5001, 1)), np.full(5001, 1.0 / 5001))
