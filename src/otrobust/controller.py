@@ -268,53 +268,43 @@ def build_schedule(trims: list[TrimPoint], weights: LqrWeights, params: Aircraft
                    tables: AeroTables, reference: TrimPoint) -> GainSchedule:
     """Synthesize one LQR gain per trim node and assemble the schedule.
 
-    The trim list must cover a full rectangular (V, alpha) lattice (any
-    order); nodes are identified from the trim states themselves, and all
-    are linearized in one stacked plant call. A node whose Riccati solve
+    The trim list must be a full rectangular (V, alpha) lattice in V-major
+    order, as trim_grid(default_grid()) returns it; the node vectors are
+    the distinct V and alpha of the trims, and any other list (a node
+    missing, repeated or out of order) raises ValueError. All nodes are
+    linearized in one stacked plant call. A node whose Riccati solve
     fails (solve_care, which also rejects a closed loop that is not
     Hurwitz) raises SynthesisError naming the node. `reference` sets the
     regulation target of the scheduled law.
     """
     if not trims:
         raise ValueError("a gain schedule needs at least one trim point")
-
-    Vs = np.array(sorted({tp.x_trim.V for tp in trims}))
-    alphas = np.array(sorted({tp.x_trim.alpha for tp in trims}))
+    X = np.array([tp.x_trim.as_array() for tp in trims])
+    U = np.array([tp.u_trim.as_array() for tp in trims])
+    Vs, alphas = np.unique(X[:, 1]), np.unique(X[:, 2])
     nv, na = Vs.size, alphas.size
-    if nv * na != len(trims):
-        raise ValueError(
-            f"{len(trims)} trim points do not form a {nv}x{na} rectangular grid")
+    if not (np.array_equal(X[:, 1], np.repeat(Vs, na))
+            and np.array_equal(X[:, 2], np.tile(alphas, nv))):
+        raise ValueError(f"{len(trims)} trim points do not form a {nv}x{na} rectangular grid "
+                         "in V-major order")
 
-    by_node: dict[tuple[int, int], TrimPoint] = {}
-    for tp in trims:
-        i = int(np.argmin(np.abs(Vs - tp.x_trim.V)))
-        j = int(np.argmin(np.abs(alphas - tp.x_trim.alpha)))
-        by_node[(i, j)] = tp
-
-    x_trims = np.empty((nv, na, 4))
-    u_trims = np.empty((nv, na, 2))
-    K = np.empty((nv, na, 2, 4))
-    ab_open = np.empty((nv, na))
-    ab_closed = np.empty((nv, na))
-
-    nodes = sorted(by_node.items())
-    X = np.array([tp.x_trim.as_array() for _, tp in nodes])
-    U = np.array([tp.u_trim.as_array() for _, tp in nodes])
     models = linearize_plant(X, U, params, tables)
-    for ((i, j), _), x, u, A, B in zip(nodes, X, U, models.A, models.B):
+    K, ab_open, ab_closed = [], [], []
+    for x, A, B in zip(X, models.A, models.B):
         try:
-            Kij = lqr_gain(LinearModel(A=A, B=B), weights)
+            Kk = lqr_gain(LinearModel(A=A, B=B), weights)
         except SynthesisError as exc:
             raise SynthesisError(
-                f"node (V={Vs[i]:.1f}, alpha={alphas[j] / DEG:.2f} deg): {exc}") from exc
-        x_trims[i, j], u_trims[i, j], K[i, j] = x, u, Kij
-        ab_open[i, j] = spectral_abscissa(A)
+                f"node (V={x[1]:.1f}, alpha={x[2] / DEG:.2f} deg): {exc}") from exc
+        K.append(Kk)
+        ab_open.append(spectral_abscissa(A))
         # negative: solve_care has checked these very bits
-        ab_closed[i, j] = spectral_abscissa(A - B @ Kij)
+        ab_closed.append(spectral_abscissa(A - B @ Kk))
 
-    return GainSchedule(V_nodes=Vs, alpha_nodes=alphas, x_trims=x_trims,
-                        u_trims=u_trims, K=K, abscissa_open=ab_open,
-                        abscissa_closed=ab_closed,
+    return GainSchedule(V_nodes=Vs, alpha_nodes=alphas, x_trims=X.reshape(nv, na, 4),
+                        u_trims=U.reshape(nv, na, 2), K=np.reshape(K, (nv, na, 2, 4)),
+                        abscissa_open=np.reshape(ab_open, (nv, na)),
+                        abscissa_closed=np.reshape(ab_closed, (nv, na)),
                         x_ref=reference.x_trim.as_array(),
                         u_ref=reference.u_trim.as_array())
 

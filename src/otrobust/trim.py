@@ -20,7 +20,8 @@ down another LAPACK/BLAS path. One projected Levenberg-Marquardt pass
 over all nodes then finishes them, with one stacked plant call per
 iteration for every live node's residual and Jacobian. Its per-node
 arithmetic is elementwise, so a node's trim does not depend on the batch
-it is solved in.
+it is solved in, and its residual and optimality are those of the
+polish's final evaluation, in fixed-order sums.
 
 Thrust frequently rides its 1000 lb floor at low-drag conditions, and parts
 of the scheduling envelope admit no exact equilibrium at all (e.g. high V
@@ -32,7 +33,6 @@ residual is returned for the caller to judge.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -112,8 +112,9 @@ class TrimPoint:
     1e-7 relative at large-residual minima where the finite-difference
     gradient bottoms out at roundoff of the objective); flight conditions
     with no exact equilibrium end in the second branch with a nonzero
-    residual. iterations counts the TRF evaluations and the polish
-    iterations of the solve (trim_grid).
+    residual. trim_grid reports residual and optimality from its polish's
+    final evaluation, in fixed-order sums; iterations counts the TRF
+    evaluations and the polish iterations of the solve.
     """
 
     x_trim: LongitudinalState
@@ -182,13 +183,11 @@ def _at_bounds(z: np.ndarray):
             z >= _UPPER - 1e-10 * np.maximum(1.0, np.abs(_UPPER)))
 
 
-def _projected_gradient(z: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient with components pointing out of an active bound zeroed."""
-    pg = g.copy()
+def _fixed(z: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The active set: variables at a bound that the gradient g pushes
+    against (a descent step would leave the box)."""
     at_lo, at_hi = _at_bounds(z)
-    pg[at_lo & (pg > 0)] = 0.0
-    pg[at_hi & (pg < 0)] = 0.0
-    return pg
+    return (at_lo & (g > 0)) | (at_hi & (g < 0))
 
 
 def _converged(rnorm: float, optimality: float) -> bool:
@@ -215,22 +214,6 @@ def _trf(z: np.ndarray, V: float, alpha: float, params: AircraftParams,
             ftol=1e-15, xtol=1e-15, gtol=1e-14,
             max_nfev=_BASIN_NFEV,
         )
-
-
-def _trim_point(z, V: float, alpha: float, r: np.ndarray, J: np.ndarray,
-                iterations: int) -> TrimPoint:
-    """The TrimPoint at z, judged from the residual r and Jacobian J there."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        rnorm = float(np.linalg.norm(r))
-        optimality = float(np.max(np.abs(_projected_gradient(z, J.T @ r))))
-    return TrimPoint(
-        x_trim=LongitudinalState(float(z[0]), V, alpha, 0.0),
-        u_trim=ControlInput(float(z[1]), float(z[2])),
-        residual=rnorm,
-        converged=_converged(rnorm, optimality),
-        optimality=optimality,
-        iterations=iterations,
-    )
 
 
 def find_trim(V: float, alpha: float, params: AircraftParams, tables: AeroTables) -> TrimPoint:
@@ -273,9 +256,11 @@ def _stacked(Z: np.ndarray, V: np.ndarray, alpha: np.ndarray, params: AircraftPa
 
 
 def _optimality(Z: np.ndarray, R: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """TrimPoint.optimality of n points, from their residuals and Jacobians."""
+    """TrimPoint.optimality of n points, from their residuals and Jacobians:
+    the infinity norm of the gradient J^T r with its active-set components
+    zeroed (the projected gradient)."""
     g = _dot3(np.swapaxes(J, 1, 2), R[:, None, :])
-    return np.max(np.abs(_projected_gradient(Z, g)), axis=1)
+    return np.max(np.abs(np.where(_fixed(Z, g), 0.0, g)), axis=1)
 
 
 def _solve3(M: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -294,12 +279,11 @@ def _lm_step(z, g, H, lam):
     node's free variables, (H + lam I) d = -g; a variable at a bound that
     the gradient g pushes against is fixed there (its step only snaps it
     onto the bound)."""
-    at_lo, at_hi = _at_bounds(z)
-    fixed = (at_lo & (g > 0)) | (at_hi & (g < 0))
+    fixed = _fixed(z, g)
     free = ~fixed
     M = np.where(free[:, :, None] & free[:, None, :], H + lam[:, None, None] * np.eye(3), np.eye(3))
     d = _solve3(M, np.where(free, -g, 0.0))
-    return np.where(fixed, (np.where(at_lo, _LOWER, _UPPER) - z) / _X_SCALE, d)
+    return np.where(fixed, (np.where(g > 0, _LOWER, _UPPER) - z) / _X_SCALE, d)
 
 
 def _polish(Z: np.ndarray, V: np.ndarray, alpha: np.ndarray, params: AircraftParams,
@@ -313,9 +297,10 @@ def _polish(Z: np.ndarray, V: np.ndarray, alpha: np.ndarray, params: AircraftPar
     takes a trial that lowers its cost r.r, or, at large-residual nodes
     where the cost no longer resolves the last digits, keeps the cost
     within roundoff and lowers its optimality. It stops at its own step
-    test, so its result does not depend on the other nodes. Returns the final points, their
-    residuals and Jacobians, the per-node iteration counts, and the nodes
-    whose evaluation or step was not finite, which stop at once.
+    test, so its result does not depend on the other nodes. Returns the
+    final points, their costs r.r and optimalities (_optimality) from the
+    final evaluation, the per-node iteration counts, and the nodes whose
+    evaluation or step was not finite, which stop at once.
     """
     n = len(Z)
     its = np.zeros(n, dtype=int)
@@ -353,7 +338,7 @@ def _polish(Z: np.ndarray, V: np.ndarray, alpha: np.ndarray, params: AircraftPar
             failed[k[singular]] = True
             live[k[singular | (np.max(np.abs(d), axis=1)
                                <= _XTOL * (1.0 + np.max(np.abs(z / _X_SCALE), axis=1)))]] = False
-    return Z, R, J, its, failed
+    return Z, cost, opt, its, failed
 
 
 def trim_grid(grid: list[tuple[float, float]], params: AircraftParams,
@@ -366,8 +351,9 @@ def trim_grid(grid: list[tuple[float, float]], params: AircraftParams,
     few enough that scipy's per-iteration overhead stays small. One
     projected Levenberg-Marquardt pass over all nodes (_polish) then
     finishes them, evaluating the residuals and Jacobians of every live
-    node in one stacked plant call per iteration. residual and optimality
-    come from the final evaluation, whose residual is no larger than the
+    node in one stacked plant call per iteration. residual (sqrt of the
+    cost r.r), optimality and converged are the polish's own final
+    evaluation, in fixed-order sums, whose residual is no larger than the
     start's (up to roundoff); iterations counts the node's TRF evaluations
     (at most _BASIN_NFEV) plus its polish iterations.
 
@@ -383,8 +369,10 @@ def trim_grid(grid: list[tuple[float, float]], params: AircraftParams,
     sols = [_trf(np.clip(np.array([alpha, 5000.0, 0.0]), _LOWER, _UPPER), V, alpha, params, tables)
             for V, alpha in grid]
     V, alpha = np.array(grid, dtype=float).T
-    Z, R, J, its, failed = _polish(np.array([sol.x for sol in sols]), V, alpha, params, tables)
-    points = [_trim_point(z, float(v), float(a), r, j, int(sol.nfev + it))
-              for z, v, a, r, j, sol, it in zip(Z, V, alpha, R, J, sols, its)]
-    return [dataclasses.replace(tp, converged=False) if bad else tp
-            for tp, bad in zip(points, failed)]
+    Z, cost, opt, its, failed = _polish(np.array([sol.x for sol in sols]), V, alpha, params, tables)
+    return [TrimPoint(x_trim=LongitudinalState(float(z[0]), float(v), float(a), 0.0),
+                      u_trim=ControlInput(float(z[1]), float(z[2])),
+                      residual=float(r), converged=not bad and _converged(float(r), float(o)),
+                      optimality=float(o), iterations=int(sol.nfev + it))
+            for z, v, a, r, o, bad, sol, it
+            in zip(Z, V, alpha, np.sqrt(cost), opt, failed, sols, its)]

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from otrobust import harness, trim
-from otrobust.f16 import AeroTables, _aero, central_difference
+from otrobust.f16 import AeroTables, ControlInput, LongitudinalState, _aero, central_difference
 from otrobust.liouville import _fields, _propagate_arrays
 from otrobust.transport import DiscreteDistribution, TransportPlan, wasserstein_lp
 
@@ -59,10 +59,15 @@ def trf_trim(V: float, alpha: float, params, tables) -> trim.TrimPoint:
                                 max_nfev=600)
         nfev += int(sol.nfev)
         z = sol.x
-        tp = trim._trim_point(z, V, alpha, sol.fun, sol.jac, nfev)
-        if tp.converged:
+        r = sol.fun
+        rnorm = float(np.sqrt(trim._dot3(r, r)))
+        optimality = float(trim._optimality(z[None], r[None], sol.jac[None])[0])
+        converged = trim._converged(rnorm, optimality)
+        if converged:
             break
-    return tp
+    return trim.TrimPoint(x_trim=LongitudinalState(float(z[0]), V, alpha, 0.0),
+                          u_trim=ControlInput(float(z[1]), float(z[2])), residual=rnorm,
+                          converged=converged, optimality=optimality, iterations=nfev)
 
 
 def marginal(dist: DiscreteDistribution, axis: int) -> DiscreteDistribution:

@@ -23,7 +23,7 @@ from otrobust.controller import (
 )
 from otrobust.f16 import CONTROL_UNITS, DEG, H_REL, STATE_UNITS, _cell, dynamics
 from otrobust.harness import NOMINAL_ALPHA_DEG, NOMINAL_V
-from otrobust.trim import default_grid, find_trim
+from otrobust.trim import default_grid, find_trim, trim_grid
 
 # Published gain for this plant and weights, printed there for the opposite
 # feedback-sign convention (u = u_trim + K dx); ours is u = u_trim - K dx,
@@ -221,6 +221,20 @@ def test_schedule_rejects_partial_grid(grid_trims, params, tables, nominal_trim)
 def test_schedule_rejects_a_repeated_node(params, tables, nominal_trim):
     with pytest.raises(ValueError, match="2 trim points do not form a 1x1 rectangular grid"):
         build_schedule([nominal_trim, nominal_trim], LqrWeights(), params, tables, nominal_trim)
+
+
+def test_schedule_takes_only_a_complete_v_major_lattice(params, tables, grid_trims,
+                                                        nominal_trim):
+    # a repeated node standing in for a missing one gives the lattice's
+    # count but not its shape; no node may go without a synthesized gain
+    t = trim_grid([(300.0, 0.0), (300.0, 5.0 * DEG), (400.0, 0.0), (400.0, 5.0 * DEG)],
+                  params, tables)
+    sched = build_schedule(t, LqrWeights(), params, tables, nominal_trim)
+    assert sched.K.shape == (2, 2, 2, 4) and np.all(sched.abscissa_closed < 0.0)
+    with pytest.raises(ValueError, match="4 trim points do not form a 2x2 rectangular grid"):
+        build_schedule([t[0], t[0], t[2], t[3]], LqrWeights(), params, tables, nominal_trim)
+    with pytest.raises(ValueError, match="100 trim points do not form a 10x10 rectangular grid"):
+        build_schedule(grid_trims[::-1], LqrWeights(), params, tables, nominal_trim)
 
 
 def test_schedule_rejects_empty_trim_list(params, tables, nominal_trim):

@@ -17,7 +17,6 @@ from otrobust.harness import (
     ScenarioConfig,
     _param_cloud,
     _x_pert_internal,
-    default_omega_grid,
     freq_response,
     in_reporting_units,
     probability_weights,

@@ -1,5 +1,4 @@
 import math
-import os
 import tracemalloc
 from fractions import Fraction
 

@@ -276,12 +276,14 @@ def test_find_trim_independent_of_jacobian_evaluation(params, tables, nominal_tr
 @pytest.mark.parametrize("node", ["nominal", 0, 37, 99])
 def test_reported_residual_and_optimality_are_those_at_the_trim(params, tables, nominal_trim,
                                                                  grid_trims, node):
-    # trim_grid reads them from the polish's last evaluations; they must be
-    # bitwise what a fresh residual and Jacobian at the returned point give.
+    # The polish judges each trim once, in fixed-order sums; the record
+    # reports that judgement bitwise: a fresh residual and Jacobian at the
+    # returned point, through the polish's own helpers.
     tp = nominal_trim if node == "nominal" else grid_trims[node]
     V, alpha = tp.x_trim.V, tp.x_trim.alpha
     z = np.array([tp.x_trim.theta, tp.u_trim.T, tp.u_trim.delta_e])
     r = _residual(z, V, alpha, params, tables)
-    g = central_difference(lambda zs: _residual(zs, V, alpha, params, tables), z).T @ r
-    assert tp.residual == float(np.linalg.norm(r))
-    assert tp.optimality == float(np.max(np.abs(trim_module._projected_gradient(z, g))))
+    J = central_difference(lambda zs: _residual(zs, V, alpha, params, tables), z)
+    assert tp.residual == float(np.sqrt(trim_module._dot3(r, r)))
+    assert tp.optimality == float(trim_module._optimality(z[None], r[None], J[None])[0])
+    assert tp.converged == trim_module._converged(tp.residual, tp.optimality)
