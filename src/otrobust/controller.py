@@ -165,6 +165,13 @@ def lqr_gain(model: LinearModel, weights: LqrWeights) -> np.ndarray:
     return np.linalg.solve(weights.R, model.B.T @ P)
 
 
+def _contract(M: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """sum_j M[:, j] dx[j] of value-major (2, 4, ...) gains and (4, ...)
+    deviations, summed in the order of np.einsum("...ij,...j->...i") over
+    the sample-major arrays, so the two agree bit for bit."""
+    return (M[:, 0] * dx[0] + M[:, 2] * dx[2]) + (M[:, 1] * dx[1] + M[:, 3] * dx[3])
+
+
 @dataclass(frozen=True, eq=False)
 class LqrLaw:
     """Fixed-gain LQR law about a trim point, as the closed loop calls it.
@@ -175,24 +182,17 @@ class LqrLaw:
     trim: TrimPoint
 
     def __post_init__(self):
-        K = np.asarray(self.K)
         for name, value in (("_x", self.trim.x_trim.as_array()), ("_u", self.trim.u_trim.as_array()),
-                            ("_K", K), ("_J", -K[..., None]), ("_C", np.zeros((2, 4, 1)))):
-            if name != "_K":
-                value.setflags(write=False)
+                            ("_J", -np.asarray(self.K)[..., None]), ("_C", np.zeros((2, 4, 1)))):
+            value.setflags(write=False)
             object.__setattr__(self, name, value)
 
     def __call__(self, x: np.ndarray, work=None) -> np.ndarray:
-        """Pre-saturation control u = u_trim - K (x - x_trim); batched over x.
-        work is unused: the law keeps no scratch."""
-        dx = np.asarray(x, dtype=float) - self._x
-        if dx.size == dx.shape[-1]:
-            # BLAS takes gemv for one row and gemm for more, which round
-            # differently in the last bit; a two-row block keeps a lone sample
-            # bitwise equal to the same state inside an ensemble.
-            Kdx = (np.tile(dx.reshape(1, -1), (2, 1)) @ self._K.T)[0]
-            return self._u - Kdx.reshape(dx.shape[:-1] + Kdx.shape)
-        return self._u - dx @ self._K.T
+        """Pre-saturation control u = u_trim - K (x - x_trim), batched over x,
+        value-major in the fixed order of _contract (work is unused)."""
+        x = np.asarray(x, dtype=float)
+        dx = np.reshape(x, (-1, 4)).T - self._x[:, None]
+        return (self._u[:, None] + _contract(self._J, dx)).T.reshape(x.shape[:-1] + (2,))
 
     def jacobian(self, x: np.ndarray, h: np.ndarray, work=None):
         """The command (as __call__), its Jacobian -K, zero curvature and no
@@ -307,13 +307,6 @@ def build_schedule(trims: list[TrimPoint], weights: LqrWeights, params: Aircraft
                         abscissa_closed=np.reshape(ab_closed, (nv, na)),
                         x_ref=reference.x_trim.as_array(),
                         u_ref=reference.u_trim.as_array())
-
-
-def _contract(M: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """sum_j M[:, j] dx[j] of value-major (2, 4, ...) gains and (4, ...)
-    deviations, summed in the order of np.einsum("...ij,...j->...i") over
-    the sample-major arrays, so the two agree bit for bit."""
-    return (M[:, 0] * dx[0] + M[:, 2] * dx[2]) + (M[:, 1] * dx[1] + M[:, 3] * dx[3])
 
 
 @dataclass(frozen=True, eq=False)

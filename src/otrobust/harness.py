@@ -32,9 +32,11 @@ stay in radians.
 Reports are plain dicts rendered to report.json / W.csv / snapshot CSVs.
 report.json holds the curves, the likelihood extremes and the diverged and
 off-trim counts per curve, stamped with a content hash over all of it but
-its run section (where and how the run executed: workers, output_dir), so
-identical configurations are bit-reproducible. The snapshot CSVs hold
-every sample's state and mass, from which any marginal is binned.
+its run section (where and how the run executed: workers, output_dir).
+From one set-up, identical configurations give identical bits on any BLAS
+kernel (fixed-order laws, math.fsum scores); the set-up's trims and gains
+still depend on the OpenBLAS core type. The snapshot CSVs hold every
+sample's state and mass, from which any marginal is binned.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ class ScenarioConfig:
     samples: int = 200
     t_f: float = 20.0
     dt: float = 0.01
-    seed: int = 0
+    seed: int = 0                              # read by sampler "mcmc" only
     emit_every: int = 100                      # steps between snapshots
     ic_box_deg: dict = field(default_factory=lambda: dict(DEFAULT_IC_BOX_DEG))
     x_pert: dict = field(default_factory=lambda: dict(DEFAULT_X_PERT))
@@ -672,10 +674,10 @@ def run_scenario(cfg: ScenarioConfig, setup: ControllerSetup,
 
     The scenario propagates once (_runs) and each curve is scored on its
     slice: ic and disturbance curves by density weights (W) and transport
-    masses (W_mass), param delta curves by masses, and the param
-    deterministic curve by its distance to trim alone. A disturbance run of
-    both controllers also reports the W_lqr - W_gslqr series per
-    frequency.
+    masses (W_mass), param curves by masses (the deterministic one is a
+    single row of unit mass, so its W is that row's distance to trim). A
+    disturbance run of both controllers also reports the W_lqr - W_gslqr
+    series per frequency.
     """
     ref = setup.trim.x_trim.as_array() / STATE_UNITS
     config = cfg.to_dict()
@@ -688,14 +690,13 @@ def run_scenario(cfg: ScenarioConfig, setup: ControllerSetup,
         curve = {"controller": name, "variant": variant, "t": [s.t for s in snaps]}
         report.curves.append(curve)
         view = [in_reporting_units(s) for s in snaps]
-        if variant == "deterministic":
-            curve["W"] = [float(np.linalg.norm(s.states[0] - ref)) for s in view]
-            continue
         W_mass = _W_dirac_series(view, ref, "mass")
         if cfg.kind == "param":
             curve["W"] = W_mass
         else:
             curve.update(W=_W_dirac_series(view, ref), W_mass=W_mass)
+        if variant == "deterministic":
+            continue
         key = _key(name, variant)
         report.extremes[key] = _extremes_records(snaps)
         report.diverged[key] = int(np.count_nonzero(snaps[-1].diverged))

@@ -12,6 +12,7 @@ extended_wasserstein, as the oracle of the extended-space param score.
 Costs are squared Euclidean in the units of the points, so a score is in
 whatever units its caller passes: the scenario scores and the CLI pass
 states in the reporting units of f16.STATE_UNITS (harness.in_reporting_units).
+Every total cost is one correctly rounded math.fsum, free of the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def wasserstein_lp(a: DiscreteDistribution, b: DiscreteDistribution) -> Transpor
 
     rows, cols = np.nonzero(mu)
     flows = mu[rows, cols]
-    cost = float(np.dot(flows, C[rows, cols]))
+    cost = math.fsum((flows * C[rows, cols]).tolist())
     return TransportPlan(rows=np.flatnonzero(keep_a)[rows], cols=np.flatnonzero(keep_b)[cols],
                          flows=flows, cost=cost, shape=(a.n, b.n))
 
@@ -162,7 +163,7 @@ def wasserstein_dirac(snapshot, x_ref, weights=None) -> float:
     states = snapshot.states
     w = snapshot.gamma if weights is None else np.asarray(weights, dtype=float)
     diff = states - np.asarray(x_ref, dtype=float).reshape(states.shape[1])
-    return math.sqrt(max(float(np.dot(w, np.einsum("ij,ij->i", diff, diff))), 0.0))
+    return math.sqrt(max(math.fsum((w * np.einsum("ij,ij->i", diff, diff)).tolist()), 0.0))
 
 
 def extended_wasserstein(snapshot, x_trim) -> TransportPlan:

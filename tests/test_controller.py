@@ -408,8 +408,8 @@ def test_care_residual_invariant_on_f16_nodes(schedule, params, tables,
 
 
 def test_lone_sample_gets_the_ensemble_gain_product(nominal_trim, nominal_gain, rng):
-    # A one-row dx @ K.T would go through gemv and round differently from
-    # the gemm that serves the same row inside an ensemble.
+    # The law contracts K with each row's deviation value-major, in one fixed
+    # order, so a row's command does not depend on how many rows share the call.
     law = LqrLaw(K=nominal_gain, trim=nominal_trim)
     spread = np.array([0.05, 40.0, 0.08, 0.2])
     for _ in range(50):

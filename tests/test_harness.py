@@ -2,7 +2,12 @@ import copy
 import csv
 import json
 import math
+import os
+import pickle
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,7 +216,9 @@ def test_mc_matches_propagation_bitwise(setup, kind):
         key = harness._key(c["controller"], c["variant"])
         assert mc[key]["t"] == c["t"] and len(c["t"]) == 5
         if c["variant"] == "deterministic":
-            assert c["W"] == [float(np.linalg.norm(x[0] / STATE_UNITS - x_trim / STATE_UNITS))
+            # its one row at unit mass, scored as every curve is
+            assert c["W"] == [wasserstein_dirac(EnsembleSnapshot.from_cloud(
+                x / STATE_UNITS, np.ones(1), np.ones(1)), x_trim / STATE_UNITS)
                               for x in mc[key]["states"]]
             continue
         snaps = rep.extras["snapshots"][key]
@@ -270,9 +277,60 @@ def test_report_scores_are_the_scores_of_its_own_files(setup, tmp_path, kind, fi
             if variant == "deterministic":
                 path = tmp_path / f"{name}_deterministic.csv"
                 write_snapshot_csv(traj, path)
-                W = [float(np.linalg.norm(s.states[0] - ref)) for s in _parse_snapshot_file(path)]
+                W = [wasserstein_dirac(s, ref) for s in _parse_snapshot_file(path)]
                 assert W == [c["W"] for c in doc["curves"]
                              if c["controller"] == name and c["variant"] == variant][0]
+
+
+# Run in a fresh interpreter: the three mini scenarios from the pickled
+# set-up and one fixed LP pair, printed as JSON (repr floats, exact).
+_KERNEL_PROBE = """
+import json, pickle, sys
+import numpy as np
+from otrobust.harness import ScenarioConfig, run_scenario
+from otrobust.transport import DiscreteDistribution, wasserstein_lp
+with open(sys.argv[1], "rb") as f:
+    setup = pickle.load(f)
+out = {}
+for kind, fields in (("ic", {}), ("param", {"param_delta_percent": [5.0]}),
+                     ("disturbance", {"omega_rad_s": [2.0]})):
+    cfg = ScenarioConfig(kind=kind, samples=16, t_f=1.0, emit_every=20, **fields)
+    rep = run_scenario(cfg, setup)
+    out[kind] = {"content_hash": rep.content_hash, "curves": rep.curves,
+                 "W_lqr_minus_gslqr": rep.extras.get("W_lqr_minus_gslqr")}
+rng = np.random.default_rng(5)
+a = DiscreteDistribution(rng.normal(size=(9, 4)), rng.dirichlet(np.ones(9)))
+b = DiscreteDistribution(rng.normal(size=(7, 4)), rng.dirichlet(np.ones(7)))
+out["lp_cost"] = wasserstein_lp(a, b).cost
+print(json.dumps(out))
+"""
+
+
+def test_one_result_on_two_blas_kernels(setup, tmp_path):
+    # The same set-up flown and scored under OpenBLAS's default kernel and
+    # under its Sandybridge (no FMA) kernel gives the same bits: the laws
+    # contract in a fixed order and every score is one correctly rounded
+    # sum. The set-up is pickled from this process, since the trims and
+    # gains still depend on the kernel. On a host whose native kernel is
+    # Sandybridge both runs take the same kernel and this passes trivially.
+    path = tmp_path / "setup.pkl"
+    path.write_bytes(pickle.dumps(setup))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env.update(PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               OPENBLAS_NUM_THREADS="1", OTROBUST_WORKERS="1")
+    default, sandybridge = (
+        json.loads(subprocess.run([sys.executable, "-c", _KERNEL_PROBE, str(path)],
+                                  env={**env, **extra}, capture_output=True, text=True,
+                                  check=True, timeout=300).stdout)
+        for extra in ({}, {"OPENBLAS_CORETYPE": "Sandybridge"}))
+    assert default["lp_cost"] == sandybridge["lp_cost"]
+    for kind in ("ic", "param", "disturbance"):
+        a, b = default[kind], sandybridge[kind]
+        for ca, cb in zip(a["curves"], b["curves"]):
+            for key in ("W", "W_mass"):
+                assert ca.get(key) == cb.get(key), (kind, ca["controller"], ca["variant"], key)
+        assert a["W_lqr_minus_gslqr"] == b["W_lqr_minus_gslqr"], kind
+        assert a["content_hash"] == b["content_hash"], kind
 
 
 def test_snapshot_csv_roundtrip(tmp_path, rng):
@@ -483,8 +541,8 @@ def test_param_stacked_slices_equal_own_propagation(param_small, params, setup):
 
 @pytest.mark.parametrize("name", ["lqr", "gslqr"])
 def test_param_deterministic_curve_equals_its_own_one_row_propagation(setup, name):
-    # x0 alone on the set-up plant: for lqr a lone row takes LqrLaw's two-row
-    # BLAS block, in the stacked ensemble it shares a block with the clouds
+    # x0 alone on the set-up plant, and x0 as one row of the stacked ensemble
+    # beside the delta clouds: each row's arithmetic is its own
     cfg = ScenarioConfig(**{**PARAM_SMALL, "controller": name, "t_f": 2.0})
     x_trim = setup.trim.x_trim.as_array()
     x0 = x_trim + _x_pert_internal(cfg)
@@ -500,7 +558,7 @@ def test_param_deterministic_curve_equals_its_own_one_row_propagation(setup, nam
         for f in ("states", "params", "phi", "gamma", "diverged"):
             assert np.array_equal(getattr(a, f), getattr(b, f)), (name, a.t, f)
     _, W = run_scenario(cfg, setup=setup).curve(name, "deterministic")
-    assert W.tolist() == [float(np.linalg.norm(s.states[0] / STATE_UNITS - x_trim / STATE_UNITS))
+    assert W.tolist() == [wasserstein_dirac(in_reporting_units(s), x_trim / STATE_UNITS)
                           for s in own]
 
 
