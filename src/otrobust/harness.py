@@ -34,9 +34,9 @@ report.json holds the curves, the likelihood extremes and the diverged and
 off-trim counts per curve, stamped with a content hash over all of it but
 its run section (where and how the run executed: workers, output_dir).
 From one set-up, identical configurations give identical bits on any BLAS
-kernel (fixed-order laws, math.fsum scores); the set-up's trims and gains
-still depend on the OpenBLAS core type. The snapshot CSVs hold every
-sample's state and mass, from which any marginal is binned.
+kernel (fixed-order laws, math.fsum scores); so do the set-up's trims, and
+only its gains still depend on the OpenBLAS core type. The snapshot CSVs
+hold every sample's state and mass, from which any marginal is binned.
 """
 
 from __future__ import annotations

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_array
 
 # Refuse coupling matrices above this many entries (500 x 500): HiGHS's
 # storage grows with m*n while the Dirac short cut stays linear. Its peak
@@ -109,6 +107,8 @@ def wasserstein_lp(a: DiscreteDistribution, b: DiscreteDistribution) -> Transpor
     variables are refused with the offending size named. When the optimum
     is not unique, the plan is whichever optimal vertex HiGHS returns.
     """
+    from scipy.optimize import linprog  # imported here: no scenario solves an LP
+    from scipy.sparse import csr_array
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch {a.dim} vs {b.dim}")
     if a.n * b.n > DEFAULT_BUDGET:

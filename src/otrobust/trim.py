@@ -7,21 +7,15 @@ squares problem on the scaled residual (V_dot / 100, alpha_dot, q_dot)
 over the actuator box, with a central-difference Jacobian.
 
 trim_grid trims every node of a (V, alpha) grid, and find_trim is the
-one-node grid. The solve has two phases. Each node first takes scipy's
-trust-region-reflective least squares (TRF) capped at _BASIN_NFEV
-residual evaluations, which settles the stationary basin it lands in:
-polished from the initial guess alone, three low-V, low-alpha nodes end
-at a worse stationary point (theta at -30 deg where a full TRF solve
-finds +30 deg). The residual broadcasts over leading axes of z, so the
-Jacobian (f16.central_difference, as in controller.linearize) evaluates
-its six +/- points as one stacked plant call, and hands it to scipy in C
-order: an F-ordered copy holds the same numbers but sends the TRF step
-down another LAPACK/BLAS path. One projected Levenberg-Marquardt pass
-over all nodes then finishes them, with one stacked plant call per
-iteration for every live node's residual and Jacobian. Its per-node
-arithmetic is elementwise, so a node's trim does not depend on the batch
-it is solved in, and its residual and optimality are those of the
-polish's final evaluation, in fixed-order sums.
+one-node grid. The residual broadcasts over leading axes of z, so each
+iteration evaluates the residuals and central-difference Jacobians
+(f16.central_difference) of all live nodes in one stacked plant call.
+Each node takes two trust-region trials as scipy's TRF does, which settle
+the stationary basin it lands in (from the guess alone, three low-V,
+low-alpha nodes end at a worse stationary point), then projected
+Levenberg-Marquardt. All per-node arithmetic is elementwise, in
+fixed-order sums and 3x3 solves, so a trim is bitwise the same in any
+batch and on any BLAS kernel.
 
 Thrust frequently rides its 1000 lb floor at low-drag conditions, and parts
 of the scheduling envelope admit no exact equilibrium at all (e.g. high V
@@ -37,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .f16 import (
     CONTROL_FIELDS,
@@ -81,16 +74,14 @@ _UPPER = np.array([_THETA_LIMIT, THRUST_MAX, ELEVATOR_LIMIT])
 # the trust radius and the solve stalls far from stationarity.
 _X_SCALE = np.array([0.5, 5000.0, 0.2])
 
-# Residual evaluations of the per-node TRF solve with which trim_grid
-# picks each node's stationary basin before its stacked polish. Against an
-# uncapped TRF solve on the default grid, caps of 1 (the initial guess
-# alone) and 2 left 4 nodes and 1 node off its point, 3 and 1 of them at a
-# larger residual; caps of 3, 4, 5, 8 and 12 matched all 100 nodes, and so
-# did 3 on plants with m x 1.15, Jyy x 0.85 and h = 20,000 ft.
-_BASIN_NFEV = 3
+# Trust-region trials before the polish (one leaves node 0 off the basin
+# of an uncapped TRF solve on three plants), and the halvings of the
+# damping that solve each trial's subproblem.
+_TRIALS = 2
+_BISECT = 60
 
 # The polish stops a node when its step, in _X_SCALE units, is at most
-# _XTOL (1 + |z / _X_SCALE|); a default-grid node takes 5 to 37 iterations,
+# _XTOL (1 + |z / _X_SCALE|); a default-grid node takes 5 to 39 iterations,
 # and _POLISH_MAX only bounds a node that never settles.
 _XTOL = 1e-15
 _POLISH_MAX = 200
@@ -112,9 +103,9 @@ class TrimPoint:
     1e-7 relative at large-residual minima where the finite-difference
     gradient bottoms out at roundoff of the objective); flight conditions
     with no exact equilibrium end in the second branch with a nonzero
-    residual. trim_grid reports residual and optimality from its polish's
-    final evaluation, in fixed-order sums; iterations counts the TRF
-    evaluations and the polish iterations of the solve.
+    residual. trim_grid reports residual and optimality from its solve's
+    final evaluation, in fixed-order sums; iterations counts the
+    trust-region trials and the polish iterations of the solve.
     """
 
     x_trim: LongitudinalState
@@ -196,26 +187,6 @@ def _converged(rnorm: float, optimality: float) -> bool:
     return rnorm < _RTOL or (math.isfinite(rnorm) and optimality < max(_GTOL, 1e-7 * rnorm))
 
 
-def _trf(z: np.ndarray, V: float, alpha: float, params: AircraftParams,
-         tables: AeroTables):
-    """The bounded TRF solve of the scaled residual from z, capped at
-    _BASIN_NFEV evaluations (scipy's OptimizeResult). A residual too large
-    to square (V near 0, or an absurd air density) overflows in the
-    solver's cost and in the norm, and can zero a slope its trust-region
-    step divides by; the caller's convergence test rejects such a trim."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return least_squares(
-            _residual, z,
-            jac=lambda z, *a: central_difference(lambda zs: _residual(zs, *a), z),
-            bounds=(_LOWER, _UPPER),
-            args=(V, alpha, params, tables),
-            method="trf",
-            x_scale=_X_SCALE,
-            ftol=1e-15, xtol=1e-15, gtol=1e-14,
-            max_nfev=_BASIN_NFEV,
-        )
-
-
 def find_trim(V: float, alpha: float, params: AircraftParams, tables: AeroTables) -> TrimPoint:
     """Trim the plant at velocity V (ft/s) and angle of attack alpha (rad):
     the one-node trim_grid, so a trim here is bitwise the grid's at the
@@ -286,16 +257,37 @@ def _lm_step(z, g, H, lam):
     return np.where(fixed, (np.where(g > 0, _LOWER, _UPPER) - z) / _X_SCALE, d)
 
 
+def _tr_step(B, gh, radius):
+    """Moré's exact trust-region steps (n, 3) of the quadratics gh.p + p.B p / 2,
+    B positive semidefinite (n, 3, 3): -(B + lam I)^-1 gh at the least lam
+    in [0, |gh| / radius], to _BISECT halvings, whose step lies within the
+    radius."""
+    lo, hi = np.zeros(len(gh)), np.sqrt(_dot3(gh, gh)) / radius
+    for _ in range(_BISECT):
+        mid = 0.5 * (lo + hi)
+        p = _solve3(B + mid[:, None, None] * np.eye(3), -gh)
+        outside = ~(_dot3(p, p) <= radius * radius)
+        lo, hi = np.where(outside, mid, lo), np.where(outside, hi, mid)
+    return _solve3(B + hi[:, None, None] * np.eye(3), -gh)
+
+
 def _polish(Z: np.ndarray, V: np.ndarray, alpha: np.ndarray, params: AircraftParams,
             tables: AeroTables):
-    """Projected Levenberg-Marquardt from the points Z (n, 3) of the
+    """Bound-constrained least squares from the points Z (n, 3) of the
     conditions (V, alpha), all nodes in one stacked evaluation per
     iteration (_stacked at the trial points).
 
-    Each node keeps its own damping (Nielsen's update; Madsen, Nielsen and
-    Tingleff, "Methods for non-linear least squares problems", 2004) and
-    takes a trial that lowers its cost r.r, or, at large-residual nodes
-    where the cost no longer resolves the last digits, keeps the cost
+    The first _TRIALS iterations are those of TRF, the trust-region method
+    of Branch, Coleman and Li (SIAM J. Sci. Comput. 21, 1999). In _X_SCALE
+    units, with D = diag(sqrt(v)) for v the distance to the bound that the
+    gradient g pushes toward, each takes Moré's step (_tr_step) of the hat
+    problem with Hessian D H D + diag|g| and gradient D g, maps it back by
+    D and clips it to the box; the radius starts at |z / sqrt(v)|. Projected
+    Levenberg-Marquardt follows, with each node's own damping (Nielsen's
+    update; Madsen, Nielsen and Tingleff, 2004).
+
+    A node takes a trial that lowers its cost r.r, or, at large-residual
+    nodes where the cost no longer resolves the last digits, keeps the cost
     within roundoff and lowers its optimality. It stops at its own step
     test, so its result does not depend on the other nodes. Returns the
     final points, their costs r.r and optimalities (_optimality) from the
@@ -309,8 +301,8 @@ def _polish(Z: np.ndarray, V: np.ndarray, alpha: np.ndarray, params: AircraftPar
         cost, opt = _dot3(R, R), _optimality(Z, R, J)
         failed = ~(np.isfinite(cost) & np.isfinite(J).all(axis=(1, 2)))
         live = ~failed
-        lam, nu = np.full(n, np.nan), np.full(n, 2.0)
-        for _ in range(_POLISH_MAX):
+        lam, nu, radius = np.full(n, np.nan), np.full(n, 2.0), np.full(n, np.nan)
+        for it in range(_POLISH_MAX):
             k = np.flatnonzero(live)
             if k.size == 0:
                 break
@@ -318,18 +310,34 @@ def _polish(Z: np.ndarray, V: np.ndarray, alpha: np.ndarray, params: AircraftPar
             Jt = np.swapaxes(J[k] * _X_SCALE, 1, 2)  # of r over z / _X_SCALE, transposed
             g = _dot3(Jt, R[k][:, None, :])
             H = _dot3(Jt[:, :, None, :], Jt[:, None, :, :])
-            lam_k = lam[k]  # first iteration: 1e-3 of the largest curvature
-            lam_k = np.where(np.isnan(lam_k), 1e-3 * np.diagonal(H, 0, 1, 2).max(axis=1), lam_k)
-            trial = np.clip(z + _lm_step(z, g, H, lam_k) * _X_SCALE, _LOWER, _UPPER)
+            if it < _TRIALS:
+                s = np.sqrt(np.where(g > 0, (z - _LOWER) / _X_SCALE,
+                                     np.where(g < 0, (_UPPER - z) / _X_SCALE, 1.0)))
+                B = s[:, :, None] * H * s[:, None, :] + np.abs(g)[:, None] * np.eye(3)
+                if it == 0:
+                    radius[k] = np.sqrt(_dot3(z / _X_SCALE / s, z / _X_SCALE / s))
+                step = s * _tr_step(B, s * g, radius[k])
+            else:
+                s, B = np.ones_like(z), H
+                lam_k = lam[k]  # first iteration: 1e-3 of the largest curvature
+                lam_k = np.where(np.isnan(lam_k), 1e-3 * np.diagonal(H, 0, 1, 2).max(axis=1), lam_k)
+                step = _lm_step(z, g, H, lam_k)
+            trial = np.clip(z + step * _X_SCALE, _LOWER, _UPPER)
             d = (trial - z) / _X_SCALE
             Rt, Jtrial = _stacked(trial, V[k], alpha[k], params, tables)
             cost_t, opt_t = _dot3(Rt, Rt), _optimality(trial, Rt, Jtrial)
             tie = (cost_t <= cost[k] * (1.0 + 4.0 * np.finfo(float).eps)) & (opt_t < opt[k])
             better = np.isfinite(Jtrial).all(axis=(1, 2)) & ((cost_t < cost[k]) | tie)
-            rho = (cost[k] - cost_t) / -(2.0 * _dot3(g, d) + _dot3(d, _dot3(H, d[:, None, :])))
-            lam[k] = np.where(better, lam_k * np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3),
-                              lam_k * nu[k])
-            nu[k] = np.where(better, 2.0, 2.0 * nu[k])
+            q = np.where(s > 0, d / s, 0.0)  # the step taken, in hat units
+            rho = (cost[k] - cost_t) / -(2.0 * _dot3(g, d) + _dot3(q, _dot3(B, q[:, None])))
+            if it < _TRIALS:  # TRF's radius update
+                q_norm = np.sqrt(_dot3(q, q))
+                grown = np.where((rho > 0.75) & (q_norm > 0.95 * radius[k]), 2.0, 1.0) * radius[k]
+                radius[k] = np.where(rho >= 0.25, grown, 0.25 * q_norm)
+            else:
+                shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                lam[k] = np.where(better, lam_k * shrink, lam_k * nu[k])
+                nu[k] = np.where(better, 2.0, 2.0 * nu[k])
             a = k[better]
             Z[a], R[a], J[a], cost[a], opt[a] = (trial[better], Rt[better], Jtrial[better],
                                                  cost_t[better], opt_t[better])
@@ -345,34 +353,26 @@ def trim_grid(grid: list[tuple[float, float]], params: AircraftParams,
               tables: AeroTables) -> list[TrimPoint]:
     """Trim every (V, alpha) node of the grid (default_grid()), order preserved.
 
-    Two phases, from theta = alpha, T = 5000 lb, delta_e = 0 (in the box).
-    Each node first runs a TRF solve capped at _BASIN_NFEV residual
-    evaluations: enough to settle which stationary basin it lands in, but
-    few enough that scipy's per-iteration overhead stays small. One
-    projected Levenberg-Marquardt pass over all nodes (_polish) then
-    finishes them, evaluating the residuals and Jacobians of every live
-    node in one stacked plant call per iteration. residual (sqrt of the
-    cost r.r), optimality and converged are the polish's own final
+    All nodes are solved together (_polish) from theta = alpha (at least
+    1e-10 inside its bounds), T = 5000 lb, delta_e = 0. residual (sqrt of
+    the cost r.r), optimality and converged are the solve's own final
     evaluation, in fixed-order sums, whose residual is no larger than the
-    start's (up to roundoff); iterations counts the node's TRF evaluations
-    (at most _BASIN_NFEV) plus its polish iterations.
-
-    Each node's result is bitwise the same in any batch. Per-node failures
-    (a non-finite residual, Jacobian or step) are reported through the
-    converged flag of the corresponding TrimPoint; the batch never aborts.
+    start's; iterations counts the node's trust-region trials and polish
+    iterations. Per-node failures (a non-finite residual, Jacobian or step)
+    are reported through the converged flag of the corresponding TrimPoint;
+    the batch never aborts.
     """
     if not grid:
         raise ValueError("empty trim grid")
     for V, alpha in grid:
         if not (V > 0 and math.isfinite(V) and math.isfinite(alpha)):
             raise ValueError(f"invalid flight condition V={V}, alpha={alpha}")
-    sols = [_trf(np.clip(np.array([alpha, 5000.0, 0.0]), _LOWER, _UPPER), V, alpha, params, tables)
-            for V, alpha in grid]
     V, alpha = np.array(grid, dtype=float).T
-    Z, cost, opt, its, failed = _polish(np.array([sol.x for sol in sols]), V, alpha, params, tables)
+    theta = np.clip(alpha, -_THETA_LIMIT + 1e-10, _THETA_LIMIT - 1e-10)
+    Z = np.stack([theta, np.full_like(alpha, 5000.0), np.zeros_like(alpha)], axis=1)
+    Z, cost, opt, its, failed = _polish(Z, V, alpha, params, tables)
     return [TrimPoint(x_trim=LongitudinalState(float(z[0]), float(v), float(a), 0.0),
                       u_trim=ControlInput(float(z[1]), float(z[2])),
                       residual=float(r), converged=not bad and _converged(float(r), float(o)),
-                      optimality=float(o), iterations=int(sol.nfev + it))
-            for z, v, a, r, o, bad, sol, it
-            in zip(Z, V, alpha, np.sqrt(cost), opt, failed, sols, its)]
+                      optimality=float(o), iterations=int(it))
+            for z, v, a, r, o, bad, it in zip(Z, V, alpha, np.sqrt(cost), opt, failed, its)]

@@ -287,8 +287,10 @@ def test_report_scores_are_the_scores_of_its_own_files(setup, tmp_path, kind, fi
 _KERNEL_PROBE = """
 import json, pickle, sys
 import numpy as np
-from otrobust.harness import ScenarioConfig, run_scenario
+from otrobust.f16 import DEG
+from otrobust.harness import NOMINAL_ALPHA_DEG, NOMINAL_V, ScenarioConfig, run_scenario
 from otrobust.transport import DiscreteDistribution, wasserstein_lp
+from otrobust.trim import default_grid, find_trim, trim_grid
 with open(sys.argv[1], "rb") as f:
     setup = pickle.load(f)
 out = {}
@@ -302,28 +304,40 @@ rng = np.random.default_rng(5)
 a = DiscreteDistribution(rng.normal(size=(9, 4)), rng.dirichlet(np.ones(9)))
 b = DiscreteDistribution(rng.normal(size=(7, 4)), rng.dirichlet(np.ones(7)))
 out["lp_cost"] = wasserstein_lp(a, b).cost
+out["trim_grid"] = [tp.to_dict() for tp in trim_grid(default_grid(), setup.params, setup.tables)]
+out["nominal_trim"] = find_trim(NOMINAL_V, NOMINAL_ALPHA_DEG * DEG, setup.params,
+                                setup.tables).to_dict()
 print(json.dumps(out))
 """
+
+
+def _probe(code, *args, **env):
+    """The stdout of code run in a fresh one-worker, one-BLAS-thread
+    interpreter on this checkout's src, with env added to the environment."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    base.update(PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+                OPENBLAS_NUM_THREADS="1", OTROBUST_WORKERS="1")
+    return subprocess.run([sys.executable, "-c", code, *args], env={**base, **env},
+                          capture_output=True, text=True, check=True, timeout=300).stdout
 
 
 def test_one_result_on_two_blas_kernels(setup, tmp_path):
     # The same set-up flown and scored under OpenBLAS's default kernel and
     # under its Sandybridge (no FMA) kernel gives the same bits: the laws
-    # contract in a fixed order and every score is one correctly rounded
-    # sum. The set-up is pickled from this process, since the trims and
-    # gains still depend on the kernel. On a host whose native kernel is
-    # Sandybridge both runs take the same kernel and this passes trivially.
+    # contract in a fixed order, every score is one correctly rounded sum,
+    # and the trims are solved in fixed-order sums and 3x3 solves, so the
+    # trim grid and the nominal trim are the same bits too. The set-up is
+    # pickled from this process, since only its Riccati gains still depend
+    # on the kernel. On a host whose native kernel is Sandybridge both runs
+    # take the same kernel and this passes trivially.
     path = tmp_path / "setup.pkl"
     path.write_bytes(pickle.dumps(setup))
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
-    env.update(PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
-               OPENBLAS_NUM_THREADS="1", OTROBUST_WORKERS="1")
-    default, sandybridge = (
-        json.loads(subprocess.run([sys.executable, "-c", _KERNEL_PROBE, str(path)],
-                                  env={**env, **extra}, capture_output=True, text=True,
-                                  check=True, timeout=300).stdout)
-        for extra in ({}, {"OPENBLAS_CORETYPE": "Sandybridge"}))
+    default, sandybridge = (json.loads(_probe(_KERNEL_PROBE, str(path), **extra))
+                            for extra in ({}, {"OPENBLAS_CORETYPE": "Sandybridge"}))
     assert default["lp_cost"] == sandybridge["lp_cost"]
+    assert default["nominal_trim"] == sandybridge["nominal_trim"]
+    for i, (ta, tb) in enumerate(zip(default["trim_grid"], sandybridge["trim_grid"], strict=True)):
+        assert ta == tb, i
     for kind in ("ic", "param", "disturbance"):
         a, b = default[kind], sandybridge[kind]
         for ca, cb in zip(a["curves"], b["curves"]):
@@ -331,6 +345,18 @@ def test_one_result_on_two_blas_kernels(setup, tmp_path):
                 assert ca.get(key) == cb.get(key), (kind, ca["controller"], ca["variant"], key)
         assert a["W_lqr_minus_gslqr"] == b["W_lqr_minus_gslqr"], kind
         assert a["content_hash"] == b["content_hash"], kind
+
+
+def test_scenario_process_does_not_import_scipy_optimize():
+    # The trims are solved in-house and no scenario solves a transport LP,
+    # so neither the set-up nor a scenario loads scipy.optimize.
+    probe = """
+import sys
+from otrobust.harness import ScenarioConfig, build_controllers, run_scenario
+run_scenario(ScenarioConfig(kind="ic", samples=16, t_f=1.0, emit_every=20), build_controllers())
+print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+"""
+    assert _probe(probe).strip() == "[]"
 
 
 def test_snapshot_csv_roundtrip(tmp_path, rng):

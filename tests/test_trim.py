@@ -124,7 +124,8 @@ def test_grid_lands_on_the_find_trim_points(params, tables, grid_trims, nominal_
     _assert_on_trf_points(grid_trims + [nominal_trim], params, tables)
 
 
-@pytest.mark.parametrize("plant", [{"m": 636.94 * 1.15}, {"h": 20000.0}])
+@pytest.mark.parametrize("plant", [{"m": 636.94 * 1.15}, {"h": 20000.0},
+                                   {"Jyy": 55814.0 * 0.85}])
 def test_grid_lands_on_the_find_trim_points_of_a_perturbed_plant(tables, plant):
     params = AircraftParams(**plant)
     points = trim_grid(default_grid(), params, tables) + [find_trim(*NOMINAL, params, tables)]
@@ -266,8 +267,8 @@ def test_jacobians_at_points_match_single_point_calls(params, tables, nominal_tr
 def test_find_trim_independent_of_jacobian_evaluation(params, tables, nominal_trim,
                                                       grid_trims, monkeypatch):
     # The stacked and the looped Jacobian hold the same numbers; neither
-    # the TRF phase nor the polish may see a difference in their memory
-    # layout either.
+    # the trust-region trials nor the polish may see a difference in their
+    # memory layout either.
     monkeypatch.setattr(trim_module, "central_difference", _loop_jacobian)
     assert find_trim(*NOMINAL, params, tables) == nominal_trim
     assert trim_grid(default_grid()[:3], params, tables) == grid_trims[:3]
